@@ -25,7 +25,8 @@ vet:
 # race: the numerics gate for the concurrent hot path. Runs vet plus the
 # race detector over the packages that share mutable state across
 # goroutines: the packed DGEMM fast path, the persistent worker pool, the
-# tile packers, the LU drivers built on top of them, the offload
+# tile packers, the DAG scheduler its idle workers park in, the LU drivers
+# built on top of them, the offload
 # work-stealing engine (heartbeats, straggler reclaim, cancellation), the
 # fault-path packages (message fabric + fault-tolerant distributed
 # solver), the observability layer they all feed (span recorder +
@@ -34,7 +35,7 @@ vet:
 # the multi-tenant solve server (queue, scheduler, cache, drain).
 race:
 	$(GO) vet ./...
-	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
+	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/dag/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for
@@ -62,20 +63,30 @@ benchjson:
 	$(GO) run ./cmd/benchjson
 
 # fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
-# scalar oracle (never panic, ulp envelope, no out-of-window writes), the
-# pack → micro-kernel → unpack chain, then the write-ahead journal's
+# scalar oracle (never panic, ulp envelope, no out-of-window writes — the
+# assembly's C-accumulating epilogue included), the pack → micro-kernel →
+# unpack chain, the fused panel factorization and the assembly axpy against
+# the Go loops they replaced (bit for bit), then the write-ahead journal's
 # crash-recovery scanner (arbitrary bytes must never panic, and repair
 # accounting must close exactly).
 fuzz:
 	$(GO) test ./internal/pack -fuzz FuzzMicroKernel -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzPackedGemm -fuzztime 30s
+	$(GO) test ./internal/blas -fuzz FuzzDgetf2 -fuzztime 30s
+	$(GO) test ./internal/blas -fuzz FuzzAxpy -fuzztime 30s
 	$(GO) test ./internal/journal -fuzz FuzzJournalDecode -fuzztime 30s
 
-# race-scalar: the race gate with the vector micro-kernels disabled — the
-# portable-scalar oracle path under the race detector, the same leg CI's
-# scalar-oracle job runs.
+# race-scalar: the race gate with every assembly kernel disabled — the
+# micro-kernels and the level-1 axpy behind Daxpy/Dtrsm/Dgetf2 — so the
+# portable-scalar oracle path runs under the race detector, then the same
+# packages built with the noasm tag. Both routes are asserted, not assumed:
+# TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
+# and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
+# reaches assembly. The same leg CI's scalar-oracle job runs.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/...
+	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/... ./internal/dag/...
+	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
+	$(GO) test -tags noasm -timeout 10m ./internal/pack/... ./internal/blas/... ./internal/lu/...
 
 clean:
 	$(GO) clean ./...

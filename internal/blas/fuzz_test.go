@@ -8,25 +8,55 @@ import (
 	"phihpl/internal/pack"
 )
 
-// FuzzDgetf2 feeds arbitrary seeds/shapes into the panel factorization and
-// verifies the LU invariants: reconstruction, bounded multipliers, and
+// FuzzDgetf2 feeds arbitrary seeds/shapes into the panel factorization.
+// Every input — plain, strided, or salted with the special values the
+// kernel has rules for — must match the unblocked reference loop bit for
+// bit (factors, pivots, singular column); a plain input that factors must
+// also satisfy the LU invariants: reconstruction, bounded multipliers,
 // in-range pivots. Run with `go test -fuzz=FuzzDgetf2` for a deep hunt;
-// plain `go test` exercises the seed corpus.
+// plain `go test` exercises the seed corpus plus testdata/fuzz.
 func FuzzDgetf2(f *testing.F) {
-	f.Add(uint64(1), uint8(4), uint8(4))
-	f.Add(uint64(42), uint8(20), uint8(6))
-	f.Add(uint64(7), uint8(1), uint8(1))
-	f.Add(uint64(0), uint8(31), uint8(15))
-	f.Fuzz(func(t *testing.T, seed uint64, mR, nR uint8) {
+	f.Add(uint64(1), uint8(4), uint8(4), uint8(0))
+	f.Add(uint64(42), uint8(20), uint8(6), uint8(1))   // strided view
+	f.Add(uint64(7), uint8(1), uint8(1), uint8(0))     // 1x1
+	f.Add(uint64(0), uint8(31), uint8(15), uint8(2))   // a zero column
+	f.Add(uint64(3), uint8(5), uint8(17), uint8(5))    // m<n, strided, ties
+	f.Add(uint64(9), uint8(24), uint8(9), uint8(8))    // NaN
+	f.Add(uint64(11), uint8(12), uint8(7), uint8(16))  // Inf beside zero multipliers
+	f.Add(uint64(13), uint8(30), uint8(30), uint8(31)) // everything at once
+	f.Fuzz(func(t *testing.T, seed uint64, mR, nR, salt uint8) {
 		m := 1 + int(mR)%32
 		n := 1 + int(nR)%32
-		mn := m
-		if n < mn {
-			mn = n
-		}
 		a := matrix.RandomGeneral(m, n, seed)
+		col := int(seed>>8) % n
+		row := int(seed>>16) % m
+		if salt&2 != 0 { // an exactly zero column: a singular stage mid-panel
+			for i := 0; i < m; i++ {
+				a.Set(i, col, 0)
+			}
+		}
+		if salt&4 != 0 { // exact ties in |pivot|: the lowest row must win
+			for i := 0; i < m; i++ {
+				a.Set(i, (col+1)%n, float64(1-2*(i%2)))
+			}
+		}
+		if salt&8 != 0 {
+			a.Set(row, (col+2)%n, math.NaN())
+		}
+		if salt&16 != 0 { // zero multipliers must not let 0·Inf poison a row
+			a.Set(0, 0, 8)
+			a.Set(0, n-1, math.Inf(1))
+			for i := 1; i < m; i += 2 {
+				a.Set(i, 0, 0)
+			}
+		}
+		assertDgetf2MatchesRef(t, "fuzz", a, salt&1 != 0)
+		if salt&^1 != 0 {
+			return // the invariants below are for well-behaved input
+		}
+
 		orig := a.Clone()
-		piv := make([]int, mn)
+		piv := make([]int, min(m, n))
 		if err := Dgetf2(a, piv); err != nil {
 			return // singular is a legal outcome
 		}
@@ -52,6 +82,62 @@ func FuzzDgetf2(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAxpy holds the assembly level-1 primitive to the Go loop it
+// replaces: arbitrary alpha, lengths 0–67 (every combination of the
+// 8-wide, 4-wide and scalar tails), source and destination each at an
+// arbitrary 8-byte offset, bit-for-bit agreement, and no write before or
+// past the len(x) window. On a machine or build without the vector
+// kernel both sides are the Go loop and only the window check bites.
+func FuzzAxpy(f *testing.F) {
+	f.Add(uint64(1), 1.5, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(2), -0.25, uint8(67), uint8(1), uint8(3))
+	f.Add(uint64(3), math.Inf(-1), uint8(9), uint8(2), uint8(1))
+	f.Add(uint64(4), math.NaN(), uint8(4), uint8(3), uint8(2))
+	f.Add(uint64(5), 0.0, uint8(33), uint8(0), uint8(1))
+	f.Add(uint64(6), 5e-324, uint8(12), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, alpha float64, nR, xOff, yOff uint8) {
+		checkAxpy(t, seed, alpha, int(nR)%68, int(xOff)%4, int(yOff)%4)
+	})
+}
+
+// checkAxpy runs one y += alpha·x of length n, with x and y starting xo
+// and yo elements into their arrays, through the assembly (when the CPU
+// has it, whatever the gates say) and through the Go loop.
+func checkAxpy(t *testing.T, seed uint64, alpha float64, n, xo, yo int) {
+	t.Helper()
+	x := matrix.RandomGeneral(1, n+8, seed).Data[xo : xo+n]
+	y0 := matrix.RandomGeneral(1, n+8, seed+1).Data
+	got := append([]float64(nil), y0...)
+	want := append([]float64(nil), y0...)
+	if n > 0 && pack.VectorKernel() {
+		axpyVector(alpha, x, got[yo:])
+	} else {
+		axpy(alpha, x, got[yo:])
+	}
+	axpyScalar(alpha, x, want[yo:])
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("n=%d xo=%d yo=%d alpha=%v: y[%d] = %v, Go loop %v", n, xo, yo, alpha, i-yo, got[i], want[i])
+		}
+		if (i < yo || i >= yo+n) && !sameBits(got[i], y0[i]) {
+			t.Fatalf("n=%d yo=%d: wrote outside the window at %d", n, yo, i-yo)
+		}
+	}
+}
+
+// TestAxpyEveryLengthAndOffset is FuzzAxpy's space walked exhaustively in
+// the dimensions that select code paths: every length 0–67 at every
+// source and destination offset.
+func TestAxpyEveryLengthAndOffset(t *testing.T) {
+	for n := 0; n <= 67; n++ {
+		for xo := 0; xo < 4; xo++ {
+			for yo := 0; yo < 4; yo++ {
+				checkAxpy(t, uint64(n), -1.75, n, xo, yo)
+			}
+		}
+	}
 }
 
 // FuzzPackedGemm drives the whole pack → micro-kernel → unpack chain with

@@ -52,20 +52,63 @@ func OffsetSingular(err error, off int) error {
 // view restricted to the panel's columns and apply swaps to the remainder
 // separately with Dlaswp — exactly how blocked LU and HPL stage their
 // swapping.
+//
+// A strided view is factored in a pooled contiguous copy and written back:
+// a panel of a large matrix has a power-of-two-ish row stride (12 288 B at
+// n=1536) that maps every row onto the same few cache sets, and the
+// elimination revisits each row once per column. Copying moves bits, not
+// values, so the factors are those of the in-place elimination.
 func Dgetf2(a *matrix.Dense, piv []int) error {
 	m, n := a.Rows, a.Cols
-	mn := m
-	if n < mn {
-		mn = n
-	}
-	if len(piv) != mn {
+	if len(piv) != min(m, n) {
 		panic("blas: Dgetf2 pivot slice has wrong length")
 	}
+	if m == 0 || n == 0 {
+		return nil
+	}
+	if a.Stride == n {
+		return dgetf2Packed(a.Data[:m*n], m, n, piv)
+	}
+	slab := prepackTake(m * n)
+	w := *slab
+	for i := 0; i < m; i++ {
+		copy(w[i*n:(i+1)*n], a.Row(i))
+	}
+	err := dgetf2Packed(w, m, n, piv)
+	for i := 0; i < m; i++ {
+		copy(a.Row(i), w[i*n:(i+1)*n])
+	}
+	prepackPut(slab)
+	return err
+}
+
+// dgetf2Packed eliminates the contiguous row-major m×n panel w in one
+// fused pass per column: each row below the pivot row gets its multiplier,
+// its rank-1 update, and — while the row is still in cache — its candidacy
+// for the next column's pivot. Per element this is the arithmetic of the
+// textbook column-at-a-time loop (scale the column, then update the rows):
+// a row's multiplier and update depend only on that row and the pivot row,
+// and the next pivot search reads column k+1 after every row's update,
+// in ascending row order with the same strict comparison, so pivots, ties
+// (lowest row wins), the NaN rule (a NaN is chosen only in the search's
+// first row) and every factor bit are unchanged.
+func dgetf2Packed(w []float64, m, n int, piv []int) error {
 	var err error
-	for k := 0; k < mn; k++ {
-		p := IdamaxCol(a, k, k)
+	next := -1 // pivot row of column k when the previous pass already found it
+	for k := range piv {
+		p := next
+		next = -1
+		if p < 0 {
+			p = k
+			bestAbs := math.Abs(w[k*n+k])
+			for i := k + 1; i < m; i++ {
+				if v := math.Abs(w[i*n+k]); v > bestAbs {
+					p, bestAbs = i, v
+				}
+			}
+		}
 		piv[k] = p
-		if pv := a.At(p, k); pv == 0 || math.Abs(pv) < minNormal {
+		if pv := w[p*n+k]; pv == 0 || math.Abs(pv) < minNormal {
 			// Zero or subnormal pivot: dividing would produce Inf/garbage
 			// multipliers, so skip the column and report it.
 			if err == nil {
@@ -73,22 +116,35 @@ func Dgetf2(a *matrix.Dense, piv []int) error {
 			}
 			continue
 		}
-		SwapRows(a, k, p)
-		akk := a.At(k, k)
-		// Scale the multiplier column and update the trailing submatrix.
-		for i := k + 1; i < m; i++ {
-			a.Set(i, k, a.At(i, k)/akk)
+		rowK := w[k*n : (k+1)*n]
+		if p != k {
+			rowP := w[p*n : (p+1)*n]
+			for j, v := range rowK {
+				rowK[j], rowP[j] = rowP[j], v
+			}
 		}
-		rowK := a.Row(k)
+		akk := rowK[k]
+		tail := rowK[k+1:]
+		search := k+1 < len(piv)
+		best, bestAbs := k+1, 0.0
 		for i := k + 1; i < m; i++ {
-			lik := a.At(i, k)
-			if lik == 0 {
-				continue
+			rowI := w[i*n : (i+1)*n]
+			lik := rowI[k] / akk
+			rowI[k] = lik
+			// A zero multiplier leaves the row alone (0·Inf must not
+			// poison it); anything else is y += (−l)·x, which rounds
+			// exactly like y −= l·x.
+			if lik != 0 {
+				axpy(-lik, tail, rowI[k+1:])
 			}
-			rowI := a.Row(i)
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= lik * rowK[j]
+			if search {
+				if v := math.Abs(rowI[k+1]); i == k+1 || v > bestAbs {
+					best, bestAbs = i, v
+				}
 			}
+		}
+		if search {
+			next = best
 		}
 	}
 	return err

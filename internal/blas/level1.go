@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"phihpl/internal/matrix"
+	"phihpl/internal/pack"
 )
 
 // Idamax returns the index of the element with the largest absolute value
@@ -57,6 +58,26 @@ func Daxpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("blas: Daxpy length mismatch")
 	}
+	axpy(alpha, x, y)
+}
+
+// axpy computes y[i] += alpha*x[i] for i < len(x); len(y) must be at
+// least len(x). It is the one level-1 update primitive behind Daxpy, the
+// Left-side substitutions of Dtrsm and the panel factorization: an AVX2
+// loop with a separately rounded multiply and add when pack.UseVector
+// allows it, the pure-Go loop otherwise — bit-identical by construction,
+// so the kernel gates switch speed, never results.
+func axpy(alpha float64, x, y []float64) {
+	if len(x) > 0 && pack.UseVector() {
+		axpyVector(alpha, x, y)
+		return
+	}
+	axpyScalar(alpha, x, y)
+}
+
+// axpyScalar is the portable loop and the oracle of the vector primitive.
+func axpyScalar(alpha float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, xv := range x {
 		y[i] += alpha * xv
 	}

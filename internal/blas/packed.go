@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math/bits"
 	"sync"
 
 	"phihpl/internal/matrix"
@@ -144,6 +145,9 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 	compFn := func(j, g int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
+		if g >= len(pbs) {
+			g = 0 // replication disabled under a multi-group pool: one shared B
+		}
 		pkb := &pbs[g]
 		cols := pkb.TileCols(tb)
 		off := ta*pack.DefaultTileM*c.Stride + tb*pack.TileN
@@ -189,25 +193,78 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 // the K-block boundaries (see the contract above), GemmPrepacked is
 // bitwise identical to the DgemmPacked call it replaces.
 
-// prepackSlabs recycles the packed-operand backing arrays so steady-state
-// prepacking allocates nothing: Release returns a slab once the packed
-// operand is no longer referenced. Contents are stale on reuse; the
-// packers overwrite every element including padding.
+// prepackSlabs recycles the packed-A backing arrays so steady-state
+// prepacking allocates only the operand handle: Release returns a slab
+// once the packed operand is no longer referenced. Contents are stale on
+// reuse; the packers overwrite every element including padding. Dgetf2
+// borrows its contiguous panel copy from the same place — an L panel and
+// its packed form are the same size.
 var prepackSlabs = sync.Pool{New: func() any { return new([]float64) }}
 
+// slabKeep is a short free list in front of prepackSlabs that a garbage
+// collection does not empty. A shared-memory LU keeps two to four slabs in
+// flight (two stages' L21, the panel copy, one more at a stage boundary)
+// and how many it peaks at varies from solve to solve; a sync.Pool drops
+// whatever one collection cycle did not use, so the slab for the peak was
+// re-allocated about once per solve — a megabyte that lands in the hole
+// the last solve's freed matrix left, which the next matrix then no
+// longer fits (peak RSS of back-to-back n=1536 solves: 100–125 MiB with
+// the pool alone, 98–100 MiB with this list, 96–99 MiB before any of
+// these slabs existed). Four slots cover one solve's peak; more
+// concurrent demand overflows into the pool. Slabs above slabKeepMax
+// elements are not held, so the list pins at most 32 MiB.
+var slabKeep = make(chan *[]float64, 4)
+
+const slabKeepMax = 1 << 20
+
+func prepackPut(s *[]float64) {
+	if cap(*s) <= slabKeepMax {
+		select {
+		case slabKeep <- s:
+			return
+		default:
+		}
+	}
+	prepackSlabs.Put(s)
+}
+
+// prepackTake returns a slab of n elements. A slab that has to be
+// (re)allocated gets the next power of two as capacity: an LU sweep asks
+// for one size per stage, each a little smaller than the last, and gets
+// the slabs back in no particular order — with exact-fit capacities the
+// next solve's early stages keep drawing slabs cut for late ones and
+// growing them again.
 func prepackTake(n int) *[]float64 {
-	s := prepackSlabs.Get().(*[]float64)
+	var s *[]float64
+	select {
+	case s = <-slabKeep:
+	default:
+		s = prepackSlabs.Get().(*[]float64)
+	}
 	if cap(*s) < n {
-		*s = make([]float64, n)
+		*s = make([]float64, n, 1<<bits.Len(uint(n-1)))
 	}
 	*s = (*s)[:n]
 	return s
 }
 
+// prepackBSlab is a recycled packed-B backing array together with the
+// per-group headers that point into it: recycling the headers with the
+// data keeps a per-task PrepackB (one per LU update task) from allocating
+// a header slice per call. B operands get a pool of their own because
+// they are small where A operands are tall: in one shared pool every
+// 32 KiB U block would sooner or later sit in a slab grown for a
+// megabyte L panel.
+type prepackBSlab struct {
+	data []float64
+	pbs  []pack.B
+}
+
+var prepackBSlabs = sync.Pool{New: func() any { return new(prepackBSlab) }}
+
 // PrepackedA is alpha·A packed once into the tile layout (one K-block).
 type PrepackedA struct {
-	pa   *pack.A
-	m, k int
+	pa   pack.A
 	slab *[]float64
 }
 
@@ -216,8 +273,8 @@ type PrepackedA struct {
 // operand again.
 func (a *PrepackedA) Release() {
 	if a != nil && a.slab != nil {
-		prepackSlabs.Put(a.slab)
-		a.slab, a.pa = nil, nil
+		prepackPut(a.slab)
+		a.slab, a.pa.Data = nil, nil
 	}
 }
 
@@ -231,12 +288,12 @@ func PrepackA(a *matrix.Dense, alpha float64) *PrepackedA {
 	}
 	aTiles := (m + pack.DefaultTileM - 1) / pack.DefaultTileM
 	slab := prepackTake(aTiles * pack.DefaultTileM * k)
-	pa := &pack.A{M: m, K: k, TileM: pack.DefaultTileM, Data: *slab}
+	p := &PrepackedA{pa: pack.A{M: m, K: k, TileM: pack.DefaultTileM, Data: *slab}, slab: slab}
 	for t := 0; t < aTiles; t++ {
-		pack.PackATileOp(pa, a, false, alpha, 0, t)
+		pack.PackATileOp(&p.pa, a, false, alpha, 0, t)
 	}
-	mBytesPacked.Load().Add(8 * int64(len(pa.Data)))
-	return &PrepackedA{pa: pa, m: m, k: k, slab: slab}
+	mBytesPacked.Load().Add(8 * int64(len(*slab)))
+	return p
 }
 
 // PrepackedB is B packed once into the tile layout (one K-block), with
@@ -244,15 +301,15 @@ func PrepackA(a *matrix.Dense, alpha float64) *PrepackedA {
 // socket-local copy. Replicas are byte-for-byte copies of replica 0, so
 // results are bitwise independent of the replica count.
 type PrepackedB struct {
-	pbs  []pack.B
+	pbs  []pack.B // the slab's header slice, one entry per replica
 	k, n int
-	slab *[]float64
+	slab *prepackBSlab
 }
 
 // Release recycles the packed buffer; see (*PrepackedA).Release.
 func (b *PrepackedB) Release() {
 	if b != nil && b.slab != nil {
-		prepackSlabs.Put(b.slab)
+		prepackBSlabs.Put(b.slab)
 		b.slab, b.pbs = nil, nil
 	}
 }
@@ -267,18 +324,25 @@ func PrepackB(b *matrix.Dense) *PrepackedB {
 	groups := bGroups()
 	bTiles := (n + pack.TileN - 1) / pack.TileN
 	rep := bTiles * k * pack.TileN
-	slab := prepackTake(groups * rep)
-	pbs := make([]pack.B, groups)
-	pbs[0] = pack.B{K: k, N: n, Data: (*slab)[:rep]}
+	slab := prepackBSlabs.Get().(*prepackBSlab)
+	if cap(slab.data) < groups*rep {
+		slab.data = make([]float64, groups*rep)
+	}
+	slab.data = slab.data[:groups*rep]
+	if cap(slab.pbs) < groups {
+		slab.pbs = make([]pack.B, groups)
+	}
+	pbs := slab.pbs[:groups]
+	pbs[0] = pack.B{K: k, N: n, Data: slab.data[:rep]}
 	for t := 0; t < bTiles; t++ {
 		pack.PackBTileOp(&pbs[0], b, false, 0, t)
 	}
 	for g := 1; g < groups; g++ {
-		data := (*slab)[g*rep : (g+1)*rep]
+		data := slab.data[g*rep : (g+1)*rep]
 		copy(data, pbs[0].Data)
 		pbs[g] = pack.B{K: k, N: n, Data: data}
 	}
-	mBytesPacked.Load().Add(8 * int64(len(*slab)))
+	mBytesPacked.Load().Add(8 * int64(len(slab.data)))
 	return &PrepackedB{pbs: pbs, k: k, n: n, slab: slab}
 }
 
@@ -288,16 +352,16 @@ func PrepackB(b *matrix.Dense) *PrepackedB {
 // single-K-block schedule, so the result is bitwise identical to
 // DgemmPacked(false, false, alpha, a, b, 1, c, workers).
 func GemmPrepacked(a *PrepackedA, b *PrepackedB, c *matrix.Dense, workers int) {
-	if a.k != b.k || c.Rows != a.m || c.Cols != b.n {
+	pa, pbs := &a.pa, b.pbs
+	if pa.K != b.k || c.Rows != pa.M || c.Cols != b.n {
 		panic("blas: GemmPrepacked dimension mismatch")
 	}
-	if a.m == 0 || b.n == 0 || a.k == 0 {
+	if pa.M == 0 || b.n == 0 || pa.K == 0 {
 		return
 	}
 	mPackedCalls.Load().Inc()
-	mPackedFlops.Load().Add(2 * int64(a.m) * int64(b.n) * int64(a.k))
-	aTiles, bTiles := a.pa.Tiles(), b.pbs[0].Tiles()
-	pa, pbs := a.pa, b.pbs
+	mPackedFlops.Load().Add(2 * int64(pa.M) * int64(b.n) * int64(pa.K))
+	aTiles, bTiles := pa.Tiles(), pbs[0].Tiles()
 	pool.DoGrouped(aTiles*bTiles, workers, func(j, g int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
@@ -307,7 +371,7 @@ func GemmPrepacked(a *PrepackedA, b *PrepackedB, c *matrix.Dense, workers int) {
 		pb := &pbs[g]
 		cols := pb.TileCols(tb)
 		off := ta*pack.DefaultTileM*c.Stride + tb*pack.TileN
-		pack.MicroKernel(pa.Tile(ta), pa.TileM, a.k, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
+		pack.MicroKernel(pa.Tile(ta), pa.TileM, pa.K, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
 	})
 }
 

@@ -144,8 +144,9 @@ func TestDgemmPackedKernelModeEnvelope(t *testing.T) {
 		t.Fatal("vector kernel result depends on worker count")
 	}
 
+	prev := pack.DisableVectorKernel // already set on the scalar-oracle CI leg
 	pack.DisableVectorKernel = true
-	defer func() { pack.DisableVectorKernel = false }()
+	defer func() { pack.DisableVectorKernel = prev }()
 	sca := c0.Clone()
 	DgemmPacked(false, false, -1, a, b, 1, sca, 4)
 	sca1 := c0.Clone()

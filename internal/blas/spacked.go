@@ -98,6 +98,9 @@ func SgemmPacked(transA, transB bool, alpha float32, a, b *matrix.Dense32, beta 
 	compFn := func(j, g int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
+		if g >= len(pbs) {
+			g = 0 // replication disabled under a multi-group pool: one shared B
+		}
 		pkb := &pbs[g]
 		cols := pkb.TileCols(tb)
 		off := ta*pack.DefaultTileM32*c.Stride + tb*pack.TileN32

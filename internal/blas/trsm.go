@@ -78,7 +78,7 @@ func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *mat
 			ti := t.Row(i)
 			for k := 0; k < i; k++ {
 				if lik := ti[k]; lik != 0 {
-					Daxpy(-lik, b.Row(k), bi)
+					axpy(-lik, b.Row(k), bi)
 				}
 			}
 			if diag == NonUnit {
@@ -92,7 +92,7 @@ func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *mat
 			ti := t.Row(i)
 			for k := i + 1; k < n; k++ {
 				if uik := ti[k]; uik != 0 {
-					Daxpy(-uik, b.Row(k), bi)
+					axpy(-uik, b.Row(k), bi)
 				}
 			}
 			if diag == NonUnit {

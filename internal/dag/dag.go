@@ -70,11 +70,14 @@ type Stats struct {
 // per thread group calls into it.
 type Scheduler struct {
 	mu       sync.Mutex
+	ready    sync.Cond // on mu: a task may have become claimable, or no more ever will
 	np       int
 	stage    []int  // updates absorbed by each panel
 	factored []bool // panel factorization complete
 	busy     []bool // a task currently operates on this panel
 	nDone    int    // factored panel count
+	waiting  int    // callers parked in NextWait
+	stopped  bool   // Stop was called: NextWait hands out nothing further
 	stats    Stats
 }
 
@@ -83,12 +86,14 @@ func New(np int) *Scheduler {
 	if np < 1 {
 		panic("dag: need at least one panel")
 	}
-	return &Scheduler{
+	s := &Scheduler{
 		np:       np,
 		stage:    make([]int, np),
 		factored: make([]bool, np),
 		busy:     make([]bool, np),
 	}
+	s.ready.L = &s.mu
+	return s
 }
 
 // Panels returns the panel count.
@@ -100,6 +105,42 @@ func (s *Scheduler) Panels() int { return s.np }
 func (s *Scheduler) Next() (t Task, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.claim()
+}
+
+// NextWait claims the highest-priority ready task, parking the caller
+// while nothing is ready. ok is false once no task will ever be handed
+// out again: every panel is factored, or Stop was called. A parked caller
+// costs nothing — Complete wakes exactly as many as it made work for — so
+// an idle thread group no longer spins on the critical section.
+func (s *Scheduler) NextWait() (t Task, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopped && s.nDone < s.np {
+		if t, ok = s.claim(); ok {
+			return t, true
+		}
+		s.waiting++
+		s.ready.Wait()
+		s.waiting--
+	}
+	return Task{}, false
+}
+
+// Stop makes every current and future NextWait return ok=false. The
+// driver calls it when a worker gives up early (a contained panic, a
+// cancelled context), so parked workers drain instead of waiting for a
+// completion that will never come. Tasks already claimed may still be
+// Completed.
+func (s *Scheduler) Stop() {
+	s.mu.Lock()
+	s.stopped = true
+	s.mu.Unlock()
+	s.ready.Broadcast()
+}
+
+// claim is Next under s.mu.
+func (s *Scheduler) claim() (t Task, ok bool) {
 	s.stats.NextCalls++
 
 	// Priority 1: look-ahead panel factorization — any panel that has
@@ -153,6 +194,35 @@ func (s *Scheduler) Complete(t Task) {
 			panic(fmt.Sprintf("dag: Complete(%v) out of order (stage=%d)", t, s.stage[t.Panel]))
 		}
 		s.stage[t.Panel]++
+	}
+	s.wake()
+}
+
+// wake, under s.mu after a completion, rouses parked callers: all of them
+// once the last panel is factored, otherwise one per task that is
+// claimable right now. The completing caller usually comes straight back
+// for one of those itself, so at most one woken caller per completion
+// finds nothing and parks again — Next calls stay within twice the task
+// count however many thread groups idle.
+func (s *Scheduler) wake() {
+	if s.waiting == 0 {
+		return
+	}
+	if s.nDone == s.np {
+		s.ready.Broadcast()
+		return
+	}
+	n := 0
+	for p := 0; p < s.np && n < s.waiting; p++ {
+		if s.factored[p] || s.busy[p] {
+			continue
+		}
+		if st := s.stage[p]; st == p || s.factored[st] {
+			n++
+		}
+	}
+	for ; n > 0; n-- {
+		s.ready.Signal()
 	}
 }
 

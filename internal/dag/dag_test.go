@@ -340,3 +340,86 @@ func TestCompleteFactWrongStatePanics(t *testing.T) {
 	}()
 	s.Complete(Task{Kind: PanelFact, Stage: 1, Panel: 1})
 }
+
+// Parked workers must drain the whole DAG (run with -race), and the point
+// of parking: however many groups idle, critical-section entries stay
+// within twice the task count, where the old Next+Gosched loop made tens
+// of thousands.
+func TestNextWaitDrainsDAGWithoutSpinning(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		np := 24
+		s := New(np)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					task, ok := s.NextWait()
+					if !ok {
+						return
+					}
+					s.Complete(task)
+				}
+			}()
+		}
+		wg.Wait()
+		st := s.Stats()
+		if !s.Done() || st.TasksComplete != int64(TotalTasks(np)) {
+			t.Fatalf("workers=%d: completed %d of %d tasks", workers, st.TasksComplete, TotalTasks(np))
+		}
+		if limit := 2*int64(TotalTasks(np)) + int64(workers); st.NextCalls > limit {
+			t.Errorf("workers=%d: %d Next calls for %d tasks, want <= %d", workers, st.NextCalls, TotalTasks(np), limit)
+		}
+	}
+}
+
+// A worker parked behind an unfinished task wakes when that task
+// completes, and NextWait reports ok=false only once the DAG is done.
+func TestNextWaitParksUntilComplete(t *testing.T) {
+	s := New(2)
+	fact0, ok := s.NextWait()
+	if !ok || fact0.Kind != PanelFact || fact0.Panel != 0 {
+		t.Fatalf("first task = %v, %v", fact0, ok)
+	}
+	got := make(chan Task)
+	go func() {
+		task, _ := s.NextWait() // nothing is ready until fact(0) completes
+		got <- task
+	}()
+	select {
+	case task := <-got:
+		t.Fatalf("NextWait returned %v while nothing was ready", task)
+	default:
+	}
+	s.Complete(fact0)
+	if task := <-got; task.Kind != Update || task.Stage != 0 || task.Panel != 1 {
+		t.Fatalf("woken worker claimed %v, want upd(0->1)", task)
+	}
+}
+
+// Stop releases parked workers with ok=false and keeps later callers from
+// claiming, while a task claimed before it may still be completed.
+func TestStopReleasesParkedWorkers(t *testing.T) {
+	s := New(3)
+	fact0, _ := s.NextWait()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if task, ok := s.NextWait(); ok {
+				t.Errorf("NextWait handed out %v after Stop", task)
+			}
+		}()
+	}
+	s.Stop()
+	wg.Wait()
+	s.Complete(fact0)
+	if _, ok := s.NextWait(); ok {
+		t.Error("NextWait claimed a task after Stop")
+	}
+	if s.Done() {
+		t.Error("a stopped scheduler must not report Done")
+	}
+}

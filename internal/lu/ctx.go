@@ -32,6 +32,7 @@ func protect(worker int, fn func()) (pe *pool.PanicError) {
 func SequentialCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
+	defer st.releaseAll()
 	var firstErr error
 	for s := 0; s < st.np; s++ {
 		if err := ctx.Err(); err != nil {

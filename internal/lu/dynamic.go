@@ -2,10 +2,8 @@ package lu
 
 import (
 	"context"
-	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"phihpl/internal/dag"
 	"phihpl/internal/matrix"
@@ -54,6 +52,7 @@ func DynamicStats(a *matrix.Dense, piv []int, opts Options) (dag.Stats, error) {
 func runDynamic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) (*dag.Scheduler, error) {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
+	defer st.releaseAll() // runs after wg.Wait on every path below
 	sched := dag.New(st.np)
 	if err := ctx.Err(); err != nil {
 		return sched, err
@@ -62,7 +61,6 @@ func runDynamic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) (
 
 	var (
 		wg       sync.WaitGroup
-		abort    atomic.Bool // a worker panicked: nobody claims further tasks
 		errMu    sync.Mutex
 		firstErr error
 		perr     *pool.PanicError
@@ -73,11 +71,11 @@ func runDynamic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) (
 			defer wg.Done()
 			// Recover barrier: a panicking task must fail the solve, not
 			// kill the process. The claimed task is deliberately left
-			// un-Completed — abort stops the other workers from spinning
-			// on its dependents.
+			// un-Completed — Stop releases the workers parked on its
+			// dependents and keeps the running ones from claiming more.
 			defer func() {
 				if v := recover(); v != nil {
-					abort.Store(true)
+					sched.Stop()
 					errMu.Lock()
 					if perr == nil {
 						perr = &pool.PanicError{Worker: g, Value: v, Stack: string(debug.Stack())}
@@ -85,19 +83,21 @@ func runDynamic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) (
 					errMu.Unlock()
 				}
 			}()
-			for !abort.Load() {
+			for {
 				// Task-issue boundary: the cancellation check of DynamicCtx.
+				// A worker is only ever parked behind one that is running a
+				// task, and that one passes through here next, so nobody
+				// outwaits a cancellation by more than a task.
 				if ctx.Err() != nil {
+					sched.Stop()
 					return
 				}
-				task, ok := sched.Next()
+				// An idle group parks inside the scheduler until a
+				// completion makes work for it, the DAG is done, or a
+				// worker stopped it.
+				task, ok := sched.NextWait()
 				if !ok {
-					if sched.Done() {
-						return
-					}
-					// Another group's task will unblock us; yield.
-					runtime.Gosched()
-					continue
+					return
 				}
 				var t0 float64
 				if rec != nil {

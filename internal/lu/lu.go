@@ -16,6 +16,7 @@ package lu
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"phihpl/internal/blas"
 	"phihpl/internal/matrix"
@@ -82,6 +83,11 @@ func Sequential(a *matrix.Dense, piv []int, opts Options) error {
 // panics into the task kernels.
 var testHookPanelFact func(p int)
 
+// testHookL21, when non-nil, observes the life of every stage's packed
+// L21: delta +1 when factorPanel packs it, −1 when it is released. Set
+// only by tests (before a driver starts).
+var testHookL21 func(stage, delta int)
+
 // state carries the shared factorization context of the concurrent drivers.
 type state struct {
 	a         *matrix.Dense
@@ -90,6 +96,17 @@ type state struct {
 	np        int
 	piv       [][]int // per-stage local pivots (panel-relative)
 	recursive bool
+
+	// l21[s] is −L21 of stage s in packed-tile form: packed once, by
+	// factorPanel(s), and read by every updatePanel(s, ·), instead of
+	// each of those np−1−s updates re-packing the same block. It is nil
+	// when the stage's updates take RankKUpdate's own route (panel
+	// narrower than blas.PackedMinK or deeper than one K-block) or there
+	// is nothing below the panel. left[s] counts the stage's updates
+	// still to run; the one that brings it to zero releases the slab, so
+	// a solve holds one slab per stage in flight, not one per stage.
+	l21  []*blas.PrepackedA
+	left []atomic.Int32
 }
 
 func newState(a *matrix.Dense, opts Options) *state {
@@ -99,6 +116,14 @@ func newState(a *matrix.Dense, opts Options) *state {
 	n := a.Cols
 	st := &state{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB), recursive: opts.RecursivePanel}
 	st.piv = make([][]int, st.np)
+	st.l21 = make([]*blas.PrepackedA, st.np)
+	st.left = make([]atomic.Int32, st.np)
+	pivots := make([]int, n)
+	for p := range st.piv {
+		lo, hi := panelCols(n, st.nb, p)
+		st.piv[p] = pivots[lo:hi:hi]
+		st.left[p].Store(int32(st.np - 1 - p))
+	}
 	return st
 }
 
@@ -120,17 +145,50 @@ func (st *state) factorPanel(p int) error {
 	lo, hi := panelCols(st.n, st.nb, p)
 	w := hi - lo
 	panel := st.a.View(lo, lo, st.n-lo, w)
-	local := make([]int, w)
 	var err error
 	if st.recursive {
-		err = blas.Dgetf2Recursive(panel, local)
+		err = blas.Dgetf2Recursive(panel, st.piv[p])
 	} else {
-		err = blas.Dgetf2(panel, local)
+		err = blas.Dgetf2(panel, st.piv[p])
 	}
-	st.piv[p] = local
+	// L21 is final from here on (the swaps later stages owe it are
+	// deferred to finishLeftSwaps), so pack it for the stage's updates.
+	// The gate is RankKUpdate's own, on k alone: a stage that would not
+	// have taken the packed path there does not take it here either.
+	if hi < st.n && w >= blas.PackedMinK {
+		if pa := blas.PrepackA(st.a.View(hi, lo, st.n-hi, w), -1); pa != nil {
+			st.l21[p] = pa
+			if h := testHookL21; h != nil {
+				h(p, +1)
+			}
+		}
+	}
 	// Panel columns are matrix-local: rebase a singular report to the
 	// absolute column so every driver names the same offender.
 	return blas.OffsetSingular(err, lo)
+}
+
+// releaseL21 recycles stage s's packed L21, if it has one. Callers order
+// it after the stage's last reader: updatePanel through left[s], the
+// drivers' exit sweep by having joined every worker.
+func (st *state) releaseL21(s int) {
+	if pa := st.l21[s]; pa != nil {
+		st.l21[s] = nil
+		pa.Release()
+		if h := testHookL21; h != nil {
+			h(s, -1)
+		}
+	}
+}
+
+// releaseAll is every driver's exit sweep: a factorization cut short (a
+// contained panic, a cancelled context) leaves stages whose updates never
+// all ran, and their slabs go back to the pool here. Must only run once no
+// task is executing.
+func (st *state) releaseAll() {
+	for s := range st.l21 {
+		st.releaseL21(s)
+	}
 }
 
 // finishLeftSwaps applies, stage by stage, each stage's row interchanges
@@ -161,13 +219,23 @@ func (st *state) updatePanel(s, p, workers int) {
 	l11 := st.a.View(sLo, sLo, sw, sw)
 	u12 := st.a.View(sLo, pLo, sw, pw)
 	blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, l11, u12)
-	// DGEMM: trailing block of this panel, through the packed-tile fast
-	// path (RankKUpdate routes by panel depth; every driver makes the same
-	// choice for the same stage, preserving bitwise identity).
+	// DGEMM: trailing block of this panel. With the stage's L21 already
+	// packed only U12 is packed here; GemmPrepacked then runs exactly the
+	// single-K-block tile schedule of the DgemmPacked call RankKUpdate
+	// would have made, so the two routes — and blas.Dgetrf, which always
+	// takes RankKUpdate — agree bit for bit.
 	if sHi < st.n {
-		l21 := st.a.View(sHi, sLo, st.n-sHi, sw)
 		tail := st.a.View(sHi, pLo, st.n-sHi, pw)
-		blas.RankKUpdate(l21, u12, tail, workers)
+		if pa := st.l21[s]; pa != nil {
+			pb := blas.PrepackB(u12)
+			blas.GemmPrepacked(pa, pb, tail, workers)
+			pb.Release()
+		} else {
+			blas.RankKUpdate(st.a.View(sHi, sLo, st.n-sHi, sw), u12, tail, workers)
+		}
+	}
+	if st.left[s].Add(-1) == 0 {
+		st.releaseL21(s)
 	}
 }
 

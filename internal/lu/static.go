@@ -35,6 +35,8 @@ func StaticLookaheadCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Op
 func runStatic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
+	// Every return below follows the join of the stage's goroutines.
+	defer st.releaseAll()
 	if err := ctx.Err(); err != nil {
 		return err
 	}

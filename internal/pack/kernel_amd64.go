@@ -21,12 +21,14 @@ package pack
 // FP32 kernel, so one probe serves both precisions. Build with the
 // `noasm` tag to compile the pure-Go scalar kernels only.
 
-// dgemm6x8 computes one 6×8 accumulator block of an a-tile × b-tile
-// product: dst[i*8+j] = Σ_p a[p·stride/8 + i]·b[p·8 + j], each element
-// accumulated in ascending p with fused multiply-add. It overwrites dst.
+// dgemm6x8 adds one 6×8 block of an a-tile × b-tile product into c:
+// c[i·ldc/8+j] += Σ_p a[p·stride/8 + i]·b[p·8 + j], each sum accumulated
+// from zero in ascending p with fused multiply-add and then added to c
+// once with a separately rounded add. It reads and writes all 6×8
+// elements of the c window.
 //
 //go:noescape
-func dgemm6x8(a *float64, strideBytes int64, k int64, b *float64, dst *[48]float64)
+func dgemm6x8(a *float64, strideBytes int64, k int64, b *float64, c *float64, ldcBytes int64)
 
 func cpuidLeaf(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -56,9 +58,10 @@ func haveAsmKernel() bool {
 
 // kernelBlock runs the assembly 6×8 block: the block starting at row r0
 // of the (column-major, tileM-stride) a-tile against the full k×8 b-tile,
-// overwriting acc. Caller guarantees r0+6 <= tileM and k > 0; padding
-// rows of a partial tile are zero, so computing them is harmless (the
-// caller simply does not write them back).
-func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, acc *[48]float64) {
-	dgemm6x8(&aTile[r0], int64(tileM)*8, int64(k), &bTile[0], acc)
+// accumulated into the 6×8 window of c (leading dimension ldc). Caller
+// guarantees r0+6 <= tileM and k > 0. The slice expression is the bounds
+// check the assembly cannot make: the whole window must lie inside c.
+func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, c []float64, ldc int) {
+	c = c[:(MicroM-1)*ldc+TileN]
+	dgemm6x8(&aTile[r0], int64(tileM)*8, int64(k), &bTile[0], &c[0], int64(ldc)*8)
 }

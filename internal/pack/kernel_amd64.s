@@ -5,20 +5,23 @@
 
 #include "textflag.h"
 
-// func dgemm6x8(a *float64, strideBytes int64, k int64, b *float64, dst *[48]float64)
+// func dgemm6x8(a *float64, strideBytes int64, k int64, b *float64, c *float64, ldcBytes int64)
 //
-// dst[i][j] = sum_p a[p*stride + i] * b[p*8 + j]   (i<6, j<8, fused)
+// c[i*ldc + j] += sum_p a[p*stride + i] * b[p*8 + j]   (i<6, j<8, fused)
 //
 // Register plan (AVX2): Y0..Y11 hold the 6×8 accumulator block (two
 // 4-lane halves per row), Y12/Y13 the 8-wide b row, Y14/Y15 the broadcast
 // a values of the current column, reused across the three row pairs. One
-// k step is 2 b loads, 6 broadcasts and 12 FMAs = 96 fused flops.
-TEXT ·dgemm6x8(SB), NOSPLIT, $0-40
+// k step is 2 b loads, 6 broadcasts and 12 FMAs = 96 fused flops. The
+// epilogue adds each accumulator to its c row with a separately rounded
+// VADDPD — the same single add-back the Go epilogue performed.
+TEXT ·dgemm6x8(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), SI
 	MOVQ strideBytes+8(FP), AX
 	MOVQ k+16(FP), CX
 	MOVQ b+24(FP), BX
-	MOVQ dst+32(FP), DI
+	MOVQ c+32(FP), DI
+	MOVQ ldcBytes+40(FP), DX
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -63,18 +66,35 @@ loop:
 	JNE          loop
 
 store:
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
-	VMOVUPD Y4, 128(DI)
-	VMOVUPD Y5, 160(DI)
-	VMOVUPD Y6, 192(DI)
-	VMOVUPD Y7, 224(DI)
-	VMOVUPD Y8, 256(DI)
-	VMOVUPD Y9, 288(DI)
-	VMOVUPD Y10, 320(DI)
-	VMOVUPD Y11, 352(DI)
+	ADDQ    DX, DI
+	VADDPD  (DI), Y2, Y2
+	VADDPD  32(DI), Y3, Y3
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    DX, DI
+	VADDPD  (DI), Y4, Y4
+	VADDPD  32(DI), Y5, Y5
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ    DX, DI
+	VADDPD  (DI), Y6, Y6
+	VADDPD  32(DI), Y7, Y7
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	ADDQ    DX, DI
+	VADDPD  (DI), Y8, Y8
+	VADDPD  32(DI), Y9, Y9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ    DX, DI
+	VADDPD  (DI), Y10, Y10
+	VADDPD  32(DI), Y11, Y11
+	VMOVUPD Y10, (DI)
+	VMOVUPD Y11, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -9,7 +9,7 @@ package pack
 func haveAsmKernel() bool { return false }
 
 // kernelBlock is never called when haveAsmKernel reports false.
-func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, acc *[48]float64) {
+func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, c []float64, ldc int) {
 	panic("pack: vector FP64 kernel unavailable on this platform")
 }
 

@@ -59,6 +59,13 @@ var vectorKernel = haveAsmKernel()
 // fallback.
 func VectorKernel() bool { return vectorKernel }
 
+// UseVector reports whether the FP64 assembly kernels are dispatched right
+// now: the probe passed and DisableVectorKernel is unset. It is the one
+// predicate MicroKernel and the level-1 primitive of internal/blas
+// consult, so the scalar-oracle legs (PHIHPL_DISABLE_VECTOR_KERNEL, the
+// noasm tag) switch every assembly path off together.
+func UseVector() bool { return vectorKernel && !DisableVectorKernel }
+
 // The scalar oracle path must stay exercisable without recompiling:
 // setting PHIHPL_DISABLE_VECTOR_KERNEL (to any non-empty value) disables
 // both vector kernels at startup, which is how the CI scalar-oracle leg
@@ -237,20 +244,26 @@ func MicroKernel(aTile []float64, tileM, k int, bTile []float64, c []float64, ld
 	if k <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	if vectorKernel && !DisableVectorKernel && tileM%MicroM == 0 {
-		var acc [MicroM * TileN]float64
+	if UseVector() && tileM%MicroM == 0 {
 		for r0 := 0; r0 < rows; r0 += MicroM {
-			kernelBlock(aTile, tileM, k, r0, bTile, &acc)
-			br := rows - r0
-			if br > MicroM {
-				br = MicroM
+			br := min(rows-r0, MicroM)
+			if br == MicroM && cols == TileN {
+				// Full block: the assembly epilogue adds straight into c.
+				kernelBlock(aTile, tileM, k, r0, bTile, c[r0*ldc:], ldc)
+				continue
 			}
+			// Edge block: the assembly always touches a full 6×8 window,
+			// so stage the real br×cols corner through a stack copy and
+			// never let it write outside the window. Padding rows of the
+			// a-tile and padding columns of the b-tile are zero; what they
+			// add to the staging buffer is simply not copied back.
+			var win [MicroM * TileN]float64
 			for i := 0; i < br; i++ {
-				row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
-				sums := acc[i*TileN : i*TileN+TileN]
-				for j := range row {
-					row[j] += sums[j]
-				}
+				copy(win[i*TileN:], c[(r0+i)*ldc:(r0+i)*ldc+cols])
+			}
+			kernelBlock(aTile, tileM, k, r0, bTile, win[:], TileN)
+			for i := 0; i < br; i++ {
+				copy(c[(r0+i)*ldc:(r0+i)*ldc+cols], win[i*TileN:])
 			}
 		}
 		return
