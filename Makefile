@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-scalar bench benchjson fuzz smoke check clean
+.PHONY: all build test vet race race-scalar fuzz smoke check clean
 
 all: vet test
 
@@ -45,28 +45,13 @@ race:
 smoke:
 	sh scripts/smoke_hplserver.sh
 
-# bench: the packed-path vs reference comparison (GFLOPS + steady-state
-# allocation counts).
-bench:
-	$(GO) test ./internal/blas -bench 'Dgemm|RankK' -benchmem -run xxx
-
-# benchjson: the machine-readable benchmark record — DgemmPacked vs
-# DgemmParallel at several sizes, the dynamic-DAG LU, the real 2D
-# distributed HPL under each (look-ahead schedule, precision) pair —
-# Hpl2D-<mode> FP64 rows plus Hpl2D-mixed-<mode> rows (FP32 block-cyclic
-# factorization + FP64 refinement, speedup_vs_fp64 against the matching
-# FP64 best; an always-falling-back system yields a FALLBACK verdict with
-# the typed reason instead of aborting) — and the single-node HPL-MxP
-# head-to-head, written to BENCH_<yyyymmdd>.json (GFLOPS, ns/op,
-# allocs/op). Diff two files to see a regression as a number.
-benchjson:
-	$(GO) run ./cmd/benchjson
-
 # fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
 # scalar oracle (never panic, ulp envelope, no out-of-window writes — the
 # assembly's C-accumulating epilogue included), the pack → micro-kernel →
-# unpack chain, the fused panel factorization and the assembly axpy against
-# the Go loops they replaced (bit for bit), then the write-ahead journal's
+# unpack chain, the fused panel factorization and the
+# level-1 axpy against the Go loops they replaced (bit for bit; each input
+# runs as float64 and again rounded to float32, so one target covers both
+# instantiations of the generic code), then the write-ahead journal's
 # crash-recovery scanner (arbitrary bytes must never panic, and repair
 # accounting must close exactly).
 fuzz:
@@ -77,9 +62,10 @@ fuzz:
 	$(GO) test ./internal/journal -fuzz FuzzJournalDecode -fuzztime 30s
 
 # race-scalar: the race gate with every assembly kernel disabled — the
-# micro-kernels and the level-1 axpy behind Daxpy/Dtrsm/Dgetf2 — so the
-# portable-scalar oracle path runs under the race detector, then the same
-# packages built with the noasm tag. Both routes are asserted, not assumed:
+# micro-kernels and the level-1 axpy behind Daxpy/Trsm/Getf2 — so the
+# portable-scalar oracle path of the generic pack and blas code runs under
+# the race detector in both instantiations, then the same packages built
+# with the noasm tag. Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
 # reaches assembly. The same leg CI's scalar-oracle job runs.

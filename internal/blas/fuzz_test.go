@@ -11,7 +11,8 @@ import (
 // FuzzDgetf2 feeds arbitrary seeds/shapes into the panel factorization.
 // Every input — plain, strided, or salted with the special values the
 // kernel has rules for — must match the unblocked reference loop bit for
-// bit (factors, pivots, singular column); a plain input that factors must
+// bit (factors, pivots, singular column), as float64 and again rounded to
+// float32; a plain input that factors must
 // also satisfy the LU invariants: reconstruction, bounded multipliers,
 // in-range pivots. Run with `go test -fuzz=FuzzDgetf2` for a deep hunt;
 // plain `go test` exercises the seed corpus plus testdata/fuzz.
@@ -50,7 +51,8 @@ func FuzzDgetf2(f *testing.F) {
 				a.Set(i, 0, 0)
 			}
 		}
-		assertDgetf2MatchesRef(t, "fuzz", a, salt&1 != 0)
+		assertGetf2MatchesRef(t, "fuzz", a, salt&1 != 0)
+		assertGetf2MatchesRef(t, "fuzz/float32", demote[float32](a), salt&1 != 0)
 		if salt&^1 != 0 {
 			return // the invariants below are for well-behaved input
 		}
@@ -89,7 +91,10 @@ func FuzzDgetf2(f *testing.F) {
 // 8-wide, 4-wide and scalar tails), source and destination each at an
 // arbitrary 8-byte offset, bit-for-bit agreement, and no write before or
 // past the len(x) window. On a machine or build without the vector
-// kernel both sides are the Go loop and only the window check bites.
+// kernel both sides are the Go loop and only the window check bites — as
+// they are for float32, which runs the same inputs rounded: it has no
+// assembly leaf, and the window check is what a float32 slice read as
+// float64 would break.
 func FuzzAxpy(f *testing.F) {
 	f.Add(uint64(1), 1.5, uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), -0.25, uint8(67), uint8(1), uint8(3))
@@ -99,20 +104,21 @@ func FuzzAxpy(f *testing.F) {
 	f.Add(uint64(6), 5e-324, uint8(12), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, alpha float64, nR, xOff, yOff uint8) {
 		checkAxpy(t, seed, alpha, int(nR)%68, int(xOff)%4, int(yOff)%4)
+		checkAxpy(t, seed, float32(alpha), int(nR)%68, int(xOff)%4, int(yOff)%4)
 	})
 }
 
 // checkAxpy runs one y += alpha·x of length n, with x and y starting xo
 // and yo elements into their arrays, through the assembly (when the CPU
 // has it, whatever the gates say) and through the Go loop.
-func checkAxpy(t *testing.T, seed uint64, alpha float64, n, xo, yo int) {
+func checkAxpy[T matrix.Float](t *testing.T, seed uint64, alpha T, n, xo, yo int) {
 	t.Helper()
-	x := matrix.RandomGeneral(1, n+8, seed).Data[xo : xo+n]
-	y0 := matrix.RandomGeneral(1, n+8, seed+1).Data
-	got := append([]float64(nil), y0...)
-	want := append([]float64(nil), y0...)
-	if n > 0 && pack.VectorKernel() {
-		axpyVector(alpha, x, got[yo:])
+	x := rnd[T](1, n+8, seed).Data[xo : xo+n]
+	y0 := rnd[T](1, n+8, seed+1).Data
+	got := append([]T(nil), y0...)
+	want := append([]T(nil), y0...)
+	if matrix.Is64[T]() && n > 0 && pack.VectorKernel() {
+		axpyVector(float64(alpha), matrix.Slice64(x), matrix.Slice64(got[yo:]))
 	} else {
 		axpy(alpha, x, got[yo:])
 	}
@@ -134,7 +140,8 @@ func TestAxpyEveryLengthAndOffset(t *testing.T) {
 	for n := 0; n <= 67; n++ {
 		for xo := 0; xo < 4; xo++ {
 			for yo := 0; yo < 4; yo++ {
-				checkAxpy(t, uint64(n), -1.75, n, xo, yo)
+				checkAxpy[float64](t, uint64(n), -1.75, n, xo, yo)
+				checkAxpy[float32](t, uint64(n), -1.75, n, xo, yo)
 			}
 		}
 	}

@@ -96,7 +96,7 @@ func dgemmRows(alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense,
 }
 
 // opDims returns the dimensions of op(X).
-func opDims(x *matrix.Dense, trans bool) (r, c int) {
+func opDims[T matrix.Float](x *matrix.Of[T], trans bool) (r, c int) {
 	if trans {
 		return x.Cols, x.Rows
 	}
@@ -104,8 +104,8 @@ func opDims(x *matrix.Dense, trans bool) (r, c int) {
 }
 
 // transpose returns a compact copy of xᵀ.
-func transpose(x *matrix.Dense) *matrix.Dense {
-	t := matrix.NewDense(x.Cols, x.Rows)
+func transpose[T matrix.Float](x *matrix.Of[T]) *matrix.Of[T] {
+	t := matrix.New[T](x.Cols, x.Rows)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		for j, v := range row {
@@ -120,14 +120,26 @@ func transpose(x *matrix.Dense) *matrix.Dense {
 // Linpack; alpha=-1, beta=1 in BLAS terms.
 //
 // Updates deep enough to amortize packing (k >= PackedMinK) go through the
-// packed-tile fast path; thin updates keep the plain row-split loop. The
-// crossover inspects k only — never m or n — because the drivers partition
-// the same mathematical update into differently-shaped calls with equal k,
-// and they must all land on the same arithmetic to stay bitwise identical.
-func RankKUpdate(a, b, c *matrix.Dense, workers int) {
-	if a.Cols >= PackedMinK {
-		DgemmPacked(false, false, -1, a, b, 1, c, workers)
-		return
+// packed-tile fast path; thin updates keep the reference loop of their
+// type, whose lower setup cost wins for narrow panels. The crossover
+// inspects k only — never m or n — because the drivers partition the same
+// mathematical update into differently-shaped calls with equal k, and they
+// must all land on the same arithmetic to stay bitwise identical.
+//
+// The two reference loops are per-type code, not one generic loop:
+// dgemmRows folds every product straight into C, Sgemm sums a K-block
+// into a temporary and adds it once. They round differently, so one merged
+// loop would change the bits of every thin update in one precision.
+func RankKUpdate[T matrix.Float](a, b, c *matrix.Of[T], workers int) {
+	switch {
+	case a.Cols >= PackedMinK:
+		GemmPacked(false, false, -1, a, b, 1, c, workers)
+	case matrix.Is64[T]():
+		DgemmParallel(false, false, -1, a.As64(), b.As64(), 1, c.As64(), workers)
+	default:
+		SgemmDense(false, false, -1, a.As32(), b.As32(), 1, c.As32())
 	}
-	DgemmParallel(false, false, -1, a, b, 1, c, workers)
 }
+
+// SRankKUpdate is RankKUpdate in single precision.
+func SRankKUpdate(a, b, c *matrix.Dense32, workers int) { RankKUpdate(a, b, c, workers) }

@@ -17,7 +17,7 @@ var ErrSingular = errors.New("blas: matrix is singular to working precision")
 // minNormal is the smallest positive normal float64. A pivot below it is
 // degenerate: dividing by it overflows the multipliers, so the column is
 // treated exactly like a zero pivot.
-const minNormal = 2.2250738585072014e-308
+const minNormal = 0x1p-1022
 
 // SingularError reports the first column whose pivot was zero or
 // subnormal. It matches ErrSingular under errors.Is.
@@ -42,15 +42,29 @@ func OffsetSingular(err error, off int) error {
 	return err
 }
 
-// Dgetf2 factors the m×n panel A = P·L·U with partial pivoting using
+// minNormal32 is the smallest positive normal float32; a float32 pivot
+// below it is degenerate for the same reason (one policy, two thresholds).
+const minNormal32 = 0x1p-126
+
+func minNormalOf[T matrix.Float]() float64 {
+	if matrix.Is64[T]() {
+		return minNormal
+	}
+	return minNormal32
+}
+
+// Getf2 factors the m×n panel A = P·L·U with partial pivoting using
 // unblocked right-looking elimination (the panel-factorization kernel,
 // "DGETRF" in the paper's Gantt charts). L is unit lower triangular and is
 // stored below the diagonal of A; U on and above. piv must have length
-// min(m,n); piv[k] records the row (>= k) swapped into position k.
+// min(m,n); piv[k] records the row (>= k) swapped into position k. A zero
+// or subnormal pivot skips its column and reports a *SingularError
+// (matching ErrSingular under errors.Is) — both precisions share one
+// singularity vocabulary.
 //
 // Row swaps are applied to the *full width* of the supplied view, so pass a
 // view restricted to the panel's columns and apply swaps to the remainder
-// separately with Dlaswp — exactly how blocked LU and HPL stage their
+// separately with Laswp — exactly how blocked LU and HPL stage their
 // swapping.
 //
 // A strided view is factored in a pooled contiguous copy and written back:
@@ -58,23 +72,23 @@ func OffsetSingular(err error, off int) error {
 // n=1536) that maps every row onto the same few cache sets, and the
 // elimination revisits each row once per column. Copying moves bits, not
 // values, so the factors are those of the in-place elimination.
-func Dgetf2(a *matrix.Dense, piv []int) error {
+func Getf2[T matrix.Float](a *matrix.Of[T], piv []int) error {
 	m, n := a.Rows, a.Cols
 	if len(piv) != min(m, n) {
-		panic("blas: Dgetf2 pivot slice has wrong length")
+		panic("blas: Getf2 pivot slice has wrong length")
 	}
 	if m == 0 || n == 0 {
 		return nil
 	}
 	if a.Stride == n {
-		return dgetf2Packed(a.Data[:m*n], m, n, piv)
+		return getf2Packed(a.Data[:m*n], m, n, piv)
 	}
-	slab := prepackTake(m * n)
+	slab := prepackTake[T](m * n)
 	w := *slab
 	for i := 0; i < m; i++ {
 		copy(w[i*n:(i+1)*n], a.Row(i))
 	}
-	err := dgetf2Packed(w, m, n, piv)
+	err := getf2Packed(w, m, n, piv)
 	for i := 0; i < m; i++ {
 		copy(a.Row(i), w[i*n:(i+1)*n])
 	}
@@ -82,7 +96,13 @@ func Dgetf2(a *matrix.Dense, piv []int) error {
 	return err
 }
 
-// dgetf2Packed eliminates the contiguous row-major m×n panel w in one
+// Dgetf2 is Getf2 in double precision.
+func Dgetf2(a *matrix.Dense, piv []int) error { return Getf2(a, piv) }
+
+// Sgetf2 is Getf2 in single precision.
+func Sgetf2(a *matrix.Dense32, piv []int) error { return Getf2(a, piv) }
+
+// getf2Packed eliminates the contiguous row-major m×n panel w in one
 // fused pass per column: each row below the pivot row gets its multiplier,
 // its rank-1 update, and — while the row is still in cache — its candidacy
 // for the next column's pivot. Per element this is the arithmetic of the
@@ -91,24 +111,26 @@ func Dgetf2(a *matrix.Dense, piv []int) error {
 // and the next pivot search reads column k+1 after every row's update,
 // in ascending row order with the same strict comparison, so pivots, ties
 // (lowest row wins), the NaN rule (a NaN is chosen only in the search's
-// first row) and every factor bit are unchanged.
-func dgetf2Packed(w []float64, m, n int, piv []int) error {
+// first row) and every factor bit are unchanged. Magnitudes are compared
+// in float64, which orders widened float32 values exactly as float32 does.
+func getf2Packed[T matrix.Float](w []T, m, n int, piv []int) error {
 	var err error
+	tiny := minNormalOf[T]()
 	next := -1 // pivot row of column k when the previous pass already found it
 	for k := range piv {
 		p := next
 		next = -1
 		if p < 0 {
 			p = k
-			bestAbs := math.Abs(w[k*n+k])
+			bestAbs := math.Abs(float64(w[k*n+k]))
 			for i := k + 1; i < m; i++ {
-				if v := math.Abs(w[i*n+k]); v > bestAbs {
+				if v := math.Abs(float64(w[i*n+k])); v > bestAbs {
 					p, bestAbs = i, v
 				}
 			}
 		}
 		piv[k] = p
-		if pv := w[p*n+k]; pv == 0 || math.Abs(pv) < minNormal {
+		if pv := w[p*n+k]; pv == 0 || math.Abs(float64(pv)) < tiny {
 			// Zero or subnormal pivot: dividing would produce Inf/garbage
 			// multipliers, so skip the column and report it.
 			if err == nil {
@@ -138,7 +160,7 @@ func dgetf2Packed(w []float64, m, n int, piv []int) error {
 				axpy(-lik, tail, rowI[k+1:])
 			}
 			if search {
-				if v := math.Abs(rowI[k+1]); i == k+1 || v > bestAbs {
+				if v := math.Abs(float64(rowI[k+1])); i == k+1 || v > bestAbs {
 					best, bestAbs = i, v
 				}
 			}
@@ -150,11 +172,11 @@ func dgetf2Packed(w []float64, m, n int, piv []int) error {
 	return err
 }
 
-// Dlaswp applies the row interchanges recorded in piv (as produced by
-// Dgetf2, offset-relative) to the rows of a: for k = 0..len(piv)-1, rows
+// Laswp applies the row interchanges recorded in piv (as produced by
+// Getf2, offset-relative) to the rows of a: for k = 0..len(piv)-1, rows
 // k+offset and piv[k]+offset are swapped. This is the "DLASWP" kernel of
 // the paper's execution profiles.
-func Dlaswp(a *matrix.Dense, piv []int, offset int) {
+func Laswp[T matrix.Float](a *matrix.Of[T], piv []int, offset int) {
 	for k, p := range piv {
 		if p != k {
 			SwapRows(a, k+offset, p+offset)
@@ -162,36 +184,36 @@ func Dlaswp(a *matrix.Dense, piv []int, offset int) {
 	}
 }
 
-// Dgetrf computes the blocked right-looking LU factorization with partial
+// Dlaswp is Laswp in double precision.
+func Dlaswp(a *matrix.Dense, piv []int, offset int) { Laswp(a, piv, offset) }
+
+// Getrf computes the blocked right-looking LU factorization with partial
 // pivoting of the square (or rectangular m>=n) matrix A in place, with
-// block size nb. It is the reference single-threaded driver; the
-// DAG-scheduled and look-ahead drivers in internal/lu produce identical
-// factors (they reorder independent work only).
+// block size nb and the trailing updates spread over `workers`. On a
+// zero/subnormal pivot the factorization continues (the column is
+// skipped) and the first *SingularError is returned. The DAG-scheduled and
+// look-ahead drivers in internal/lu produce identical factors (they
+// reorder independent work only).
 //
 // piv must have length min(m,n) and records global row swaps
 // (piv[k] is the absolute row index swapped with row k).
-func Dgetrf(a *matrix.Dense, piv []int, nb int) error {
+func Getrf[T matrix.Float](a *matrix.Of[T], piv []int, nb, workers int) error {
 	m, n := a.Rows, a.Cols
-	mn := m
-	if n < mn {
-		mn = n
-	}
+	mn := min(m, n)
 	if len(piv) != mn {
-		panic("blas: Dgetrf pivot slice has wrong length")
+		panic("blas: Getrf pivot slice has wrong length")
 	}
 	if nb < 1 {
 		nb = 64
 	}
+	workers = max(workers, 1)
 	var firstErr error
 	for j := 0; j < mn; j += nb {
-		jb := nb
-		if j+jb > mn {
-			jb = mn - j
-		}
+		jb := min(nb, mn-j)
 		// Factor the current panel A[j:m, j:j+jb].
 		panel := a.View(j, j, m-j, jb)
 		localPiv := make([]int, jb)
-		if err := Dgetf2(panel, localPiv); err != nil && firstErr == nil {
+		if err := Getf2(panel, localPiv); err != nil && firstErr == nil {
 			firstErr = OffsetSingular(err, j)
 		}
 		// Record global pivots and apply the swaps to the columns outside
@@ -211,23 +233,35 @@ func Dgetrf(a *matrix.Dense, piv []int, nb int) error {
 			// U block row: solve L11 · U12 = A12.
 			l11 := a.View(j, j, jb, jb)
 			u12 := a.View(j, j+jb, jb, n-j-jb)
-			Dtrsm(Left, Lower, false, Unit, 1, l11, u12)
+			Trsm(Left, Lower, false, Unit, 1, l11, u12)
 			// Trailing update: A22 -= L21 · U12.
 			if j+jb < m {
 				l21 := a.View(j+jb, j, m-j-jb, jb)
 				a22 := a.View(j+jb, j+jb, m-j-jb, n-j-jb)
-				RankKUpdate(l21, u12, a22, 1)
+				RankKUpdate(l21, u12, a22, workers)
 			}
 		}
 	}
 	return firstErr
 }
 
-// LUSolve solves A·x = b given the in-place LU factors and pivots produced
-// by Dgetrf (or the drivers in internal/lu). It applies the pivots to a
-// copy of b, then runs the forward (unit lower) and backward (upper)
-// substitutions.
-func LUSolve(lu *matrix.Dense, piv []int, b []float64) []float64 {
+// Dgetrf is the reference single-threaded FP64 driver: Getrf on one
+// worker.
+func Dgetrf(a *matrix.Dense, piv []int, nb int) error { return Getrf(a, piv, nb, 1) }
+
+// Sgetrf is Getrf in single precision, the factorization half of the
+// HPL-MxP scheme: factor at SGEMM speed, then recover double-precision
+// accuracy with FP64 refinement (lu.SolveMixed).
+func Sgetrf(a *matrix.Dense32, piv []int, nb, workers int) error { return Getrf(a, piv, nb, workers) }
+
+// LUSolve solves A·x = b in double precision given the in-place LU factors
+// and pivots produced by Getrf (or the drivers in internal/lu). It applies
+// the pivots to a copy of b, then runs the forward (unit lower) and
+// backward (upper) substitutions with every factor entry widened to
+// float64, which is exact. Over float32 factors this is the correction
+// solve of FP64 iterative refinement — O(n²) double-precision work per
+// step against factors computed at FP32 speed.
+func LUSolve[T matrix.Float](lu *matrix.Of[T], piv []int, b []float64) []float64 {
 	n := lu.Rows
 	if lu.Cols != n || len(b) != n || len(piv) != n {
 		panic("blas: LUSolve dimension mismatch")
@@ -244,7 +278,7 @@ func LUSolve(lu *matrix.Dense, piv []int, b []float64) []float64 {
 		row := lu.Row(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j]) * x[j]
 		}
 		x[i] = s
 	}
@@ -253,9 +287,9 @@ func LUSolve(lu *matrix.Dense, piv []int, b []float64) []float64 {
 		row := lu.Row(i)
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j]) * x[j]
 		}
-		x[i] = s / row[i]
+		x[i] = s / float64(row[i])
 	}
 	return x
 }

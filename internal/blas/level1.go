@@ -33,13 +33,13 @@ func Idamax(v []float64) int {
 
 // IdamaxCol returns the row index (relative to the view) of the largest
 // absolute value in column j of a, scanning rows [i0, a.Rows).
-func IdamaxCol(a *matrix.Dense, j, i0 int) int {
+func IdamaxCol[T matrix.Float](a *matrix.Of[T], j, i0 int) int {
 	if i0 >= a.Rows {
 		return -1
 	}
-	best, bestAbs := i0, math.Abs(a.At(i0, j))
+	best, bestAbs := i0, math.Abs(float64(a.At(i0, j)))
 	for i := i0 + 1; i < a.Rows; i++ {
-		if v := math.Abs(a.At(i, j)); v > bestAbs {
+		if v := math.Abs(float64(a.At(i, j))); v > bestAbs {
 			best, bestAbs = i, v
 		}
 	}
@@ -47,7 +47,9 @@ func IdamaxCol(a *matrix.Dense, j, i0 int) int {
 }
 
 // Dscal scales v by alpha.
-func Dscal(alpha float64, v []float64) {
+func Dscal(alpha float64, v []float64) { scal(alpha, v) }
+
+func scal[T matrix.Float](alpha T, v []T) {
 	for i := range v {
 		v[i] *= alpha
 	}
@@ -63,20 +65,23 @@ func Daxpy(alpha float64, x, y []float64) {
 
 // axpy computes y[i] += alpha*x[i] for i < len(x); len(y) must be at
 // least len(x). It is the one level-1 update primitive behind Daxpy, the
-// Left-side substitutions of Dtrsm and the panel factorization: an AVX2
-// loop with a separately rounded multiply and add when pack.UseVector
-// allows it, the pure-Go loop otherwise — bit-identical by construction,
-// so the kernel gates switch speed, never results.
-func axpy(alpha float64, x, y []float64) {
-	if len(x) > 0 && pack.UseVector() {
-		axpyVector(alpha, x, y)
+// Left-side substitutions of Trsm and the panel factorization. Its leaf is
+// per type: float64 runs an AVX2 loop with a separately rounded multiply
+// and add when pack.UseVector allows it and the pure-Go loop otherwise —
+// bit-identical by construction, so the kernel gates switch speed, never
+// results; float32 has no assembly leaf yet and always runs the Go loop.
+// The type test folds in each instantiation (matrix.Is64), so the float32
+// code contains no path to the float64 assembly at all.
+func axpy[T matrix.Float](alpha T, x, y []T) {
+	if matrix.Is64[T]() && len(x) > 0 && pack.UseVector() {
+		axpyVector(float64(alpha), matrix.Slice64(x), matrix.Slice64(y))
 		return
 	}
 	axpyScalar(alpha, x, y)
 }
 
 // axpyScalar is the portable loop and the oracle of the vector primitive.
-func axpyScalar(alpha float64, x, y []float64) {
+func axpyScalar[T matrix.Float](alpha T, x, y []T) {
 	y = y[:len(x)]
 	for i, xv := range x {
 		y[i] += alpha * xv
@@ -96,7 +101,7 @@ func Ddot(x, y []float64) float64 {
 }
 
 // SwapRows exchanges rows i and j of a (full width).
-func SwapRows(a *matrix.Dense, i, j int) {
+func SwapRows[T matrix.Float](a *matrix.Of[T], i, j int) {
 	if i == j {
 		return
 	}

@@ -10,15 +10,7 @@ import (
 // Observability hooks for the packed DGEMM fast path. All sinks default
 // to nil: the uninstrumented DgemmPacked pays one atomic pointer load and
 // a few nil-safe counter calls per invocation and allocates nothing.
-var (
-	obsTrace      atomic.Pointer[trace.Recorder]
-	mPackedCalls  atomic.Pointer[metrics.Counter]
-	mBytesPacked  atomic.Pointer[metrics.Counter]
-	mPackedFlops  atomic.Pointer[metrics.Counter]
-	mSPackedCalls atomic.Pointer[metrics.Counter]
-	mSBytesPacked atomic.Pointer[metrics.Counter]
-	mSPackedFlops atomic.Pointer[metrics.Counter]
-)
+var obsTrace atomic.Pointer[trace.Recorder]
 
 // SetObservability attaches a span recorder and a metrics registry to the
 // packed GEMM fast paths. Either may be nil to disable that side.
@@ -35,10 +27,10 @@ var (
 // blas.spacked_flops.
 func SetObservability(rec *trace.Recorder, reg *metrics.Registry) {
 	obsTrace.Store(rec)
-	mPackedCalls.Store(reg.Counter("blas.packed_calls"))
-	mBytesPacked.Store(reg.Counter("blas.bytes_packed"))
-	mPackedFlops.Store(reg.Counter("blas.packed_flops"))
-	mSPackedCalls.Store(reg.Counter("blas.spacked_calls"))
-	mSBytesPacked.Store(reg.Counter("blas.sbytes_packed"))
-	mSPackedFlops.Store(reg.Counter("blas.spacked_flops"))
+	fp64.calls.Store(reg.Counter("blas.packed_calls"))
+	fp64.bytes.Store(reg.Counter("blas.bytes_packed"))
+	fp64.flops.Store(reg.Counter("blas.packed_flops"))
+	fp32.calls.Store(reg.Counter("blas.spacked_calls"))
+	fp32.bytes.Store(reg.Counter("blas.sbytes_packed"))
+	fp32.flops.Store(reg.Counter("blas.spacked_flops"))
 }

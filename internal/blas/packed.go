@@ -3,18 +3,22 @@ package blas
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"phihpl/internal/matrix"
+	"phihpl/internal/metrics"
 	"phihpl/internal/pack"
 	"phihpl/internal/pool"
 )
 
 // The packed-tile fast path of Section III: operands are packed once per
 // K-block into the Knights Corner layout (A in TileM×k column-major tiles,
-// B in k×8 row-major tiles) and multiplied by the register-blocked 30×8
+// B in k×TileN row-major tiles) and multiplied by the register-blocked
 // micro-kernel over an L2-sized K-blocked sequence of outer products. The
 // tile grid and the packing itself are distributed over the persistent
-// worker pool in internal/pool — no goroutines are created per call.
+// worker pool in internal/pool — no goroutines are created per call. The
+// driver is written once over the element type; the tile geometry (30×8
+// for float64, 32×16 for float32) and the micro-kernel come from pack.
 //
 // Bitwise-reproducibility contract: the value of every C element depends
 // only on its row of alpha·op(A), its column of op(B), beta·C and the
@@ -43,7 +47,7 @@ const packKC = 384
 var PackedMinK = 16
 
 // DisableBReplication turns off the per-socket B-panel replication of
-// DgemmPacked/SgemmPacked (the packed drivers then keep one shared packed
+// GemmPacked (the packed driver then keep one shared packed
 // B, the pre-topology behaviour). Replication only activates on machines
 // where pool.Groups() > 1, so on single-socket hosts this flag is moot;
 // it exists for benchmarks (measuring replication cost under
@@ -61,65 +65,105 @@ func bGroups() int {
 	return pool.Groups()
 }
 
+// perType is what the generic code keeps once per element width: the
+// recycled buffers, and the names its spans and counters are published
+// under (traces, /metrics and bench/ read the FP32 ones with an "s"). The
+// pools are untyped so that one record serves every T of its width; pooled
+// and prepackTake assert the element type on the way out.
+type perType struct {
+	packSpan, computeSpan string
+	calls, bytes, flops   atomic.Pointer[metrics.Counter]
+
+	bufs, slabs, bSlabs sync.Pool // *packBuf[T], *[]T (behind keep), *prepackBSlab[T]
+	keep                chan any  // *[]T; see prepackPut
+}
+
+var (
+	fp64 = perType{packSpan: "pack", computeSpan: "compute", keep: make(chan any, 4)}
+	fp32 = perType{packSpan: "spack", computeSpan: "scompute", keep: make(chan any, 4)}
+)
+
+// state returns the record of T; the width test folds in each
+// instantiation, so this is a constant address.
+func state[T matrix.Float]() *perType {
+	if matrix.Is64[T]() {
+		return &fp64
+	}
+	return &fp32
+}
+
+// pooled takes a *P out of p, or allocates one when the pool is empty.
+func pooled[P any](p *sync.Pool) *P {
+	if v, ok := p.Get().(*P); ok {
+		return v
+	}
+	return new(P)
+}
+
 // packBuf is a reusable set of packing buffers plus the packed-operand
-// headers, recycled through a sync.Pool so steady-state DgemmPacked calls
+// headers, recycled through a sync.Pool so steady-state GemmPacked calls
 // allocate nothing beyond two per-call closures: the headers live here
 // precisely so the per-K-block loop re-points them instead of
 // re-allocating them (the allocs-per-op growth with K-block count that
 // the n=512 benchmark rows exposed).
-type packBuf struct {
-	a, b []float64
-	pa   pack.A
-	pbs  []pack.B // one header per B replica group
+type packBuf[T matrix.Float] struct {
+	a, b []T
+	pa   pack.AOf[T]
+	pbs  []pack.BOf[T] // one header per B replica group
 }
-
-var packBufs = sync.Pool{New: func() any { return new(packBuf) }}
 
 // take returns slices of exactly na and nb elements, growing the backing
 // buffers only when a larger shape arrives. Contents are stale; the
 // packers overwrite every element including padding.
-func (pb *packBuf) take(na, nb int) ([]float64, []float64) {
+func (pb *packBuf[T]) take(na, nb int) ([]T, []T) {
 	if cap(pb.a) < na {
-		pb.a = make([]float64, na)
+		pb.a = make([]T, na)
 	}
 	if cap(pb.b) < nb {
-		pb.b = make([]float64, nb)
+		pb.b = make([]T, nb)
 	}
 	return pb.a[:na], pb.b[:nb]
 }
 
-// DgemmPacked computes C = alpha*op(A)*op(B) + beta*C through the
-// packed-tile parallel fast path. It is numerically equivalent to Dgemm
-// (element-wise within O(k)·ulp; the accumulation is grouped per K-block
-// instead of folded straight into C) and considerably faster for shapes
-// whose k is large enough to amortize the packing, which is the LU/HPL
-// trailing-update regime. Dgemm/DgemmParallel remain the always-available
-// reference oracle.
-func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, workers int) {
+// GemmPacked computes C = alpha*op(A)*op(B) + beta*C through the
+// packed-tile parallel fast path. It is numerically equivalent to the
+// reference loop of its type (Dgemm, Sgemm) and considerably faster for
+// shapes whose k is large enough to amortize the packing, which is the
+// LU/HPL trailing-update regime; the reference loops remain the
+// always-available oracles. Against Dgemm the float64 result is
+// element-wise within O(k)·ulp (the accumulation is grouped per K-block
+// instead of folded straight into C). Against Sgemm, which groups the same
+// way, the float32 result is bit-for-bit identical under the scalar
+// micro-kernel and within O(k)·ulp under the fused vector kernel — an
+// order of magnitude faster, the SP-vector advantage of the paper's
+// Table II that no scalar loop can reproduce.
+func GemmPacked[T matrix.Float](transA, transB bool, alpha T, a, b *matrix.Of[T], beta T, c *matrix.Of[T], workers int) {
 	m, k := opDims(a, transA)
 	k2, n := opDims(b, transB)
 	if k != k2 || c.Rows != m || c.Cols != n {
-		panic("blas: DgemmPacked dimension mismatch")
+		panic("blas: GemmPacked dimension mismatch")
 	}
 	scaleRows(c, beta, workers)
 	if alpha == 0 || m == 0 || n == 0 || k == 0 {
 		return
 	}
 
-	aTiles := (m + pack.DefaultTileM - 1) / pack.DefaultTileM
-	bTiles := (n + pack.TileN - 1) / pack.TileN
+	st := state[T]()
+	tileM, tileN := pack.DefaultTileMOf[T](), pack.TileNOf[T]()
+	aTiles := (m + tileM - 1) / tileM
+	bTiles := (n + tileN - 1) / tileN
 	groups := bGroups()
-	pb := packBufs.Get().(*packBuf)
-	defer packBufs.Put(pb)
+	pb := pooled[packBuf[T]](&st.bufs)
+	defer st.bufs.Put(pb)
 	pa := &pb.pa
 	if cap(pb.pbs) < groups {
-		pb.pbs = make([]pack.B, groups)
+		pb.pbs = make([]pack.BOf[T], groups)
 	}
 	pbs := pb.pbs[:groups]
 
 	rec := obsTrace.Load()
-	mPackedCalls.Load().Inc()
-	mPackedFlops.Load().Add(2 * int64(m) * int64(n) * int64(k))
+	st.calls.Load().Inc()
+	st.flops.Load().Add(2 * int64(m) * int64(n) * int64(k))
 
 	// The per-K-block loop mutates k0/kb and re-points the packed-operand
 	// headers; the two region closures are created once per call, outside
@@ -139,7 +183,7 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 			pack.PackBTileOp(&pbs[t/bTiles], b, transB, k0, t%bTiles)
 		}
 	}
-	// Outer product: the (aTile, bTile) grid updates disjoint TileM×8
+	// Outer product: the (aTile, bTile) grid updates disjoint TileM×TileN
 	// blocks of C, claimed by atomic work stealing over the pool. Each
 	// worker streams the B replica of its own socket group.
 	compFn := func(j, g int) {
@@ -150,22 +194,19 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 		}
 		pkb := &pbs[g]
 		cols := pkb.TileCols(tb)
-		off := ta*pack.DefaultTileM*c.Stride + tb*pack.TileN
-		pack.MicroKernel(pa.Tile(ta), pa.TileM, kb, pkb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
+		off := ta*tileM*c.Stride + tb*tileN
+		pack.Kernel(pa.Tile(ta), pa.TileM, kb, pkb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
 	}
 
 	for k0 = 0; k0 < k; k0 += packKC {
-		kb = packKC
-		if k0+kb > k {
-			kb = k - k0
-		}
-		nb := bTiles * kb * pack.TileN
-		aData, bData := pb.take(aTiles*pack.DefaultTileM*kb, groups*nb)
-		pa.M, pa.K, pa.TileM, pa.Data = m, kb, pack.DefaultTileM, aData
+		kb = min(packKC, k-k0)
+		nb := bTiles * kb * tileN
+		aData, bData := pb.take(aTiles*tileM*kb, groups*nb)
+		pa.M, pa.K, pa.TileM, pa.Data = m, kb, tileM, aData
 		for g := range pbs {
 			pbs[g].K, pbs[g].N, pbs[g].Data = kb, n, bData[g*nb:(g+1)*nb]
 		}
-		mBytesPacked.Load().Add(8 * int64(len(aData)+len(bData)))
+		st.bytes.Load().Add(sizeOf[T]() * int64(len(aData)+len(bData)))
 
 		var t0 float64
 		if rec != nil {
@@ -173,14 +214,32 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 		}
 		pool.Do(aTiles+groups*bTiles, workers, packFn)
 		if rec != nil {
-			rec.Since(0, "pack", k0/packKC, t0)
+			rec.Since(0, st.packSpan, k0/packKC, t0)
 			t0 = rec.Start()
 		}
 		pool.DoGrouped(aTiles*bTiles, workers, compFn)
 		if rec != nil {
-			rec.Since(0, "compute", k0/packKC, t0)
+			rec.Since(0, st.computeSpan, k0/packKC, t0)
 		}
 	}
+}
+
+// DgemmPacked is GemmPacked in double precision.
+func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta float64, c *matrix.Dense, workers int) {
+	GemmPacked(transA, transB, alpha, a, b, beta, c, workers)
+}
+
+// SgemmPacked is GemmPacked in single precision.
+func SgemmPacked(transA, transB bool, alpha float32, a, b *matrix.Dense32, beta float32, c *matrix.Dense32, workers int) {
+	GemmPacked(transA, transB, alpha, a, b, beta, c, workers)
+}
+
+// sizeOf is the width of T in bytes, for the bytes-packed counters.
+func sizeOf[T matrix.Float]() int64 {
+	if matrix.Is64[T]() {
+		return 8
+	}
+	return 4
 }
 
 // --- prepacked operands ------------------------------------------------
@@ -191,17 +250,16 @@ func DgemmPacked(transA, transB bool, alpha float64, a, b *matrix.Dense, beta fl
 // packs an operand once and reuses the tiles across calls. Because a C
 // element's value depends only on its packed A row, packed B column and
 // the K-block boundaries (see the contract above), GemmPrepacked is
-// bitwise identical to the DgemmPacked call it replaces.
-
-// prepackSlabs recycles the packed-A backing arrays so steady-state
+// bitwise identical to the GemmPacked call it replaces.
+//
+// perType.slabs recycles the packed-A backing arrays so steady-state
 // prepacking allocates only the operand handle: Release returns a slab
 // once the packed operand is no longer referenced. Contents are stale on
-// reuse; the packers overwrite every element including padding. Dgetf2
+// reuse; the packers overwrite every element including padding. Getf2
 // borrows its contiguous panel copy from the same place — an L panel and
 // its packed form are the same size.
-var prepackSlabs = sync.Pool{New: func() any { return new([]float64) }}
-
-// slabKeep is a short free list in front of prepackSlabs that a garbage
+//
+// perType.keep is a short free list in front of that pool that a garbage
 // collection does not empty. A shared-memory LU keeps two to four slabs in
 // flight (two stages' L21, the panel copy, one more at a stage boundary)
 // and how many it peaks at varies from solve to solve; a sync.Pool drops
@@ -212,20 +270,19 @@ var prepackSlabs = sync.Pool{New: func() any { return new([]float64) }}
 // the pool alone, 98–100 MiB with this list, 96–99 MiB before any of
 // these slabs existed). Four slots cover one solve's peak; more
 // concurrent demand overflows into the pool. Slabs above slabKeepMax
-// elements are not held, so the list pins at most 32 MiB.
-var slabKeep = make(chan *[]float64, 4)
-
+// elements are not held, so each list pins at most 32 MiB.
 const slabKeepMax = 1 << 20
 
-func prepackPut(s *[]float64) {
+func prepackPut[T matrix.Float](s *[]T) {
+	st := state[T]()
 	if cap(*s) <= slabKeepMax {
 		select {
-		case slabKeep <- s:
+		case st.keep <- s:
 			return
 		default:
 		}
 	}
-	prepackSlabs.Put(s)
+	st.slabs.Put(s)
 }
 
 // prepackTake returns a slab of n elements. A slab that has to be
@@ -234,15 +291,19 @@ func prepackPut(s *[]float64) {
 // the slabs back in no particular order — with exact-fit capacities the
 // next solve's early stages keep drawing slabs cut for late ones and
 // growing them again.
-func prepackTake(n int) *[]float64 {
-	var s *[]float64
+func prepackTake[T matrix.Float](n int) *[]T {
+	st := state[T]()
+	var s *[]T
 	select {
-	case s = <-slabKeep:
+	case v := <-st.keep:
+		s, _ = v.(*[]T)
 	default:
-		s = prepackSlabs.Get().(*[]float64)
+	}
+	if s == nil {
+		s = pooled[[]T](&st.slabs)
 	}
 	if cap(*s) < n {
-		*s = make([]float64, n, 1<<bits.Len(uint(n-1)))
+		*s = make([]T, n, 1<<bits.Len(uint(n-1)))
 	}
 	*s = (*s)[:n]
 	return s
@@ -255,23 +316,21 @@ func prepackTake(n int) *[]float64 {
 // they are small where A operands are tall: in one shared pool every
 // 32 KiB U block would sooner or later sit in a slab grown for a
 // megabyte L panel.
-type prepackBSlab struct {
-	data []float64
-	pbs  []pack.B
+type prepackBSlab[T matrix.Float] struct {
+	data []T
+	pbs  []pack.BOf[T]
 }
 
-var prepackBSlabs = sync.Pool{New: func() any { return new(prepackBSlab) }}
-
 // PrepackedA is alpha·A packed once into the tile layout (one K-block).
-type PrepackedA struct {
-	pa   pack.A
-	slab *[]float64
+type PrepackedA[T matrix.Float] struct {
+	pa   pack.AOf[T]
+	slab *[]T
 }
 
 // Release recycles the packed buffer. Optional (an unreleased operand is
 // ordinary garbage); call it only once no GemmPrepacked will read the
 // operand again.
-func (a *PrepackedA) Release() {
+func (a *PrepackedA[T]) Release() {
 	if a != nil && a.slab != nil {
 		prepackPut(a.slab)
 		a.slab, a.pa.Data = nil, nil
@@ -279,20 +338,21 @@ func (a *PrepackedA) Release() {
 }
 
 // PrepackA packs alpha·a (no transpose). Returns nil when a spans more
-// than one K-block (k > packKC) — callers fall back to DgemmPacked,
+// than one K-block (k > packKC) — callers fall back to GemmPacked,
 // which blocks over k itself.
-func PrepackA(a *matrix.Dense, alpha float64) *PrepackedA {
+func PrepackA[T matrix.Float](a *matrix.Of[T], alpha T) *PrepackedA[T] {
 	m, k := a.Rows, a.Cols
 	if k > packKC {
 		return nil
 	}
-	aTiles := (m + pack.DefaultTileM - 1) / pack.DefaultTileM
-	slab := prepackTake(aTiles * pack.DefaultTileM * k)
-	p := &PrepackedA{pa: pack.A{M: m, K: k, TileM: pack.DefaultTileM, Data: *slab}, slab: slab}
+	tileM := pack.DefaultTileMOf[T]()
+	aTiles := (m + tileM - 1) / tileM
+	slab := prepackTake[T](aTiles * tileM * k)
+	p := &PrepackedA[T]{pa: pack.AOf[T]{M: m, K: k, TileM: tileM, Data: *slab}, slab: slab}
 	for t := 0; t < aTiles; t++ {
 		pack.PackATileOp(&p.pa, a, false, alpha, 0, t)
 	}
-	mBytesPacked.Load().Add(8 * int64(len(*slab)))
+	state[T]().bytes.Load().Add(sizeOf[T]() * int64(len(*slab)))
 	return p
 }
 
@@ -300,58 +360,60 @@ func PrepackA(a *matrix.Dense, alpha float64) *PrepackedA {
 // one replica per socket group so the grouped compute phase streams a
 // socket-local copy. Replicas are byte-for-byte copies of replica 0, so
 // results are bitwise independent of the replica count.
-type PrepackedB struct {
-	pbs  []pack.B // the slab's header slice, one entry per replica
+type PrepackedB[T matrix.Float] struct {
+	pbs  []pack.BOf[T] // the slab's header slice, one entry per replica
 	k, n int
-	slab *prepackBSlab
+	slab *prepackBSlab[T]
 }
 
 // Release recycles the packed buffer; see (*PrepackedA).Release.
-func (b *PrepackedB) Release() {
+func (b *PrepackedB[T]) Release() {
 	if b != nil && b.slab != nil {
-		prepackBSlabs.Put(b.slab)
+		state[T]().bSlabs.Put(b.slab)
 		b.slab, b.pbs = nil, nil
 	}
 }
 
 // PrepackB packs b (no transpose). Returns nil when b spans more than
 // one K-block (k > packKC).
-func PrepackB(b *matrix.Dense) *PrepackedB {
+func PrepackB[T matrix.Float](b *matrix.Of[T]) *PrepackedB[T] {
 	k, n := b.Rows, b.Cols
 	if k > packKC {
 		return nil
 	}
+	st := state[T]()
 	groups := bGroups()
-	bTiles := (n + pack.TileN - 1) / pack.TileN
-	rep := bTiles * k * pack.TileN
-	slab := prepackBSlabs.Get().(*prepackBSlab)
+	tileN := pack.TileNOf[T]()
+	bTiles := (n + tileN - 1) / tileN
+	rep := bTiles * k * tileN
+	slab := pooled[prepackBSlab[T]](&st.bSlabs)
 	if cap(slab.data) < groups*rep {
-		slab.data = make([]float64, groups*rep)
+		slab.data = make([]T, groups*rep)
 	}
 	slab.data = slab.data[:groups*rep]
 	if cap(slab.pbs) < groups {
-		slab.pbs = make([]pack.B, groups)
+		slab.pbs = make([]pack.BOf[T], groups)
 	}
 	pbs := slab.pbs[:groups]
-	pbs[0] = pack.B{K: k, N: n, Data: slab.data[:rep]}
+	pbs[0] = pack.BOf[T]{K: k, N: n, Data: slab.data[:rep]}
 	for t := 0; t < bTiles; t++ {
 		pack.PackBTileOp(&pbs[0], b, false, 0, t)
 	}
 	for g := 1; g < groups; g++ {
 		data := slab.data[g*rep : (g+1)*rep]
 		copy(data, pbs[0].Data)
-		pbs[g] = pack.B{K: k, N: n, Data: data}
+		pbs[g] = pack.BOf[T]{K: k, N: n, Data: data}
 	}
-	mBytesPacked.Load().Add(8 * int64(len(slab.data)))
-	return &PrepackedB{pbs: pbs, k: k, n: n, slab: slab}
+	st.bytes.Load().Add(sizeOf[T]() * int64(len(slab.data)))
+	return &PrepackedB[T]{pbs: pbs, k: k, n: n, slab: slab}
 }
 
 // GemmPrepacked computes C += (alpha·A)·B from prepacked operands (the
 // alpha was folded into the A tiles at pack time; beta is fixed at 1).
-// The tile grid and micro-kernel invocations are exactly DgemmPacked's
+// The tile grid and micro-kernel invocations are exactly GemmPacked's
 // single-K-block schedule, so the result is bitwise identical to
-// DgemmPacked(false, false, alpha, a, b, 1, c, workers).
-func GemmPrepacked(a *PrepackedA, b *PrepackedB, c *matrix.Dense, workers int) {
+// GemmPacked(false, false, alpha, a, b, 1, c, workers).
+func GemmPrepacked[T matrix.Float](a *PrepackedA[T], b *PrepackedB[T], c *matrix.Of[T], workers int) {
 	pa, pbs := &a.pa, b.pbs
 	if pa.K != b.k || c.Rows != pa.M || c.Cols != b.n {
 		panic("blas: GemmPrepacked dimension mismatch")
@@ -359,8 +421,10 @@ func GemmPrepacked(a *PrepackedA, b *PrepackedB, c *matrix.Dense, workers int) {
 	if pa.M == 0 || b.n == 0 || pa.K == 0 {
 		return
 	}
-	mPackedCalls.Load().Inc()
-	mPackedFlops.Load().Add(2 * int64(pa.M) * int64(b.n) * int64(pa.K))
+	st := state[T]()
+	st.calls.Load().Inc()
+	st.flops.Load().Add(2 * int64(pa.M) * int64(b.n) * int64(pa.K))
+	tileN := pack.TileNOf[T]()
 	aTiles, bTiles := pa.Tiles(), pbs[0].Tiles()
 	pool.DoGrouped(aTiles*bTiles, workers, func(j, g int) {
 		ta, tb := j/bTiles, j%bTiles
@@ -370,27 +434,23 @@ func GemmPrepacked(a *PrepackedA, b *PrepackedB, c *matrix.Dense, workers int) {
 		}
 		pb := &pbs[g]
 		cols := pb.TileCols(tb)
-		off := ta*pack.DefaultTileM*c.Stride + tb*pack.TileN
-		pack.MicroKernel(pa.Tile(ta), pa.TileM, pa.K, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
+		off := ta*pa.TileM*c.Stride + tb*tileN
+		pack.Kernel(pa.Tile(ta), pa.TileM, pa.K, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
 	})
 }
 
 // scaleRows applies C *= beta row-wise (beta==0 stores exact zeros,
-// clearing any NaN/Inf previously in C, matching dgemmRows).
-func scaleRows(c *matrix.Dense, beta float64, workers int) {
+// clearing any NaN/Inf previously in C, matching the reference loops).
+func scaleRows[T matrix.Float](c *matrix.Of[T], beta T, workers int) {
 	if beta == 1 || c.Rows == 0 || c.Cols == 0 {
 		return
 	}
 	pool.Do(c.Rows, workers, func(i int) {
 		row := c.Row(i)
 		if beta == 0 {
-			for j := range row {
-				row[j] = 0
-			}
+			clear(row)
 			return
 		}
-		for j := range row {
-			row[j] *= beta
-		}
+		scal(beta, row)
 	})
 }

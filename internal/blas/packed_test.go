@@ -344,8 +344,8 @@ func TestGemmPrepackedGuards(t *testing.T) {
 	if pb := PrepackB(matrix.RandomGeneral(385, 8, 1)); pb != nil {
 		t.Error("PrepackB must refuse k > one K-block")
 	}
-	var nilA *PrepackedA
-	var nilB *PrepackedB
+	var nilA *PrepackedA[float64]
+	var nilB *PrepackedB[float64]
 	nilA.Release()
 	nilB.Release()
 

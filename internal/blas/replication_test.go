@@ -112,7 +112,7 @@ func TestGemmPrepackedReplicationBitwiseInvariant(t *testing.T) {
 	// replica slice.
 	got = c0.Clone()
 	pa := PrepackA(src, -1)
-	var pb *PrepackedB
+	var pb *PrepackedB[float64]
 	withGroups(t, 1, func() { pb = PrepackB(bMat) })
 	withGroups(t, 3, func() { GemmPrepacked(pa, pb, got, 4) })
 	pa.Release()

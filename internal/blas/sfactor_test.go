@@ -169,7 +169,7 @@ func TestStrsmMatchesSubstitution(t *testing.T) {
 					b0 := randomDense32(br, bc, 33)
 					x := b0.Clone()
 					const alpha = float32(1.5)
-					Strsm(side, uplo, trans, diag, alpha, tm, x)
+					Trsm(side, uplo, trans, diag, alpha, tm, x)
 
 					// Verify op(T)·X (or X·op(T)) ≈ alpha·B in float64.
 					t64 := tm.ToDense()
@@ -289,7 +289,7 @@ func TestLUSolveMixedAccuracy(t *testing.T) {
 	if err := Sgetrf(a32, piv, 16, 2); err != nil {
 		t.Fatal(err)
 	}
-	x := LUSolveMixed(a32, piv, b)
+	x := LUSolve(a32, piv, b)
 
 	lu64 := a.Clone()
 	piv64 := make([]int, n)
@@ -322,5 +322,5 @@ func TestLUSolveMixedDimensionPanics(t *testing.T) {
 			t.Error("expected dimension panic")
 		}
 	}()
-	LUSolveMixed(lu, make([]int, 3), make([]float64, 2))
+	LUSolve(lu, make([]int, 3), make([]float64, 2))
 }

@@ -78,8 +78,8 @@ func Sgemm(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb in
 // C = alpha*op(A)*op(B) + beta*C. Transposed operands are materialized
 // once; the arithmetic is exactly Sgemm's K-block-grouped loop.
 func SgemmDense(transA, transB bool, alpha float32, a, b *matrix.Dense32, beta float32, c *matrix.Dense32) {
-	m, k := opDims32(a, transA)
-	k2, n := opDims32(b, transB)
+	m, k := opDims(a, transA)
+	k2, n := opDims(b, transB)
 	if k != k2 || c.Rows != m || c.Cols != n {
 		panic("blas: SgemmDense dimension mismatch")
 	}
@@ -87,30 +87,10 @@ func SgemmDense(transA, transB bool, alpha float32, a, b *matrix.Dense32, beta f
 		return
 	}
 	if transA {
-		a = transpose32(a)
+		a = transpose(a)
 	}
 	if transB {
-		b = transpose32(b)
+		b = transpose(b)
 	}
 	Sgemm(m, n, k, alpha, a.Data, a.Stride, b.Data, b.Stride, beta, c.Data, c.Stride)
-}
-
-// opDims32 returns the dimensions of op(X).
-func opDims32(x *matrix.Dense32, trans bool) (r, c int) {
-	if trans {
-		return x.Cols, x.Rows
-	}
-	return x.Rows, x.Cols
-}
-
-// transpose32 returns a compact copy of xᵀ.
-func transpose32(x *matrix.Dense32) *matrix.Dense32 {
-	t := matrix.NewDense32(x.Cols, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			t.Set(j, i, v)
-		}
-	}
-	return t
 }

@@ -6,7 +6,7 @@ import (
 	"phihpl/internal/matrix"
 )
 
-// SGemmPrepacked's pack-once-reuse must be bitwise the per-call
+// GemmPrepacked[float32]'s pack-once-reuse must be bitwise the per-call
 // SgemmPacked result — the contract that lets the mixed-precision 2D HPL
 // driver share packed FP32 operands across a block row/column — for every
 // shape in the single-K-block regime, including ragged tiles, and
@@ -26,15 +26,15 @@ func TestSGemmPrepackedBitwiseMatchesSgemmPacked(t *testing.T) {
 
 		SgemmPacked(false, false, -1, a, b, 1, want, 2)
 
-		pa := SPrepackA(a, -1)
-		pb := SPrepackB(b)
+		pa := PrepackA(a, -1)
+		pb := PrepackB(b)
 		if pa == nil || pb == nil {
 			t.Fatalf("%+v: prepack refused a single-K-block shape", sh)
 		}
 		// Reuse both operands twice: second use must still be bitwise.
 		scratch := matrix.NewDense32(sh.m, sh.n)
-		SGemmPrepacked(pa, pb, scratch, 1)
-		SGemmPrepacked(pa, pb, got, 2)
+		GemmPrepacked(pa, pb, scratch, 1)
+		GemmPrepacked(pa, pb, got, 2)
 		for i := 0; i < sh.m; i++ {
 			for j := 0; j < sh.n; j++ {
 				if got.At(i, j) != want.At(i, j) {
@@ -50,25 +50,25 @@ func TestSGemmPrepackedBitwiseMatchesSgemmPacked(t *testing.T) {
 // Prepacking refuses multi-K-block operands, mismatched shapes panic, and
 // Release is safe on nil and after use.
 func TestSGemmPrepackedGuards(t *testing.T) {
-	if pa := SPrepackA(matrix.RandomGeneral(8, 385, 1).ToDense32(), -1); pa != nil {
-		t.Error("SPrepackA must refuse k > one K-block")
+	if pa := PrepackA(matrix.RandomGeneral(8, 385, 1).ToDense32(), -1); pa != nil {
+		t.Error("PrepackA[float32] must refuse k > one K-block")
 	}
-	if pb := SPrepackB(matrix.RandomGeneral(385, 8, 1).ToDense32()); pb != nil {
-		t.Error("SPrepackB must refuse k > one K-block")
+	if pb := PrepackB(matrix.RandomGeneral(385, 8, 1).ToDense32()); pb != nil {
+		t.Error("PrepackB[float32] must refuse k > one K-block")
 	}
-	var nilA *SPrepackedA
-	var nilB *SPrepackedB
+	var nilA *PrepackedA[float32]
+	var nilB *PrepackedB[float32]
 	nilA.Release()
 	nilB.Release()
 
-	pa := SPrepackA(matrix.RandomGeneral(8, 16, 1).ToDense32(), -1)
-	pb := SPrepackB(matrix.RandomGeneral(17, 8, 1).ToDense32()) // k mismatch
+	pa := PrepackA(matrix.RandomGeneral(8, 16, 1).ToDense32(), -1)
+	pb := PrepackB(matrix.RandomGeneral(17, 8, 1).ToDense32()) // k mismatch
 	defer func() {
 		if recover() == nil {
 			t.Error("k mismatch must panic")
 		}
 	}()
-	SGemmPrepacked(pa, pb, matrix.NewDense32(8, 8), 1)
+	GemmPrepacked(pa, pb, matrix.NewDense32(8, 8), 1)
 }
 
 // Dense32.CopyFrom copies element-wise and enforces shape agreement.

@@ -37,7 +37,7 @@ const (
 	Unit
 )
 
-// Dtrsm solves a triangular system in place, overwriting B with the
+// Trsm solves a triangular system in place, overwriting B with the
 // solution X:
 //
 //	Left:  op(T)·X = alpha·B
@@ -48,13 +48,13 @@ const (
 // L·U_panel forward solve (Left/Lower/Unit), back substitution with U
 // (Left/Upper/NonUnit) and the right-side updates used by left-looking
 // variants.
-func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *matrix.Dense) {
+func Trsm[T matrix.Float](side Side, uplo Uplo, trans bool, diag Diag, alpha T, t, b *matrix.Of[T]) {
 	if t.Rows != t.Cols {
-		panic("blas: Dtrsm triangular matrix must be square")
+		panic("blas: Trsm triangular matrix must be square")
 	}
 	n := t.Rows
 	if (side == Left && b.Rows != n) || (side == Right && b.Cols != n) {
-		panic("blas: Dtrsm dimension mismatch")
+		panic("blas: Trsm dimension mismatch")
 	}
 	if trans {
 		// op(T) = Tᵀ: materialize the transpose once and flip the triangle.
@@ -67,7 +67,7 @@ func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *mat
 	}
 	if alpha != 1 {
 		for i := 0; i < b.Rows; i++ {
-			Dscal(alpha, b.Row(i))
+			scal(alpha, b.Row(i))
 		}
 	}
 	switch {
@@ -132,6 +132,11 @@ func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *mat
 	}
 }
 
+// Dtrsm is Trsm in double precision.
+func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *matrix.Dense) {
+	Trsm(side, uplo, trans, diag, alpha, t, b)
+}
+
 // DtrsmParallel runs the Left-side solves with the columns of B partitioned
 // across workers (each column block is an independent triangular solve).
 // Right-side solves degrade to the serial path because their dependency
@@ -159,7 +164,7 @@ func DtrsmParallel(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t
 
 // div divides a row elementwise (reference-BLAS semantics: a true divide,
 // not a multiply by the reciprocal, so solves match LUSolve bit for bit).
-func div(v []float64, d float64) {
+func div[T matrix.Float](v []T, d T) {
 	for i := range v {
 		v[i] /= d
 	}

@@ -155,18 +155,18 @@ type grid2d struct {
 	offloadUpdates bool
 
 	// Look-ahead bookkeeping (basic/pipelined schedules).
-	pivots   [][]int            // eagerly factored stage -> its panel pivots
-	factored []bool             // panels factored ahead of their stage
-	lSent    []bool             // stages whose L broadcast was already posted
-	pipe     *pipeline          // asynchronous trailing-update worker (pipelined)
-	scratch  []float64          // reusable pack buffer (Send copies payloads)
-	packedL  []*blas.PrepackedA // per-stage prepacked L21 panels (look-ahead paths)
+	pivots   [][]int                     // eagerly factored stage -> its panel pivots
+	factored []bool                      // panels factored ahead of their stage
+	lSent    []bool                      // stages whose L broadcast was already posted
+	pipe     *pipeline                   // asynchronous trailing-update worker (pipelined)
+	scratch  []float64                   // reusable pack buffer (Send copies payloads)
+	packedL  []*blas.PrepackedA[float64] // per-stage prepacked L21 panels (look-ahead paths)
 	// Reusable pipeJob slices (inline pipeline only, where a job never
 	// outlives its enqueue call).
 	jobBlocks []*matrix.Dense
 	jobLs     []*matrix.Dense
 	jobRows   []int
-	jobPls    []*blas.PrepackedA
+	jobPls    []*blas.PrepackedA[float64]
 	t0        time.Time // start of the timed factor+solve phase
 
 	// Mixed-precision state (prec == lu.PrecisionMixed): the FP32 mirror
@@ -178,10 +178,10 @@ type grid2d struct {
 	stageL21v32 []*matrix.Dense32
 	stageU12v32 []*matrix.Dense32
 	scratch32   []float32
-	packedL32   []*blas.SPrepackedA
+	packedL32   []*blas.PrepackedA[float32]
 	jobBlocks32 []*matrix.Dense32
 	jobLs32     []*matrix.Dense32
-	jobPls32    []*blas.SPrepackedA
+	jobPls32    []*blas.PrepackedA[float32]
 
 	// hooks let the FT solver ride checksum maintenance on the schedule;
 	// aheadBlocked vetoes eager factorization (super-step boundaries).
@@ -259,7 +259,7 @@ func (g *grid2d) scatter(seed uint64) (*matrix.Dense, []float64) {
 	g.lSent = make([]bool, g.nBlocks)
 	g.stageL21 = make([]*matrix.Dense, g.nBlocks)
 	g.stageU12 = make([]*matrix.Dense, g.nBlocks)
-	g.packedL = make([]*blas.PrepackedA, g.nBlocks)
+	g.packedL = make([]*blas.PrepackedA[float64], g.nBlocks)
 	if g.me() != 0 {
 		full, rhs = nil, nil // hook path: only the root verifies
 	}

@@ -594,7 +594,7 @@ func (g *grid2d) solveUTree(k int) error {
 // prepackL returns stage-wide −L21(i) in packed-tile form, packing on
 // first use and caching until recvL opens the next stage. Protocol
 // goroutine only.
-func (g *grid2d) prepackL(i int, l *matrix.Dense) *blas.PrepackedA {
+func (g *grid2d) prepackL(i int, l *matrix.Dense) *blas.PrepackedA[float64] {
 	if pa := g.packedL[i]; pa != nil {
 		return pa
 	}
@@ -608,7 +608,7 @@ func (g *grid2d) prepackL(i int, l *matrix.Dense) *blas.PrepackedA {
 // path. The gate depends on k alone — the same crossover as RankKUpdate
 // — so the look-ahead schedules stay bitwise identical to the reference
 // per-block updates.
-func (g *grid2d) prepackU(u *matrix.Dense) *blas.PrepackedB {
+func (g *grid2d) prepackU(u *matrix.Dense) *blas.PrepackedB[float64] {
 	if g.offloadUpdates || u == nil || u.Rows < blas.PackedMinK {
 		return nil
 	}
@@ -847,8 +847,8 @@ type pipeJob struct {
 	blocks  []*matrix.Dense
 	ls      []*matrix.Dense
 	u       *matrix.Dense
-	pls     []*blas.PrepackedA // prepacked −L operands (nil: reference path)
-	pu      *blas.PrepackedB   // prepacked U operand, shared by the column
+	pls     []*blas.PrepackedA[float64] // prepacked −L operands (nil: reference path)
+	pu      *blas.PrepackedB[float64]   // prepacked U operand, shared by the column
 	offload bool
 	rec     *trace.Recorder
 	lane    int
@@ -860,8 +860,8 @@ type pipeJob struct {
 	blocks32 []*matrix.Dense32
 	ls32     []*matrix.Dense32
 	u32      *matrix.Dense32
-	pls32    []*blas.SPrepackedA
-	pu32     *blas.SPrepackedB
+	pls32    []*blas.PrepackedA[float32]
+	pu32     *blas.PrepackedB[float32]
 }
 
 // pipeline runs trailing-update GEMM jobs on a single worker goroutine,
@@ -1063,13 +1063,13 @@ func (g *grid2d) enqueueUpdate(k, j int) {
 	// fast path and lets runJob report it.
 	u := g.stageU12[j]
 	pu := g.prepackU(u)
-	var pls []*blas.PrepackedA
+	var pls []*blas.PrepackedA[float64]
 	if pu != nil {
 		if g.pipe.deferred() {
-			pls = make([]*blas.PrepackedA, len(ls))
+			pls = make([]*blas.PrepackedA[float64], len(ls))
 		} else {
 			if cap(g.jobPls) < len(ls) {
-				g.jobPls = make([]*blas.PrepackedA, len(ls))
+				g.jobPls = make([]*blas.PrepackedA[float64], len(ls))
 			}
 			pls = g.jobPls[:len(ls)]
 		}

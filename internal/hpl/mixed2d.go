@@ -96,7 +96,7 @@ func (g *grid2d) scatter32(seed uint64) (*matrix.Dense, []float64) {
 	g.lSent = make([]bool, g.nBlocks)
 	g.stageL21v32 = make([]*matrix.Dense32, g.nBlocks)
 	g.stageU12v32 = make([]*matrix.Dense32, g.nBlocks)
-	g.packedL32 = make([]*blas.SPrepackedA, g.nBlocks)
+	g.packedL32 = make([]*blas.PrepackedA[float32], g.nBlocks)
 	if g.me() != 0 {
 		full, rhs = nil, nil // hook path: only the root verifies
 	}
@@ -111,7 +111,7 @@ func clearDense32(s []*matrix.Dense32) {
 
 // factorPanel32 is the synchronous (LookaheadNone) panel factorization in
 // single precision: gather block column k on the diagonal owner, factor
-// with Sgetf2, scatter back, flat pivot fan-out — message for message the
+// with Getf2, scatter back, flat pivot fan-out — message for message the
 // FP64 seed schedule, with half-width payloads.
 func (g *grid2d) factorPanel32(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
@@ -151,7 +151,7 @@ func (g *grid2d) factorPanel32(k int) ([]int, error) {
 			}
 		}
 		piv = make([]int, w)
-		if err := blas.Sgetf2(panel, piv); err != nil && g.firstError == nil {
+		if err := blas.Getf2(panel, piv); err != nil && g.firstError == nil {
 			g.firstError = blas.OffsetSingular(err, k*g.nb)
 		}
 		for i := k; i < g.nBlocks; i++ {
@@ -288,7 +288,7 @@ func (g *grid2d) factorPanelCore32(k int) ([]int, error) {
 		}
 	}
 	piv := make([]int, w)
-	if err := blas.Sgetf2(panel, piv); err != nil && g.firstError == nil {
+	if err := blas.Getf2(panel, piv); err != nil && g.firstError == nil {
 		g.firstError = blas.OffsetSingular(err, k*g.nb)
 	}
 	for pp := 0; pp < g.P; pp++ {
@@ -411,7 +411,7 @@ func (g *grid2d) broadcastL32(k int) error {
 }
 
 // solveAndBroadcastU32 is the synchronous bulk U phase in single
-// precision: Strsm on the pivot process row, flat fan-out down columns.
+// precision: Trsm on the pivot process row, flat fan-out down columns.
 func (g *grid2d) solveAndBroadcastU32(k int) error {
 	rootP, _ := g.owner(k, k)
 	clearDense32(g.stageU12v32)
@@ -424,7 +424,7 @@ func (g *grid2d) solveAndBroadcastU32(k int) error {
 		var u *matrix.Dense32
 		if g.p == rootP {
 			u = g.blocks32[[2]int{k, j}]
-			blas.Strsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11v32, u)
+			blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11v32, u)
 			for pp := 0; pp < g.P; pp++ {
 				if pp != g.p {
 					if err := g.c.Send32(g.rank(pp, g.q), tag2dUBase+k*g.nBlocks+j, flatten32(u), nil); err != nil {
@@ -465,7 +465,7 @@ func (g *grid2d) update32(k int) error {
 			return fmt.Errorf("hpl: rank (%d,%d) missing stage-%d operands for block (%d,%d)",
 				g.p, g.q, k, i, j)
 		}
-		blas.SRankKUpdate(l, u, blk, 1)
+		blas.RankKUpdate(l, u, blk, 1)
 	}
 	return nil
 }
@@ -574,14 +574,14 @@ func (g *grid2d) recvL32(k int) error {
 	return nil
 }
 
-// solveUColumn32 computes U12(k,j) by Strsm on the pivot process row and
+// solveUColumn32 computes U12(k,j) by Trsm on the pivot process row and
 // tree-broadcasts the FP32 payload down the process column.
 func (g *grid2d) solveUColumn32(k, j int) error {
 	rootP, _ := g.owner(k, k)
 	var u *matrix.Dense32
 	if g.p == rootP {
 		u = g.blocks32[[2]int{k, j}]
-		blas.Strsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11v32, u)
+		blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11v32, u)
 	}
 	if g.P > 1 {
 		tag := tag2dUBase + k*g.nBlocks + j
@@ -617,25 +617,25 @@ func (g *grid2d) solveUColumn32(k, j int) error {
 // prepackL32 returns stage-wide −L21(i) in packed FP32 tile form, packing
 // on first use and caching until recvL32 opens the next stage. Protocol
 // goroutine only.
-func (g *grid2d) prepackL32(i int, l *matrix.Dense32) *blas.SPrepackedA {
+func (g *grid2d) prepackL32(i int, l *matrix.Dense32) *blas.PrepackedA[float32] {
 	if pa := g.packedL32[i]; pa != nil {
 		return pa
 	}
-	pa := blas.SPrepackA(l, -1)
+	pa := blas.PrepackA(l, -1)
 	g.packedL32[i] = pa
 	return pa
 }
 
 // prepackU32 packs column j's U block once for reuse across the column's
 // block rows, or returns nil outside the packed fast path. The gate
-// depends on k alone — the SRankKUpdate crossover — and deliberately
+// depends on k alone — the RankKUpdate crossover — and deliberately
 // ignores offloadUpdates: the offload engine is FP64-only, so mixed
 // hybrid updates take the same FP32 host path as the plain driver.
-func (g *grid2d) prepackU32(u *matrix.Dense32) *blas.SPrepackedB {
+func (g *grid2d) prepackU32(u *matrix.Dense32) *blas.PrepackedB[float32] {
 	if u == nil || u.Rows < blas.PackedMinK {
 		return nil
 	}
-	return blas.SPrepackB(u)
+	return blas.PrepackB(u)
 }
 
 // updateColumn32 applies the stage-k trailing update to the owned blocks
@@ -655,9 +655,9 @@ func (g *grid2d) updateColumn32(k, j int) error {
 			return fmt.Errorf("hpl: rank (%d,%d) missing stage-%d operands for block (%d,%d)", g.p, g.q, k, i, j)
 		}
 		if pu != nil {
-			blas.SGemmPrepacked(g.prepackL32(i, l), pu, blk, 1)
+			blas.GemmPrepacked(g.prepackL32(i, l), pu, blk, 1)
 		} else {
-			blas.SRankKUpdate(l, u, blk, 1)
+			blas.RankKUpdate(l, u, blk, 1)
 		}
 	}
 	return nil
@@ -777,13 +777,13 @@ func (g *grid2d) enqueueUpdate32(k, j int) {
 	}
 	u := g.stageU12v32[j]
 	pu := g.prepackU32(u)
-	var pls []*blas.SPrepackedA
+	var pls []*blas.PrepackedA[float32]
 	if pu != nil {
 		if g.pipe.deferred() {
-			pls = make([]*blas.SPrepackedA, len(ls))
+			pls = make([]*blas.PrepackedA[float32], len(ls))
 		} else {
 			if cap(g.jobPls32) < len(ls) {
-				g.jobPls32 = make([]*blas.SPrepackedA, len(ls))
+				g.jobPls32 = make([]*blas.PrepackedA[float32], len(ls))
 			}
 			pls = g.jobPls32[:len(ls)]
 		}
@@ -827,19 +827,19 @@ func (p *pipeline) runJob32(job pipeJob) {
 	switch {
 	case job.pu32 != nil && n > 1 && pool.Size() > 1:
 		pool.Do(n, pool.Size(), func(i int) {
-			blas.SGemmPrepacked(job.pls32[i], job.pu32, job.blocks32[i], 1)
+			blas.GemmPrepacked(job.pls32[i], job.pu32, job.blocks32[i], 1)
 		})
 	case job.pu32 != nil:
 		for i := 0; i < n; i++ {
-			blas.SGemmPrepacked(job.pls32[i], job.pu32, job.blocks32[i], 1)
+			blas.GemmPrepacked(job.pls32[i], job.pu32, job.blocks32[i], 1)
 		}
 	case n > 1 && pool.Size() > 1:
 		pool.Do(n, pool.Size(), func(i int) {
-			blas.SRankKUpdate(job.ls32[i], job.u32, job.blocks32[i], 1)
+			blas.RankKUpdate(job.ls32[i], job.u32, job.blocks32[i], 1)
 		})
 	default:
 		for i := 0; i < n; i++ {
-			blas.SRankKUpdate(job.ls32[i], job.u32, job.blocks32[i], 1)
+			blas.RankKUpdate(job.ls32[i], job.u32, job.blocks32[i], 1)
 		}
 	}
 	job.rec.Since(job.lane, "GEMM", job.iter, ts)

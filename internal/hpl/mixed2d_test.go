@@ -50,7 +50,7 @@ func TestMixed2DResidualAndReport(t *testing.T) {
 
 // TestMixed2DMatchesSequentialMixed: the distributed mixed pipeline is the
 // same arithmetic as the shared-memory HPL-MxP solver — identical FP32
-// factors (Sgetf2 panels, Strsm, packed rank-k updates at the same block
+// factors (Getf2 panels, Trsm, packed rank-k updates at the same block
 // size) and the identical refinement ladder — so the solution, residual
 // and iteration count all match bitwise, on every grid, and independent
 // of the sequential solver's worker count.

@@ -105,7 +105,7 @@ type state struct {
 	// is nothing below the panel. left[s] counts the stage's updates
 	// still to run; the one that brings it to zero releases the slab, so
 	// a solve holds one slab per stage in flight, not one per stage.
-	l21  []*blas.PrepackedA
+	l21  []*blas.PrepackedA[float64]
 	left []atomic.Int32
 }
 
@@ -116,7 +116,7 @@ func newState(a *matrix.Dense, opts Options) *state {
 	n := a.Cols
 	st := &state{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB), recursive: opts.RecursivePanel}
 	st.piv = make([][]int, st.np)
-	st.l21 = make([]*blas.PrepackedA, st.np)
+	st.l21 = make([]*blas.PrepackedA[float64], st.np)
 	st.left = make([]atomic.Int32, st.np)
 	pivots := make([]int, n)
 	for p := range st.piv {

@@ -201,7 +201,7 @@ func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Optio
 // observed between refinement steps. Spans (worker 0): "Refine" per
 // correction solve. Counter: lu.refine_iters.
 func RefineMixed(ctx context.Context, a *matrix.Dense, lu32 *matrix.Dense32, piv []int, b []float64, rec *trace.Recorder) (x []float64, res float64, iters int, why FallbackReason, err error) {
-	x = blas.LUSolveMixed(lu32, piv, b)
+	x = blas.LUSolve(lu32, piv, b)
 	prev := math.Inf(1)
 	var t0 float64
 	for {
@@ -231,7 +231,7 @@ func RefineMixed(ctx context.Context, a *matrix.Dense, lu32 *matrix.Dense32, piv
 			t0 = rec.Start()
 		}
 		r := residVec(a, x, b)
-		delta := blas.LUSolveMixed(lu32, piv, r)
+		delta := blas.LUSolve(lu32, piv, r)
 		blas.Daxpy(1, delta, x)
 		iters++
 		mRefineIters.Load().Inc()

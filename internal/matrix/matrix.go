@@ -13,22 +13,43 @@ import (
 	"math"
 )
 
-// Dense is a dense row-major matrix of float64. Element (i,j) lives at
-// Data[i*Stride+j]. A Dense may be a view into a larger matrix, in which
+// Float is the element-type set of the numeric core: matrix, pack and
+// blas are written once over it and instantiated for float32 and float64.
+type Float interface{ ~float32 | ~float64 }
+
+// Of is a dense row-major matrix of T. Element (i,j) lives at
+// Data[i*Stride+j]. An Of may be a view into a larger matrix, in which
 // case Stride > Cols.
-type Dense struct {
+type Of[T Float] struct {
 	Rows, Cols int
 	Stride     int
-	Data       []float64
+	Data       []T
 }
 
-// NewDense allocates a zeroed Rows×Cols matrix.
-func NewDense(rows, cols int) *Dense {
+// Dense is the float64 matrix every FP64 driver works on. Dense32 is the
+// storage type of the mixed-precision factorization path: the FP32
+// factors hold half the bytes of their FP64 counterparts, which is the
+// memory-traffic half of the paper's SGEMM advantage (Table II). Both are
+// aliases of an instantiation, and Go declares no methods on one: every
+// method below is a method of Of[T] and so exists for both.
+type (
+	Dense   = Of[float64]
+	Dense32 = Of[float32]
+)
+
+// New allocates a zeroed Rows×Cols matrix of T.
+func New[T Float](rows, cols int) *Of[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("matrix: negative dimensions %dx%d", rows, cols))
 	}
-	return &Dense{Rows: rows, Cols: cols, Stride: cols, Data: make([]float64, rows*cols)}
+	return &Of[T]{Rows: rows, Cols: cols, Stride: cols, Data: make([]T, rows*cols)}
 }
+
+// NewDense allocates a zeroed Rows×Cols matrix.
+func NewDense(rows, cols int) *Dense { return New[float64](rows, cols) }
+
+// NewDense32 allocates a zeroed Rows×Cols single-precision matrix.
+func NewDense32(rows, cols int) *Dense32 { return New[float32](rows, cols) }
 
 // FromRows builds a matrix from a slice of equal-length rows (copying).
 func FromRows(rows [][]float64) *Dense {
@@ -46,30 +67,30 @@ func FromRows(rows [][]float64) *Dense {
 }
 
 // At returns element (i,j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Stride+j] }
+func (m *Of[T]) At(i, j int) T { return m.Data[i*m.Stride+j] }
 
 // Set assigns element (i,j).
-func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Stride+j] = v }
+func (m *Of[T]) Set(i, j int, v T) { m.Data[i*m.Stride+j] = v }
 
 // Row returns row i as a slice sharing storage (length Cols).
-func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
+func (m *Of[T]) Row(i int) []T { return m.Data[i*m.Stride : i*m.Stride+m.Cols] }
 
 // View returns the r×c sub-matrix with upper-left corner (i,j), sharing
 // storage with m.
-func (m *Dense) View(i, j, r, c int) *Dense {
+func (m *Of[T]) View(i, j, r, c int) *Of[T] {
 	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("matrix: view (%d,%d,%d,%d) out of %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	if r == 0 || c == 0 {
-		return &Dense{Rows: r, Cols: c, Stride: m.Stride}
+		return &Of[T]{Rows: r, Cols: c, Stride: m.Stride}
 	}
 	off := i*m.Stride + j
-	return &Dense{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(r-1)*m.Stride+c]}
+	return &Of[T]{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(r-1)*m.Stride+c]}
 }
 
 // Clone returns a compact (Stride==Cols) copy of m.
-func (m *Dense) Clone() *Dense {
-	out := NewDense(m.Rows, m.Cols)
+func (m *Of[T]) Clone() *Of[T] {
+	out := New[T](m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i))
 	}
@@ -77,7 +98,7 @@ func (m *Dense) Clone() *Dense {
 }
 
 // CopyFrom copies src into m; dimensions must match.
-func (m *Dense) CopyFrom(src *Dense) {
+func (m *Of[T]) CopyFrom(src *Of[T]) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic("matrix: CopyFrom dimension mismatch")
 	}
@@ -87,7 +108,7 @@ func (m *Dense) CopyFrom(src *Dense) {
 }
 
 // Zero sets every element to 0.
-func (m *Dense) Zero() {
+func (m *Of[T]) Zero() {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -95,6 +116,26 @@ func (m *Dense) Zero() {
 		}
 	}
 }
+
+// convert returns a compact copy of m with every element converted to D.
+func convert[D, S Float](m *Of[S]) *Of[D] {
+	out := New[D](m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		dst := out.Row(i)
+		for j, v := range m.Row(i) {
+			dst[j] = D(v)
+		}
+	}
+	return out
+}
+
+// ToDense32 rounds m to single precision (round-to-nearest per element),
+// the demotion step that starts a mixed-precision solve.
+func (m *Of[T]) ToDense32() *Dense32 { return convert[float32](m) }
+
+// ToDense widens m to double precision (exact: every float32 is
+// representable in float64).
+func (m *Of[T]) ToDense() *Dense { return convert[float64](m) }
 
 // Eye returns the n×n identity.
 func Eye(n int) *Dense {
@@ -106,7 +147,7 @@ func Eye(n int) *Dense {
 }
 
 // Equal reports exact element-wise equality of dimensions and values.
-func Equal(a, b *Dense) bool {
+func Equal[T Float](a, b *Of[T]) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
@@ -122,7 +163,7 @@ func Equal(a, b *Dense) bool {
 }
 
 // MaxDiff returns the largest |a-b| over all elements; dimensions must match.
-func MaxDiff(a, b *Dense) float64 {
+func MaxDiff[T Float](a, b *Of[T]) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("matrix: MaxDiff dimension mismatch")
 	}
@@ -130,7 +171,7 @@ func MaxDiff(a, b *Dense) float64 {
 	for i := 0; i < a.Rows; i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for j := range ra {
-			if v := math.Abs(ra[j] - rb[j]); v > d {
+			if v := math.Abs(float64(ra[j] - rb[j])); v > d {
 				d = v
 			}
 		}
@@ -139,12 +180,12 @@ func MaxDiff(a, b *Dense) float64 {
 }
 
 // NormInf returns the infinity norm (max absolute row sum).
-func (m *Dense) NormInf() float64 {
+func (m *Of[T]) NormInf() float64 {
 	n := 0.0
 	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		for _, v := range m.Row(i) {
-			s += math.Abs(v)
+			s += math.Abs(float64(v))
 		}
 		if s > n {
 			n = s
@@ -154,14 +195,14 @@ func (m *Dense) NormInf() float64 {
 }
 
 // NormOne returns the one norm (max absolute column sum).
-func (m *Dense) NormOne() float64 {
+func (m *Of[T]) NormOne() float64 {
 	if m.Rows == 0 || m.Cols == 0 {
 		return 0
 	}
 	sums := make([]float64, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for j, v := range m.Row(i) {
-			sums[j] += math.Abs(v)
+			sums[j] += math.Abs(float64(v))
 		}
 	}
 	n := 0.0
@@ -174,11 +215,11 @@ func (m *Dense) NormOne() float64 {
 }
 
 // MaxAbs returns the largest absolute element.
-func (m *Dense) MaxAbs() float64 {
+func (m *Of[T]) MaxAbs() float64 {
 	n := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > n {
+			if a := math.Abs(float64(v)); a > n {
 				n = a
 			}
 		}
@@ -188,14 +229,14 @@ func (m *Dense) MaxAbs() float64 {
 
 // MulVec computes y = A*x. len(x) must be A.Cols; the result has length
 // A.Rows.
-func (m *Dense) MulVec(x []float64) []float64 {
+func (m *Of[T]) MulVec(x []T) []T {
 	if len(x) != m.Cols {
 		panic("matrix: MulVec dimension mismatch")
 	}
-	y := make([]float64, m.Rows)
+	y := make([]T, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		s := 0.0
+		var s T
 		for j, v := range row {
 			s += v * x[j]
 		}

@@ -64,11 +64,11 @@ func (p *PRNG) Intn(n int) int {
 }
 
 // FillRandom fills m with uniform values in [-0.5, 0.5).
-func (m *Dense) FillRandom(p *PRNG) {
+func (m *Of[T]) FillRandom(p *PRNG) {
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
-			row[j] = p.Float64()
+			row[j] = T(p.Float64())
 		}
 	}
 }

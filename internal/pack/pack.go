@@ -15,6 +15,10 @@
 // associativity conflicts of large-leading-dimension source matrices.
 // The packing cost is quadratic and is amortized by the cubic multiply;
 // internal/perfmodel accounts its bandwidth cost for Figure 4.
+//
+// Packing and the tile grid are written once over the element type; the
+// tile geometry is a function of it (30×8 for float64, 32×16 for float32)
+// and the two micro-kernels are the per-type leaves (DESIGN.md §16).
 package pack
 
 import (
@@ -77,56 +81,67 @@ func init() {
 	}
 }
 
-// A is matrix Ai packed into TileM×K column-major tiles. Partial bottom
-// tiles are zero-padded to full height so that tile addressing is uniform.
-type A struct {
-	M, K  int
-	TileM int
-	Data  []float64 // len = Tiles()*TileM*K
+// TileNOf is the b-tile width of T, its vector width: TileN or TileN32.
+// Like DefaultTileMOf it folds to a constant in each instantiation.
+func TileNOf[T matrix.Float]() int {
+	if matrix.Is64[T]() {
+		return TileN
+	}
+	return TileN32
 }
 
+// DefaultTileMOf is the a-tile height of T: DefaultTileM or
+// DefaultTileM32, each a multiple of its register block's height.
+func DefaultTileMOf[T matrix.Float]() int {
+	if matrix.Is64[T]() {
+		return DefaultTileM
+	}
+	return DefaultTileM32
+}
+
+// AOf is matrix Ai packed into TileM×K column-major tiles. Partial bottom
+// tiles are zero-padded to full height so that tile addressing is uniform.
+type AOf[T matrix.Float] struct {
+	M, K  int
+	TileM int
+	Data  []T // len = Tiles()*TileM*K
+}
+
+// A and B are the float64 packed operands.
+type (
+	A = AOf[float64]
+	B = BOf[float64]
+)
+
 // Tiles returns the number of row tiles.
-func (p *A) Tiles() int { return (p.M + p.TileM - 1) / p.TileM }
+func (p *AOf[T]) Tiles() int { return (p.M + p.TileM - 1) / p.TileM }
 
 // Tile returns the backing slice of tile t (TileM*K values, column-major:
 // element (i,p) at [p*TileM+i]).
-func (p *A) Tile(t int) []float64 {
+func (p *AOf[T]) Tile(t int) []T {
 	sz := p.TileM * p.K
 	return p.Data[t*sz : (t+1)*sz]
 }
 
 // TileRows returns how many rows of tile t are real (unpadded).
-func (p *A) TileRows(t int) int {
-	r := p.M - t*p.TileM
-	if r > p.TileM {
-		r = p.TileM
-	}
-	return r
-}
+func (p *AOf[T]) TileRows(t int) int { return min(p.M-t*p.TileM, p.TileM) }
 
-// PackA packs the M×K matrix a into TileM-row column-major tiles.
-func PackA(a *matrix.Dense, tileM int) *A {
+// PackA packs the M×K matrix a into TileM-row column-major tiles; tileM
+// below 1 selects the default height of T.
+func PackA[T matrix.Float](a *matrix.Of[T], tileM int) *AOf[T] {
 	if tileM < 1 {
-		tileM = DefaultTileM
+		tileM = DefaultTileMOf[T]()
 	}
-	p := &A{M: a.Rows, K: a.Cols, TileM: tileM}
-	p.Data = make([]float64, p.Tiles()*tileM*a.Cols)
+	p := &AOf[T]{M: a.Rows, K: a.Cols, TileM: tileM}
+	p.Data = make([]T, p.Tiles()*tileM*a.Cols)
 	for t := 0; t < p.Tiles(); t++ {
-		tile := p.Tile(t)
-		rows := p.TileRows(t)
-		base := t * tileM
-		for i := 0; i < rows; i++ {
-			src := a.Row(base + i)
-			for k, v := range src {
-				tile[k*tileM+i] = v
-			}
-		}
+		PackATileOp(p, a, false, 1, 0, t)
 	}
 	return p
 }
 
 // Unpack writes the packed contents back into dst (M×K), dropping padding.
-func (p *A) Unpack(dst *matrix.Dense) {
+func (p *AOf[T]) Unpack(dst *matrix.Of[T]) {
 	if dst.Rows != p.M || dst.Cols != p.K {
 		panic("pack: A.Unpack dimension mismatch")
 	}
@@ -143,60 +158,48 @@ func (p *A) Unpack(dst *matrix.Dense) {
 	}
 }
 
-// B is matrix Bi packed into K×TileN row-major tiles. Partial right tiles
-// are zero-padded to full width.
-type B struct {
+// BOf is matrix Bi packed into K×TileN row-major tiles, TileN being the
+// vector width of T. Partial right tiles are zero-padded to full width.
+type BOf[T matrix.Float] struct {
 	K, N int
-	Data []float64 // len = Tiles()*K*TileN
+	Data []T // len = Tiles()*K*TileN
 }
 
 // Tiles returns the number of column tiles.
-func (p *B) Tiles() int { return (p.N + TileN - 1) / TileN }
+func (p *BOf[T]) Tiles() int { return (p.N + TileNOf[T]() - 1) / TileNOf[T]() }
 
 // Tile returns the backing slice of tile t (K*TileN values, row-major:
 // element (k,j) at [k*TileN+j]).
-func (p *B) Tile(t int) []float64 {
-	sz := p.K * TileN
+func (p *BOf[T]) Tile(t int) []T {
+	sz := p.K * TileNOf[T]()
 	return p.Data[t*sz : (t+1)*sz]
 }
 
 // TileCols returns how many columns of tile t are real.
-func (p *B) TileCols(t int) int {
-	c := p.N - t*TileN
-	if c > TileN {
-		c = TileN
-	}
-	return c
-}
+func (p *BOf[T]) TileCols(t int) int { return min(p.N-t*TileNOf[T](), TileNOf[T]()) }
 
-// PackB packs the K×N matrix b into 8-column row-major tiles.
-func PackB(b *matrix.Dense) *B {
-	p := &B{K: b.Rows, N: b.Cols}
-	p.Data = make([]float64, p.Tiles()*b.Rows*TileN)
+// PackB packs the K×N matrix b into TileN-column row-major tiles.
+func PackB[T matrix.Float](b *matrix.Of[T]) *BOf[T] {
+	p := &BOf[T]{K: b.Rows, N: b.Cols}
+	p.Data = make([]T, p.Tiles()*b.Rows*TileNOf[T]())
 	for t := 0; t < p.Tiles(); t++ {
-		tile := p.Tile(t)
-		cols := p.TileCols(t)
-		base := t * TileN
-		for k := 0; k < b.Rows; k++ {
-			src := b.Row(k)[base : base+cols]
-			dst := tile[k*TileN : k*TileN+cols]
-			copy(dst, src)
-		}
+		PackBTileOp(p, b, false, 0, t)
 	}
 	return p
 }
 
 // Unpack writes the packed contents back into dst (K×N).
-func (p *B) Unpack(dst *matrix.Dense) {
+func (p *BOf[T]) Unpack(dst *matrix.Of[T]) {
 	if dst.Rows != p.K || dst.Cols != p.N {
 		panic("pack: B.Unpack dimension mismatch")
 	}
+	tn := TileNOf[T]()
 	for t := 0; t < p.Tiles(); t++ {
 		tile := p.Tile(t)
 		cols := p.TileCols(t)
-		base := t * TileN
+		base := t * tn
 		for k := 0; k < p.K; k++ {
-			copy(dst.Row(k)[base:base+cols], tile[k*TileN:k*TileN+cols])
+			copy(dst.Row(k)[base:base+cols], tile[k*tn:k*tn+cols])
 		}
 	}
 }
@@ -306,11 +309,23 @@ func microKernelScalar(aTile []float64, tileM, k int, bTile []float64, c []float
 	}
 }
 
+// Kernel runs the micro-kernel of T: MicroKernel for float64,
+// MicroKernel32 for float32. The choice is made by the compiler in each
+// instantiation, so the generic drivers above the kernels pay nothing for
+// being written once.
+func Kernel[T matrix.Float](aTile []T, tileM, k int, bTile, c []T, ldc, rows, cols int) {
+	if matrix.Is64[T]() {
+		MicroKernel(matrix.Slice64(aTile), tileM, k, matrix.Slice64(bTile), matrix.Slice64(c), ldc, rows, cols)
+		return
+	}
+	MicroKernel32(matrix.Slice32(aTile), tileM, k, matrix.Slice32(bTile), matrix.Slice32(c), ldc, rows, cols)
+}
+
 // Gemm computes c += a·b from packed operands using the micro-kernel, with
 // the (aTile, bTile) grid distributed across workers. It is the functional
-// model of the paper's native DGEMM: packing plus a grid of TileM×8
-// register-blocked outer products.
-func Gemm(a *A, b *B, c *matrix.Dense, workers int) {
+// model of the paper's native DGEMM and SGEMM: packing plus a grid of
+// TileM×TileN register-blocked outer products.
+func Gemm[T matrix.Float](a *AOf[T], b *BOf[T], c *matrix.Of[T], workers int) {
 	if a.K != b.K || c.Rows != a.M || c.Cols != b.N {
 		panic("pack: Gemm dimension mismatch")
 	}
@@ -324,8 +339,8 @@ func Gemm(a *A, b *B, c *matrix.Dense, workers int) {
 	run := func(j job) {
 		rows := a.TileRows(j.ta)
 		cols := b.TileCols(j.tb)
-		off := j.ta*a.TileM*c.Stride + j.tb*TileN
-		MicroKernel(a.Tile(j.ta), a.TileM, a.K, b.Tile(j.tb), c.Data[off:], c.Stride, rows, cols)
+		off := j.ta*a.TileM*c.Stride + j.tb*TileNOf[T]()
+		Kernel(a.Tile(j.ta), a.TileM, a.K, b.Tile(j.tb), c.Data[off:], c.Stride, rows, cols)
 	}
 	if workers <= 1 || len(jobs) < 2 {
 		for _, j := range jobs {
@@ -365,17 +380,14 @@ func Gemm(a *A, b *B, c *matrix.Dense, workers int) {
 // parallel; folding alpha into the packed panel here makes the micro-
 // kernel's per-element arithmetic (alpha·a)·b identical to the reference
 // loop's.
-func PackATileOp(p *A, src *matrix.Dense, trans bool, alpha float64, k0, t int) {
+func PackATileOp[T matrix.Float](p *AOf[T], src *matrix.Of[T], trans bool, alpha T, k0, t int) {
 	tile := p.Tile(t)
 	rows := p.TileRows(t)
 	base := t * p.TileM
 	tm := p.TileM
 	if rows < tm {
 		for kk := 0; kk < p.K; kk++ {
-			pad := tile[kk*tm+rows : (kk+1)*tm]
-			for i := range pad {
-				pad[i] = 0
-			}
+			clear(tile[kk*tm+rows : (kk+1)*tm])
 		}
 	}
 	if !trans {
@@ -402,21 +414,19 @@ func PackATileOp(p *A, src *matrix.Dense, trans bool, alpha float64, k0, t int) 
 // p.Data; op(src) is src when trans is false and srcᵀ otherwise. Padding
 // columns of a partial right tile are explicitly zeroed, so p.Data may be
 // a recycled buffer. Tiles are independent and safe to pack in parallel.
-func PackBTileOp(p *B, src *matrix.Dense, trans bool, k0, t int) {
+func PackBTileOp[T matrix.Float](p *BOf[T], src *matrix.Of[T], trans bool, k0, t int) {
+	tn := TileNOf[T]()
 	tile := p.Tile(t)
 	cols := p.TileCols(t)
-	base := t * TileN
-	if cols < TileN {
+	base := t * tn
+	if cols < tn {
 		for kk := 0; kk < p.K; kk++ {
-			pad := tile[kk*TileN+cols : (kk+1)*TileN]
-			for j := range pad {
-				pad[j] = 0
-			}
+			clear(tile[kk*tn+cols : (kk+1)*tn])
 		}
 	}
 	if !trans {
 		for kk := 0; kk < p.K; kk++ {
-			copy(tile[kk*TileN:kk*TileN+cols], src.Row(k0 + kk)[base:base+cols])
+			copy(tile[kk*tn:kk*tn+cols], src.Row(k0 + kk)[base:base+cols])
 		}
 		return
 	}
@@ -425,7 +435,7 @@ func PackBTileOp(p *B, src *matrix.Dense, trans bool, k0, t int) {
 	for j := 0; j < cols; j++ {
 		srcRow := src.Row(base + j)[k0 : k0+p.K]
 		for kk, v := range srcRow {
-			tile[kk*TileN+j] = v
+			tile[kk*tn+j] = v
 		}
 	}
 }

@@ -19,10 +19,15 @@ func rand32(n int, seed uint64) []float32 {
 	return out
 }
 
+// dense32 views a flat row-major buffer as a compact rows×cols matrix.
+func dense32(data []float32, rows, cols int) *matrix.Dense32 {
+	return &matrix.Dense32{Rows: rows, Cols: cols, Stride: cols, Data: data}
+}
+
 func TestPackA32Layout(t *testing.T) {
 	m, k := 60, 5
 	a := rand32(m*k, 1)
-	p := pack.PackA32(a, m, k, k, 30)
+	p := pack.PackA(dense32(a, m, k), 30)
 	if p.Tiles() != 2 || p.TileRows(1) != 30 {
 		t.Fatalf("tiles=%d rows=%d", p.Tiles(), p.TileRows(1))
 	}
@@ -32,7 +37,7 @@ func TestPackA32Layout(t *testing.T) {
 	}
 	// Default tile height: the FP32 tile is 32 rows (a multiple of the
 	// 4-row vector block), not the FP64 path's 30.
-	if pack.PackA32(a, m, k, k, 0).TileM != pack.DefaultTileM32 {
+	if pack.PackA(dense32(a, m, k), 0).TileM != pack.DefaultTileM32 {
 		t.Error("default tileM")
 	}
 }
@@ -40,7 +45,7 @@ func TestPackA32Layout(t *testing.T) {
 func TestPackB32Layout(t *testing.T) {
 	k, n := 6, 40
 	b := rand32(k*n, 2)
-	p := pack.PackB32(b, k, n, n)
+	p := pack.PackB(dense32(b, k, n))
 	if p.Tiles() != 3 {
 		t.Fatalf("tiles = %d", p.Tiles())
 	}
@@ -62,7 +67,7 @@ func TestGemm32MatchesSgemm(t *testing.T) {
 		got := rand32(tc.m*tc.n, 9)
 		want := append([]float32(nil), got...)
 
-		pack.Gemm32(pack.PackA32(a, tc.m, tc.k, tc.k, 0), pack.PackB32(b, tc.k, tc.n, tc.n), got, tc.n, 2)
+		pack.Gemm(pack.PackA(dense32(a, tc.m, tc.k), 0), pack.PackB(dense32(b, tc.k, tc.n)), dense32(got, tc.m, tc.n), 2)
 		blas.Sgemm(tc.m, tc.n, tc.k, 1, a, tc.k, b, tc.n, 1, want, tc.n)
 
 		for i := range want {
@@ -74,23 +79,23 @@ func TestGemm32MatchesSgemm(t *testing.T) {
 }
 
 func TestGemm32Panics(t *testing.T) {
-	a := pack.PackA32(rand32(12, 1), 4, 3, 3, 0)
-	b := pack.PackB32(rand32(8, 2), 2, 4, 4) // K mismatch
+	a := pack.PackA(dense32(rand32(12, 1), 4, 3), 0)
+	b := pack.PackB(dense32(rand32(8, 2), 2, 4)) // K mismatch
 	func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected K mismatch panic")
 			}
 		}()
-		pack.Gemm32(a, b, make([]float32, 16), 4, 1)
+		pack.Gemm(a, b, matrix.NewDense32(4, 4), 1)
 	}()
-	b2 := pack.PackB32(rand32(12, 2), 3, 4, 4)
+	b2 := pack.PackB(dense32(rand32(12, 2), 3, 4))
 	defer func() {
 		if recover() == nil {
-			t.Error("expected ldc panic")
+			t.Error("expected C shape panic")
 		}
 	}()
-	pack.Gemm32(a, b2, make([]float32, 16), 2, 1)
+	pack.Gemm(a, b2, matrix.NewDense32(4, 2), 1) // C narrower than B
 }
 
 func TestGemm32Property(t *testing.T) {
@@ -101,7 +106,7 @@ func TestGemm32Property(t *testing.T) {
 		a := rand32(m*k, seed)
 		b := rand32(k*n, seed^5)
 		got := make([]float32, m*n)
-		pack.Gemm32(pack.PackA32(a, m, k, k, 0), pack.PackB32(b, k, n, n), got, n, 3)
+		pack.Gemm(pack.PackA(dense32(a, m, k), 0), pack.PackB(dense32(b, k, n)), dense32(got, m, n), 3)
 		want := make([]float32, m*n)
 		blas.Sgemm(m, n, k, 1, a, k, b, n, 0, want, n)
 		for i := range want {
