@@ -64,13 +64,15 @@ fuzz:
 # race-scalar: the race gate with every assembly kernel disabled — the
 # micro-kernels and the level-1 axpy behind Daxpy/Trsm/Getf2 — so the
 # portable-scalar oracle path of the generic pack and blas code runs under
-# the race detector in both instantiations, then the same packages built
-# with the noasm tag. Both routes are asserted, not assumed:
+# the race detector in both instantiations, and above it both
+# instantiations of the grid driver (grid2d[float64], grid2d[float32]) run
+# their bitwise suites over the pure-Go kernels; then the numeric packages
+# built with the noasm tag. Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
 # reaches assembly. The same leg CI's scalar-oracle job runs.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/... ./internal/dag/...
+	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/...
 	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
 	$(GO) test -tags noasm -timeout 10m ./internal/pack/... ./internal/blas/... ./internal/lu/...
 

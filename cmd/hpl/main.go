@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hpl -real -n 2000 -nb 64 -ranks 4          # real distributed solve (1D)
+//	hpl -real -n 2000 -nb 64 -ranks 4          # real distributed solve on a 1×4 grid
 //	hpl -real -n 768 -nb 32 -p 4 -q 4 -lookahead pipelined -trace out.json -gantt
 //	                                           # real 2D solve, pipeline Gantt
 //	hpl -native -n 1024 -workers 4 -trace out.json -metrics
@@ -58,8 +58,8 @@ const (
 
 	// exitUnsupported shares code 3: the run never started because the
 	// flag combination names a path the solver stack does not implement
-	// (today: -precision mixed with -faults/-ft, -dat, the 1D -ranks
-	// driver, or the hybrid projection). Distinct from exitFailed so
+	// (today: -precision mixed with -faults/-ft, -dat, or the hybrid
+	// projection). Distinct from exitFailed so
 	// harnesses can tell "your request is unsupported" from "your matrix
 	// failed".
 	exitUnsupported = 3
@@ -67,11 +67,11 @@ const (
 
 // mixedUnsupportedMsg returns a non-empty diagnostic when -precision
 // mixed is combined with a path that would silently run FP64. The HPL-MxP
-// ladder covers the -native shared-memory solve and the real 2D
-// distributed drivers (-real with a P×Q grid, p·q > 1); the remaining
+// ladder covers the -native shared-memory solve and the real grid driver
+// (-real on any P×Q grid, -ranks R being the 1×R one); the remaining
 // paths refuse loudly, each naming its own reason and the nearest
 // supported invocation.
-func mixedUnsupportedMsg(native, real, ft, dat bool, p, q int, precision phihpl.PrecisionMode) string {
+func mixedUnsupportedMsg(native, real, ft, dat bool, precision phihpl.PrecisionMode) string {
 	if precision != phihpl.PrecisionMixed || native {
 		return ""
 	}
@@ -84,15 +84,21 @@ func mixedUnsupportedMsg(native, real, ft, dat bool, p, q int, precision phihpl.
 	case dat:
 		return "-precision mixed is not supported with -dat: HPL.dat sweeps run the FP64 drivers — " +
 			"use -real -p P -q Q -precision mixed for a mixed 2D solve"
-	case real && p*q > 1:
-		return "" // the real 2D driver carries the full mixed ladder
 	case real:
-		return "-precision mixed needs a 2D grid: the 1D -ranks driver factors in FP64 only — " +
-			"add -p/-q with p·q > 1, or use -native"
+		return "" // the real grid driver carries the full mixed ladder
 	default:
 		return "-precision mixed has no meaning for the hybrid projection (virtual time prices FP64 " +
 			"GEMMs); use -native or -real -p P -q Q"
 	}
+}
+
+// realGrid returns the process grid of a -real solve: -p/-q when they name
+// more than one process, otherwise the single process row of -ranks.
+func realGrid(p, q, ranks int) (int, int) {
+	if p*q > 1 {
+		return p, q
+	}
+	return 1, ranks
 }
 
 // printRefine reports the mixed-precision phase of a finished solve.
@@ -146,12 +152,12 @@ func main() {
 		nb      = flag.Int("nb", 0, "block size (0 = default: 64 real, 1200 hybrid)")
 		p       = flag.Int("p", 1, "process rows")
 		q       = flag.Int("q", 1, "process columns")
-		ranks   = flag.Int("ranks", 4, "ranks for -real distributed solve")
+		ranks   = flag.Int("ranks", 4, "process columns of a single-row grid for -real when -p/-q are not given")
 		workers = flag.Int("workers", 4, "thread groups for -native")
 		cards   = flag.Int("cards", 1, "coprocessor cards per node (0 = CPU only)")
 		mem     = flag.Int("mem", 64, "host memory per node (GiB)")
 		mode    = flag.String("mode", "pipelined", "look-ahead for the hybrid projection: none | basic | pipelined")
-		lookStr = flag.String("lookahead", "pipelined", "stage schedule for real 2D solves (-real with -p/-q, -dat, -ft): none | basic | pipelined")
+		lookStr = flag.String("lookahead", "pipelined", "stage schedule for real grid solves (-real, -dat, -ft): none | basic | pipelined")
 		seed    = flag.Uint64("seed", 1, "matrix seed for -real/-native")
 		precStr = flag.String("precision", "fp64", "arithmetic for -native: fp64 | mixed (FP32 factorization + FP64 iterative refinement, same residual verdict)")
 
@@ -194,7 +200,7 @@ func main() {
 	}
 	// Refuse, loudly and with a distinct exit code, rather than silently
 	// falling back to FP64 on paths the mixed ladder does not cover yet.
-	if msg := mixedUnsupportedMsg(*native, *real, *faults != "" || *ft, *dat != "", *p, *q, precision); msg != "" {
+	if msg := mixedUnsupportedMsg(*native, *real, *faults != "" || *ft, *dat != "", precision); msg != "" {
 		fmt.Fprintln(os.Stderr, "error:", msg)
 		os.Exit(exitUnsupported)
 	}
@@ -301,21 +307,15 @@ func main() {
 		if bs == 0 {
 			bs = 64
 		}
+		// One driver for every shape: the selected look-ahead schedule and
+		// precision, with per-stage pipeline spans on rec.
+		gp, gq := realGrid(*p, *q, *ranks)
 		start := time.Now()
-		var res phihpl.SolveResult
-		var err error
-		if *p**q > 1 {
-			// A real P×Q grid: the full 2D driver under the selected
-			// look-ahead schedule and precision, with per-stage pipeline
-			// spans on rec.
-			res, err = phihpl.SolveDistributed2DPrecisionCtx(ctx, *n, bs, *p, *q, *seed, lookahead, precision, rec)
-		} else {
-			res, err = phihpl.SolveDistributedCtx(ctx, *n, bs, *ranks, *seed)
-		}
+		res, err := phihpl.SolveDistributed2DPrecisionCtx(ctx, *n, bs, gp, gq, *seed, lookahead, precision, rec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			if code := exitCode(err); code == exitAborted {
-				writeAbortedReport(*n, bs, *p, maxInt(*q, *ranks), time.Since(start).Seconds())
+				writeAbortedReport(*n, bs, gp, gq, time.Since(start).Seconds())
 				finishObservability(rec, *traceOut, *gantt, reg)
 				os.Exit(code)
 			} else {
@@ -327,12 +327,8 @@ func main() {
 		if !res.Passed {
 			status = "FAILED"
 		}
-		if *p**q > 1 {
-			fmt.Printf("N=%d NB=%d grid=%dx%d lookahead=%s %.3fs %.2f GFLOPS\n",
-				*n, bs, *p, *q, lookahead, elapsed, phihpl.LUFlops(*n)/elapsed/1e9)
-		} else {
-			fmt.Printf("N=%d ranks=%d\n", *n, *ranks)
-		}
+		fmt.Printf("N=%d NB=%d grid=%dx%d lookahead=%s %.3fs %.2f GFLOPS\n",
+			*n, bs, gp, gq, lookahead, elapsed, phihpl.LUFlops(*n)/elapsed/1e9)
 		printRefine(res.Refine)
 		fmt.Printf("||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N) = %10.7f ...... %s\n",
 			res.Residual, status)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,31 +9,54 @@ import (
 )
 
 // TestMixedSupportedPaths locks the lifted -precision mixed contract: the
-// native shared-memory solve and the real 2D distributed drivers accept
-// mixed, and fp64 is accepted everywhere.
+// native shared-memory solve and the real grid driver accept mixed on
+// every shape — the guard no longer looks at the grid at all — and fp64 is
+// accepted everywhere.
 func TestMixedSupportedPaths(t *testing.T) {
-	type args struct {
-		native, real, ft, dat bool
-		p, q                  int
-	}
+	type args struct{ native, real, ft, dat bool }
 	for _, tc := range []args{
 		{native: true},           // -native -precision mixed
-		{real: true, p: 2, q: 2}, // -real 2D grid
-		{real: true, p: 1, q: 4}, // any p·q > 1 shape
-		{real: true, p: 4, q: 1}, //
+		{real: true},             // -real on any grid: -p/-q, or -ranks alone
 		{native: true, ft: true}, // -native wins before the FT path is reached
-		{real: true, ft: false, p: 3, q: 2},
 	} {
-		if msg := mixedUnsupportedMsg(tc.native, tc.real, tc.ft, tc.dat, tc.p, tc.q, phihpl.PrecisionMixed); msg != "" {
+		if msg := mixedUnsupportedMsg(tc.native, tc.real, tc.ft, tc.dat, phihpl.PrecisionMixed); msg != "" {
 			t.Errorf("%+v with -precision mixed must be accepted, got %q", tc, msg)
 		}
 	}
 	for _, tc := range []args{
-		{}, {real: true, p: 1, q: 1}, {ft: true, p: 2, q: 2}, {dat: true},
+		{}, {real: true}, {ft: true}, {dat: true},
 	} {
-		if msg := mixedUnsupportedMsg(tc.native, tc.real, tc.ft, tc.dat, tc.p, tc.q, phihpl.PrecisionFP64); msg != "" {
+		if msg := mixedUnsupportedMsg(tc.native, tc.real, tc.ft, tc.dat, phihpl.PrecisionFP64); msg != "" {
 			t.Errorf("%+v with fp64 must be accepted, got %q", tc, msg)
 		}
+	}
+	for _, tc := range []struct{ p, q, ranks, wantP, wantQ int }{
+		{2, 3, 4, 2, 3}, // -p/-q name the grid
+		{1, 4, 9, 1, 4},
+		{4, 1, 9, 4, 1},
+		{1, 1, 3, 1, 3}, // -ranks alone: one process row
+	} {
+		if gp, gq := realGrid(tc.p, tc.q, tc.ranks); gp != tc.wantP || gq != tc.wantQ {
+			t.Errorf("realGrid(%d, %d, %d) = %dx%d, want %dx%d", tc.p, tc.q, tc.ranks, gp, gq, tc.wantP, tc.wantQ)
+		}
+	}
+}
+
+// TestRealRanksMixedSolves: `-real -ranks 3 -precision mixed`, refused
+// while -ranks had a driver of its own, is the grid branch's call on the
+// 1×3 grid — it solves, refines without falling back, and passes.
+func TestRealRanksMixedSolves(t *testing.T) {
+	gp, gq := realGrid(1, 1, 3)
+	res, err := phihpl.SolveDistributed2DPrecisionCtx(context.Background(), 150, 16, gp, gq, 1,
+		phihpl.LookaheadPipelined, phihpl.PrecisionMixed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Passed {
+		t.Errorf("residual %g FAILED", res.Residual)
+	}
+	if res.Refine == nil || res.Refine.FellBack || res.Refine.Iterations < 1 {
+		t.Errorf("refinement report %+v, want FP32 factors refined to the bar", res.Refine)
 	}
 }
 
@@ -44,15 +68,13 @@ func TestMixedUnsupportedGuard(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		real, ft, dat bool
-		p, q          int
 		wants         []string
 	}{
-		{name: "ft", real: true, ft: true, p: 2, q: 2, wants: []string{"-faults/-ft", "ABFT", "FP64"}},
+		{name: "ft", real: true, ft: true, wants: []string{"-faults/-ft", "ABFT", "FP64"}},
 		{name: "dat", dat: true, wants: []string{"-dat", "-real -p P -q Q"}},
-		{name: "real-1d", real: true, p: 1, q: 1, wants: []string{"1D", "-ranks", "-native"}},
 		{name: "projection", wants: []string{"projection", "-native", "-real"}},
 	} {
-		msg := mixedUnsupportedMsg(false, tc.real, tc.ft, tc.dat, tc.p, tc.q, phihpl.PrecisionMixed)
+		msg := mixedUnsupportedMsg(false, tc.real, tc.ft, tc.dat, phihpl.PrecisionMixed)
 		if msg == "" {
 			t.Fatalf("%s: -precision mixed must be refused", tc.name)
 		}

@@ -76,7 +76,7 @@ func SolveDistributedCtx(ctx context.Context, n, nb, ranks int, seed uint64) (So
 	if err != nil {
 		return SolveResult{}, err
 	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n}, nil
+	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
 }
 
 // SolveDistributed2DCtx is SolveDistributed2D under a context (see

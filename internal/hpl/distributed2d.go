@@ -1,3 +1,13 @@
+// Package hpl implements the hybrid High-Performance-Linpack layer of
+// Section V: a functional distributed LU solver running on the in-process
+// cluster fabric (2D block-cyclic blocks on a P×Q process grid, per-stage
+// panel factorization, row swapping, L and U broadcasts and trailing
+// updates under three look-ahead schedules, in FP64 or mixed precision —
+// one grid driver, grid2d[T]), a fault-tolerant variant with ABFT checksum
+// columns and super-step checkpoint/rollback (ft.go), and a virtual-time
+// simulation of the hybrid host+coprocessor implementation with the
+// paper's three look-ahead schemes, which regenerates Figure 9 and
+// Table III.
 package hpl
 
 import (
@@ -12,6 +22,62 @@ import (
 	"phihpl/internal/matrix"
 	"phihpl/internal/trace"
 )
+
+// DistResult is the outcome of a distributed solve.
+type DistResult struct {
+	X        []float64
+	Residual float64
+	Ranks    int
+	Panels   int
+	// Seconds is the wall-clock of the timed phase — factorization
+	// through back-substitution, entered through a barrier — excluding
+	// matrix generation and residual verification, which is the figure
+	// HPL itself reports. Set by the grid driver on rank 0; a mixed solve
+	// that fell back reports the failed FP32 attempt plus the FP64 re-run.
+	Seconds float64
+	// FT carries the fault-tolerance counters of SolveDistributed2DFT
+	// (nil for the plain drivers).
+	FT *FTStats
+	// Refine describes the FP64 iterative-refinement phase of a
+	// mixed-precision 2D solve: step count, final scaled residual, and —
+	// when the FP32 route could not reach the bar — the typed reason the
+	// driver re-ran the FP64 path. Nil for pure-FP64 solves.
+	Refine *lu.MixedReport
+}
+
+// Comm aliases the cluster endpoint for readability.
+type Comm = cluster.Comm
+
+func clampNB(n int) int {
+	nb := 64
+	if nb > n {
+		nb = n
+	}
+	return nb
+}
+
+// SolveDistributed factors and solves the seeded random system A·x = b on
+// `ranks` in-process nodes with 1D block-cyclic column distribution —
+// HPL's structure with a single process row, which is exactly what it
+// runs: the 1×ranks grid of the 2D driver under the pipelined schedule
+// (no row swaps cross a rank, the L broadcast is the per-stage panel
+// broadcast, the U solve is local). The factors are bitwise identical to
+// the sequential blocked algorithm; the returned residual is the HPL
+// check.
+func SolveDistributed(n, nb, ranks int, seed uint64) (DistResult, error) {
+	return SolveDistributedCtx(context.Background(), n, nb, ranks, seed)
+}
+
+// SolveDistributedCtx is SolveDistributed under a context: every rank
+// observes cancellation at its stage boundary, the first rank to return
+// aborts the world (unblocking peers parked on fabric operations), and the
+// caller always sees the plain ctx.Err() once ctx is done.
+func SolveDistributedCtx(ctx context.Context, n, nb, ranks int, seed uint64) (DistResult, error) {
+	if n < 1 || ranks < 1 {
+		return DistResult{}, errors.New("hpl: n and ranks must be positive")
+	}
+	return solve2D(ctx, n, nb, 1, ranks, seed, false, LookaheadPipelined, lu.PrecisionFP64, nil)
+}
 
 // SolveDistributed2D factors and solves the seeded random system on a
 // P×Q process grid with 2D block-cyclic distribution — the full HPL
@@ -76,13 +142,14 @@ func SolveDistributed2DPrecisionCtx(ctx context.Context, n, nb, p, q int, seed u
 	return solve2D(ctx, n, nb, p, q, seed, false, mode, prec, rec)
 }
 
-// solve2D is the shared entry of the plain and hybrid 2D solvers.
-// offloadUpdates routes trailing updates through the offload work-stealing
-// engine; prec selects FP64 throughout or the mixed-precision pipeline
-// (FP32 factorization, FP64 refinement at the root). When the mixed route
-// cannot reach the HPL bar it re-runs the FP64 path in a fresh world,
-// keeping the typed fallback reason — a precision decision, not a fault,
-// so no FT restart budget is involved.
+// solve2D is the shared entry of every grid solver. offloadUpdates routes
+// trailing updates through the offload work-stealing engine; prec selects
+// FP64 throughout or the mixed-precision pipeline (FP32 factorization,
+// FP64 refinement at the root). When the mixed route cannot reach the HPL
+// bar it re-runs the FP64 path in a fresh world, keeping the typed
+// fallback reason — a precision decision, not a fault, so no FT restart
+// budget is involved — and charges the failed attempt's timed phase to the
+// result, so a rate derived from Seconds prices the whole solve.
 func solve2D(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, prec lu.PrecisionMode, rec *trace.Recorder) (DistResult, error) {
 	res, err := solve2DOnce(ctx, n, nb, p, q, seed, offloadUpdates, mode, prec, rec)
 	if err != nil || prec != lu.PrecisionMixed || res.Refine == nil || !res.Refine.FellBack {
@@ -92,11 +159,31 @@ func solve2D(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates b
 	fres, ferr := solve2DOnce(ctx, n, nb, p, q, seed, offloadUpdates, mode, lu.PrecisionFP64, rec)
 	rep.Residual = fres.Residual
 	fres.Refine = rep
+	fres.Seconds += res.Seconds
 	return fres, ferr
 }
 
-// solve2DOnce is the world-construction core: one grid, one solve.
+// solve2DOnce runs one grid, one solve, in the element type prec names.
+// The mixed-precision pipeline is the FP32 instantiation of the grid: every
+// factorization-phase structure — panel gather/factor/scatter, the row
+// swaps, the L and U broadcasts, the packed trailing updates — is the same
+// code over single precision, halving both the wire bytes and the GEMM
+// memory traffic, so every look-ahead mode and grid shape produces bitwise
+// identical FP32 factors by the argument that holds for FP64.
 func solve2DOnce(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, prec lu.PrecisionMode, rec *trace.Recorder) (DistResult, error) {
+	if prec == lu.PrecisionMixed {
+		// The offload engine computes in FP64 only, so a mixed hybrid solve
+		// routes its updates through the FP32 packed host path — the same
+		// crossover as the sequential FP32 factorization, keeping the mixed
+		// solver bitwise identical to it — and keeps the engine for the
+		// FP64 fallback re-run.
+		return solveGrid[float32](ctx, n, nb, p, q, seed, false, mode, rec)
+	}
+	return solveGrid[float64](ctx, n, nb, p, q, seed, offloadUpdates, mode, rec)
+}
+
+// solveGrid is the world-construction core.
+func solveGrid[T matrix.Float](ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, rec *trace.Recorder) (DistResult, error) {
 	if n < 1 || p < 1 || q < 1 {
 		return DistResult{}, errors.New("hpl: n, P and Q must be positive")
 	}
@@ -115,8 +202,8 @@ func solve2DOnce(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdat
 	results := make([]DistResult, p*q)
 	errs := make([]error, p*q)
 	if err := world.Run(func(c *Comm) error {
-		g := &grid2d{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
-			offloadUpdates: offloadUpdates, mode: mode, prec: prec, rec: rec}
+		g := &grid2d[T]{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
+			offloadUpdates: offloadUpdates, mode: mode, rec: rec}
 		g.p, g.q = c.Rank()/q, c.Rank()%q
 		return g.run(seed, results, errs)
 	}); err != nil {
@@ -133,8 +220,10 @@ func solve2DOnce(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdat
 	return results[0], nil
 }
 
-// grid2d is one process of the 2D solver.
-type grid2d struct {
+// grid2d is one process of the grid solver, factoring in element type T.
+// With T = float32 (the mixed-precision pipeline) rank 0 keeps the FP64
+// original beside the grid, for residuals and refinement only.
+type grid2d[T matrix.Float] struct {
 	c          *Comm
 	ctx        context.Context // cancellation, observed at stage boundaries
 	p, q       int             // my grid coordinates
@@ -143,45 +232,30 @@ type grid2d struct {
 	nBlocks    int
 	seed       uint64 // matrix seed, kept for jump-ahead regeneration
 	mode       LookaheadMode
-	prec       lu.PrecisionMode         // element width of the factorization
-	blocks     map[[2]int]*matrix.Dense // owned global blocks (I,J)
+	blocks     map[[2]int]*matrix.Of[T] // owned global blocks (I,J)
 	globalPiv  []int
-	stageL11   *matrix.Dense   // factored diagonal block of this stage
-	stageL21   []*matrix.Dense // block row I -> L21 block (cleared per stage)
-	stageU12   []*matrix.Dense // block col J -> U12 block (cleared per stage)
+	stageL11   *matrix.Of[T]   // factored diagonal block of this stage
+	stageL21   []*matrix.Of[T] // block row I -> L21 block (cleared per stage)
+	stageU12   []*matrix.Of[T] // block col J -> U12 block (cleared per stage)
 	firstError error
 	// offloadUpdates routes trailing updates through the real offload
-	// work-stealing engine (SolveDistributed2DHybrid).
+	// work-stealing engine (SolveDistributed2DHybrid); FP64 grids only.
 	offloadUpdates bool
 
 	// Look-ahead bookkeeping (basic/pipelined schedules).
-	pivots   [][]int                     // eagerly factored stage -> its panel pivots
-	factored []bool                      // panels factored ahead of their stage
-	lSent    []bool                      // stages whose L broadcast was already posted
-	pipe     *pipeline                   // asynchronous trailing-update worker (pipelined)
-	scratch  []float64                   // reusable pack buffer (Send copies payloads)
-	packedL  []*blas.PrepackedA[float64] // per-stage prepacked L21 panels (look-ahead paths)
+	pivots   [][]int               // eagerly factored stage -> its panel pivots
+	factored []bool                // panels factored ahead of their stage
+	lSent    []bool                // stages whose L broadcast was already posted
+	pipe     *pipeline[T]          // asynchronous trailing-update worker (pipelined)
+	scratch  []T                   // reusable pack buffer (sends copy payloads)
+	packedL  []*blas.PrepackedA[T] // per-stage prepacked L21 panels (look-ahead paths)
 	// Reusable pipeJob slices (inline pipeline only, where a job never
 	// outlives its enqueue call).
-	jobBlocks []*matrix.Dense
-	jobLs     []*matrix.Dense
+	jobBlocks []*matrix.Of[T]
+	jobLs     []*matrix.Of[T]
 	jobRows   []int
-	jobPls    []*blas.PrepackedA[float64]
+	jobPls    []*blas.PrepackedA[T]
 	t0        time.Time // start of the timed factor+solve phase
-
-	// Mixed-precision state (prec == lu.PrecisionMixed): the FP32 mirror
-	// of the block map and per-stage operand caches. In mixed mode every
-	// factorization-phase structure lives here and `blocks` stays nil;
-	// rank 0 keeps the FP64 original for residual + refinement only.
-	blocks32    map[[2]int]*matrix.Dense32
-	stageL11v32 *matrix.Dense32
-	stageL21v32 []*matrix.Dense32
-	stageU12v32 []*matrix.Dense32
-	scratch32   []float32
-	packedL32   []*blas.PrepackedA[float32]
-	jobBlocks32 []*matrix.Dense32
-	jobLs32     []*matrix.Dense32
-	jobPls32    []*blas.PrepackedA[float32]
 
 	// hooks let the FT solver ride checksum maintenance on the schedule;
 	// aheadBlocked vetoes eager factorization (super-step boundaries).
@@ -204,13 +278,13 @@ const (
 	tag2dFinal      = 6 << 20
 )
 
-func (g *grid2d) rank(p, q int) int { return p*g.Q + q }
+func (g *grid2d[T]) rank(p, q int) int { return p*g.Q + q }
 
 // owner returns the grid coordinates owning global block (I, J).
-func (g *grid2d) owner(i, j int) (int, int) { return i % g.P, j % g.Q }
+func (g *grid2d[T]) owner(i, j int) (int, int) { return i % g.P, j % g.Q }
 
 // blockDims returns the dimensions of global block (I, J).
-func (g *grid2d) blockDims(i, j int) (rows, cols int) {
+func (g *grid2d[T]) blockDims(i, j int) (rows, cols int) {
 	rows, cols = g.nb, g.nb
 	if (i+1)*g.nb > g.n {
 		rows = g.n - i*g.nb
@@ -221,13 +295,39 @@ func (g *grid2d) blockDims(i, j int) (rows, cols int) {
 	return rows, cols
 }
 
-// scatter generates the seeded system and keeps only owned blocks.
-func (g *grid2d) scatter(seed uint64) (*matrix.Dense, []float64) {
+// mixedTestSystem, when non-nil, replaces the seeded random system in the
+// scatter — a test hook for must-fall-back goldens (ill-conditioned
+// systems the FP32 route cannot solve). The hook must be deterministic:
+// every rank calls it independently and materializes the full system
+// (test-scale only).
+var mixedTestSystem func(n int, seed uint64) (*matrix.Dense, []float64)
+
+// ownBlock is the scatter's per-type leaf: src, a block of the FP64 system,
+// as a block of the grid. An FP32 grid rounds it to single precision
+// (round-to-nearest per element — the demotion that starts HPL-MxP); an
+// FP64 grid keeps the values, copying only when src is a view of a matrix
+// someone else holds.
+func ownBlock[T matrix.Float](src *matrix.Dense, shared bool) *matrix.Of[T] {
+	var blk any = src
+	switch {
+	case !matrix.Is64[T]():
+		blk = src.ToDense32()
+	case shared:
+		blk = src.Clone()
+	}
+	return blk.(*matrix.Of[T])
+}
+
+// scatter generates the seeded system and keeps only owned blocks, in the
+// grid's element type. It returns the FP64 system on rank 0 and nil
+// elsewhere.
+func (g *grid2d[T]) scatter(seed uint64) (*matrix.Dense, []float64) {
 	g.seed = seed
 	// Rank 0 materializes the full system — it checks the final residual
-	// against it. Every other rank jumps the generator straight to its
-	// own block rows (PRNG.Skip) and never allocates the rest of the
-	// matrix; the blocks are bitwise identical either way.
+	// (and, on an FP32 grid, refines) against it. Every other rank jumps
+	// the generator straight to its own block rows (PRNG.Skip) and never
+	// allocates the rest of the matrix; the blocks are bitwise identical
+	// either way, before and after demotion.
 	var full *matrix.Dense
 	var rhs []float64
 	if hook := mixedTestSystem; hook != nil {
@@ -237,15 +337,15 @@ func (g *grid2d) scatter(seed uint64) (*matrix.Dense, []float64) {
 	} else if g.me() == 0 {
 		full, rhs = matrix.RandomSystem(g.n, seed)
 	}
-	g.blocks = make(map[[2]int]*matrix.Dense)
+	g.blocks = make(map[[2]int]*matrix.Of[T])
 	for i := 0; i < g.nBlocks; i++ {
 		for j := 0; j < g.nBlocks; j++ {
 			if op, oq := g.owner(i, j); op == g.p && oq == g.q {
 				r, c := g.blockDims(i, j)
 				if full != nil {
-					g.blocks[[2]int{i, j}] = full.View(i*g.nb, j*g.nb, r, c).Clone()
+					g.blocks[[2]int{i, j}] = ownBlock[T](full.View(i*g.nb, j*g.nb, r, c), true)
 				} else {
-					g.blocks[[2]int{i, j}] = matrix.RandomSubmatrix(g.n, seed, i*g.nb, j*g.nb, r, c)
+					g.blocks[[2]int{i, j}] = ownBlock[T](matrix.RandomSubmatrix(g.n, seed, i*g.nb, j*g.nb, r, c), false)
 				}
 			}
 		}
@@ -257,26 +357,18 @@ func (g *grid2d) scatter(seed uint64) (*matrix.Dense, []float64) {
 	g.pivots = make([][]int, g.nBlocks)
 	g.factored = make([]bool, g.nBlocks)
 	g.lSent = make([]bool, g.nBlocks)
-	g.stageL21 = make([]*matrix.Dense, g.nBlocks)
-	g.stageU12 = make([]*matrix.Dense, g.nBlocks)
-	g.packedL = make([]*blas.PrepackedA[float64], g.nBlocks)
+	g.stageL21 = make([]*matrix.Of[T], g.nBlocks)
+	g.stageU12 = make([]*matrix.Of[T], g.nBlocks)
+	g.packedL = make([]*blas.PrepackedA[T], g.nBlocks)
 	if g.me() != 0 {
 		full, rhs = nil, nil // hook path: only the root verifies
 	}
 	return full, rhs
 }
 
-// clearDense nils a reused per-stage block index in place — cheaper per
-// stage than reallocating a map.
-func clearDense(s []*matrix.Dense) {
-	for i := range s {
-		s[i] = nil
-	}
-}
-
 // stage runs one iteration of the outer factorization loop under the
 // grid's look-ahead schedule.
-func (g *grid2d) stage(k int) error {
+func (g *grid2d[T]) stage(k int) error {
 	switch g.mode {
 	case LookaheadBasic:
 		return g.stageBasic(k)
@@ -289,7 +381,7 @@ func (g *grid2d) stage(k int) error {
 
 // stageNone is the fully synchronous bulk schedule — the seed behavior,
 // message for message.
-func (g *grid2d) stageNone(k int) error {
+func (g *grid2d[T]) stageNone(k int) error {
 	ts := g.rec.Start()
 	piv, err := g.factorPanel(k)
 	if err != nil {
@@ -325,14 +417,8 @@ func (g *grid2d) stageNone(k int) error {
 	return g.hookAfterUpdate(k)
 }
 
-func (g *grid2d) run(seed uint64, results []DistResult, errs []error) error {
-	var full *matrix.Dense
-	var rhs []float64
-	if g.mixed() {
-		full, rhs = g.scatter32(seed)
-	} else {
-		full, rhs = g.scatter(seed)
-	}
+func (g *grid2d[T]) run(seed uint64, results []DistResult, errs []error) error {
+	full, rhs := g.scatter(seed)
 	// HPL times the solve proper: all ranks sync here so generation cost
 	// can't leak into any rank's factorization phase.
 	if err := g.c.Barrier(); err != nil {
@@ -359,20 +445,25 @@ func (g *grid2d) run(seed uint64, results []DistResult, errs []error) error {
 }
 
 // ctxErr reports the grid's cancellation state (nil ctx: never cancelled).
-func (g *grid2d) ctxErr() error {
+func (g *grid2d[T]) ctxErr() error {
 	if g.ctx == nil {
 		return nil
 	}
 	return g.ctx.Err()
 }
 
+// ctxOrBG returns the grid's context, never nil.
+func (g *grid2d[T]) ctxOrBG() context.Context {
+	if g.ctx == nil {
+		return context.Background()
+	}
+	return g.ctx
+}
+
 // factorPanel gathers block column k (rows k*nb..n) on the diagonal owner,
 // factors it, scatters the factored segments back, and broadcasts the
 // panel-relative pivots to the whole grid. Returns the pivots.
-func (g *grid2d) factorPanel(k int) ([]int, error) {
-	if g.mixed() {
-		return g.factorPanel32(k)
-	}
+func (g *grid2d[T]) factorPanel(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
 	root := g.rank(rootP, rootQ)
 	_, w := g.blockDims(k, k)
@@ -380,10 +471,10 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 
 	inPanelColumn := g.q == rootQ
 	// Send owned segments up to the root (ascending block row).
-	if inPanelColumn && g.rank(g.p, g.q) != root {
+	if inPanelColumn && g.me() != root {
 		for i := k; i < g.nBlocks; i++ {
 			if op, _ := g.owner(i, k); op == g.p {
-				if err := g.c.Send(root, tag2dGatherBase+k*g.nBlocks+i, flatten(g.blocks[[2]int{i, k}]), nil); err != nil {
+				if err := g.send(root, tag2dGatherBase+k*g.nBlocks+i, flatten(g.blocks[[2]int{i, k}]), nil); err != nil {
 					return nil, err
 				}
 			}
@@ -391,19 +482,19 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 	}
 
 	var piv []int
-	if g.rank(g.p, g.q) == root {
-		panel := matrix.NewDense(panelRows, w)
+	if g.me() == root {
+		panel := matrix.New[T](panelRows, w)
 		for i := k; i < g.nBlocks; i++ {
 			r, _ := g.blockDims(i, k)
 			dst := panel.View(i*g.nb-k*g.nb, 0, r, w)
 			if op, _ := g.owner(i, k); op == g.p {
 				dst.CopyFrom(g.blocks[[2]int{i, k}])
 			} else {
-				msg, err := g.c.Recv(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i)
+				f, _, err := g.recv(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i)
 				if err != nil {
 					return nil, err
 				}
-				seg, err := unflatten(msg.F, r, w)
+				seg, err := unflatten(f, r, w)
 				if err != nil {
 					return nil, err
 				}
@@ -411,7 +502,7 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 			}
 		}
 		piv = make([]int, w)
-		if err := blas.Dgetf2(panel, piv); err != nil && g.firstError == nil {
+		if err := blas.Getf2(panel, piv); err != nil && g.firstError == nil {
 			g.firstError = blas.OffsetSingular(err, k*g.nb)
 		}
 		// Scatter factored segments back.
@@ -421,7 +512,7 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 			if op, _ := g.owner(i, k); op == g.p {
 				g.blocks[[2]int{i, k}].CopyFrom(seg)
 			} else {
-				if err := g.c.Send(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i, flatten(seg), nil); err != nil {
+				if err := g.send(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i, flatten(seg), nil); err != nil {
 					return nil, err
 				}
 			}
@@ -430,11 +521,11 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 		for i := k; i < g.nBlocks; i++ {
 			if op, _ := g.owner(i, k); op == g.p {
 				r, _ := g.blockDims(i, k)
-				msg, err := g.c.Recv(root, tag2dGatherBase+k*g.nBlocks+i)
+				f, _, err := g.recv(root, tag2dGatherBase+k*g.nBlocks+i)
 				if err != nil {
 					return nil, err
 				}
-				seg, err := unflatten(msg.F, r, w)
+				seg, err := unflatten(f, r, w)
 				if err != nil {
 					return nil, err
 				}
@@ -444,7 +535,7 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 	}
 
 	// Pivot broadcast to the whole grid (root-sequential fan-out).
-	if g.rank(g.p, g.q) == root {
+	if g.me() == root {
 		for r := 0; r < g.P*g.Q; r++ {
 			if r != root {
 				if err := g.c.Send(r, tag2dPivBase+k, nil, piv); err != nil {
@@ -462,20 +553,14 @@ func (g *grid2d) factorPanel(k int) ([]int, error) {
 	if len(piv) != w {
 		return nil, fmt.Errorf("hpl: stage %d pivot payload has %d entries, want %d", k, len(piv), w)
 	}
-
-	// Record global pivots.
-	for j, pv := range piv {
-		r1 := k*g.nb + j
-		r2 := k*g.nb + pv
-		g.globalPiv[r1] = r2
-	}
+	g.recordPivots(k, piv)
 	return piv, nil
 }
 
 // swapRows applies the stage's pivot swaps to every block column except
 // the already-swapped panel column k. Rows on different process rows
 // exchange segments; same-process swaps are local.
-func (g *grid2d) swapRows(k int, piv []int) error {
+func (g *grid2d[T]) swapRows(k int, piv []int) error {
 	for j, pv := range piv {
 		r1 := k*g.nb + j
 		r2 := k*g.nb + pv
@@ -500,10 +585,7 @@ func (g *grid2d) swapRows(k int, piv []int) error {
 }
 
 // swapOne exchanges one row pair within block column jb.
-func (g *grid2d) swapOne(k, j, jb, r1, r2, i1, i2, p1, p2 int) error {
-	if g.mixed() {
-		return g.swapOne32(k, j, jb, r1, r2, i1, i2, p1, p2)
-	}
+func (g *grid2d[T]) swapOne(k, j, jb, r1, r2, i1, i2, p1, p2 int) error {
 	tag := tag2dSwapBase + (k*g.nb+j)*g.nBlocks + jb
 	switch {
 	case p1 == g.p && p2 == g.p:
@@ -516,70 +598,59 @@ func (g *grid2d) swapOne(k, j, jb, r1, r2, i1, i2, p1, p2 int) error {
 			row1[x], row2[x] = row2[x], row1[x]
 		}
 	case p1 == g.p:
-		b := g.blocks[[2]int{i1, jb}]
-		row := b.Row(r1 % g.nb)
-		if err := g.c.Send(g.rank(p2, g.q), tag, row, nil); err != nil {
-			return err
-		}
-		msg, err := g.c.Recv(g.rank(p2, g.q), tag)
-		if err != nil {
-			return err
-		}
-		if len(msg.F) != len(row) {
-			return fmt.Errorf("hpl: swap row payload %d != %d", len(msg.F), len(row))
-		}
-		copy(row, msg.F)
+		return g.swapWith(g.rank(p2, g.q), tag, g.blocks[[2]int{i1, jb}].Row(r1%g.nb))
 	case p2 == g.p:
-		b := g.blocks[[2]int{i2, jb}]
-		row := b.Row(r2 % g.nb)
-		if err := g.c.Send(g.rank(p1, g.q), tag, row, nil); err != nil {
-			return err
-		}
-		msg, err := g.c.Recv(g.rank(p1, g.q), tag)
-		if err != nil {
-			return err
-		}
-		if len(msg.F) != len(row) {
-			return fmt.Errorf("hpl: swap row payload %d != %d", len(msg.F), len(row))
-		}
-		copy(row, msg.F)
+		return g.swapWith(g.rank(p1, g.q), tag, g.blocks[[2]int{i2, jb}].Row(r2%g.nb))
 	}
+	return nil
+}
+
+// swapWith trades row for the peer's row of the same pivot pair.
+func (g *grid2d[T]) swapWith(peer, tag int, row []T) error {
+	if err := g.send(peer, tag, row, nil); err != nil {
+		return err
+	}
+	f, _, err := g.recv(peer, tag)
+	if err != nil {
+		return err
+	}
+	if len(f) != len(row) {
+		return fmt.Errorf("hpl: swap row payload %d != %d", len(f), len(row))
+	}
+	copy(row, f)
 	return nil
 }
 
 // broadcastL sends the factored panel blocks along process rows: the
 // diagonal block (k,k) to row rootP's processes, and each L21 block (I,k)
 // to the processes of row I%P. Receivers stash them for the update.
-func (g *grid2d) broadcastL(k int) error {
-	if g.mixed() {
-		return g.broadcastL32(k)
-	}
+func (g *grid2d[T]) broadcastL(k int) error {
 	rootP, rootQ := g.owner(k, k)
 	g.stageL11 = nil
-	clearDense(g.stageL21)
+	clear(g.stageL21)
 
 	for i := k; i < g.nBlocks; i++ {
 		op := i % g.P
 		if op != g.p {
 			continue // this block's row bcast happens on another process row
 		}
-		var blk *matrix.Dense
+		var blk *matrix.Of[T]
 		if g.q == rootQ {
 			blk = g.blocks[[2]int{i, k}]
 			for qq := 0; qq < g.Q; qq++ {
 				if qq != g.q {
-					if err := g.c.Send(g.rank(g.p, qq), tag2dLBase+k*g.nBlocks+i, flatten(blk), nil); err != nil {
+					if err := g.send(g.rank(g.p, qq), tag2dLBase+k*g.nBlocks+i, flatten(blk), nil); err != nil {
 						return err
 					}
 				}
 			}
 		} else {
 			r, c := g.blockDims(i, k)
-			msg, err := g.c.Recv(g.rank(g.p, rootQ), tag2dLBase+k*g.nBlocks+i)
+			f, _, err := g.recv(g.rank(g.p, rootQ), tag2dLBase+k*g.nBlocks+i)
 			if err != nil {
 				return err
 			}
-			if blk, err = unflatten(msg.F, r, c); err != nil {
+			if blk, err = unflatten(f, r, c); err != nil {
 				return err
 			}
 		}
@@ -596,36 +667,33 @@ func (g *grid2d) broadcastL(k int) error {
 
 // solveAndBroadcastU computes U12 on the pivot process row and broadcasts
 // each U block down its process column.
-func (g *grid2d) solveAndBroadcastU(k int) error {
-	if g.mixed() {
-		return g.solveAndBroadcastU32(k)
-	}
+func (g *grid2d[T]) solveAndBroadcastU(k int) error {
 	rootP, _ := g.owner(k, k)
-	clearDense(g.stageU12)
+	clear(g.stageU12)
 
 	for j := k + 1; j < g.nBlocks; j++ {
 		_, oq := g.owner(k, j)
 		if oq != g.q {
 			continue
 		}
-		var u *matrix.Dense
+		var u *matrix.Of[T]
 		if g.p == rootP {
 			u = g.blocks[[2]int{k, j}]
-			blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
+			blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
 			for pp := 0; pp < g.P; pp++ {
 				if pp != g.p {
-					if err := g.c.Send(g.rank(pp, g.q), tag2dUBase+k*g.nBlocks+j, flatten(u), nil); err != nil {
+					if err := g.send(g.rank(pp, g.q), tag2dUBase+k*g.nBlocks+j, flatten(u), nil); err != nil {
 						return err
 					}
 				}
 			}
 		} else {
 			r, c := g.blockDims(k, j)
-			msg, err := g.c.Recv(g.rank(rootP, g.q), tag2dUBase+k*g.nBlocks+j)
+			f, _, err := g.recv(g.rank(rootP, g.q), tag2dUBase+k*g.nBlocks+j)
 			if err != nil {
 				return err
 			}
-			if u, err = unflatten(msg.F, r, c); err != nil {
+			if u, err = unflatten(f, r, c); err != nil {
 				return err
 			}
 		}
@@ -635,10 +703,7 @@ func (g *grid2d) solveAndBroadcastU(k int) error {
 }
 
 // update applies A(I,J) -= L21(I)·U12(J) to every owned trailing block.
-func (g *grid2d) update(k int) error {
-	if g.mixed() {
-		return g.update32(k)
-	}
+func (g *grid2d[T]) update(k int) error {
 	for ij, blk := range g.blocks {
 		i, j := ij[0], ij[1]
 		if i <= k || j <= k {
@@ -655,8 +720,8 @@ func (g *grid2d) update(k int) error {
 				return err
 			}
 		} else {
-			// Same crossover as the sequential Dgetrf trailing update (k
-			// decides alone), so the 2D solver stays bitwise identical to
+			// Same crossover as the sequential Getrf trailing update (k
+			// decides alone), so the grid solver stays bitwise identical to
 			// the sequential blocked algorithm.
 			blas.RankKUpdate(l, u, blk, 1)
 		}
@@ -664,17 +729,22 @@ func (g *grid2d) update(k int) error {
 	return nil
 }
 
-// gatherAndSolve assembles the factored matrix on rank 0, solves, and
-// checks the residual.
-func (g *grid2d) gatherAndSolve(full *matrix.Dense, rhs []float64, results []DistResult, errs []error) error {
+// elapsed is the timed phase so far (zero when the driver opened none).
+func (g *grid2d[T]) elapsed() float64 {
+	if g.t0.IsZero() {
+		return 0
+	}
+	return time.Since(g.t0).Seconds()
+}
+
+// gatherAndSolve assembles the factored matrix on rank 0 and hands it to
+// the precision's root tail: solve and check the residual in FP64, refine
+// against the FP64 original in mixed precision.
+func (g *grid2d[T]) gatherAndSolve(full *matrix.Dense, rhs []float64, results []DistResult, errs []error) error {
 	if err := g.drainPipe(); err != nil {
 		return err
 	}
-	if g.mixed() {
-		return g.gatherAndSolve32(full, rhs, results, errs)
-	}
-	me := g.rank(g.p, g.q)
-	if me != 0 {
+	if g.me() != 0 {
 		// One packed message per rank: every owned block in ascending
 		// (i, j) order, plus the singularity flag — not one message per
 		// block, which is what used to force the per-link buffers to
@@ -690,17 +760,17 @@ func (g *grid2d) gatherAndSolve(full *matrix.Dense, rhs []float64, results []Dis
 			}
 		}
 		g.scratch = buf[:0]
-		return g.c.Send(0, tag2dFinal, buf, singularFlag(g.firstError))
+		return g.send(0, tag2dFinal, buf, singularFlag(g.firstError))
 	}
 
-	lu := matrix.NewDense(g.n, g.n)
+	factors := matrix.New[T](g.n, g.n)
 	for ij, blk := range g.blocks {
 		r, c := g.blockDims(ij[0], ij[1])
-		lu.View(ij[0]*g.nb, ij[1]*g.nb, r, c).CopyFrom(blk)
+		factors.View(ij[0]*g.nb, ij[1]*g.nb, r, c).CopyFrom(blk)
 	}
 	firstErr := g.firstError
 	for rk := 1; rk < g.P*g.Q; rk++ {
-		msg, err := g.c.Recv(rk, tag2dFinal)
+		f, flag, err := g.recv(rk, tag2dFinal)
 		if err != nil {
 			return err
 		}
@@ -711,36 +781,64 @@ func (g *grid2d) gatherAndSolve(full *matrix.Dense, rhs []float64, results []Dis
 					continue
 				}
 				r, c := g.blockDims(i, j)
-				if off+r*c > len(msg.F) {
+				if off+r*c > len(f) {
 					return fmt.Errorf("hpl: rank %d final payload truncated at block (%d,%d)", rk, i, j)
 				}
-				dst := lu.View(i*g.nb, j*g.nb, r, c)
+				dst := factors.View(i*g.nb, j*g.nb, r, c)
 				for y := 0; y < r; y++ {
-					copy(dst.Row(y), msg.F[off:off+c])
+					copy(dst.Row(y), f[off:off+c])
 					off += c
 				}
 			}
 		}
-		if off != len(msg.F) {
-			return fmt.Errorf("hpl: rank %d final payload %d != %d", rk, len(msg.F), off)
+		if off != len(f) {
+			return fmt.Errorf("hpl: rank %d final payload %d != %d", rk, len(f), off)
 		}
-		if e := singularFromFlag(msg.I); e != nil && firstErr == nil {
+		if e := singularFromFlag(flag); e != nil && firstErr == nil {
 			firstErr = e
 		}
 	}
 
-	x := blas.LUSolve(lu, g.globalPiv, rhs)
-	var secs float64
-	if !g.t0.IsZero() {
-		secs = time.Since(g.t0).Seconds()
+	res := DistResult{Ranks: g.P * g.Q, Panels: g.nBlocks}
+	if !matrix.Is64[T]() {
+		var err error
+		results[0], err = g.refineRoot(res, factors.As32(), firstErr, full, rhs)
+		return err
 	}
-	results[0] = DistResult{
-		X:        x,
-		Residual: matrix.Residual(full, x, rhs),
-		Ranks:    g.P * g.Q,
-		Panels:   g.nBlocks,
-		Seconds:  secs,
-	}
+	res.X = blas.LUSolve(factors, g.globalPiv, rhs)
+	res.Seconds = g.elapsed()
+	res.Residual = matrix.Residual(full, res.X, rhs)
+	results[0] = res
 	errs[0] = firstErr
 	return nil
+}
+
+// refineRoot is the root tail of an FP32 grid: the FP64 refinement ladder
+// against the gathered single-precision factors. A route they cannot
+// finish — singular in single precision, stalled refinement, non-finite
+// iterate — is reported through DistResult.Refine with the attempt's timed
+// phase; the solve2D wrapper then re-runs the FP64 path in a fresh world
+// (no FT restart is burned: the fallback is a precision decision, not a
+// fault).
+func (g *grid2d[T]) refineRoot(res DistResult, lu32 *matrix.Dense32, firstErr error, full *matrix.Dense, rhs []float64) (DistResult, error) {
+	if firstErr != nil {
+		// Zero/subnormal pivot in FP32 — the matrix may still factor fine
+		// in FP64, so this is a fallback trigger, not a terminal error.
+		res.Refine = &lu.MixedReport{FellBack: true, Reason: lu.FallbackSingular}
+		res.Seconds = g.elapsed()
+		return res, nil
+	}
+	x, resid, iters, why, err := lu.RefineMixed(g.ctxOrBG(), full, lu32, g.globalPiv, rhs, g.rec)
+	if err != nil {
+		return DistResult{}, err
+	}
+	res.Seconds = g.elapsed()
+	if why != lu.FallbackNone {
+		res.Refine = &lu.MixedReport{Iterations: iters, FellBack: true, Reason: why}
+		return res, nil
+	}
+	res.X = x
+	res.Residual = resid
+	res.Refine = &lu.MixedReport{Iterations: iters, Residual: resid}
+	return res, nil
 }

@@ -177,7 +177,7 @@ func SolveDistributed2DFTCtx(ctx context.Context, n, nb, p, q int, seed uint64, 
 		prof := make([]StageProfile, 0, nBlocks)
 
 		runErr := world.Run(func(c *Comm) error {
-			g2 := &grid2d{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
+			g2 := &grid2d[float64]{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
 				mode: cfg.Lookahead, rec: cfg.Trace}
 			g2.p, g2.q = c.Rank()/q, c.Rank()%q
 			f := &ftGrid{
@@ -229,7 +229,7 @@ func SolveDistributed2DFTCtx(ctx context.Context, n, nb, p, q int, seed uint64, 
 // C2(I) = Σ_J (J+1)·A(I,J)·S_J (S_J embeds ragged blocks into width nb),
 // owned by process column cq as a virtual block column J = nBlocks.
 type ftGrid struct {
-	*grid2d
+	*grid2d[float64]
 	in      *fault.Injector
 	store   *ftStore
 	cfg     FTConfig

@@ -29,6 +29,9 @@ func TestSolveDistributedResidual(t *testing.T) {
 		if len(r.X) != tc.n || r.Ranks != tc.ranks {
 			t.Errorf("%+v: bad result metadata %+v", tc, r)
 		}
+		if r.Seconds <= 0 {
+			t.Errorf("%+v: timed phase not reported (Seconds = %g)", tc, r.Seconds)
+		}
 	}
 }
 

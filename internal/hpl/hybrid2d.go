@@ -60,11 +60,13 @@ func SolveDistributed2DHybridPrecisionCtx(ctx context.Context, n, nb, p, q int, 
 }
 
 // offloadUpdate computes blk -= l·u through the work-stealing engine,
-// propagating ctx into the engine (nil ctx means run to completion).
-func offloadUpdate(ctx context.Context, l, u, blk *matrix.Dense) error {
+// propagating ctx into the engine (nil ctx means run to completion). The
+// engine computes in FP64 only: an FP32 grid never routes an update here
+// (solve2DOnce), and As64 refuses one that would.
+func offloadUpdate[T matrix.Float](ctx context.Context, l, u, blk *matrix.Of[T]) error {
 	// C += (-L)·U: negate a copy of L once; tiles sized for a card+host
 	// split even on small blocks.
-	negL := l.Clone()
+	negL := l.As64().Clone()
 	for i := 0; i < negL.Rows; i++ {
 		row := negL.Row(i)
 		for j := range row {
@@ -76,7 +78,7 @@ func offloadUpdate(ctx context.Context, l, u, blk *matrix.Dense) error {
 	}
 	mt := blk.Rows/2 + 1
 	nt := blk.Cols/2 + 1
-	_, err := offload.ComputeCtx(ctx, negL, u, blk, offload.RealConfig{
+	_, err := offload.ComputeCtx(ctx, negL, u.As64(), blk.As64(), offload.RealConfig{
 		Mt: mt, Nt: nt, CardWorkers: 1, HostWorkers: 1,
 	})
 	return err

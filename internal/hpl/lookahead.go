@@ -88,31 +88,31 @@ type stageHooks interface {
 	afterUpdate(k int) error
 }
 
-func (g *grid2d) hookAfterSwaps(k int, piv []int) error {
+func (g *grid2d[T]) hookAfterSwaps(k int, piv []int) error {
 	if g.hooks == nil {
 		return nil
 	}
 	return g.hooks.afterSwaps(k, piv)
 }
 
-func (g *grid2d) hookAfterL(k int) error {
+func (g *grid2d[T]) hookAfterL(k int) error {
 	if g.hooks == nil {
 		return nil
 	}
 	return g.hooks.afterL(k)
 }
 
-func (g *grid2d) hookAfterUpdate(k int) error {
+func (g *grid2d[T]) hookAfterUpdate(k int) error {
 	if g.hooks == nil {
 		return nil
 	}
 	return g.hooks.afterUpdate(k)
 }
 
-func (g *grid2d) me() int { return g.rank(g.p, g.q) }
+func (g *grid2d[T]) me() int { return g.rank(g.p, g.q) }
 
 // tspan records one protocol-phase trace span for this rank.
-func (g *grid2d) tspan(name string, k int, ts float64) {
+func (g *grid2d[T]) tspan(name string, k int, ts float64) {
 	g.rec.Since(g.me(), name, k, ts)
 }
 
@@ -120,7 +120,7 @@ func (g *grid2d) tspan(name string, k int, ts float64) {
 // the current stage. The FT solver blocks look-ahead across super-step
 // boundaries so verification and checkpoints always see an untouched
 // next panel.
-func (g *grid2d) aheadOK(next int) bool {
+func (g *grid2d[T]) aheadOK(next int) bool {
 	if g.mode == LookaheadNone || next >= g.nBlocks {
 		return false
 	}
@@ -132,7 +132,7 @@ func (g *grid2d) aheadOK(next int) bool {
 
 // recordPivots folds the stage's panel-relative pivots into the global
 // pivot vector.
-func (g *grid2d) recordPivots(k int, piv []int) {
+func (g *grid2d[T]) recordPivots(k int, piv []int) {
 	for j, pv := range piv {
 		g.globalPiv[k*g.nb+j] = k*g.nb + pv
 	}
@@ -140,7 +140,7 @@ func (g *grid2d) recordPivots(k int, piv []int) {
 
 // panelSegs returns the block rows of panel k owned by this process row
 // and their total flattened length.
-func (g *grid2d) panelSegs(k int) (mine []int, total int) {
+func (g *grid2d[T]) panelSegs(k int) (mine []int, total int) {
 	_, w := g.blockDims(k, k)
 	for i := k; i < g.nBlocks; i++ {
 		if i%g.P == g.p {
@@ -159,7 +159,7 @@ func (g *grid2d) panelSegs(k int) (mine []int, total int) {
 // pivot receive remains (the factored segments already sit in place on
 // their owners); otherwise the full synchronous batched factorization
 // runs.
-func (g *grid2d) ensureFactored(k int) ([]int, error) {
+func (g *grid2d[T]) ensureFactored(k int) ([]int, error) {
 	if !g.factored[k] {
 		return g.factorPanelBatched(k)
 	}
@@ -185,7 +185,7 @@ func (g *grid2d) ensureFactored(k int) ([]int, error) {
 // factorPanelBatched is the synchronous batched panel factorization:
 // gather/factor/scatter over one message per rank pair, then the flat
 // pivot fan-out consumed immediately by every rank.
-func (g *grid2d) factorPanelBatched(k int) ([]int, error) {
+func (g *grid2d[T]) factorPanelBatched(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
 	root := g.rank(rootP, rootQ)
 	piv, err := g.factorPanelCore(k)
@@ -218,10 +218,7 @@ func (g *grid2d) factorPanelBatched(k int) ([]int, error) {
 // per source rank, factors it, and scatters the factored segments back
 // in one message per destination rank. Only panel-column ranks
 // participate; the root returns the pivots, everyone else nil.
-func (g *grid2d) factorPanelCore(k int) ([]int, error) {
-	if g.mixed() {
-		return g.factorPanelCore32(k)
-	}
+func (g *grid2d[T]) factorPanelCore(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
 	root := g.rank(rootP, rootQ)
 	if g.q != rootQ {
@@ -234,24 +231,24 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 		if total == 0 {
 			return nil, nil
 		}
-		buf := make([]float64, 0, total)
+		buf := make([]T, 0, total)
 		for _, i := range mine {
 			buf = append(buf, flatten(g.blocks[[2]int{i, k}])...)
 		}
-		if err := g.c.Send(root, tag2dGatherBase+k, buf, nil); err != nil {
+		if err := g.send(root, tag2dGatherBase+k, buf, nil); err != nil {
 			return nil, err
 		}
-		msg, err := g.c.Recv(root, tag2dGatherBase+k)
+		f, _, err := g.recv(root, tag2dGatherBase+k)
 		if err != nil {
 			return nil, err
 		}
-		if len(msg.F) != total {
-			return nil, fmt.Errorf("hpl: stage %d factored panel payload %d != %d", k, len(msg.F), total)
+		if len(f) != total {
+			return nil, fmt.Errorf("hpl: stage %d factored panel payload %d != %d", k, len(f), total)
 		}
 		off := 0
 		for _, i := range mine {
 			r, _ := g.blockDims(i, k)
-			seg, err := unflatten(msg.F[off:off+r*w], r, w)
+			seg, err := unflatten(f[off:off+r*w], r, w)
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +261,7 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 	// Root: assemble the panel from local blocks plus one message per
 	// contributing process row, factor, scatter back.
 	panelRows := g.n - k*g.nb
-	panel := matrix.NewDense(panelRows, w)
+	panel := matrix.New[T](panelRows, w)
 	for pp := 0; pp < g.P; pp++ {
 		var rows []int
 		rowTotal := 0
@@ -285,17 +282,17 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 			}
 			continue
 		}
-		msg, err := g.c.Recv(g.rank(pp, rootQ), tag2dGatherBase+k)
+		f, _, err := g.recv(g.rank(pp, rootQ), tag2dGatherBase+k)
 		if err != nil {
 			return nil, err
 		}
-		if len(msg.F) != rowTotal {
-			return nil, fmt.Errorf("hpl: stage %d gathered panel payload %d != %d", k, len(msg.F), rowTotal)
+		if len(f) != rowTotal {
+			return nil, fmt.Errorf("hpl: stage %d gathered panel payload %d != %d", k, len(f), rowTotal)
 		}
 		off := 0
 		for _, i := range rows {
 			r, _ := g.blockDims(i, k)
-			seg, err := unflatten(msg.F[off:off+r*w], r, w)
+			seg, err := unflatten(f[off:off+r*w], r, w)
 			if err != nil {
 				return nil, err
 			}
@@ -304,7 +301,7 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 		}
 	}
 	piv := make([]int, w)
-	if err := blas.Dgetf2(panel, piv); err != nil && g.firstError == nil {
+	if err := blas.Getf2(panel, piv); err != nil && g.firstError == nil {
 		g.firstError = blas.OffsetSingular(err, k*g.nb)
 	}
 	for pp := 0; pp < g.P; pp++ {
@@ -327,12 +324,12 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 			}
 			continue
 		}
-		buf := make([]float64, 0, rowTotal)
+		buf := make([]T, 0, rowTotal)
 		for _, i := range rows {
 			r, _ := g.blockDims(i, k)
 			buf = append(buf, flatten(panel.View((i-k)*g.nb, 0, r, w))...)
 		}
-		if err := g.c.Send(g.rank(pp, rootQ), tag2dGatherBase+k, buf, nil); err != nil {
+		if err := g.send(g.rank(pp, rootQ), tag2dGatherBase+k, buf, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -345,7 +342,7 @@ func (g *grid2d) factorPanelCore(k int) ([]int, error) {
 // to the root FIFO-clean). Every rank marks the panel factored — the
 // predicate is a pure function of the schedule, so the grid stays in
 // lockstep without communication.
-func (g *grid2d) eagerFactor(next int) error {
+func (g *grid2d[T]) eagerFactor(next int) error {
 	rootP, rootQ := g.owner(next, next)
 	root := g.rank(rootP, rootQ)
 	if g.q == rootQ {
@@ -370,7 +367,7 @@ func (g *grid2d) eagerFactor(next int) error {
 // eagerPivotSendParticipants posts the pivots of an eagerly factored
 // panel to its panel-column participants (they receive inside
 // eagerFactor, at the same schedule point).
-func (g *grid2d) eagerPivotSendParticipants(next int) error {
+func (g *grid2d[T]) eagerPivotSendParticipants(next int) error {
 	rootP, rootQ := g.owner(next, next)
 	root := g.rank(rootP, rootQ)
 	if g.me() != root {
@@ -392,7 +389,7 @@ func (g *grid2d) eagerPivotSendParticipants(next int) error {
 // last sends: any earlier, and a later same-stage message from the root
 // to a non-participant would queue behind pivots that rank only consumes
 // next stage, breaking the link's FIFO order.
-func (g *grid2d) eagerPivotFanout(next int) error {
+func (g *grid2d[T]) eagerPivotFanout(next int) error {
 	rootP, rootQ := g.owner(next, next)
 	root := g.rank(rootP, rootQ)
 	if g.me() != root {
@@ -415,10 +412,7 @@ func (g *grid2d) eagerPivotFanout(next int) error {
 // sendLRoot posts this rank's batched L payload for stage k to its
 // binomial-tree children along the process row (one message per tree
 // edge instead of one per block per peer).
-func (g *grid2d) sendLRoot(k int) error {
-	if g.mixed() {
-		return g.sendLRoot32(k)
-	}
+func (g *grid2d[T]) sendLRoot(k int) error {
 	_, rootQ := g.owner(k, k)
 	g.lSent[k] = true
 	if g.Q == 1 {
@@ -438,7 +432,7 @@ func (g *grid2d) sendLRoot(k int) error {
 	g.scratch = buf[:0]
 	_, children := cluster.BcastTree(g.Q, rootQ, g.q)
 	for _, cq := range children {
-		if err := g.c.Send(g.rank(g.p, cq), tag2dLBase+k, buf, nil); err != nil {
+		if err := g.send(g.rank(g.p, cq), tag2dLBase+k, buf, nil); err != nil {
 			return err
 		}
 	}
@@ -451,13 +445,10 @@ func (g *grid2d) sendLRoot(k int) error {
 // relays it onward bitwise. In pipelined mode the owner column clones
 // its L blocks so the asynchronous trailing updates read stable data
 // while later stages swap rows of the real panel column.
-func (g *grid2d) recvL(k int) error {
-	if g.mixed() {
-		return g.recvL32(k)
-	}
+func (g *grid2d[T]) recvL(k int) error {
 	rootP, rootQ := g.owner(k, k)
 	g.stageL11 = nil
-	clearDense(g.stageL21)
+	clear(g.stageL21)
 	// Previous stage's packed panels are dead here in the synchronous
 	// schedules, so their slabs can recycle; with a deferred pipeline
 	// queued jobs may still read them, so they are left to the GC.
@@ -499,22 +490,22 @@ func (g *grid2d) recvL(k int) error {
 		return nil
 	}
 	parent, children := cluster.BcastTree(g.Q, rootQ, g.q)
-	msg, err := g.c.Recv(g.rank(g.p, parent), tag2dLBase+k)
+	f, _, err := g.recv(g.rank(g.p, parent), tag2dLBase+k)
 	if err != nil {
 		return err
 	}
-	if len(msg.F) != total {
-		return fmt.Errorf("hpl: stage %d L payload %d != %d", k, len(msg.F), total)
+	if len(f) != total {
+		return fmt.Errorf("hpl: stage %d L payload %d != %d", k, len(f), total)
 	}
 	for _, cq := range children {
-		if err := g.c.Send(g.rank(g.p, cq), tag2dLBase+k, msg.F, nil); err != nil {
+		if err := g.send(g.rank(g.p, cq), tag2dLBase+k, f, nil); err != nil {
 			return err
 		}
 	}
 	off := 0
 	for _, i := range mine {
 		r, _ := g.blockDims(i, k)
-		blk, err := unflatten(msg.F[off:off+r*w], r, w)
+		blk, err := unflatten(f[off:off+r*w], r, w)
 		if err != nil {
 			return err
 		}
@@ -535,19 +526,16 @@ func (g *grid2d) recvL(k int) error {
 // solveUColumn computes U12(k,j) by DTRSM on the pivot process row and
 // tree-broadcasts it down the process column (relays forward the raw
 // payload, so every copy is bitwise the root's).
-func (g *grid2d) solveUColumn(k, j int) error {
-	if g.mixed() {
-		return g.solveUColumn32(k, j)
-	}
+func (g *grid2d[T]) solveUColumn(k, j int) error {
 	rootP, _ := g.owner(k, k)
-	var u *matrix.Dense
+	var u *matrix.Of[T]
 	if g.p == rootP {
 		u = g.blocks[[2]int{k, j}]
-		blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
+		blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
 	}
 	if g.P > 1 {
 		tag := tag2dUBase + k*g.nBlocks + j
-		var payload []float64
+		var payload []T
 		parent, children := cluster.BcastTree(g.P, rootP, g.p)
 		if g.p == rootP {
 			payload = g.scratch[:0]
@@ -557,17 +545,17 @@ func (g *grid2d) solveUColumn(k, j int) error {
 			g.scratch = payload[:0]
 		} else {
 			r, c := g.blockDims(k, j)
-			msg, err := g.c.Recv(g.rank(parent, g.q), tag)
+			f, _, err := g.recv(g.rank(parent, g.q), tag)
 			if err != nil {
 				return err
 			}
-			if u, err = unflatten(msg.F, r, c); err != nil {
+			if u, err = unflatten(f, r, c); err != nil {
 				return err
 			}
-			payload = msg.F
+			payload = f
 		}
 		for _, cp := range children {
-			if err := g.c.Send(g.rank(cp, g.q), tag, payload, nil); err != nil {
+			if err := g.send(g.rank(cp, g.q), tag, payload, nil); err != nil {
 				return err
 			}
 		}
@@ -578,8 +566,8 @@ func (g *grid2d) solveUColumn(k, j int) error {
 
 // solveUTree runs solveUColumn over every owned trailing column,
 // ascending — the basic schedule's bulk U phase.
-func (g *grid2d) solveUTree(k int) error {
-	clearDense(g.stageU12)
+func (g *grid2d[T]) solveUTree(k int) error {
+	clear(g.stageU12)
 	for j := k + 1; j < g.nBlocks; j++ {
 		if j%g.Q != g.q {
 			continue
@@ -594,7 +582,7 @@ func (g *grid2d) solveUTree(k int) error {
 // prepackL returns stage-wide −L21(i) in packed-tile form, packing on
 // first use and caching until recvL opens the next stage. Protocol
 // goroutine only.
-func (g *grid2d) prepackL(i int, l *matrix.Dense) *blas.PrepackedA[float64] {
+func (g *grid2d[T]) prepackL(i int, l *matrix.Of[T]) *blas.PrepackedA[T] {
 	if pa := g.packedL[i]; pa != nil {
 		return pa
 	}
@@ -608,7 +596,7 @@ func (g *grid2d) prepackL(i int, l *matrix.Dense) *blas.PrepackedA[float64] {
 // path. The gate depends on k alone — the same crossover as RankKUpdate
 // — so the look-ahead schedules stay bitwise identical to the reference
 // per-block updates.
-func (g *grid2d) prepackU(u *matrix.Dense) *blas.PrepackedB[float64] {
+func (g *grid2d[T]) prepackU(u *matrix.Of[T]) *blas.PrepackedB[T] {
 	if g.offloadUpdates || u == nil || u.Rows < blas.PackedMinK {
 		return nil
 	}
@@ -619,10 +607,7 @@ func (g *grid2d) prepackU(u *matrix.Dense) *blas.PrepackedB[float64] {
 // of column j, synchronously. U is packed once per column and the L
 // panels come from the per-stage prepack cache, so the column's updates
 // share packed operands instead of re-packing both per block.
-func (g *grid2d) updateColumn(k, j int) error {
-	if g.mixed() {
-		return g.updateColumn32(k, j)
-	}
+func (g *grid2d[T]) updateColumn(k, j int) error {
 	u := g.stageU12[j]
 	pu := g.prepackU(u)
 	defer pu.Release()
@@ -652,7 +637,7 @@ func (g *grid2d) updateColumn(k, j int) error {
 // updateRest applies the stage-k trailing update to every owned block,
 // optionally skipping the already-updated look-ahead column k+1. Going
 // column by column lets each column reuse its packed U operand.
-func (g *grid2d) updateRest(k int, skipAhead bool) error {
+func (g *grid2d[T]) updateRest(k int, skipAhead bool) error {
 	for j := k + 1; j < g.nBlocks; j++ {
 		if j%g.Q != g.q || (skipAhead && j == k+1) {
 			continue
@@ -709,18 +694,13 @@ func swapPerm(k, nb int, piv []int) []swapPair {
 // (the synchronous schedule) or per column. The routing (which pairs
 // this rank sends, receives, or cycles locally) is resolved once per
 // stage; the per-column work is pure copying.
-type stageSwap struct {
-	recvIdx  [][]int           // peer process row -> pair indices received from it
-	localIdx []int             // pair indices cycling within this rank
-	routes   []swapRoute       // per pair: block/row coordinates of src and slot
-	stash    map[int][]float64 // peer process row -> packed rows received
-	off      []int             // peer process row -> consumed payload offset
-	snap     []float64         // per-column snapshot scratch for local cycles
-
-	// FP32 twins of stash/snap, used when the grid runs in mixed
-	// precision (half the wire bytes per exchanged row).
-	stash32 map[int][]float32
-	snap32  []float32
+type stageSwap[T matrix.Float] struct {
+	recvIdx  [][]int     // peer process row -> pair indices received from it
+	localIdx []int       // pair indices cycling within this rank
+	routes   []swapRoute // per pair: block/row coordinates of src and slot
+	stash    map[int][]T // peer process row -> packed rows received
+	off      []int       // peer process row -> consumed payload offset
+	snap     []T         // per-column snapshot scratch for local cycles
 }
 
 // swapRoute caches a pair's block-row/row-in-block coordinates so the
@@ -728,17 +708,14 @@ type stageSwap struct {
 type swapRoute struct{ srcI, srcR, slotI, slotR int }
 
 // rowProc is the process row owning global matrix row `global`.
-func (g *grid2d) rowProc(global int) int { return (global / g.nb) % g.P }
+func (g *grid2d[T]) rowProc(global int) int { return (global / g.nb) % g.P }
 
 // swapExchange resolves the stage's swap routing and posts/collects its
 // packed messages. Sends are packed straight from the (not yet
 // modified) blocks in the shared column order, so both ends of every
 // link agree on the layout without any per-row headers.
-func (g *grid2d) swapExchange(k int, pairs []swapPair, order []int) (*stageSwap, error) {
-	if g.mixed() {
-		return g.swapExchange32(k, pairs, order)
-	}
-	s := &stageSwap{stash: map[int][]float64{}, off: make([]int, g.P)}
+func (g *grid2d[T]) swapExchange(k int, pairs []swapPair, order []int) (*stageSwap[T], error) {
+	s := &stageSwap[T]{stash: map[int][]T{}, off: make([]int, g.P)}
 	if len(pairs) == 0 {
 		return s, nil
 	}
@@ -771,7 +748,7 @@ func (g *grid2d) swapExchange(k int, pairs []swapPair, order []int) (*stageSwap,
 			}
 		}
 		g.scratch = buf[:0]
-		if err := g.c.Send(g.rank(pd, g.q), tag, buf, nil); err != nil {
+		if err := g.send(g.rank(pd, g.q), tag, buf, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -784,14 +761,14 @@ func (g *grid2d) swapExchange(k int, pairs []swapPair, order []int) (*stageSwap,
 		if len(s.recvIdx[ps]) == 0 {
 			continue
 		}
-		msg, err := g.c.Recv(g.rank(ps, g.q), tag)
+		f, _, err := g.recv(g.rank(ps, g.q), tag)
 		if err != nil {
 			return nil, err
 		}
-		if want := len(s.recvIdx[ps]) * wTotal; len(msg.F) != want {
-			return nil, fmt.Errorf("hpl: stage %d packed swap payload %d != %d", k, len(msg.F), want)
+		if want := len(s.recvIdx[ps]) * wTotal; len(f) != want {
+			return nil, fmt.Errorf("hpl: stage %d packed swap payload %d != %d", k, len(f), want)
 		}
-		s.stash[ps] = msg.F
+		s.stash[ps] = f
 	}
 	return s, nil
 }
@@ -801,18 +778,14 @@ func (g *grid2d) swapExchange(k int, pairs []swapPair, order []int) (*stageSwap,
 // a snapshot so the result equals the sequential transposition sequence
 // exactly. (Every slot is written once, so remote and local writes
 // commute; only the snapshot-before-write order matters.)
-func (s *stageSwap) apply(g *grid2d, jb int) {
+func (s *stageSwap[T]) apply(g *grid2d[T], jb int) {
 	if len(s.routes) == 0 {
-		return
-	}
-	if g.mixed() {
-		s.apply32(g, jb)
 		return
 	}
 	_, w := g.blockDims(0, jb)
 	if len(s.localIdx) > 0 {
 		if cap(s.snap) < len(s.localIdx)*w {
-			s.snap = make([]float64, len(s.localIdx)*w)
+			s.snap = make([]T, len(s.localIdx)*w)
 		}
 		for y, x := range s.localIdx {
 			rt := s.routes[x]
@@ -842,26 +815,18 @@ func (s *stageSwap) apply(g *grid2d, jb int) {
 // pipeJob is one block column's trailing update, run off the protocol
 // goroutine. It carries its own operand references so the stage maps
 // can be reused while the job is still queued.
-type pipeJob struct {
+type pipeJob[T matrix.Float] struct {
 	ctx     context.Context
-	blocks  []*matrix.Dense
-	ls      []*matrix.Dense
-	u       *matrix.Dense
-	pls     []*blas.PrepackedA[float64] // prepacked −L operands (nil: reference path)
-	pu      *blas.PrepackedB[float64]   // prepacked U operand, shared by the column
+	blocks  []*matrix.Of[T]
+	ls      []*matrix.Of[T]
+	u       *matrix.Of[T]
+	pls     []*blas.PrepackedA[T] // prepacked −L operands (nil: reference path)
+	pu      *blas.PrepackedB[T]   // prepacked U operand, shared by the column
 	offload bool
 	rec     *trace.Recorder
 	lane    int
 	iter    int
 	signal  chan struct{}
-
-	// FP32 operands of a mixed-precision job (blocks32 non-empty marks
-	// the job mixed; the FP64 fields above stay nil then).
-	blocks32 []*matrix.Dense32
-	ls32     []*matrix.Dense32
-	u32      *matrix.Dense32
-	pls32    []*blas.PrepackedA[float32]
-	pu32     *blas.PrepackedB[float32]
 }
 
 // pipeline runs trailing-update GEMM jobs on a single worker goroutine,
@@ -871,8 +836,8 @@ type pipeJob struct {
 // <= 1) the worker cannot overlap anything, so jobs run inline at
 // enqueue instead — same FIFO order, same arithmetic, none of the
 // channel handoffs or scheduler switches.
-type pipeline struct {
-	jobs   chan pipeJob
+type pipeline[T matrix.Float] struct {
+	jobs   chan pipeJob[T]
 	done   chan struct{}
 	inline bool
 	pend   map[int]chan struct{} // column -> completion (protocol side only)
@@ -880,19 +845,19 @@ type pipeline struct {
 	err    error
 }
 
-func newPipeline(buffer int) *pipeline {
-	p := &pipeline{pend: map[int]chan struct{}{}}
+func newPipeline[T matrix.Float](buffer int) *pipeline[T] {
+	p := &pipeline[T]{pend: map[int]chan struct{}{}}
 	if pool.Size() <= 1 {
 		p.inline = true
 		return p
 	}
-	p.jobs = make(chan pipeJob, buffer)
+	p.jobs = make(chan pipeJob[T], buffer)
 	p.done = make(chan struct{})
 	go p.worker()
 	return p
 }
 
-func (p *pipeline) worker() {
+func (p *pipeline[T]) worker() {
 	defer close(p.done)
 	for job := range p.jobs {
 		if p.getErr() == nil {
@@ -905,16 +870,12 @@ func (p *pipeline) worker() {
 // runJob executes one column's update; panics (including pool.Do's
 // re-raised *PanicError) are contained here and surfaced as the
 // pipeline's first error instead of escaping the worker goroutine.
-func (p *pipeline) runJob(job pipeJob) {
+func (p *pipeline[T]) runJob(job pipeJob[T]) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.setErr(fmt.Errorf("hpl: trailing-update worker panicked: %v", r))
 		}
 	}()
-	if len(job.blocks32) > 0 {
-		p.runJob32(job)
-		return
-	}
 	// The packed U is private to this job; the packed L panels belong to
 	// the stage cache and outlive it.
 	defer job.pu.Release()
@@ -954,7 +915,7 @@ func (p *pipeline) runJob(job pipeJob) {
 	job.rec.Since(job.lane, "GEMM", job.iter, ts)
 }
 
-func (p *pipeline) setErr(err error) {
+func (p *pipeline[T]) setErr(err error) {
 	p.mu.Lock()
 	if p.err == nil {
 		p.err = err
@@ -962,7 +923,7 @@ func (p *pipeline) setErr(err error) {
 	p.mu.Unlock()
 }
 
-func (p *pipeline) getErr() error {
+func (p *pipeline[T]) getErr() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err
@@ -971,7 +932,7 @@ func (p *pipeline) getErr() error {
 // enqueue registers column col's completion signal and hands the job to
 // the worker (or runs it on the spot in inline mode). Protocol goroutine
 // only.
-func (p *pipeline) enqueue(col int, job pipeJob) {
+func (p *pipeline[T]) enqueue(col int, job pipeJob[T]) {
 	if p.inline {
 		if p.getErr() == nil {
 			p.runJob(job)
@@ -984,7 +945,7 @@ func (p *pipeline) enqueue(col int, job pipeJob) {
 }
 
 // waitCol blocks until column j's queued update (if any) has finished.
-func (p *pipeline) waitCol(j int) error {
+func (p *pipeline[T]) waitCol(j int) error {
 	if p == nil {
 		return nil
 	}
@@ -996,7 +957,7 @@ func (p *pipeline) waitCol(j int) error {
 }
 
 // drain waits for every queued update.
-func (p *pipeline) drain() error {
+func (p *pipeline[T]) drain() error {
 	if p == nil {
 		return nil
 	}
@@ -1009,7 +970,7 @@ func (p *pipeline) drain() error {
 
 // stop closes the queue and joins the worker. Call exactly once, after
 // the last enqueue.
-func (p *pipeline) stop() {
+func (p *pipeline[T]) stop() {
 	if p == nil || p.jobs == nil {
 		return
 	}
@@ -1020,26 +981,22 @@ func (p *pipeline) stop() {
 // deferred reports whether queued jobs may still be pending after
 // enqueue returns — i.e. whether operands handed to the pipeline must
 // stay stable across later protocol steps.
-func (p *pipeline) deferred() bool { return p != nil && !p.inline }
+func (p *pipeline[T]) deferred() bool { return p != nil && !p.inline }
 
-func (g *grid2d) startPipe() {
+func (g *grid2d[T]) startPipe() {
 	if g.mode == LookaheadPipelined {
-		g.pipe = newPipeline(g.nBlocks + 1)
+		g.pipe = newPipeline[T](g.nBlocks + 1)
 	}
 }
 
-func (g *grid2d) stopPipe() { g.pipe.stop() }
+func (g *grid2d[T]) stopPipe() { g.pipe.stop() }
 
-func (g *grid2d) drainPipe() error { return g.pipe.drain() }
+func (g *grid2d[T]) drainPipe() error { return g.pipe.drain() }
 
 // enqueueUpdate hands column j's stage-k trailing update to the
 // asynchronous worker.
-func (g *grid2d) enqueueUpdate(k, j int) {
-	if g.mixed() {
-		g.enqueueUpdate32(k, j)
-		return
-	}
-	var blocks, ls []*matrix.Dense
+func (g *grid2d[T]) enqueueUpdate(k, j int) {
+	var blocks, ls []*matrix.Of[T]
 	var rows []int
 	if !g.pipe.deferred() {
 		// Inline jobs are consumed before enqueue returns, so the slices
@@ -1063,13 +1020,13 @@ func (g *grid2d) enqueueUpdate(k, j int) {
 	// fast path and lets runJob report it.
 	u := g.stageU12[j]
 	pu := g.prepackU(u)
-	var pls []*blas.PrepackedA[float64]
+	var pls []*blas.PrepackedA[T]
 	if pu != nil {
 		if g.pipe.deferred() {
-			pls = make([]*blas.PrepackedA[float64], len(ls))
+			pls = make([]*blas.PrepackedA[T], len(ls))
 		} else {
 			if cap(g.jobPls) < len(ls) {
-				g.jobPls = make([]*blas.PrepackedA[float64], len(ls))
+				g.jobPls = make([]*blas.PrepackedA[T], len(ls))
 			}
 			pls = g.jobPls[:len(ls)]
 		}
@@ -1085,7 +1042,7 @@ func (g *grid2d) enqueueUpdate(k, j int) {
 	if !g.pipe.deferred() {
 		g.jobBlocks, g.jobLs, g.jobRows = blocks[:0], ls[:0], rows[:0]
 	}
-	g.pipe.enqueue(j, pipeJob{
+	g.pipe.enqueue(j, pipeJob[T]{
 		ctx:     g.ctx,
 		blocks:  blocks,
 		ls:      ls,
@@ -1109,7 +1066,7 @@ func (g *grid2d) enqueueUpdate(k, j int) {
 // case the panel is factored (and its pivots fanned out) before any L
 // payload exists. g.factored is a pure function of the schedule, so
 // every rank takes the same branch.
-func (g *grid2d) openStage(k int) ([]int, error) {
+func (g *grid2d[T]) openStage(k int) ([]int, error) {
 	if g.factored[k] {
 		ts := g.rec.Start()
 		if err := g.recvL(k); err != nil {
@@ -1142,7 +1099,7 @@ func (g *grid2d) openStage(k int) ([]int, error) {
 // phases, the next panel's block column is updated first, panel k+1 is
 // factored and its L broadcast posted, and only then does the rest of
 // trailing update k run.
-func (g *grid2d) stageBasic(k int) error {
+func (g *grid2d[T]) stageBasic(k int) error {
 	piv, err := g.openStage(k)
 	if err != nil {
 		return err
@@ -1205,7 +1162,7 @@ func (g *grid2d) stageBasic(k int) error {
 
 // eagerSendL posts the eagerly factored panel's L broadcast from its
 // panel-column owners.
-func (g *grid2d) eagerSendL(next int) error {
+func (g *grid2d[T]) eagerSendL(next int) error {
 	_, rootQ := g.owner(next, next)
 	if g.q != rootQ {
 		return nil
@@ -1218,7 +1175,7 @@ func (g *grid2d) eagerSendL(next int) error {
 // and eligible), then every other owned column ascending, skipping the
 // panel column itself. Columns left of the panel still appear — their
 // rows are swapped — but receive no U or GEMM work.
-func (g *grid2d) columnOrder(k int, ahead bool) []int {
+func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 	var order []int
 	if ahead && (k+1)%g.Q == g.q {
 		order = append(order, k+1)
@@ -1238,13 +1195,13 @@ func (g *grid2d) columnOrder(k int, ahead bool) []int {
 // asynchronous worker. The look-ahead column is handled first and
 // synchronously, so panel k+1 factors and its broadcasts post while the
 // bulk of trailing update k is still queued.
-func (g *grid2d) stagePipelined(k int) error {
+func (g *grid2d[T]) stagePipelined(k int) error {
 	piv, err := g.openStage(k)
 	if err != nil {
 		return err
 	}
 
-	clearDense(g.stageU12)
+	clear(g.stageU12)
 	pairs := swapPerm(k, g.nb, piv)
 	ahead := g.aheadOK(k + 1)
 	order := g.columnOrder(k, ahead)

@@ -7,6 +7,7 @@ import (
 
 	"phihpl/internal/lu"
 	"phihpl/internal/matrix"
+	"phihpl/internal/trace"
 )
 
 // TestMixed2DResidualAndReport: the mixed 2D driver passes the HPL bar on
@@ -194,6 +195,42 @@ func subnormalColumn32(a *matrix.Dense, col int) {
 	}
 }
 
+// solveFellBack runs the mixed driver on a system it must fall back on and
+// checks that the result's Seconds charges the failed FP32 attempt as well
+// as the FP64 re-run. The attempt alone must report its own timed phase on
+// its fallback exit; and rank 0's trace lane — its protocol phases and the
+// refinement steps of both passes, disjoint spans that all lie inside the
+// two timed phases — is a floor for their sum that the re-run alone does
+// not reach.
+func solveFellBack(t *testing.T, n, nb, p, q int, seed uint64) DistResult {
+	t.Helper()
+	ctx := context.Background()
+	attempt, err := solve2DOnce(ctx, n, nb, p, q, seed, false, LookaheadPipelined, lu.PrecisionMixed, nil)
+	if err != nil {
+		t.Fatalf("grid %dx%d: mixed attempt: %v", p, q, err)
+	}
+	if attempt.Refine == nil || !attempt.Refine.FellBack || attempt.Seconds <= 0 {
+		t.Errorf("grid %dx%d: mixed attempt alone: report %+v, Seconds %g; want a fallback with its timed phase",
+			p, q, attempt.Refine, attempt.Seconds)
+	}
+	rec := new(trace.Recorder)
+	r, err := SolveDistributed2DPrecisionCtx(ctx, n, nb, p, q, seed, LookaheadPipelined, lu.PrecisionMixed, rec)
+	if err != nil {
+		t.Fatalf("grid %dx%d: %v", p, q, err)
+	}
+	var lane0 float64
+	for _, sp := range rec.Spans() {
+		if sp.Worker == 0 {
+			lane0 += sp.Duration()
+		}
+	}
+	if r.Seconds < lane0 {
+		t.Errorf("grid %dx%d: Seconds %g is less than rank 0's traced work across the attempt and the re-run (%g)",
+			p, q, r.Seconds, lane0)
+	}
+	return r
+}
+
 // TestMixed2DSingularFP32FallsBack: a system whose FP32 demotion is
 // singular must trip the distributed Sgetf2, fall back to the FP64
 // driver without surfacing an error, and still pass the HPL bar — with
@@ -205,10 +242,7 @@ func TestMixed2DSingularFP32FallsBack(t *testing.T) {
 	installMixedTestSystem(t, a, b)
 
 	for _, grid := range [][2]int{{1, 1}, {2, 2}} {
-		r, err := SolveDistributed2DPrecision(n, nb, grid[0], grid[1], 5, LookaheadPipelined, lu.PrecisionMixed)
-		if err != nil {
-			t.Fatalf("grid %v: %v", grid, err)
-		}
+		r := solveFellBack(t, n, nb, grid[0], grid[1], 5)
 		if r.Refine == nil || !r.Refine.FellBack || r.Refine.Reason != lu.FallbackSingular {
 			t.Fatalf("grid %v: report %+v, want fp32-singular fallback", grid, r.Refine)
 		}
@@ -244,10 +278,7 @@ func TestMixed2DStalledRefinementFallsBack(t *testing.T) {
 	}
 	installMixedTestSystem(t, a, b)
 
-	r, err := SolveDistributed2DPrecision(n, nb, 2, 2, 7, LookaheadPipelined, lu.PrecisionMixed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := solveFellBack(t, n, nb, 2, 2, 7)
 	if r.Refine == nil || !r.Refine.FellBack || r.Refine.Reason != lu.FallbackStalled {
 		t.Fatalf("report %+v, want refinement-stalled fallback", r.Refine)
 	}

@@ -702,14 +702,16 @@ func (s *Server) finishLocked(j *job, state State, view *ResultView, ei *ErrorIn
 			}
 		}
 	}
-	j.finish(state, view, ei, cached)
+	// Journal first, then publish: finish closes j.done, and whoever that
+	// wakes may rely on the end record being durable already.
 	_, _, _, _, attempts := j.snapshot()
 	s.logLocked(walRecord{T: "end", ID: j.id, State: state, Result: view, Error: ei, Cached: cached, Attempt: attempts})
+	j.finish(state, view, ei, cached)
 	s.countTerminal(j.spec.Tenant, state)
 	for _, f := range followers {
-		f.finish(state, view, ei, true)
 		_, _, _, _, fa := f.snapshot()
 		s.logLocked(walRecord{T: "end", ID: f.id, State: state, Result: view, Error: ei, Cached: true, Attempt: fa})
+		f.finish(state, view, ei, true)
 		s.countTerminal(f.spec.Tenant, state)
 	}
 }

@@ -191,7 +191,8 @@ func SolveMixedPrecisionTraced(n int, mode PrecisionMode, nb, workers int, seed 
 
 // SolveDistributed runs the functional distributed Linpack on `ranks`
 // in-process nodes (1D block-cyclic columns, per-stage panel broadcasts
-// over a real message fabric) and returns the solution and residual.
+// over a real message fabric — the 1×ranks grid of SolveDistributed2D)
+// and returns the solution, the residual and the timed phase.
 func SolveDistributed(n, nb, ranks int, seed uint64) (SolveResult, error) {
 	r, err := hpl.SolveDistributed(n, nb, ranks, seed)
 	if err != nil {

@@ -1,6 +1,7 @@
 package phihpl
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -72,6 +73,13 @@ func TestSolveDistributedFacade(t *testing.T) {
 	}
 	if !res.Passed || res.N != 90 {
 		t.Errorf("bad result: %+v", res)
+	}
+	viaCtx, err := SolveDistributedCtx(context.Background(), 90, 16, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Seconds <= 0 || viaCtx.Seconds <= 0 {
+		t.Errorf("timed phase not reported: Seconds = %g, via Ctx %g", res.Seconds, viaCtx.Seconds)
 	}
 }
 
