@@ -32,10 +32,14 @@ vet:
 # solver), the observability layer they all feed (span recorder +
 # metrics registry), the matrix containers (FP64 and FP32) the kernels
 # share, the facade package that drives the mixed-precision solve, and
-# the multi-tenant solve server (queue, scheduler, cache, drain).
+# the multi-tenant solve server (queue, scheduler, cache, drain). The
+# last line repeats the server's force-finalize tests: a job must never be
+# visibly terminal while it still holds its slot or admission memory, a
+# race one run in twenty used to show.
 race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/dag/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
+	$(GO) test -race -count=50 -run 'TestPreemptWedgedSolve$$|TestDrainForceFinalizesWedgedJob$$' ./internal/server
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for

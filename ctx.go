@@ -72,21 +72,13 @@ func SolveMixedPrecisionCtx(ctx context.Context, n int, mode PrecisionMode, nb, 
 // observes cancellation at its stage boundary, the world unwinds cleanly,
 // and the plain ctx.Err() is returned once ctx is done.
 func SolveDistributedCtx(ctx context.Context, n, nb, ranks int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributedCtx(ctx, n, nb, ranks, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributedCtx(ctx, n, nb, ranks, seed))
 }
 
 // SolveDistributed2DCtx is SolveDistributed2D under a context (see
 // SolveDistributedCtx for the cancellation contract).
 func SolveDistributed2DCtx(ctx context.Context, n, nb, p, q int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DCtx(ctx, n, nb, p, q, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n}, nil
+	return fromDist(hpl.SolveDistributed2DCtx(ctx, n, nb, p, q, seed))
 }
 
 // SolveDistributed2DModeCtx is SolveDistributed2DMode under a context,
@@ -95,62 +87,38 @@ func SolveDistributed2DCtx(ctx context.Context, n, nb, p, q int, seed uint64) (S
 // paper's Figure 8/9 pipeline Gantt charts. A nil recorder disables
 // tracing.
 func SolveDistributed2DModeCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, rec *trace.Recorder) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DModeCtx(ctx, n, nb, p, q, seed, mode, rec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n}, nil
+	return fromDist(hpl.SolveDistributed2DModeCtx(ctx, n, nb, p, q, seed, mode, rec))
 }
 
 // SolveHybrid2DCtx is SolveHybrid2D under a context: cancellation reaches
 // both the rank stage boundaries and the offload engine's tile loop, so a
 // rank parked in a long trailing update also unwinds promptly.
 func SolveHybrid2DCtx(ctx context.Context, n, nb, p, q int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybridCtx(ctx, n, nb, p, q, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n}, nil
+	return fromDist(hpl.SolveDistributed2DHybridCtx(ctx, n, nb, p, q, seed))
 }
 
 // SolveHybrid2DModeCtx is SolveHybrid2DMode under a context, optionally
 // recording protocol spans into rec (see SolveDistributed2DModeCtx).
 func SolveHybrid2DModeCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, rec *trace.Recorder) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybridModeCtx(ctx, n, nb, p, q, seed, mode, rec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n}, nil
+	return fromDist(hpl.SolveDistributed2DHybridModeCtx(ctx, n, nb, p, q, seed, mode, rec))
 }
 
 // SolveDistributed2DPrecisionCtx is SolveDistributed2DPrecision under a
 // context, optionally recording protocol spans into rec. Cancellation is
 // observed at every rank's stage boundary and between refinement steps.
 func SolveDistributed2DPrecisionCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode, rec *trace.Recorder) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DPrecisionCtx(ctx, n, nb, p, q, seed, mode, prec, rec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds, Refine: r.Refine}, nil
+	return fromDist(hpl.SolveDistributed2DPrecisionCtx(ctx, n, nb, p, q, seed, mode, prec, rec))
 }
 
 // SolveHybrid2DPrecisionCtx is SolveHybrid2DPrecision under a context,
 // optionally recording protocol spans into rec.
 func SolveHybrid2DPrecisionCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode, rec *trace.Recorder) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybridPrecisionCtx(ctx, n, nb, p, q, seed, mode, prec, rec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds, Refine: r.Refine}, nil
+	return fromDist(hpl.SolveDistributed2DHybridPrecisionCtx(ctx, n, nb, p, q, seed, mode, prec, rec))
 }
 
 // SolveFaultTolerant2DCtx is SolveFaultTolerant2D under a context.
 // Cancellation is not a fault: it never consumes a restart, is never
 // wrapped in a *FaultError, and always surfaces as the plain ctx.Err().
 func SolveFaultTolerant2DCtx(ctx context.Context, n, nb, p, q int, seed uint64, cfg FTConfig) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DFTCtx(ctx, n, nb, p, q, seed, cfg)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, FT: r.FT}, nil
+	return fromDist(hpl.SolveDistributed2DFTCtx(ctx, n, nb, p, q, seed, cfg))
 }

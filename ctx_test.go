@@ -43,6 +43,44 @@ func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
+// Every grid entry point reports the timed factor+solve phase, which the
+// solve server prices a job with.
+func TestFacadeCtxReportsSeconds(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		solve func() (SolveResult, error)
+	}{
+		{"SolveDistributed2DCtx", func() (SolveResult, error) {
+			return SolveDistributed2DCtx(ctx, 64, 16, 2, 2, 1)
+		}},
+		{"SolveDistributed2DModeCtx", func() (SolveResult, error) {
+			return SolveDistributed2DModeCtx(ctx, 64, 16, 2, 2, 1, LookaheadBasic, nil)
+		}},
+		{"SolveHybrid2DCtx", func() (SolveResult, error) {
+			return SolveHybrid2DCtx(ctx, 64, 16, 2, 2, 1)
+		}},
+		{"SolveHybrid2DModeCtx", func() (SolveResult, error) {
+			return SolveHybrid2DModeCtx(ctx, 64, 16, 2, 2, 1, LookaheadNone, nil)
+		}},
+		{"SolveFaultTolerant2DCtx", func() (SolveResult, error) {
+			return SolveFaultTolerant2DCtx(ctx, 64, 16, 2, 2, 1, FTConfig{})
+		}},
+	} {
+		r, err := tc.solve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !r.Passed || r.N != 64 {
+			t.Errorf("%s: passed=%v N=%d, want a passing n=64 solve", tc.name, r.Passed, r.N)
+		}
+		if r.Seconds <= 0 {
+			t.Errorf("%s: Seconds = %g, want the timed phase", tc.name, r.Seconds)
+		}
+	}
+}
+
 // A completed SolveContext run matches Solve bitwise for every scheduler.
 func TestSolveContextMatchesSolve(t *testing.T) {
 	defer testutil.NoLeaks(t)()

@@ -53,87 +53,61 @@ func TestBcastTreePlan(t *testing.T) {
 	}
 }
 
-// TestBcastTreeDelivery runs a real tree broadcast on an 8-rank world
-// and asserts every rank receives the root's payload bitwise, and that
-// the root issued only ceil(log2 P) sends while the legacy flat fan-out
-// issues P−1.
+// TestBcastTreeDelivery runs a real tree broadcast from every root of an
+// 8-rank world and asserts every rank receives the root's payload
+// bitwise, and that a root issues only ceil(log2 P) sends.
 func TestBcastTreeDelivery(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	const size = 8
 	payloadF := []float64{1.5, -2.25, math.Pi, 0, math.Inf(1)}
 	payloadI := []int{7, -3, 0, 1 << 30}
 
-	run := func(flat bool) (rootSends uint64) {
-		w := NewWorldOpts(size, Options{Buffer: 8, FlatBcast: flat})
-		err := w.Run(func(c *Comm) error {
-			for root := 0; root < size; root++ {
-				m, err := c.Bcast(root, 100+root, payloadF, payloadI)
-				if err != nil {
-					return err
-				}
-				if m.Src != root || m.Tag != 100+root {
-					t.Errorf("flat=%v rank %d root %d: got src=%d tag=%d", flat, c.Rank(), root, m.Src, m.Tag)
-				}
-				if len(m.F) != len(payloadF) || len(m.I) != len(payloadI) {
-					t.Errorf("flat=%v rank %d root %d: payload size mismatch", flat, c.Rank(), root)
-					continue
-				}
-				for i, v := range payloadF {
-					if math.Float64bits(m.F[i]) != math.Float64bits(v) {
-						t.Errorf("flat=%v rank %d root %d: F[%d]=%v want %v", flat, c.Rank(), root, i, m.F[i], v)
-					}
-				}
-				for i, v := range payloadI {
-					if m.I[i] != v {
-						t.Errorf("flat=%v rank %d root %d: I[%d]=%d want %d", flat, c.Rank(), root, i, m.I[i], v)
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					return err
+	w := NewWorldOpts(size, Options{Buffer: 8})
+	err := w.Run(func(c *Comm) error {
+		for root := 0; root < size; root++ {
+			m, err := c.Bcast(root, 100+root, payloadF, payloadI)
+			if err != nil {
+				return err
+			}
+			if m.Src != root || m.Tag != 100+root {
+				t.Errorf("rank %d root %d: got src=%d tag=%d", c.Rank(), root, m.Src, m.Tag)
+			}
+			if len(m.F) != len(payloadF) || len(m.I) != len(payloadI) {
+				t.Errorf("rank %d root %d: payload size mismatch", c.Rank(), root)
+				continue
+			}
+			for i, v := range payloadF {
+				if math.Float64bits(m.F[i]) != math.Float64bits(v) {
+					t.Errorf("rank %d root %d: F[%d]=%v want %v", c.Rank(), root, i, m.F[i], v)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("flat=%v: %v", flat, err)
+			for i, v := range payloadI {
+				if m.I[i] != v {
+					t.Errorf("rank %d root %d: I[%d]=%d want %d", c.Rank(), root, i, m.I[i], v)
+				}
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
 		}
-		return w.SendCount(0)
-	}
-
-	// Rank 0 is root exactly once; with flat fan-out it sends size−1
-	// messages as root and none otherwise. With the tree it sends
-	// ceil(log2 size) as root plus at most its relay sends — measure the
-	// root-role sends directly with a single-root world instead.
-	flatSends := runSingleRoot(t, true)
-	treeSends := runSingleRoot(t, false)
-	if flatSends != size-1 {
-		t.Fatalf("flat root sends = %d, want %d", flatSends, size-1)
-	}
-	wantTree := uint64(bits.Len(uint(size - 1))) // ceil(log2 8) = 3
-	if treeSends != wantTree {
-		t.Fatalf("tree root sends = %d, want %d", treeSends, wantTree)
-	}
-	if treeSends >= flatSends {
-		t.Fatalf("tree root sends (%d) not fewer than flat (%d)", treeSends, flatSends)
-	}
-	run(true)
-	run(false)
-}
-
-// runSingleRoot broadcasts once from rank 0 and reports the root's send
-// count.
-func runSingleRoot(t *testing.T, flat bool) uint64 {
-	t.Helper()
-	const size = 8
-	w := NewWorldOpts(size, Options{Buffer: 8, FlatBcast: flat})
-	err := w.Run(func(c *Comm) error {
-		_, err := c.Bcast(0, 42, []float64{1, 2, 3}, []int{4})
-		return err
+		return nil
 	})
 	if err != nil {
-		t.Fatalf("flat=%v: %v", flat, err)
+		t.Fatal(err)
 	}
-	return w.SendCount(0)
+
+	// A rank's send count mixes root and relay sends across the loop
+	// above, so measure the root role on a single-broadcast world.
+	w = NewWorldOpts(size, Options{Buffer: 8})
+	if err := w.Run(func(c *Comm) error {
+		_, err := c.Bcast(0, 42, []float64{1, 2, 3}, []int{4})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := w.SendCount(0), uint64(bits.Len(uint(size-1))); got != want { // ceil(log2 8) = 3
+		t.Fatalf("tree root sends = %d, want %d", got, want)
+	}
 }
 
 // TestBcastTreeCost sanity-checks the cost model: the tree beats the

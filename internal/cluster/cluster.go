@@ -109,11 +109,6 @@ type Options struct {
 	Watchdog time.Duration
 	// Logf receives watchdog dumps (default: standard error).
 	Logf func(format string, args ...any)
-	// FlatBcast reverts Comm.Bcast to the legacy root-sequential fan-out
-	// (O(P) root sends) instead of the binomial tree — kept for A/B
-	// comparison and for callers that need the root to be the direct
-	// sender on every link.
-	FlatBcast bool
 }
 
 // World is a communicator for `size` ranks.
@@ -430,24 +425,10 @@ func BcastTree(m, root, me int) (parent int, children []int) {
 }
 
 // Bcast distributes root's payload to every rank and returns the received
-// (or original) message. By default it runs over the binomial tree from
-// BcastTree — O(log P) root sends, with interior ranks relaying the
-// payload bitwise — matching CostModel.BcastTree. Options.FlatBcast
-// restores the legacy root-sequential fan-out.
+// (or original) message. It runs over the binomial tree from BcastTree —
+// O(log P) root sends, with interior ranks relaying the payload bitwise —
+// matching CostModel.BcastTree.
 func (c *Comm) Bcast(root, tag int, f []float64, ints []int) (Msg, error) {
-	if c.world.opt.FlatBcast {
-		if c.rank == root {
-			for d := 0; d < c.world.size; d++ {
-				if d != root {
-					if err := c.Send(d, tag, f, ints); err != nil {
-						return Msg{}, err
-					}
-				}
-			}
-			return Msg{Src: root, Tag: tag, F: f, I: ints}, nil
-		}
-		return c.Recv(root, tag)
-	}
 	parent, children := BcastTree(c.world.size, root, c.rank)
 	m := Msg{Src: root, Tag: tag, F: f, I: ints}
 	if parent >= 0 {

@@ -34,6 +34,8 @@ type DistResult struct {
 	// matrix generation and residual verification, which is the figure
 	// HPL itself reports. Set by the grid driver on rank 0; a mixed solve
 	// that fell back reports the failed FP32 attempt plus the FP64 re-run.
+	// A fault-tolerant solve reports its successful attempt only: restarts
+	// show in FT.Restarts, not in Seconds.
 	Seconds float64
 	// FT carries the fault-tolerance counters of SolveDistributed2DFT
 	// (nil for the plain drivers).
@@ -196,9 +198,10 @@ func solveGrid[T matrix.Float](ctx context.Context, n, nb, p, q int, seed uint64
 	nBlocks := (n + nb - 1) / nb
 
 	// Per-pair channel buffers must absorb a stage's worth of eagerly
-	// sent blocks (L and U rows per link scale with nBlocks, swaps with
-	// nb, and eager look-ahead keeps at most two stages in flight).
-	world := cluster.NewWorld(p*q, 2*nBlocks+nb+64)
+	// sent messages (U blocks per link scale with nBlocks; the panel, L,
+	// pivot and swap exchanges are one message each per stage) with eager
+	// look-ahead keeping at most two stages in flight.
+	world := cluster.NewWorld(p*q, 2*nBlocks+64)
 	results := make([]DistResult, p*q)
 	errs := make([]error, p*q)
 	if err := world.Run(func(c *Comm) error {
@@ -246,9 +249,9 @@ type grid2d[T matrix.Float] struct {
 	pivots   [][]int               // eagerly factored stage -> its panel pivots
 	factored []bool                // panels factored ahead of their stage
 	lSent    []bool                // stages whose L broadcast was already posted
-	pipe     *pipeline[T]          // asynchronous trailing-update worker (pipelined)
+	pipe     *pipeline[T]          // trailing-update lane (async or inline, see startPipe)
 	scratch  []T                   // reusable pack buffer (sends copy payloads)
-	packedL  []*blas.PrepackedA[T] // per-stage prepacked L21 panels (look-ahead paths)
+	packedL  []*blas.PrepackedA[T] // per-stage prepacked L21 panels
 	// Reusable pipeJob slices (inline pipeline only, where a job never
 	// outlives its enqueue call).
 	jobBlocks []*matrix.Of[T]
@@ -263,8 +266,8 @@ type grid2d[T matrix.Float] struct {
 	aheadBlocked func(next int) bool
 
 	// rec receives per-phase protocol spans (nil records nothing):
-	// worker = rank for protocol phases, P·Q + rank for the async GEMM
-	// lane, so the Gantt shows the overlap.
+	// worker = rank for protocol phases and inline GEMMs, P·Q + rank for
+	// the async GEMM lane, so the Gantt shows the overlap.
 	rec *trace.Recorder
 }
 
@@ -366,57 +369,6 @@ func (g *grid2d[T]) scatter(seed uint64) (*matrix.Dense, []float64) {
 	return full, rhs
 }
 
-// stage runs one iteration of the outer factorization loop under the
-// grid's look-ahead schedule.
-func (g *grid2d[T]) stage(k int) error {
-	switch g.mode {
-	case LookaheadBasic:
-		return g.stageBasic(k)
-	case LookaheadNone:
-		return g.stageNone(k)
-	default:
-		return g.stagePipelined(k)
-	}
-}
-
-// stageNone is the fully synchronous bulk schedule — the seed behavior,
-// message for message.
-func (g *grid2d[T]) stageNone(k int) error {
-	ts := g.rec.Start()
-	piv, err := g.factorPanel(k)
-	if err != nil {
-		return err
-	}
-	g.tspan("panel", k, ts)
-	ts = g.rec.Start()
-	if err := g.swapRows(k, piv); err != nil {
-		return err
-	}
-	g.tspan("swap", k, ts)
-	if err := g.hookAfterSwaps(k, piv); err != nil {
-		return err
-	}
-	ts = g.rec.Start()
-	if err := g.broadcastL(k); err != nil {
-		return err
-	}
-	g.tspan("Lbcast", k, ts)
-	if err := g.hookAfterL(k); err != nil {
-		return err
-	}
-	ts = g.rec.Start()
-	if err := g.solveAndBroadcastU(k); err != nil {
-		return err
-	}
-	g.tspan("Ubcast", k, ts)
-	ts = g.rec.Start()
-	if err := g.update(k); err != nil {
-		return err
-	}
-	g.tspan("GEMM", k, ts)
-	return g.hookAfterUpdate(k)
-}
-
 func (g *grid2d[T]) run(seed uint64, results []DistResult, errs []error) error {
 	full, rhs := g.scatter(seed)
 	// HPL times the solve proper: all ranks sync here so generation cost
@@ -458,275 +410,6 @@ func (g *grid2d[T]) ctxOrBG() context.Context {
 		return context.Background()
 	}
 	return g.ctx
-}
-
-// factorPanel gathers block column k (rows k*nb..n) on the diagonal owner,
-// factors it, scatters the factored segments back, and broadcasts the
-// panel-relative pivots to the whole grid. Returns the pivots.
-func (g *grid2d[T]) factorPanel(k int) ([]int, error) {
-	rootP, rootQ := g.owner(k, k)
-	root := g.rank(rootP, rootQ)
-	_, w := g.blockDims(k, k)
-	panelRows := g.n - k*g.nb
-
-	inPanelColumn := g.q == rootQ
-	// Send owned segments up to the root (ascending block row).
-	if inPanelColumn && g.me() != root {
-		for i := k; i < g.nBlocks; i++ {
-			if op, _ := g.owner(i, k); op == g.p {
-				if err := g.send(root, tag2dGatherBase+k*g.nBlocks+i, flatten(g.blocks[[2]int{i, k}]), nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	var piv []int
-	if g.me() == root {
-		panel := matrix.New[T](panelRows, w)
-		for i := k; i < g.nBlocks; i++ {
-			r, _ := g.blockDims(i, k)
-			dst := panel.View(i*g.nb-k*g.nb, 0, r, w)
-			if op, _ := g.owner(i, k); op == g.p {
-				dst.CopyFrom(g.blocks[[2]int{i, k}])
-			} else {
-				f, _, err := g.recv(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i)
-				if err != nil {
-					return nil, err
-				}
-				seg, err := unflatten(f, r, w)
-				if err != nil {
-					return nil, err
-				}
-				dst.CopyFrom(seg)
-			}
-		}
-		piv = make([]int, w)
-		if err := blas.Getf2(panel, piv); err != nil && g.firstError == nil {
-			g.firstError = blas.OffsetSingular(err, k*g.nb)
-		}
-		// Scatter factored segments back.
-		for i := k; i < g.nBlocks; i++ {
-			r, _ := g.blockDims(i, k)
-			seg := panel.View(i*g.nb-k*g.nb, 0, r, w)
-			if op, _ := g.owner(i, k); op == g.p {
-				g.blocks[[2]int{i, k}].CopyFrom(seg)
-			} else {
-				if err := g.send(g.rank(op, rootQ), tag2dGatherBase+k*g.nBlocks+i, flatten(seg), nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else if inPanelColumn {
-		for i := k; i < g.nBlocks; i++ {
-			if op, _ := g.owner(i, k); op == g.p {
-				r, _ := g.blockDims(i, k)
-				f, _, err := g.recv(root, tag2dGatherBase+k*g.nBlocks+i)
-				if err != nil {
-					return nil, err
-				}
-				seg, err := unflatten(f, r, w)
-				if err != nil {
-					return nil, err
-				}
-				g.blocks[[2]int{i, k}].CopyFrom(seg)
-			}
-		}
-	}
-
-	// Pivot broadcast to the whole grid (root-sequential fan-out).
-	if g.me() == root {
-		for r := 0; r < g.P*g.Q; r++ {
-			if r != root {
-				if err := g.c.Send(r, tag2dPivBase+k, nil, piv); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		msg, err := g.c.Recv(root, tag2dPivBase+k)
-		if err != nil {
-			return nil, err
-		}
-		piv = msg.I
-	}
-	if len(piv) != w {
-		return nil, fmt.Errorf("hpl: stage %d pivot payload has %d entries, want %d", k, len(piv), w)
-	}
-	g.recordPivots(k, piv)
-	return piv, nil
-}
-
-// swapRows applies the stage's pivot swaps to every block column except
-// the already-swapped panel column k. Rows on different process rows
-// exchange segments; same-process swaps are local.
-func (g *grid2d[T]) swapRows(k int, piv []int) error {
-	for j, pv := range piv {
-		r1 := k*g.nb + j
-		r2 := k*g.nb + pv
-		if r1 == r2 {
-			continue
-		}
-		i1, i2 := r1/g.nb, r2/g.nb
-		p1, p2 := i1%g.P, i2%g.P
-		for jb := 0; jb < g.nBlocks; jb++ {
-			if jb == k {
-				continue // panel column was swapped during factorization
-			}
-			if _, oq := g.owner(0, jb); oq != g.q {
-				continue // not my process column
-			}
-			if err := g.swapOne(k, j, jb, r1, r2, i1, i2, p1, p2); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// swapOne exchanges one row pair within block column jb.
-func (g *grid2d[T]) swapOne(k, j, jb, r1, r2, i1, i2, p1, p2 int) error {
-	tag := tag2dSwapBase + (k*g.nb+j)*g.nBlocks + jb
-	switch {
-	case p1 == g.p && p2 == g.p:
-		// Both rows live here.
-		b1 := g.blocks[[2]int{i1, jb}]
-		b2 := g.blocks[[2]int{i2, jb}]
-		l1, l2 := r1%g.nb, r2%g.nb
-		row1, row2 := b1.Row(l1), b2.Row(l2)
-		for x := range row1 {
-			row1[x], row2[x] = row2[x], row1[x]
-		}
-	case p1 == g.p:
-		return g.swapWith(g.rank(p2, g.q), tag, g.blocks[[2]int{i1, jb}].Row(r1%g.nb))
-	case p2 == g.p:
-		return g.swapWith(g.rank(p1, g.q), tag, g.blocks[[2]int{i2, jb}].Row(r2%g.nb))
-	}
-	return nil
-}
-
-// swapWith trades row for the peer's row of the same pivot pair.
-func (g *grid2d[T]) swapWith(peer, tag int, row []T) error {
-	if err := g.send(peer, tag, row, nil); err != nil {
-		return err
-	}
-	f, _, err := g.recv(peer, tag)
-	if err != nil {
-		return err
-	}
-	if len(f) != len(row) {
-		return fmt.Errorf("hpl: swap row payload %d != %d", len(f), len(row))
-	}
-	copy(row, f)
-	return nil
-}
-
-// broadcastL sends the factored panel blocks along process rows: the
-// diagonal block (k,k) to row rootP's processes, and each L21 block (I,k)
-// to the processes of row I%P. Receivers stash them for the update.
-func (g *grid2d[T]) broadcastL(k int) error {
-	rootP, rootQ := g.owner(k, k)
-	g.stageL11 = nil
-	clear(g.stageL21)
-
-	for i := k; i < g.nBlocks; i++ {
-		op := i % g.P
-		if op != g.p {
-			continue // this block's row bcast happens on another process row
-		}
-		var blk *matrix.Of[T]
-		if g.q == rootQ {
-			blk = g.blocks[[2]int{i, k}]
-			for qq := 0; qq < g.Q; qq++ {
-				if qq != g.q {
-					if err := g.send(g.rank(g.p, qq), tag2dLBase+k*g.nBlocks+i, flatten(blk), nil); err != nil {
-						return err
-					}
-				}
-			}
-		} else {
-			r, c := g.blockDims(i, k)
-			f, _, err := g.recv(g.rank(g.p, rootQ), tag2dLBase+k*g.nBlocks+i)
-			if err != nil {
-				return err
-			}
-			if blk, err = unflatten(f, r, c); err != nil {
-				return err
-			}
-		}
-		if i == k {
-			if g.p == rootP {
-				g.stageL11 = blk
-			}
-		} else {
-			g.stageL21[i] = blk
-		}
-	}
-	return nil
-}
-
-// solveAndBroadcastU computes U12 on the pivot process row and broadcasts
-// each U block down its process column.
-func (g *grid2d[T]) solveAndBroadcastU(k int) error {
-	rootP, _ := g.owner(k, k)
-	clear(g.stageU12)
-
-	for j := k + 1; j < g.nBlocks; j++ {
-		_, oq := g.owner(k, j)
-		if oq != g.q {
-			continue
-		}
-		var u *matrix.Of[T]
-		if g.p == rootP {
-			u = g.blocks[[2]int{k, j}]
-			blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
-			for pp := 0; pp < g.P; pp++ {
-				if pp != g.p {
-					if err := g.send(g.rank(pp, g.q), tag2dUBase+k*g.nBlocks+j, flatten(u), nil); err != nil {
-						return err
-					}
-				}
-			}
-		} else {
-			r, c := g.blockDims(k, j)
-			f, _, err := g.recv(g.rank(rootP, g.q), tag2dUBase+k*g.nBlocks+j)
-			if err != nil {
-				return err
-			}
-			if u, err = unflatten(f, r, c); err != nil {
-				return err
-			}
-		}
-		g.stageU12[j] = u
-	}
-	return nil
-}
-
-// update applies A(I,J) -= L21(I)·U12(J) to every owned trailing block.
-func (g *grid2d[T]) update(k int) error {
-	for ij, blk := range g.blocks {
-		i, j := ij[0], ij[1]
-		if i <= k || j <= k {
-			continue
-		}
-		l := g.stageL21[i]
-		u := g.stageU12[j]
-		if l == nil || u == nil {
-			return fmt.Errorf("hpl: rank (%d,%d) missing stage-%d operands for block (%d,%d)",
-				g.p, g.q, k, i, j)
-		}
-		if g.offloadUpdates {
-			if err := offloadUpdate(g.ctx, l, u, blk); err != nil {
-				return err
-			}
-		} else {
-			// Same crossover as the sequential Getrf trailing update (k
-			// decides alone), so the grid solver stays bitwise identical to
-			// the sequential blocked algorithm.
-			blas.RankKUpdate(l, u, blk, 1)
-		}
-	}
-	return nil
 }
 
 // elapsed is the timed phase so far (zero when the driver opened none).

@@ -241,20 +241,17 @@ type ftGrid struct {
 	profile *[]StageProfile
 }
 
-// The ABFT checksum maintenance rides on the look-ahead schedule's
-// synchronization hooks: row swaps are mirrored on the virtual checksum
-// column once the stage's data swaps are complete, the checksum-U solve
-// follows the L panel, and the checksum GEMM follows the stage's update
-// phase (checksum blocks are disjoint from data blocks, so pipelined
-// trailing updates may still be in flight).
+// The ABFT checksum maintenance rides on the stage's end hooks: the row
+// swaps are mirrored on the virtual checksum column, the checksum-U solve
+// uses the stage's L11, and the checksum GEMM its L21 (checksum blocks are
+// disjoint from data blocks, so pipelined trailing updates may still be
+// in flight).
 func (f *ftGrid) afterSwaps(k int, piv []int) error { return f.swapChecksums(k, piv) }
 func (f *ftGrid) afterL(k int) error                { return f.chkSolveAndBcast(k) }
 func (f *ftGrid) afterUpdate(k int) error           { return f.updateChecksums(k) }
 
 func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 	full, rhs := f.scatter(seed)
-	f.startPipe()
-	defer f.stopPipe()
 	start := 0
 	if snap, stage, ok := f.store.load(f.me()); ok {
 		// Roll back: resume from the last promoted checkpoint.
@@ -266,6 +263,14 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 	} else {
 		f.initChecksums(full)
 	}
+	// The timed phase opens here, as in run: generation, checksum seeding
+	// and a rollback's restore stay outside it.
+	if err := f.c.Barrier(); err != nil {
+		return err
+	}
+	f.t0 = time.Now()
+	f.startPipe()
+	defer f.stopPipe()
 
 	for k := start; k < f.nBlocks; k++ {
 		// Super-step boundary: the FT loop's cancellation point.
@@ -360,8 +365,8 @@ func (f *ftGrid) initChecksums(full *matrix.Dense) {
 	}
 }
 
-// swapChecksums applies the stage's pivot row swaps to the checksum
-// columns, exactly mirroring swapRows for the virtual column.
+// swapChecksums applies the stage's pivot row swaps, in pivot order, to
+// the checksum columns — the virtual column's share of the stage's swaps.
 func (f *ftGrid) swapChecksums(k int, piv []int) error {
 	if f.q != f.cq {
 		return nil

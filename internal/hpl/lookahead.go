@@ -2,27 +2,24 @@ package hpl
 
 // Look-ahead schedules for the real 2D distributed HPL driver — the
 // paper's none → basic → pipelined ladder (Section V, Fig. 8/9) applied
-// to the functional in-process grid:
+// to the functional in-process grid. The three run one protocol, one
+// stage loop (stage): the panel gathered, factored and scattered in one
+// message per rank pair, its L broadcast over the binomial tree of
+// cluster.BcastTree, the stage's row swaps coalesced into one packed
+// exchange per peer, and per owned block column the swap, DTRSM, tree U
+// broadcast and prepacked trailing GEMM. The mode sets two switches:
 //
-//   - LookaheadNone executes each stage as a fully synchronous bulk
-//     sequence (factor → swap → broadcast L → broadcast U → update) —
-//     the seed behavior, kept message-for-message identical.
-//   - LookaheadBasic splits the trailing update: the next panel's block
-//     column is updated first, panel k+1 is factored immediately and its
-//     L broadcast posted, and only then does the rest of update k run —
-//     panel factorization and broadcast latency hide behind GEMM.
-//   - LookaheadPipelined decomposes the stage per block column: the row
-//     swaps, U broadcast and DTRSM of column j proceed while the GEMM of
-//     the previous column runs on an asynchronous worker, with the swaps
-//     coalesced into one packed exchange per peer per column and the L
-//     panel and panel gather/scatter batched into single messages.
+//   - look-ahead (aheadOK): basic and pipelined update block column k+1
+//     first, factor panel k+1 and post its broadcasts before the rest of
+//     update k; none factors every panel at the start of its own stage.
+//   - the async GEMM lane (startPipe): pipelined hands each column's
+//     GEMM to a worker goroutine, so the next column's swap, DTRSM and U
+//     broadcast overlap it; none and basic run the GEMM inline.
 //
-// All three modes reorder work only across disjoint blocks and apply
-// row swaps as exact permutations, so the factors they produce are
-// bitwise identical to the sequential blocked algorithm (and to each
-// other). The basic and pipelined modes broadcast L and U over the
-// binomial tree of cluster.BcastTree; None keeps the seed's flat
-// fan-outs so the A/B comparison stays honest.
+// Every mode reorders work only across disjoint blocks and applies row
+// swaps as exact permutations, and the packed update depends on k alone,
+// so the factors are bitwise identical to the sequential blocked
+// algorithm (and to each other).
 import (
 	"context"
 	"fmt"
@@ -48,7 +45,8 @@ const (
 	// LookaheadBasic factors panel k+1 and posts its broadcast before
 	// finishing trailing update k (paper Fig. 8).
 	LookaheadBasic
-	// LookaheadNone runs the fully synchronous bulk schedule.
+	// LookaheadNone runs the same stage with neither look-ahead nor the
+	// async GEMM lane: nothing overlaps the update.
 	LookaheadNone
 )
 
@@ -79,32 +77,25 @@ func ParseLookaheadMode(s string) (LookaheadMode, error) {
 }
 
 // stageHooks lets the fault-tolerant solver ride its ABFT checksum
-// maintenance on the schedule's synchronization points: after the
-// stage's row swaps are complete, after the L panel is available, and
-// after the stage's (synchronous part of the) update.
+// maintenance on the stage. All three run at the end of stage k, once its
+// row swaps, L panel and U blocks are complete, in protocol order: mirror
+// the swaps, solve the checksum U, apply the checksum update.
 type stageHooks interface {
 	afterSwaps(k int, piv []int) error
 	afterL(k int) error
 	afterUpdate(k int) error
 }
 
-func (g *grid2d[T]) hookAfterSwaps(k int, piv []int) error {
+// runHooks runs the stage-end hooks (none without an FT solver).
+func (g *grid2d[T]) runHooks(k int, piv []int) error {
 	if g.hooks == nil {
 		return nil
 	}
-	return g.hooks.afterSwaps(k, piv)
-}
-
-func (g *grid2d[T]) hookAfterL(k int) error {
-	if g.hooks == nil {
-		return nil
+	if err := g.hooks.afterSwaps(k, piv); err != nil {
+		return err
 	}
-	return g.hooks.afterL(k)
-}
-
-func (g *grid2d[T]) hookAfterUpdate(k int) error {
-	if g.hooks == nil {
-		return nil
+	if err := g.hooks.afterL(k); err != nil {
+		return err
 	}
 	return g.hooks.afterUpdate(k)
 }
@@ -152,7 +143,7 @@ func (g *grid2d[T]) panelSegs(k int) (mine []int, total int) {
 	return mine, total
 }
 
-// --- batched panel factorization (basic/pipelined) ---------------------
+// --- batched panel factorization --------------------------------------
 
 // ensureFactored makes panel k factored and returns its pivots. If the
 // panel was factored eagerly during the previous stage, only the lazy
@@ -407,7 +398,7 @@ func (g *grid2d[T]) eagerPivotFanout(next int) error {
 	return nil
 }
 
-// --- batched tree L broadcast (basic/pipelined) ------------------------
+// --- batched tree L broadcast -----------------------------------------
 
 // sendLRoot posts this rank's batched L payload for stage k to its
 // binomial-tree children along the process row (one message per tree
@@ -449,8 +440,8 @@ func (g *grid2d[T]) recvL(k int) error {
 	rootP, rootQ := g.owner(k, k)
 	g.stageL11 = nil
 	clear(g.stageL21)
-	// Previous stage's packed panels are dead here in the synchronous
-	// schedules, so their slabs can recycle; with a deferred pipeline
+	// Previous stage's packed panels are dead here under an inline
+	// pipeline, so their slabs can recycle; with a deferred pipeline
 	// queued jobs may still read them, so they are left to the GC.
 	release := !g.pipe.deferred()
 	for i, pa := range g.packedL {
@@ -564,21 +555,6 @@ func (g *grid2d[T]) solveUColumn(k, j int) error {
 	return nil
 }
 
-// solveUTree runs solveUColumn over every owned trailing column,
-// ascending — the basic schedule's bulk U phase.
-func (g *grid2d[T]) solveUTree(k int) error {
-	clear(g.stageU12)
-	for j := k + 1; j < g.nBlocks; j++ {
-		if j%g.Q != g.q {
-			continue
-		}
-		if err := g.solveUColumn(k, j); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // prepackL returns stage-wide −L21(i) in packed-tile form, packing on
 // first use and caching until recvL opens the next stage. Protocol
 // goroutine only.
@@ -634,22 +610,7 @@ func (g *grid2d[T]) updateColumn(k, j int) error {
 	return nil
 }
 
-// updateRest applies the stage-k trailing update to every owned block,
-// optionally skipping the already-updated look-ahead column k+1. Going
-// column by column lets each column reuse its packed U operand.
-func (g *grid2d[T]) updateRest(k int, skipAhead bool) error {
-	for j := k + 1; j < g.nBlocks; j++ {
-		if j%g.Q != g.q || (skipAhead && j == k+1) {
-			continue
-		}
-		if err := g.updateColumn(k, j); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- coalesced long swaps (pipelined) ----------------------------------
+// --- coalesced long swaps ---------------------------------------------
 
 // swapPair maps one destination slot (a global row index) to the
 // original global row that ends up there after the stage's full pivot
@@ -810,11 +771,11 @@ func (s *stageSwap[T]) apply(g *grid2d[T], jb int) {
 	}
 }
 
-// --- asynchronous trailing-update pipeline (pipelined) -----------------
+// --- trailing-update pipeline -----------------------------------------
 
-// pipeJob is one block column's trailing update, run off the protocol
-// goroutine. It carries its own operand references so the stage maps
-// can be reused while the job is still queued.
+// pipeJob is one block column's trailing update, run by the pipeline. It
+// carries its own operand references so the stage maps can be reused
+// while the job is still queued.
 type pipeJob[T matrix.Float] struct {
 	ctx     context.Context
 	blocks  []*matrix.Of[T]
@@ -832,8 +793,7 @@ type pipeJob[T matrix.Float] struct {
 // pipeline runs trailing-update GEMM jobs on a single worker goroutine,
 // FIFO, with per-column completion signals. The protocol goroutine
 // enqueues column j's update and only waits for it when a later stage
-// needs to touch column j again. With a single compute lane (pool.Size()
-// <= 1) the worker cannot overlap anything, so jobs run inline at
+// needs to touch column j again. An inline pipeline runs each job at
 // enqueue instead — same FIFO order, same arithmetic, none of the
 // channel handoffs or scheduler switches.
 type pipeline[T matrix.Float] struct {
@@ -845,10 +805,9 @@ type pipeline[T matrix.Float] struct {
 	err    error
 }
 
-func newPipeline[T matrix.Float](buffer int) *pipeline[T] {
-	p := &pipeline[T]{pend: map[int]chan struct{}{}}
-	if pool.Size() <= 1 {
-		p.inline = true
+func newPipeline[T matrix.Float](buffer int, inline bool) *pipeline[T] {
+	p := &pipeline[T]{pend: map[int]chan struct{}{}, inline: inline}
+	if inline {
 		return p
 	}
 	p.jobs = make(chan pipeJob[T], buffer)
@@ -946,9 +905,6 @@ func (p *pipeline[T]) enqueue(col int, job pipeJob[T]) {
 
 // waitCol blocks until column j's queued update (if any) has finished.
 func (p *pipeline[T]) waitCol(j int) error {
-	if p == nil {
-		return nil
-	}
 	if ch, ok := p.pend[j]; ok {
 		delete(p.pend, j)
 		<-ch
@@ -958,9 +914,6 @@ func (p *pipeline[T]) waitCol(j int) error {
 
 // drain waits for every queued update.
 func (p *pipeline[T]) drain() error {
-	if p == nil {
-		return nil
-	}
 	for j, ch := range p.pend {
 		<-ch
 		delete(p.pend, j)
@@ -971,7 +924,7 @@ func (p *pipeline[T]) drain() error {
 // stop closes the queue and joins the worker. Call exactly once, after
 // the last enqueue.
 func (p *pipeline[T]) stop() {
-	if p == nil || p.jobs == nil {
+	if p.inline {
 		return
 	}
 	close(p.jobs)
@@ -981,12 +934,14 @@ func (p *pipeline[T]) stop() {
 // deferred reports whether queued jobs may still be pending after
 // enqueue returns — i.e. whether operands handed to the pipeline must
 // stay stable across later protocol steps.
-func (p *pipeline[T]) deferred() bool { return p != nil && !p.inline }
+func (p *pipeline[T]) deferred() bool { return !p.inline }
 
+// startPipe builds the grid's trailing-update pipeline. It is
+// asynchronous only under the pipelined schedule with a second compute
+// lane to overlap on; none and basic, and any schedule on a one-core
+// pool, run each column's GEMM inline on the protocol goroutine.
 func (g *grid2d[T]) startPipe() {
-	if g.mode == LookaheadPipelined {
-		g.pipe = newPipeline[T](g.nBlocks + 1)
-	}
+	g.pipe = newPipeline[T](g.nBlocks+1, g.mode != LookaheadPipelined || pool.Size() <= 1)
 }
 
 func (g *grid2d[T]) stopPipe() { g.pipe.stop() }
@@ -994,7 +949,8 @@ func (g *grid2d[T]) stopPipe() { g.pipe.stop() }
 func (g *grid2d[T]) drainPipe() error { return g.pipe.drain() }
 
 // enqueueUpdate hands column j's stage-k trailing update to the
-// asynchronous worker.
+// pipeline. An inline job records its GEMM span on the rank's protocol
+// lane, where it serializes into the stage.
 func (g *grid2d[T]) enqueueUpdate(k, j int) {
 	var blocks, ls []*matrix.Of[T]
 	var rows []int
@@ -1039,7 +995,10 @@ func (g *grid2d[T]) enqueueUpdate(k, j int) {
 			pls[x] = g.prepackL(rows[x], l)
 		}
 	}
-	if !g.pipe.deferred() {
+	lane := g.me()
+	if g.pipe.deferred() {
+		lane += g.P * g.Q
+	} else {
 		g.jobBlocks, g.jobLs, g.jobRows = blocks[:0], ls[:0], rows[:0]
 	}
 	g.pipe.enqueue(j, pipeJob[T]{
@@ -1051,12 +1010,12 @@ func (g *grid2d[T]) enqueueUpdate(k, j int) {
 		pu:      pu,
 		offload: g.offloadUpdates,
 		rec:     g.rec,
-		lane:    g.P*g.Q + g.me(),
+		lane:    lane,
 		iter:    k,
 	})
 }
 
-// --- stage schedules ---------------------------------------------------
+// --- the stage loop ---------------------------------------------------
 
 // openStage makes panel k's pivots and L panel available. The order of
 // the two steps tracks the wire order on the panel root's links: when
@@ -1095,71 +1054,6 @@ func (g *grid2d[T]) openStage(k int) ([]int, error) {
 	return piv, nil
 }
 
-// stageBasic is the paper's basic look-ahead: after the bulk swap and U
-// phases, the next panel's block column is updated first, panel k+1 is
-// factored and its L broadcast posted, and only then does the rest of
-// trailing update k run.
-func (g *grid2d[T]) stageBasic(k int) error {
-	piv, err := g.openStage(k)
-	if err != nil {
-		return err
-	}
-
-	ts := g.rec.Start()
-	if err := g.swapRows(k, piv); err != nil {
-		return err
-	}
-	g.tspan("swap", k, ts)
-	if err := g.hookAfterSwaps(k, piv); err != nil {
-		return err
-	}
-	if err := g.hookAfterL(k); err != nil {
-		return err
-	}
-
-	ts = g.rec.Start()
-	if err := g.solveUTree(k); err != nil {
-		return err
-	}
-	g.tspan("Ubcast", k, ts)
-
-	ahead := g.aheadOK(k + 1)
-	if ahead {
-		if (k+1)%g.Q == g.q {
-			// Only the owners of block column k+1 hold its blocks; the
-			// eager helpers below self-select on panel membership.
-			ts = g.rec.Start()
-			if err := g.updateColumn(k, k+1); err != nil {
-				return err
-			}
-			g.tspan("GEMM", k, ts)
-		}
-		ts = g.rec.Start()
-		if err := g.eagerFactor(k + 1); err != nil {
-			return err
-		}
-		if err := g.eagerPivotSendParticipants(k + 1); err != nil {
-			return err
-		}
-		if err := g.eagerSendL(k + 1); err != nil {
-			return err
-		}
-		g.tspan("panel", k+1, ts)
-	}
-	ts = g.rec.Start()
-	if err := g.updateRest(k, ahead); err != nil {
-		return err
-	}
-	g.tspan("GEMM", k, ts)
-	if err := g.hookAfterUpdate(k); err != nil {
-		return err
-	}
-	if ahead {
-		return g.eagerPivotFanout(k + 1)
-	}
-	return nil
-}
-
 // eagerSendL posts the eagerly factored panel's L broadcast from its
 // panel-column owners.
 func (g *grid2d[T]) eagerSendL(next int) error {
@@ -1189,13 +1083,16 @@ func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 	return order
 }
 
-// stagePipelined is the paper's software pipeline: per owned block
-// column, the coalesced row swap, DTRSM and tree U broadcast run on the
-// protocol goroutine while the previous column's GEMM runs on the
-// asynchronous worker. The look-ahead column is handled first and
-// synchronously, so panel k+1 factors and its broadcasts post while the
-// bulk of trailing update k is still queued.
-func (g *grid2d[T]) stagePipelined(k int) error {
+// stage runs iteration k of the outer factorization loop — the one
+// stage of every schedule. Per owned block column, the coalesced row
+// swap, DTRSM and tree U broadcast run on the protocol goroutine and the
+// column's GEMM goes to the pipeline (overlapping the next column under
+// the async lane). With look-ahead the column k+1 is handled first and
+// synchronously, so panel k+1 factors and its broadcasts post before the
+// bulk of trailing update k. The FT hooks run at the end of the stage,
+// when swaps, L and U are complete (checksum blocks are disjoint from
+// data blocks, so queued updates may still be in flight).
+func (g *grid2d[T]) stage(k int) error {
 	piv, err := g.openStage(k)
 	if err != nil {
 		return err
@@ -1206,12 +1103,10 @@ func (g *grid2d[T]) stagePipelined(k int) error {
 	ahead := g.aheadOK(k + 1)
 	order := g.columnOrder(k, ahead)
 
-	if g.pipe.deferred() {
-		// The packed exchange reads rows the queued trailing updates
-		// write; freeze them before packing.
-		if err := g.pipe.drain(); err != nil {
-			return err
-		}
+	// The packed exchange reads rows the queued trailing updates write;
+	// freeze them before packing.
+	if err := g.pipe.drain(); err != nil {
+		return err
 	}
 	ts := g.rec.Start()
 	sw, err := g.swapExchange(k, pairs, order)
@@ -1260,13 +1155,7 @@ func (g *grid2d[T]) stagePipelined(k int) error {
 		// stage-end fan-out below.
 		g.factored[k+1] = true
 	}
-	if err := g.hookAfterSwaps(k, piv); err != nil {
-		return err
-	}
-	if err := g.hookAfterL(k); err != nil {
-		return err
-	}
-	if err := g.hookAfterUpdate(k); err != nil {
+	if err := g.runHooks(k, piv); err != nil {
 		return err
 	}
 	if ahead {

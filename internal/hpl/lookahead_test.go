@@ -84,65 +84,72 @@ func TestLookaheadModesHybridAgree(t *testing.T) {
 	}
 }
 
-// Cancelling mid-run under the pipelined schedule must drain the async
-// trailing-update worker along with the ranks: plain ctx.Err() out, no
-// leaked goroutines.
+// Cancelling mid-run under any schedule must drain the trailing-update
+// pipeline along with the ranks: plain ctx.Err() out, no leaked
+// goroutines.
 func TestLookaheadPipelinedCtxCancelMidRun(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	ctx := &countCtx{Context: context.Background(), after: 6}
-	_, err := SolveDistributed2DModeCtx(ctx, 96, 8, 2, 2, 5, LookaheadPipelined, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, m := range allModes {
+		ctx := &countCtx{Context: context.Background(), after: 6}
+		_, err := SolveDistributed2DModeCtx(ctx, 96, 8, 2, 2, 5, m, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", m, err)
+		}
 	}
 }
 
-// A crash-and-rollback recovery under the pipelined schedule must land on
-// the same bits as an undisturbed pipelined run.
+// A crash-and-rollback recovery under any schedule must land on the same
+// bits as an undisturbed run: the FT hooks ride the end of every mode's
+// stage.
 func TestLookaheadPipelinedFTCrashRestart(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	clean, err := SolveDistributed2DMode(96, 16, 2, 2, 7, LookaheadPipelined)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &fault.Plan{Crashes: []fault.RankEvent{{Rank: 1, Iter: 3}}}
-	r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
-		Plan: plan, CheckpointEvery: 2, MaxRestarts: 2, Lookahead: LookaheadPipelined,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FT.Restarts != 1 {
-		t.Errorf("Restarts = %d, want 1", r.FT.Restarts)
-	}
-	if r.Residual > matrix.ResidualThreshold {
-		t.Errorf("residual %g FAILED after rollback", r.Residual)
-	}
-	for i := range clean.X {
-		if r.X[i] != clean.X[i] {
-			t.Fatalf("post-recovery solution differs at %d: %v vs %v", i, r.X[i], clean.X[i])
+	for _, m := range allModes {
+		plan := &fault.Plan{Crashes: []fault.RankEvent{{Rank: 1, Iter: 3}}}
+		r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
+			Plan: plan, CheckpointEvery: 2, MaxRestarts: 2, Lookahead: m,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if r.FT.Restarts != 1 {
+			t.Errorf("%s: Restarts = %d, want 1", m, r.FT.Restarts)
+		}
+		if r.Residual > matrix.ResidualThreshold {
+			t.Errorf("%s: residual %g FAILED after rollback", m, r.Residual)
+		}
+		for i := range clean.X {
+			if r.X[i] != clean.X[i] {
+				t.Fatalf("%s: post-recovery solution differs at %d: %v vs %v", m, i, r.X[i], clean.X[i])
+			}
 		}
 	}
 }
 
-// An ABFT scrub repair under the pipelined schedule is forward recovery:
-// no restart, reconstruction from the checksum columns, residual intact.
+// An ABFT scrub repair under any schedule is forward recovery: no
+// restart, reconstruction from the checksum columns, residual intact.
 func TestLookaheadPipelinedFTScrub(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	plan := &fault.Plan{Scrubs: []fault.RankEvent{{Rank: 3, Iter: 1}}}
-	r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
-		Plan: plan, CheckpointEvery: 2, Lookahead: LookaheadPipelined,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Residual > matrix.ResidualThreshold {
-		t.Errorf("residual %g FAILED: corruption not repaired", r.Residual)
-	}
-	if r.FT.Reconstructions == 0 {
-		t.Error("scrubbed block must be reconstructed from the ABFT checksums")
-	}
-	if r.FT.Restarts != 0 {
-		t.Errorf("ABFT repair should be forward recovery, not rollback (restarts=%d)", r.FT.Restarts)
+	for _, m := range allModes {
+		plan := &fault.Plan{Scrubs: []fault.RankEvent{{Rank: 3, Iter: 1}}}
+		r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
+			Plan: plan, CheckpointEvery: 2, Lookahead: m,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if r.Residual > matrix.ResidualThreshold {
+			t.Errorf("%s: residual %g FAILED: corruption not repaired", m, r.Residual)
+		}
+		if r.FT.Reconstructions == 0 {
+			t.Errorf("%s: scrubbed block must be reconstructed from the ABFT checksums", m)
+		}
+		if r.FT.Restarts != 0 {
+			t.Errorf("%s: ABFT repair should be forward recovery, not rollback (restarts=%d)", m, r.FT.Restarts)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func TestPreemptWedgedSolve(t *testing.T) {
 	}
 
 	// The slot and memory are free even though the runner is still wedged:
-	// the worker's return released both, and a follow-up job gets the slot.
+	// force-finalize released both, and a follow-up job gets the slot.
 	s.mu.Lock()
 	memHeld := s.memUsed
 	s.mu.Unlock()

@@ -427,8 +427,8 @@ func (s *Server) Readiness() (bool, string) {
 }
 
 // worker is one scheduler loop: pick an eligible job under the fairness
-// and memory rules, run it with deadline + retry + panic isolation,
-// release the slot.
+// and memory rules, run it with deadline + retry + panic isolation
+// (runJob gives the slot back as it finalizes the job).
 func (s *Server) worker(id int) {
 	defer s.wg.Done()
 	for {
@@ -438,15 +438,21 @@ func (s *Server) worker(id int) {
 		}
 		s.hWaitNs.Observe(time.Since(j.enqueuedAt).Nanoseconds())
 		s.runJob(id, j)
-		s.mu.Lock()
-		s.running--
-		s.runTenant[j.spec.Tenant]--
-		s.memUsed -= j.memEst
-		s.gRunning.Set(float64(s.running))
-		s.gMem.Set(float64(s.memUsed))
-		s.cond.Broadcast()
-		s.mu.Unlock()
 	}
+}
+
+// releaseLocked gives back the scheduler slot, tenant slot and
+// admission-gate memory next() took for j, and wakes the scheduler.
+// Callers hold s.mu and call it exactly once per run, in the critical
+// section that makes j terminal and before finishLocked publishes it, so
+// no observer ever sees a terminal job still holding its resources.
+func (s *Server) releaseLocked(j *job) {
+	s.running--
+	s.runTenant[j.spec.Tenant]--
+	s.memUsed -= j.memEst
+	s.gRunning.Set(float64(s.running))
+	s.gMem.Set(float64(s.memUsed))
+	s.cond.Broadcast()
 }
 
 // next blocks until a job is runnable or the server closes (nil).
@@ -515,9 +521,10 @@ func (s *Server) pickLocked() *job {
 // (or drain cancellation): the context cancellation IS the cooperative
 // request; if the solve has not unwound after PreemptGrace, the job is
 // force-finalized ABORTED with the wedged goroutine's stack attached,
-// and runJob returns so the worker releases the slot and the
-// admission-gate memory. The abandoned goroutine's eventual return is
-// discarded (setRunning/finish are terminal-guarded) and counted.
+// releasing the slot and the admission-gate memory, and runJob returns
+// to the worker. The abandoned goroutine's eventual return is discarded
+// (setRunning/finish are terminal-guarded, and it releases nothing) and
+// counted.
 func (s *Server) runJob(worker int, j *job) {
 	ctx, cancel := context.WithTimeout(s.runCtx, j.spec.Timeout)
 	defer cancel()
@@ -568,6 +575,7 @@ func (s *Server) runJob(worker int, j *job) {
 
 	state, view, ei := s.classify(j, out.res, out.err, elapsed)
 	s.mu.Lock()
+	s.releaseLocked(j)
 	s.finishLocked(j, state, view, ei, false)
 	s.maybeCompactLocked()
 	s.mu.Unlock()
@@ -611,8 +619,8 @@ func (s *Server) runAttempts(ctx context.Context, j *job) (phihpl.SolveResult, e
 // expired, cancellation requested, grace window passed, and the solve
 // goroutine still has not returned. Go cannot kill a goroutine, so the
 // job is finalized ABORTED here — with the candidate wedged stacks
-// attached for diagnosis — and the goroutine is abandoned; the worker's
-// return then releases the scheduler slot and admission-gate memory.
+// attached for diagnosis — and the goroutine is abandoned, its scheduler
+// slot and admission-gate memory released in the same critical section.
 func (s *Server) forceFinalize(j *job) {
 	s.mPreempted.Inc()
 	ei := encodeError(&PreemptedError{
@@ -621,6 +629,7 @@ func (s *Server) forceFinalize(j *job) {
 		Stack:    wedgedStacks(),
 	})
 	s.mu.Lock()
+	s.releaseLocked(j)
 	s.finishLocked(j, StateAborted, nil, ei, false)
 	s.maybeCompactLocked()
 	s.mu.Unlock()

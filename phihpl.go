@@ -83,6 +83,17 @@ type SolveResult struct {
 	Refine *RefineReport
 }
 
+// fromDist is the facade's view of a grid solve: the solution, the HPL
+// verdict, the timed phase and the FT/refinement reports, or the error
+// alone. A completed solve's X spans the system, so it also gives N.
+func fromDist(r hpl.DistResult, err error) (SolveResult, error) {
+	if err != nil {
+		return SolveResult{}, err
+	}
+	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: len(r.X),
+		Seconds: r.Seconds, FT: r.FT, Refine: r.Refine}, nil
+}
+
 // passed applies the HPL verdict: a non-finite residual (NaN from a
 // poisoned solve, Inf from overflow) is always FAILED, never a silent
 // false comparison.
@@ -194,11 +205,7 @@ func SolveMixedPrecisionTraced(n int, mode PrecisionMode, nb, workers int, seed 
 // over a real message fabric — the 1×ranks grid of SolveDistributed2D)
 // and returns the solution, the residual and the timed phase.
 func SolveDistributed(n, nb, ranks int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributed(n, nb, ranks, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributed(n, nb, ranks, seed))
 }
 
 // SolveDistributed2D runs the full HPL structure — a P×Q process grid
@@ -207,20 +214,16 @@ func SolveDistributed(n, nb, ranks int, seed uint64) (SolveResult, error) {
 // algorithm. It uses the pipelined look-ahead schedule; see
 // SolveDistributed2DMode to pick another.
 func SolveDistributed2D(n, nb, p, q int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2D(n, nb, p, q, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributed2D(n, nb, p, q, seed))
 }
 
 // LookaheadMode selects the stage schedule of the real 2D distributed
-// driver: LookaheadNone is the synchronous baseline, LookaheadBasic
+// driver. All three run one protocol and differ only in overlap:
+// LookaheadNone overlaps nothing with the trailing update, LookaheadBasic
 // factors panel k+1 as soon as its block column is updated, and
-// LookaheadPipelined (the default) additionally splits the trailing
-// update into per-block-column slices whose GEMMs overlap the next
-// column's swaps and broadcasts. All three produce bitwise-identical
-// factorizations.
+// LookaheadPipelined (the default) additionally runs each block column's
+// GEMM on an asynchronous lane under the next column's swaps and
+// broadcasts. All three produce bitwise-identical factorizations.
 type LookaheadMode = hpl.LookaheadMode
 
 // Look-ahead schedules for the real 2D drivers (distinct from the
@@ -238,32 +241,20 @@ func ParseLookaheadMode(s string) (LookaheadMode, error) { return hpl.ParseLooka
 // SolveDistributed2DMode is SolveDistributed2D with an explicit
 // look-ahead schedule.
 func SolveDistributed2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DMode(n, nb, p, q, seed, mode)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributed2DMode(n, nb, p, q, seed, mode))
 }
 
 // SolveHybrid2D is SolveDistributed2D with every trailing update executed
 // by the real offload engine (host/card work stealing over packed tiles) —
 // the functional composition of the paper's Sections III and V.
 func SolveHybrid2D(n, nb, p, q int, seed uint64) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybrid(n, nb, p, q, seed)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributed2DHybrid(n, nb, p, q, seed))
 }
 
 // SolveHybrid2DMode is SolveHybrid2D with an explicit look-ahead
 // schedule.
 func SolveHybrid2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybridMode(n, nb, p, q, seed, mode)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds}, nil
+	return fromDist(hpl.SolveDistributed2DHybridMode(n, nb, p, q, seed, mode))
 }
 
 // SolveDistributed2DPrecision is SolveDistributed2DMode with an explicit
@@ -275,11 +266,7 @@ func SolveHybrid2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (SolveR
 // the FP64 path automatically and Refine records the typed reason; the
 // verdict is the same HPL residual bar either way.
 func SolveDistributed2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DPrecision(n, nb, p, q, seed, mode, prec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds, Refine: r.Refine}, nil
+	return fromDist(hpl.SolveDistributed2DPrecision(n, nb, p, q, seed, mode, prec))
 }
 
 // SolveHybrid2DPrecision is SolveHybrid2DMode with an explicit precision.
@@ -288,11 +275,7 @@ func SolveDistributed2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMod
 // identical to the plain mixed driver — and keeps the offload engine for
 // the FP64 fallback re-run.
 func SolveHybrid2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DHybridPrecision(n, nb, p, q, seed, mode, prec)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds, Refine: r.Refine}, nil
+	return fromDist(hpl.SolveDistributed2DHybridPrecision(n, nb, p, q, seed, mode, prec))
 }
 
 // ParseFaultPlan parses a fault-injection spec like
@@ -310,11 +293,7 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.Parse(spec) 
 // SolveDistributed2D. On unrecoverable faults the error is a *FaultError
 // carrying the iteration reached and the per-stage profile.
 func SolveFaultTolerant2D(n, nb, p, q int, seed uint64, cfg FTConfig) (SolveResult, error) {
-	r, err := hpl.SolveDistributed2DFT(n, nb, p, q, seed, cfg)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: r.X, Residual: r.Residual, Passed: passed(r.Residual), N: n, Seconds: r.Seconds, FT: r.FT}, nil
+	return fromDist(hpl.SolveDistributed2DFT(n, nb, p, q, seed, cfg))
 }
 
 // NativeLinpackSim prices a native Linpack run of order n on the simulated
