@@ -55,7 +55,9 @@ smoke:
 # unpack chain, the fused panel factorization and the
 # level-1 axpy against the Go loops they replaced (bit for bit; each input
 # runs as float64 and again rounded to float32, so one target covers both
-# instantiations of the generic code), then the write-ahead journal's
+# instantiations of the generic code), the grid driver's shape space
+# (n, NB, P, Q, schedule, precision) against the shared-memory LU bit for
+# bit, then the write-ahead journal's
 # crash-recovery scanner (arbitrary bytes must never panic, and repair
 # accounting must close exactly).
 fuzz:
@@ -63,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/blas -fuzz FuzzPackedGemm -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzDgetf2 -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzAxpy -fuzztime 30s
+	$(GO) test ./internal/hpl -run '^$$' -fuzz FuzzSolve2D -fuzztime 30s
 	$(GO) test ./internal/journal -fuzz FuzzJournalDecode -fuzztime 30s
 
 # race-scalar: the race gate with every assembly kernel disabled — the
