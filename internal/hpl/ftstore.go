@@ -8,10 +8,19 @@ import (
 
 // ftSnap is one rank's checkpointed state.
 type ftSnap struct {
-	blocks     map[[2]int]*matrix.Dense
-	chk1, chk2 map[int]*matrix.Dense
+	a          *matrix.Dense // the local matrix
+	chk1, chk2 *matrix.Dense // its checksum rows (nil off the checksum column)
 	globalPiv  []int
 	firstError error
+}
+
+// clone deep-copies the snapshot.
+func (s *ftSnap) clone() *ftSnap {
+	c := &ftSnap{a: s.a.Clone(), globalPiv: append([]int(nil), s.globalPiv...), firstError: s.firstError}
+	if s.chk1 != nil {
+		c.chk1, c.chk2 = s.chk1.Clone(), s.chk2.Clone()
+	}
+	return c
 }
 
 // ftStore is the in-process stand-in for node-local stable storage: it
@@ -68,14 +77,7 @@ func (s *ftStore) load(rank int) (*ftSnap, int, bool) {
 	if s.stage == 0 {
 		return nil, 0, false
 	}
-	src := s.snaps[rank]
-	return &ftSnap{
-		blocks:     cloneBlockMap(src.blocks),
-		chk1:       cloneChkMap(src.chk1),
-		chk2:       cloneChkMap(src.chk2),
-		globalPiv:  append([]int(nil), src.globalPiv...),
-		firstError: src.firstError,
-	}, s.stage, true
+	return s.snaps[rank].clone(), s.stage, true
 }
 
 // resetPending discards partial deposits from a crashed attempt.

@@ -102,15 +102,23 @@ func RandomSystem(n int, seed uint64) (a *Dense, b []float64) {
 // materializing (or even iterating) the other n²−rows·cols entries.
 func RandomSubmatrix(n int, seed uint64, r0, c0, rows, cols int) *Dense {
 	m := NewDense(rows, cols)
-	for i := 0; i < rows; i++ {
+	FillRandomSubmatrix(m, n, seed, r0, c0)
+	return m
+}
+
+// FillRandomSubmatrix is RandomSubmatrix into dst, any matrix or view: it
+// fills dst with the dst.Rows×dst.Cols window anchored at (r0, c0). Each
+// value is converted with T(v), so a float32 dst holds exactly what
+// ToDense32 makes of the float64 window.
+func FillRandomSubmatrix[T Float](dst *Of[T], n int, seed uint64, r0, c0 int) {
+	for i := 0; i < dst.Rows; i++ {
 		p := NewPRNG(seed)
 		p.Skip(uint64(r0+i)*uint64(n) + uint64(c0))
-		row := m.Row(i)
+		row := dst.Row(i)
 		for j := range row {
-			row[j] = p.Float64()
+			row[j] = T(p.Float64())
 		}
 	}
-	return m
 }
 
 // RandomVector returns a length-n vector of uniform [-0.5,0.5) entries.

@@ -23,7 +23,10 @@ func TestPRNGSkipMatchesSequential(t *testing.T) {
 }
 
 // RandomSubmatrix must be bitwise the corresponding window of the full
-// RandomSystem matrix, including ragged edge windows.
+// RandomSystem matrix, including ragged edge windows; FillRandomSubmatrix
+// must write the same window into a view of a larger matrix (touching
+// nothing around it) and, into a float32 view, exactly what ToDense32
+// makes of it.
 func TestRandomSubmatrixBitwise(t *testing.T) {
 	const n, seed = 37, 99
 	full, _ := RandomSystem(n, seed)
@@ -35,13 +38,27 @@ func TestRandomSubmatrixBitwise(t *testing.T) {
 		{10, 0, 1, n},
 		{0, 36, n, 1},
 	} {
-		sub := RandomSubmatrix(n, seed, w.r0, w.c0, w.rows, w.cols)
-		for i := 0; i < w.rows; i++ {
-			for j := 0; j < w.cols; j++ {
-				if got, want := sub.At(i, j), full.At(w.r0+i, w.c0+j); got != want {
-					t.Fatalf("window %+v: (%d,%d) = %v, want %v", w, i, j, got, want)
+		want := full.View(w.r0, w.c0, w.rows, w.cols)
+		if sub := RandomSubmatrix(n, seed, w.r0, w.c0, w.rows, w.cols); !Equal(sub, want) {
+			t.Fatalf("window %+v: RandomSubmatrix differs from the full matrix", w)
+		}
+
+		host := NewDense(w.rows+2, w.cols+3)
+		FillRandomSubmatrix(host.View(1, 2, w.rows, w.cols), n, seed, w.r0, w.c0)
+		for i := 0; i < host.Rows; i++ {
+			for j := 0; j < host.Cols; j++ {
+				in := i >= 1 && i <= w.rows && j >= 2 && j <= w.cols+1
+				if in && host.At(i, j) != want.At(i-1, j-2) || !in && host.At(i, j) != 0 {
+					t.Fatalf("window %+v: filled view wrong at host (%d,%d) = %v", w, i, j, host.At(i, j))
 				}
 			}
+		}
+
+		host32 := NewDense32(w.rows+1, w.cols+1)
+		v32 := host32.View(1, 1, w.rows, w.cols)
+		FillRandomSubmatrix(v32, n, seed, w.r0, w.c0)
+		if !Equal(v32.Clone(), want.ToDense32()) {
+			t.Fatalf("window %+v: float32 fill differs from ToDense32 of the window", w)
 		}
 	}
 }
