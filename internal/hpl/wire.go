@@ -37,7 +37,14 @@ func (g *grid2d[T]) recv(src, tag int) ([]T, []int, error) {
 	return f.([]T), msg.I, nil
 }
 
+// flatten returns m's rows back to back as a send payload (a send copies
+// it): m's own storage when m is compact, capped so an append reallocates,
+// else a fresh copy. The result may share m's storage, so callers only
+// read it.
 func flatten[T matrix.Float](m *matrix.Of[T]) []T {
+	if n := m.Rows * m.Cols; m.Rows <= 1 || m.Stride == m.Cols {
+		return m.Data[:n:n]
+	}
 	out := make([]T, 0, m.Rows*m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		out = append(out, m.Row(i)...)
