@@ -262,8 +262,21 @@ func Sgetrf(a *matrix.Dense32, piv []int, nb, workers int) error { return Getrf(
 // solve of FP64 iterative refinement — O(n²) double-precision work per
 // step against factors computed at FP32 speed.
 func LUSolve[T matrix.Float](lu *matrix.Of[T], piv []int, b []float64) []float64 {
-	n := lu.Rows
-	if lu.Cols != n || len(b) != n || len(piv) != n {
+	if lu.Cols != lu.Rows {
+		panic("blas: LUSolve dimension mismatch")
+	}
+	return LUSolveRuns(lu.Rows, func(i, j int) []T { return lu.Row(i)[j:] }, piv, b)
+}
+
+// LUSolveRuns is LUSolve over n×n factors that are not one matrix — a
+// block-cyclic layout spread over several local matrices, say. run(i, j)
+// returns a contiguous run of the factors' row i starting at column j:
+// at least one element, and none past column n−1. Each substitution
+// consumes a row in column order, one multiply and one subtract per
+// element, so the result is bitwise LUSolve's however the rows are cut
+// into runs.
+func LUSolveRuns[T matrix.Float](n int, run func(i, j int) []T, piv []int, b []float64) []float64 {
+	if len(b) != n || len(piv) != n {
 		panic("blas: LUSolve dimension mismatch")
 	}
 	x := make([]float64, n)
@@ -275,21 +288,26 @@ func LUSolve[T matrix.Float](lu *matrix.Of[T], piv []int, b []float64) []float64
 	}
 	// Forward: L·y = Pb.
 	for i := 0; i < n; i++ {
-		row := lu.Row(i)
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= float64(row[j]) * x[j]
-		}
-		x[i] = s
+		x[i] = subRuns(x[i], run, i, 0, i, x)
 	}
 	// Backward: U·x = y.
 	for i := n - 1; i >= 0; i-- {
-		row := lu.Row(i)
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= float64(row[j]) * x[j]
-		}
-		x[i] = s / float64(row[i])
+		x[i] = subRuns(x[i], run, i, i+1, n, x) / float64(run(i, i)[0])
 	}
 	return x
+}
+
+// subRuns returns s − Σ row_i[j]·x[j] over j in [lo, hi), subtracting the
+// terms in column order.
+func subRuns[T matrix.Float](s float64, run func(i, j int) []T, i, lo, hi int, x []float64) float64 {
+	for j := lo; j < hi; {
+		seg := run(i, j)
+		seg = seg[:min(len(seg), hi-j)]
+		xs := x[j : j+len(seg)]
+		for t, v := range seg {
+			s -= float64(v) * xs[t]
+		}
+		j += len(seg)
+	}
+	return s
 }

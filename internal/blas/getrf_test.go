@@ -2,6 +2,7 @@ package blas
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,76 @@ func TestLUSolveAgainstResidual(t *testing.T) {
 			t.Errorf("n=%d: scaled residual %g exceeds %g", n, r, matrix.ResidualThreshold)
 		}
 	}
+}
+
+// luSolveOracle is the forward/back substitution written out over whole
+// rows, the loops LUSolveRuns's runs must add up to.
+func luSolveOracle[T matrix.Float](lu *matrix.Of[T], piv []int, b []float64) []float64 {
+	n := lu.Rows
+	x := append([]float64(nil), b...)
+	for k, p := range piv {
+		x[k], x[p] = x[p], x[k]
+	}
+	for i := 0; i < n; i++ {
+		s := x[i]
+		for j := 0; j < i; j++ {
+			s -= float64(lu.At(i, j)) * x[j]
+		}
+		x[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= float64(lu.At(i, j)) * x[j]
+		}
+		x[i] = s / float64(lu.At(i, i))
+	}
+	return x
+}
+
+// LUSolveRuns is bitwise the whole-row substitution however the rows are
+// cut into runs — single elements, random lengths, runs that overshoot
+// the diagonal — over FP64 and FP32 factors, and LUSolve is its one-run
+// case.
+func TestLUSolveRunsAnyCut(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 16, 37} {
+		a, b := matrix.RandomSystem(n, uint64(n)*7)
+		lu := a.Clone()
+		piv := make([]int, n)
+		if err := Dgetrf(lu, piv, 4); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		lu32 := lu.ToDense32()
+		want, want32 := luSolveOracle(lu, piv, b), luSolveOracle(lu32, piv, b)
+		cuts := map[string]func(i, j int) int{
+			"whole":  func(i, j int) int { return n - j },
+			"single": func(i, j int) int { return 1 },
+			"random": func(i, j int) int { return 1 + (i*31+j*17)%(n-j) },
+			"blocks": func(i, j int) int { return min(3-j%3, n-j) },
+		}
+		for name, cut := range cuts {
+			run := func(i, j int) []float64 { return lu.Row(i)[j : j+cut(i, j)] }
+			run32 := func(i, j int) []float32 { return lu32.Row(i)[j : j+cut(i, j)] }
+			if x := LUSolveRuns(n, run, piv, b); !bitsEqual(x, want) {
+				t.Errorf("n=%d %s cut: FP64 solve differs from the whole-row loops", n, name)
+			}
+			if x := LUSolveRuns(n, run32, piv, b); !bitsEqual(x, want32) {
+				t.Errorf("n=%d %s cut: FP32 solve differs from the whole-row loops", n, name)
+			}
+		}
+		if !bitsEqual(LUSolve(lu, piv, b), want) || !bitsEqual(LUSolve(lu32, piv, b), want32) {
+			t.Errorf("n=%d: LUSolve differs from the whole-row loops", n)
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
 }
 
 func TestLUSolvePanics(t *testing.T) {

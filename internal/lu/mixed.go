@@ -169,7 +169,8 @@ func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Optio
 		return fallbackFP64(ctx, a, b, opts, rep, FallbackSingular)
 	}
 
-	x, residual, rep.Iterations, rep.Reason, err = RefineMixed(ctx, a, a32, piv, b, rec)
+	solve := func(r []float64) []float64 { return blas.LUSolve(a32, piv, r) }
+	x, residual, rep.Iterations, rep.Reason, err = RefineMixed(ctx, matrix.DenseSystem(a, b), solve, rec)
 	if err != nil {
 		return nil, 0, rep, err
 	}
@@ -184,15 +185,16 @@ func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Optio
 
 // RefineMixed is the FP64 iterative-refinement ladder against prefactored
 // FP32 LU factors, shared by the shared-memory mixed solve and the 2D
-// distributed drivers. lu32 holds the in-place FP32 factors of (a rounded
-// to single precision), piv the absolute-row pivot swaps (piv[k]=p means
-// rows k and p were swapped at step k — the globalPiv format of the
-// distributed drivers). It substitutes b through the factors, then
-// refines: FP64 residual against the original a, FP64 correction solve
-// against the FP32 factors, x += δ, until the scaled residual is a decade
-// under the HPL bar, the step budget (DefaultRefineSteps) runs out, or
-// progress stalls. A stalled-or-capped iterate that still clears the HPL
-// bar is accepted.
+// distributed drivers. sys is the original FP64 system — held in memory or
+// regenerated from its seed on each pass — and solve applies the factors:
+// it returns the FP64 solution of (P·L·U)·y = r, blas.LUSolve or
+// blas.LUSolveRuns over the FP32 factors of (A rounded to single precision)
+// and their pivots. RefineMixed substitutes b through the factors, then
+// refines: one pass over sys gives the iterate's scaled residual and its
+// FP64 residual vector r = b − A·x, the correction is solved against the
+// factors, x += δ, until the scaled residual is a decade under the HPL
+// bar, the step budget (DefaultRefineSteps) runs out, or progress stalls.
+// A stalled-or-capped iterate that still clears the HPL bar is accepted.
 //
 // On acceptance why is FallbackNone; otherwise why says what went wrong
 // (FallbackStalled, FallbackNonFinite) and the caller picks its own FP64
@@ -200,15 +202,16 @@ func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Optio
 // FP64 path (the 2D drivers). err is non-nil only for ctx cancellation,
 // observed between refinement steps. Spans (worker 0): "Refine" per
 // correction solve. Counter: lu.refine_iters.
-func RefineMixed(ctx context.Context, a *matrix.Dense, lu32 *matrix.Dense32, piv []int, b []float64, rec *trace.Recorder) (x []float64, res float64, iters int, why FallbackReason, err error) {
-	x = blas.LUSolve(lu32, piv, b)
+func RefineMixed(ctx context.Context, sys matrix.System, solve func(r []float64) []float64, rec *trace.Recorder) (x []float64, res float64, iters int, why FallbackReason, err error) {
+	x = solve(sys.B)
 	prev := math.Inf(1)
 	var t0 float64
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, iters, FallbackNone, err
 		}
-		res = matrix.Residual(a, x, b)
+		var r []float64
+		r, res = sys.Sweep(x)
 		if math.IsNaN(res) || math.IsInf(res, 0) {
 			return nil, 0, iters, FallbackNonFinite, nil
 		}
@@ -230,8 +233,7 @@ func RefineMixed(ctx context.Context, a *matrix.Dense, lu32 *matrix.Dense32, piv
 		if rec != nil {
 			t0 = rec.Start()
 		}
-		r := residVec(a, x, b)
-		delta := blas.LUSolve(lu32, piv, r)
+		delta := solve(r)
 		blas.Daxpy(1, delta, x)
 		iters++
 		mRefineIters.Load().Inc()

@@ -23,30 +23,22 @@ func SolveRefined(a *matrix.Dense, b []float64, opts Options,
 	}
 	x = blas.LUSolve(lu, piv, b)
 
-	bestNorm := residNorm(a, x, b)
+	// One sweep per iterate gives both its residual vector and its scaled
+	// residual; the next correction reuses the vector.
+	sys := matrix.DenseSystem(a, b)
+	r, residual := sys.Sweep(x)
+	bestNorm := matrix.VecNormInf(r)
 	for s := 0; s < steps; s++ {
-		r := residVec(a, x, b)
 		delta := blas.LUSolve(lu, piv, r)
 		cand := make([]float64, len(x))
 		copy(cand, x)
 		blas.Daxpy(1, delta, cand)
-		if n := residNorm(a, cand, b); n < bestNorm {
-			x, bestNorm = cand, n
-		} else {
+		rc, resc := sys.Sweep(cand)
+		n := matrix.VecNormInf(rc)
+		if !(n < bestNorm) {
 			break
 		}
+		x, r, residual, bestNorm = cand, rc, resc, n
 	}
-	return x, matrix.Residual(a, x, b), nil
-}
-
-// residVec returns b − A·x.
-func residVec(a *matrix.Dense, x, b []float64) []float64 {
-	r := make([]float64, len(b))
-	copy(r, b)
-	blas.Dgemv(false, -1, a, x, 1, r)
-	return r
-}
-
-func residNorm(a *matrix.Dense, x, b []float64) float64 {
-	return matrix.VecNormInf(residVec(a, x, b))
+	return x, residual, nil
 }

@@ -271,25 +271,7 @@ func VecNormOne(v []float64) float64 {
 //
 // which HPL declares PASSED when below the threshold 16.0. A must be the
 // original (unfactored) matrix.
-func Residual(a *Dense, x, b []float64) float64 {
-	n := a.Rows
-	if n == 0 {
-		return 0
-	}
-	ax := a.MulVec(x)
-	for i := range ax {
-		ax[i] -= b[i]
-	}
-	num := VecNormInf(ax)
-	den := machEps * (a.NormInf()*VecNormInf(x) + VecNormInf(b)) * float64(n)
-	if den == 0 {
-		if num == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return num / den
-}
+func Residual(a *Dense, x, b []float64) float64 { return DenseSystem(a, b).Residual(x) }
 
 // ResidualThreshold is the HPL pass/fail threshold for the scaled residual.
 const ResidualThreshold = 16.0

@@ -62,3 +62,21 @@ func TestRandomSubmatrixBitwise(t *testing.T) {
 		}
 	}
 }
+
+// fill, the loop behind every generator, must draw exactly the sequential
+// stream at every length.
+func TestFillMatchesSequentialDraws(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		seq, p := NewPRNG(7), NewPRNG(7)
+		row := make([]float32, n)
+		fill(p, row)
+		for j, v := range row {
+			if want := float32(seq.Float64()); v != want {
+				t.Fatalf("len %d: draw %d = %v, want %v", n, j, v, want)
+			}
+		}
+		if p.Uint64() != seq.Uint64() {
+			t.Fatalf("len %d: generator state diverged after fill", n)
+		}
+	}
+}
