@@ -1,11 +1,13 @@
 // Package hpl implements the hybrid High-Performance-Linpack layer of
 // Section V: a functional distributed LU solver running on the in-process
 // cluster fabric (2D block-cyclic blocks on a P×Q process grid, each
-// rank's share held as one local matrix of contiguous block-column
-// panels; per-stage panel factorization, row swapping, L and U
-// broadcasts, and a trailing update of one packed GEMM per owned block
-// column against the stage's once-packed L21, under three look-ahead
-// schedules, in FP64 or mixed precision — one grid driver, grid2d[T]), a
+// rank's share generated in place and held as one local matrix of
+// contiguous block-column panels; per-stage panel factorization, row
+// swapping, L and U broadcasts, and a trailing update of one packed GEMM
+// per owned block column against the stage's once-packed L21, under three
+// look-ahead schedules, in FP64 or mixed precision; the root solves from
+// the gathered local matrices and checks the residual against the system
+// regenerated from the seed — one grid driver, grid2d[T]), a
 // fault-tolerant variant with ABFT checksum columns and super-step
 // checkpoint/rollback (ft.go), and a virtual-time simulation of the
 // hybrid host+coprocessor implementation with the paper's three
@@ -227,8 +229,9 @@ func solveGrid[T matrix.Float](ctx context.Context, n, nb, p, q int, seed uint64
 }
 
 // grid2d is one process of the grid solver, factoring in element type T.
-// With T = float32 (the mixed-precision pipeline) rank 0 keeps the FP64
-// original beside the grid, for residuals and refinement only.
+// No rank holds more of the matrix than its own blocks: rank 0 checks the
+// residual — and, with T = float32 (the mixed-precision pipeline), refines
+// — against the FP64 system regenerated from the seed.
 type grid2d[T matrix.Float] struct {
 	c       *Comm
 	ctx     context.Context // cancellation, observed at stage boundaries
@@ -372,18 +375,29 @@ func (g *grid2d[T]) seg(lr, jb, w int) []T { return g.a.Row(g.panel(jb) + lr)[:w
 // block row i on begin.
 func (g *grid2d[T]) rowsFrom(i int) int { return localFrom(i, g.nb, g.p, g.P, g.mloc) }
 
-// place copies process (pp, qq)'s local matrix loc into the global matrix
-// dst, one row segment at a time.
-func (g *grid2d[T]) place(dst, loc *matrix.Of[T], pp, qq int) {
-	mloc := numroc(g.n, g.nb, pp, g.P)
-	for j := qq; j < g.nBlocks; j += g.Q {
-		for i := pp; i < g.nBlocks; i += g.P {
-			r, c := g.blockDims(i, j)
-			lr := j/g.Q*mloc + g.lrow(i)
-			for y := 0; y < r; y++ {
-				copy(dst.Row(i*g.nb + y)[j*g.nb:j*g.nb+c], loc.Row(lr + y)[:c])
-			}
-		}
+// factorRun reads the n×n factors out of the local matrices gathered on
+// rank 0 (locals[rank]) without assembling them: run(i, j) is matrix row i
+// from column j to the end of j's block, one slice of the owning rank's
+// panel — blas.LUSolveRuns's view of the block-cyclic layout.
+//
+// The solve asks for every run of every row twice, so the index maps are
+// tabulated once per matrix row and column rather than divided out per run.
+func (g *grid2d[T]) factorRun(locals []*matrix.Of[T]) func(i, j int) []T {
+	type rowAt struct{ rank, mloc, lr int }   // owner's rank of column 0, its mloc, local row within a panel
+	type colAt struct{ q, panel, lo, hi int } // owner's process column, its panel index, the run's bounds in the panel
+	rows, cols := make([]rowAt, g.n), make([]colAt, g.n)
+	for r := range rows {
+		pp := r / g.nb % g.P
+		rows[r] = rowAt{g.rank(pp, 0), numroc(g.n, g.nb, pp, g.P), g.localRow(r)}
+	}
+	for c := range cols {
+		jb := c / g.nb
+		_, w := g.blockDims(0, jb)
+		cols[c] = colAt{jb % g.Q, jb / g.Q, c - jb*g.nb, w}
+	}
+	return func(i, j int) []T {
+		r, c := rows[i], cols[j]
+		return locals[r.rank+c.q].Row(c.panel*r.mloc + r.lr)[c.lo:c.hi]
 	}
 }
 
@@ -408,23 +422,20 @@ func demote[T matrix.Float](dst *matrix.Of[T], src *matrix.Dense) {
 }
 
 // scatter generates the seeded system straight into the local matrix, in
-// the grid's element type. It returns the FP64 system on rank 0 and nil
-// elsewhere.
-func (g *grid2d[T]) scatter(seed uint64) (*matrix.Dense, []float64) {
+// the grid's element type: every rank, the root included, jumps the
+// generator to its own blocks (PRNG.Skip) and never allocates the rest of
+// the matrix. It returns, on rank 0, the FP64 system the root checks the
+// solution (and, on an FP32 grid, refines) against — a SeededSystem, which
+// regenerates A from the seed a row at a time on every pass. Under
+// mixedTestSystem every rank holds the hook's full matrix instead, and
+// scatter returns it as full.
+func (g *grid2d[T]) scatter(seed uint64) (sys matrix.System, full *matrix.Dense) {
 	g.seed = seed
-	// Rank 0 materializes the full system — it checks the final residual
-	// (and, on an FP32 grid, refines) against it. Every other rank jumps
-	// the generator straight to its own blocks (PRNG.Skip) and never
-	// allocates the rest of the matrix; the blocks are bitwise identical
-	// either way, before and after demotion.
-	var full *matrix.Dense
 	var rhs []float64
 	if hook := mixedTestSystem; hook != nil {
 		// Keep the FP64 fallback re-run on the same (hooked) system the
 		// mixed attempt factored; see mixedTestSystem.
 		full, rhs = hook(g.n, seed)
-	} else if g.me() == 0 {
-		full, rhs = matrix.RandomSystem(g.n, seed)
 	}
 	g.layout()
 	g.a = matrix.New[T](localRows(g.mloc, g.nloc, g.nb), g.nb)
@@ -445,14 +456,18 @@ func (g *grid2d[T]) scatter(seed uint64) (*matrix.Dense, []float64) {
 	g.pivots = make([][]int, g.nBlocks)
 	g.factored = make([]bool, g.nBlocks)
 	g.lSent = make([]bool, g.nBlocks)
-	if g.me() != 0 {
-		full, rhs = nil, nil // hook path: only the root verifies
+	switch {
+	case g.me() != 0:
+	case full != nil:
+		sys = matrix.DenseSystem(full, rhs)
+	default:
+		sys = matrix.SeededSystem(g.n, seed)
 	}
-	return full, rhs
+	return sys, full
 }
 
 func (g *grid2d[T]) run(seed uint64, results []DistResult, errs []error) error {
-	full, rhs := g.scatter(seed)
+	sys, _ := g.scatter(seed)
 	// HPL times the solve proper: all ranks sync here so generation cost
 	// can't leak into any rank's factorization phase.
 	if err := g.c.Barrier(); err != nil {
@@ -475,7 +490,7 @@ func (g *grid2d[T]) run(seed uint64, results []DistResult, errs []error) error {
 			return err
 		}
 	}
-	return g.gatherAndSolve(full, rhs, results, errs)
+	return g.gatherAndSolve(sys, results, errs)
 }
 
 // ctxErr reports the grid's cancellation state (nil ctx: never cancelled).
@@ -502,11 +517,11 @@ func (g *grid2d[T]) elapsed() float64 {
 	return time.Since(g.t0).Seconds()
 }
 
-// gatherAndSolve collects every rank's local matrix on rank 0, assembles
-// the n×n factors from them (place) and hands them to the precision's
-// root tail: an FP64 grid solves and checks the residual; an FP32 grid
-// refines against the FP64 original.
-func (g *grid2d[T]) gatherAndSolve(full *matrix.Dense, rhs []float64, results []DistResult, errs []error) error {
+// gatherAndSolve collects every rank's local matrix on rank 0 and hands
+// the factors, read in place through factorRun, to the precision's root
+// tail: an FP64 grid solves and checks the residual against sys; an FP32
+// grid refines against it.
+func (g *grid2d[T]) gatherAndSolve(sys matrix.System, results []DistResult, errs []error) error {
 	if err := g.drainPipe(); err != nil {
 		return err
 	}
@@ -534,19 +549,16 @@ func (g *grid2d[T]) gatherAndSolve(full *matrix.Dense, rhs []float64, results []
 		}
 	}
 
-	factors := matrix.New[T](g.n, g.n)
-	for rk, loc := range locals {
-		g.place(factors, loc, rk/g.Q, rk%g.Q)
-	}
+	run := g.factorRun(locals)
 	res := DistResult{Ranks: g.P * g.Q, Panels: g.nBlocks}
 	if !matrix.Is64[T]() {
 		var err error
-		results[0], err = g.refineRoot(res, factors.As32(), firstErr, full, rhs)
+		results[0], err = g.refineRoot(res, run, firstErr, sys)
 		return err
 	}
-	res.X = blas.LUSolve(factors, g.globalPiv, rhs)
+	res.X = blas.LUSolveRuns(g.n, run, g.globalPiv, sys.B)
 	res.Seconds = g.elapsed()
-	res.Residual = matrix.Residual(full, res.X, rhs)
+	res.Residual = sys.Residual(res.X)
 	results[0] = res
 	errs[0] = firstErr
 	return nil
@@ -559,7 +571,7 @@ func (g *grid2d[T]) gatherAndSolve(full *matrix.Dense, rhs []float64, results []
 // phase; the solve2D wrapper then re-runs the FP64 path in a fresh world
 // (no FT restart is burned: the fallback is a precision decision, not a
 // fault).
-func (g *grid2d[T]) refineRoot(res DistResult, lu32 *matrix.Dense32, firstErr error, full *matrix.Dense, rhs []float64) (DistResult, error) {
+func (g *grid2d[T]) refineRoot(res DistResult, run func(i, j int) []T, firstErr error, sys matrix.System) (DistResult, error) {
 	if firstErr != nil {
 		// Zero/subnormal pivot in FP32 — the matrix may still factor fine
 		// in FP64, so this is a fallback trigger, not a terminal error.
@@ -567,7 +579,8 @@ func (g *grid2d[T]) refineRoot(res DistResult, lu32 *matrix.Dense32, firstErr er
 		res.Seconds = g.elapsed()
 		return res, nil
 	}
-	x, resid, iters, why, err := lu.RefineMixed(g.ctxOrBG(), full, lu32, g.globalPiv, rhs, g.rec)
+	solve := func(r []float64) []float64 { return blas.LUSolveRuns(g.n, run, g.globalPiv, r) }
+	x, resid, iters, why, err := lu.RefineMixed(g.ctxOrBG(), sys, solve, g.rec)
 	if err != nil {
 		return DistResult{}, err
 	}

@@ -252,7 +252,7 @@ func (f *ftGrid) afterL(k int) error                { return f.chkSolveAndBcast(
 func (f *ftGrid) afterUpdate(k int) error           { return f.updateChecksums(k) }
 
 func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
-	full, rhs := f.scatter(seed)
+	sys, full := f.scatter(seed)
 	start := 0
 	if snap, stage, ok := f.store.load(f.me()); ok {
 		// Roll back: resume from the last promoted checkpoint.
@@ -321,7 +321,7 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 			*f.profile = append(*f.profile, StageProfile{Stage: k, Seconds: time.Since(t0).Seconds()})
 		}
 	}
-	return f.gatherAndSolve(full, rhs, results, errs)
+	return f.gatherAndSolve(sys, results, errs)
 }
 
 // initChecksums builds C1 and C2 from the (deterministically generated)
@@ -335,8 +335,8 @@ func (f *ftGrid) initChecksums(full *matrix.Dense) {
 	for i := f.p; i < f.nBlocks; i += f.P {
 		r, _ := f.blockDims(i, 0)
 		// The checksum seeds span the whole block row, most of which this
-		// rank does not own; regenerate the band by stream jump when the
-		// full matrix was not materialized here (non-zero ranks).
+		// rank does not own; regenerate the band by stream jump unless a
+		// test hook materialized the full matrix here.
 		band := full
 		if band == nil {
 			band = matrix.RandomSubmatrix(f.n, f.seed, i*f.nb, 0, r, f.n)

@@ -24,8 +24,9 @@ func layoutGrid(n, nb, P, Q, p, q int) *grid2d[float64] {
 // slot, and together they fill every rank's local matrix exactly once
 // (all but the padding of a ragged last column's panel); rowsFrom is
 // where the owned block rows from i on begin; seg finds each element
-// again by its local row; place copies a rank's local matrix back to the
-// same global positions.
+// again by its local row; factorRun, over the ranks' local matrices, reads
+// every element at its global position, each run ending at its block's
+// last column.
 func TestLocalLayoutIndexMaps(t *testing.T) {
 	for n := 1; n <= 70; n++ {
 		for nb := 1; nb <= 9 && nb <= n; nb++ {
@@ -78,7 +79,7 @@ func checkLayout(t *testing.T, n, nb, P, Q int) {
 			}
 		}
 	}
-	global := matrix.NewDense(n, n)
+	locals := make([]*matrix.Dense, len(grids))
 	for rk, g := range grids {
 		// Every slot of every owned column's panel was written; only a
 		// ragged last column's padding stays zero.
@@ -89,12 +90,14 @@ func checkLayout(t *testing.T, n, nb, P, Q int) {
 				t.Fatalf("n=%d nb=%d %dx%d rank %d: local slot (%d,%d) = %v", n, nb, P, Q, rk, r, c, v)
 			}
 		}
-		g0.place(global, g.a, rk/Q, rk%Q)
+		locals[rk] = g.a
 	}
+	run := g0.factorRun(locals)
 	for r := 0; r < n; r++ {
 		for c := 0; c < n; c++ {
-			if global.At(r, c) != float64(r*n+c+1) {
-				t.Fatalf("n=%d nb=%d %dx%d: place puts %v at (%d,%d)", n, nb, P, Q, global.At(r, c), r, c)
+			_, w := g0.blockDims(0, c/nb)
+			if got := run(r, c); len(got) != c/nb*nb+w-c || got[0] != float64(r*n+c+1) {
+				t.Fatalf("n=%d nb=%d %dx%d: factorRun(%d,%d) = %v", n, nb, P, Q, r, c, got)
 			}
 			if g := grids[g0.rank(g0.rowProc(r), (c/nb)%Q)]; g.seg(g.localRow(r), c/nb, c%nb+1)[c%nb] != float64(r*n+c+1) {
 				t.Fatalf("n=%d nb=%d %dx%d: localRow/seg miss (%d,%d)", n, nb, P, Q, r, c)
