@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-scalar fuzz smoke check clean
+.PHONY: all build test vet race race-scalar poolsize fuzz smoke check clean
 
 all: vet test
 
@@ -40,6 +40,15 @@ race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/dag/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
 	$(GO) test -race -count=50 -run 'TestPreemptWedgedSolve$$|TestDrainForceFinalizesWedgedJob$$' ./internal/server
+
+# poolsize: the numeric suites at two pool sizes. pool.Size() is fixed at
+# GOMAXPROCS for the life of a process, so one run meets one worker count;
+# these two runs put every bitwise suite (packed GEMM, LU drivers, grid)
+# under a single worker and under eight, on whatever core count the
+# machine has.
+poolsize:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
+	GOMAXPROCS=8 $(GO) test -count=1 ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for

@@ -36,21 +36,21 @@ func Ablations() string {
 	fmt.Fprintf(&b, "tile selection:   run-time (tile %d) %.1f GF  vs  forced 1200 %.1f GF  (M=40K)\n",
 		auto.Mt, auto.GFLOPS, forced.GFLOPS)
 
-	none := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.NoLookahead})
-	basic := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.BasicLookahead})
-	pipe := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead})
+	none := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadNone})
+	basic := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadBasic})
+	pipe := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined})
 	fmt.Fprintf(&b, "look-ahead:       none %.1f%%  basic %.1f%%  pipelined %.1f%%  (hybrid, N=84K)\n",
 		none.Eff*100, basic.Eff*100, pipe.Eff*100)
 
-	ftOff := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead})
-	ftOn := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead,
+	ftOff := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined})
+	ftOn := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined,
 		FTLossRate: 1e-3, FTCheckpointEvery: 8})
 	fmt.Fprintf(&b, "fault tolerance:  off %.1f%%  vs  ABFT+ckpt(8)+loss 1e-3 %.1f%%  (FT overhead %.1f%% of run time)\n",
 		ftOff.Eff*100, ftOn.Eff*100, ftOn.FTOverheadFrac*100)
 
 	nat := hpl.SimulateNativeCluster(hpl.NativeClusterConfig{
 		N: hpl.MaxNativeProblemSize(2, 2, 300), P: 2, Q: 2})
-	hyb := hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.PipelinedLookahead})
+	hyb := hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.LookaheadPipelined})
 	fmt.Fprintf(&b, "future work:      native 2x2 cards %.2f TF (%.1f%% of card peak)  vs  hybrid 2x2 %.2f TF (%.1f%% of node peak)\n",
 		nat.TFLOPS, nat.Eff*100, hyb.TFLOPS, hyb.Eff*100)
 

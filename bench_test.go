@@ -77,8 +77,8 @@ func BenchmarkFig7(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	var basic, pipe hpl.SimResult
 	for i := 0; i < b.N; i++ {
-		basic = hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: hpl.BasicLookahead})
-		pipe = hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: hpl.PipelinedLookahead})
+		basic = hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: hpl.LookaheadBasic})
+		pipe = hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: hpl.LookaheadPipelined})
 	}
 	b.ReportMetric(basic.CardIdleFrac*100, "basic_idle_pct")
 	b.ReportMetric(pipe.CardIdleFrac*100, "pipelined_idle_pct")
@@ -102,7 +102,7 @@ func BenchmarkTable3(b *testing.B) {
 		out = Table3()
 	}
 	b.ReportMetric(float64(len(out)), "chars")
-	r := hpl.Simulate(hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.PipelinedLookahead})
+	r := hpl.Simulate(hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.LookaheadPipelined})
 	b.ReportMetric(r.TFLOPS, "cluster_TFLOPS")
 	b.ReportMetric(r.Eff*100, "cluster_eff_pct")
 }
@@ -274,9 +274,9 @@ func BenchmarkAblationTileSelection(b *testing.B) {
 func BenchmarkAblationLookahead(b *testing.B) {
 	var none, basic, pipe hpl.SimResult
 	for i := 0; i < b.N; i++ {
-		none = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.NoLookahead})
-		basic = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.BasicLookahead})
-		pipe = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead})
+		none = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadNone})
+		basic = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadBasic})
+		pipe = hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined})
 	}
 	b.ReportMetric(none.Eff*100, "none_eff_pct")
 	b.ReportMetric(basic.Eff*100, "basic_eff_pct")
@@ -325,9 +325,9 @@ func BenchmarkHybrid2D(b *testing.B) {
 	b.ReportMetric(perfmodel.LUFlops(240)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
-// BenchmarkRecursivePanel compares the unblocked and recursive panel
+// BenchmarkPanelVariants compares the unblocked and recursive panel
 // factorizations on a tall panel.
-func BenchmarkRecursivePanel(b *testing.B) {
+func BenchmarkPanelVariants(b *testing.B) {
 	for _, variant := range []struct {
 		name string
 		f    func(*matrix.Dense, []int) error

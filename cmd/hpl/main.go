@@ -343,14 +343,7 @@ func main() {
 	la.N, la.NB, la.P, la.Q = *n, *nb, *p, *q
 	la.Cards, la.HostMemGiB = *cards, *mem
 	la.Trace = rec
-	switch *mode {
-	case "none":
-		la.Lookahead = phihpl.NoLookahead
-	case "basic":
-		la.Lookahead = phihpl.BasicLookahead
-	case "pipelined":
-		la.Lookahead = phihpl.PipelinedLookahead
-	default:
+	if la.Lookahead, err = phihpl.ParseLookaheadMode(*mode); err != nil {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(exitFailed) // 2 is reserved for aborted runs
 	}

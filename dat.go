@@ -92,14 +92,14 @@ func simNB(nb int) int {
 }
 
 // depthToMode maps HPL.dat look-ahead depths onto the paper's schemes.
-func depthToMode(d int) hpl.Mode {
+func depthToMode(d int) hpl.LookaheadMode {
 	switch d {
 	case 0:
-		return hpl.NoLookahead
+		return hpl.LookaheadNone
 	case 2:
-		return hpl.PipelinedLookahead
+		return hpl.LookaheadPipelined
 	default:
-		return hpl.BasicLookahead
+		return hpl.LookaheadBasic
 	}
 }
 

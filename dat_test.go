@@ -84,7 +84,7 @@ func TestRunDatExampleAllSim(t *testing.T) {
 }
 
 func TestDepthMapping(t *testing.T) {
-	if depthToMode(0) != NoLookahead || depthToMode(1) != BasicLookahead || depthToMode(2) != PipelinedLookahead {
+	if depthToMode(0) != LookaheadNone || depthToMode(1) != LookaheadBasic || depthToMode(2) != LookaheadPipelined {
 		t.Error("depth mapping")
 	}
 	if simNB(48) != 1200 || simNB(1200) != 1200 || simNB(960) != 960 {

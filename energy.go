@@ -16,8 +16,8 @@ import (
 func Energy() string {
 	b := power.Default()
 	host := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 0}).TFLOPS * 1000
-	hy1 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead}).TFLOPS * 1000
-	hy2 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 2, Lookahead: hpl.PipelinedLookahead}).TFLOPS * 1000
+	hy1 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined}).TFLOPS * 1000
+	hy2 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 2, Lookahead: hpl.LookaheadPipelined}).TFLOPS * 1000
 	native := simlu.Dynamic(simlu.Config{N: 30000}).GFLOPS
 
 	var sb strings.Builder

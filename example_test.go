@@ -38,7 +38,7 @@ func ExampleNativeLinpackSim() {
 // (Table III, fourth row).
 func ExampleHybridHPLSim() {
 	r := phihpl.HybridHPLSim(phihpl.HybridConfig{
-		N: 84000, Cards: 1, Lookahead: phihpl.PipelinedLookahead,
+		N: 84000, Cards: 1, Lookahead: phihpl.LookaheadPipelined,
 	})
 	fmt.Printf("%.2f TFLOPS\n", r.TFLOPS)
 	// Output: 1.13 TFLOPS

@@ -33,9 +33,9 @@ func main() {
 		name string
 		la   phihpl.HybridConfig
 	}{
-		{"no look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.NoLookahead}},
-		{"basic look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.BasicLookahead}},
-		{"pipelined look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.PipelinedLookahead}},
+		{"no look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.LookaheadNone}},
+		{"basic look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.LookaheadBasic}},
+		{"pipelined look-ahead", phihpl.HybridConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: phihpl.LookaheadPipelined}},
 	} {
 		r := phihpl.HybridHPLSim(mode.la)
 		fmt.Printf("  %-22s %7.1f TFLOPS  (%.1f%% efficiency, card idle %.1f%%)\n",

@@ -155,9 +155,9 @@ func Fig9() string {
 	var b strings.Builder
 	var basic, pipe trace.Recorder
 	rb := hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2,
-		Lookahead: hpl.BasicLookahead, Trace: &basic})
+		Lookahead: hpl.LookaheadBasic, Trace: &basic})
 	rp := hpl.Simulate(hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 2,
-		Lookahead: hpl.PipelinedLookahead, Trace: &pipe})
+		Lookahead: hpl.LookaheadPipelined, Trace: &pipe})
 	fmt.Fprintf(&b, "basic look-ahead:     %.2f TFLOPS (%.1f%%), card idle %.1f%%\n",
 		rb.TFLOPS, rb.Eff*100, rb.CardIdleFrac*100)
 	fmt.Fprintf(&b, "pipelined look-ahead: %.2f TFLOPS (%.1f%%), card idle %.1f%%\n\n",
@@ -217,19 +217,19 @@ func Table3() string {
 	}{
 		{"Sandy Bridge EP, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 0}},
 		{"Sandy Bridge EP, 64GB", hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 0}},
-		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: hpl.PipelinedLookahead}},
-		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.PipelinedLookahead}},
-		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.PipelinedLookahead}},
-		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: hpl.PipelinedLookahead}},
-		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: hpl.PipelinedLookahead}},
-		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: hpl.BasicLookahead}},
-		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: hpl.PipelinedLookahead}},
-		{"pipeline, 1 card, 128GB", hpl.SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: hpl.PipelinedLookahead}},
+		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: hpl.LookaheadPipelined}},
+		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: hpl.LookaheadPipelined}},
+		{"no pipeline, 1 card, 64GB", hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 1 card, 64GB", hpl.SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: hpl.LookaheadPipelined}},
+		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: hpl.LookaheadPipelined}},
+		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: hpl.LookaheadPipelined}},
+		{"no pipeline, 2 cards, 64GB", hpl.SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: hpl.LookaheadBasic}},
+		{"pipeline, 2 cards, 64GB", hpl.SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: hpl.LookaheadPipelined}},
+		{"pipeline, 1 card, 128GB", hpl.SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: hpl.LookaheadPipelined}},
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s | %6s | %2s | %2s | %8s | %6s\n", "System", "N", "P", "Q", "TFLOPS", "Eff%")

@@ -81,10 +81,24 @@ func axpy[T matrix.Float](alpha T, x, y []T) {
 }
 
 // axpyScalar is the portable loop and the oracle of the vector primitive.
+// It is unrolled by four. A one-element body is short enough for its
+// speed to hang on where the linker places it: the float32 loop has no
+// vector primitive and takes about a quarter of a mixed grid solve, and
+// the whole solve ran 13–18 % slower in a build that put that body across
+// a 64-byte boundary. Each element is still y[i] + alpha·x[i], so the
+// bits are the same.
 func axpyScalar[T matrix.Float](alpha T, x, y []T) {
 	y = y[:len(x)]
-	for i, xv := range x {
-		y[i] += alpha * xv
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		xs, ys := x[i:i+4:i+4], y[i:i+4:i+4]
+		ys[0] += alpha * xs[0]
+		ys[1] += alpha * xs[1]
+		ys[2] += alpha * xs[2]
+		ys[3] += alpha * xs[3]
+	}
+	for ; i < len(x); i++ {
+		y[i] += alpha * x[i]
 	}
 }
 

@@ -46,25 +46,6 @@ const packKC = 384
 // it is not safe to change concurrently with running kernels.
 var PackedMinK = 16
 
-// DisableBReplication turns off the per-socket B-panel replication of
-// GemmPacked (the packed driver then keep one shared packed
-// B, the pre-topology behaviour). Replication only activates on machines
-// where pool.Groups() > 1, so on single-socket hosts this flag is moot;
-// it exists for benchmarks (measuring replication cost under
-// pool.ForceGroups) and A/B tests. Like the kernel-mode toggles it is not
-// safe to change concurrently with running kernels. Every replica holds
-// identical bytes, so results are bitwise independent of this flag.
-var DisableBReplication = false
-
-// bGroups returns how many B-panel replicas the packed drivers keep: one
-// per socket group, or one when replication is disabled.
-func bGroups() int {
-	if DisableBReplication {
-		return 1
-	}
-	return pool.Groups()
-}
-
 // perType is what the generic code keeps once per element width: the
 // recycled buffers, and the names its spans and counters are published
 // under (traces, /metrics and bench/ read the FP32 ones with an "s"). The
@@ -74,7 +55,7 @@ type perType struct {
 	packSpan, computeSpan string
 	calls, bytes, flops   atomic.Pointer[metrics.Counter]
 
-	bufs, slabs, bSlabs sync.Pool // *packBuf[T], *[]T (behind keep), *prepackBSlab[T]
+	bufs, slabs, bSlabs sync.Pool // *packBuf[T], *[]T (behind keep), *pack.BOf[T]
 	keep                chan any  // *[]T; see prepackPut
 }
 
@@ -109,7 +90,7 @@ func pooled[P any](p *sync.Pool) *P {
 type packBuf[T matrix.Float] struct {
 	a, b []T
 	pa   pack.AOf[T]
-	pbs  []pack.BOf[T] // one header per B replica group
+	pbk  pack.BOf[T]
 }
 
 // take returns slices of exactly na and nb elements, growing the backing
@@ -152,14 +133,9 @@ func GemmPacked[T matrix.Float](transA, transB bool, alpha T, a, b *matrix.Of[T]
 	tileM, tileN := pack.DefaultTileMOf[T](), pack.TileNOf[T]()
 	aTiles := (m + tileM - 1) / tileM
 	bTiles := (n + tileN - 1) / tileN
-	groups := bGroups()
 	pb := pooled[packBuf[T]](&st.bufs)
 	defer st.bufs.Put(pb)
-	pa := &pb.pa
-	if cap(pb.pbs) < groups {
-		pb.pbs = make([]pack.BOf[T], groups)
-	}
-	pbs := pb.pbs[:groups]
+	pa, pkb := &pb.pa, &pb.pbk
 
 	rec := obsTrace.Load()
 	st.calls.Load().Inc()
@@ -169,30 +145,21 @@ func GemmPacked[T matrix.Float](transA, transB bool, alpha T, a, b *matrix.Of[T]
 	// headers; the two region closures are created once per call, outside
 	// the loop, so the allocation count no longer scales with ceil(k/kC).
 	var k0, kb int
-	// Pack the A panel and every B replica in parallel: tiles are
-	// independent, so the index spaces are fused into one work list
-	// (aTiles items for A, then bTiles per replica group). Each replica
-	// is packed from the same source by the same deterministic packer, so
-	// all replicas hold identical bytes — the invariant that keeps the
-	// grouped compute phase bitwise independent of the topology.
+	// Pack the A and B panels in parallel: tiles are independent, so the
+	// index spaces are fused into one work list (aTiles items for A, then
+	// bTiles for B).
 	packFn := func(t int) {
 		if t < aTiles {
 			pack.PackATileOp(pa, a, transA, alpha, k0, t)
 		} else {
-			t -= aTiles
-			pack.PackBTileOp(&pbs[t/bTiles], b, transB, k0, t%bTiles)
+			pack.PackBTileOp(pkb, b, transB, k0, t-aTiles)
 		}
 	}
 	// Outer product: the (aTile, bTile) grid updates disjoint TileM×TileN
-	// blocks of C, claimed by atomic work stealing over the pool. Each
-	// worker streams the B replica of its own socket group.
-	compFn := func(j, g int) {
+	// blocks of C, claimed by atomic work stealing over the pool.
+	compFn := func(j int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
-		if g >= len(pbs) {
-			g = 0 // replication disabled under a multi-group pool: one shared B
-		}
-		pkb := &pbs[g]
 		cols := pkb.TileCols(tb)
 		off := ta*tileM*c.Stride + tb*tileN
 		pack.Kernel(pa.Tile(ta), pa.TileM, kb, pkb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
@@ -200,24 +167,21 @@ func GemmPacked[T matrix.Float](transA, transB bool, alpha T, a, b *matrix.Of[T]
 
 	for k0 = 0; k0 < k; k0 += packKC {
 		kb = min(packKC, k-k0)
-		nb := bTiles * kb * tileN
-		aData, bData := pb.take(aTiles*tileM*kb, groups*nb)
+		aData, bData := pb.take(aTiles*tileM*kb, bTiles*kb*tileN)
 		pa.M, pa.K, pa.TileM, pa.Data = m, kb, tileM, aData
-		for g := range pbs {
-			pbs[g].K, pbs[g].N, pbs[g].Data = kb, n, bData[g*nb:(g+1)*nb]
-		}
+		pkb.K, pkb.N, pkb.Data = kb, n, bData
 		st.bytes.Load().Add(sizeOf[T]() * int64(len(aData)+len(bData)))
 
 		var t0 float64
 		if rec != nil {
 			t0 = rec.Start()
 		}
-		pool.Do(aTiles+groups*bTiles, workers, packFn)
+		pool.Do(aTiles+bTiles, workers, packFn)
 		if rec != nil {
 			rec.Since(0, st.packSpan, k0/packKC, t0)
 			t0 = rec.Start()
 		}
-		pool.DoGrouped(aTiles*bTiles, workers, compFn)
+		pool.Do(aTiles*bTiles, workers, compFn)
 		if rec != nil {
 			rec.Since(0, st.computeSpan, k0/packKC, t0)
 		}
@@ -309,18 +273,6 @@ func prepackTake[T matrix.Float](n int) *[]T {
 	return s
 }
 
-// prepackBSlab is a recycled packed-B backing array together with the
-// per-group headers that point into it: recycling the headers with the
-// data keeps a per-task PrepackB (one per LU update task) from allocating
-// a header slice per call. B operands get a pool of their own because
-// they are small where A operands are tall: in one shared pool every
-// 32 KiB U block would sooner or later sit in a slab grown for a
-// megabyte L panel.
-type prepackBSlab[T matrix.Float] struct {
-	data []T
-	pbs  []pack.BOf[T]
-}
-
 // PrepackedA is alpha·A packed once into the tile layout (one K-block).
 type PrepackedA[T matrix.Float] struct {
 	pa   pack.AOf[T]
@@ -356,21 +308,16 @@ func PrepackA[T matrix.Float](a *matrix.Of[T], alpha T) *PrepackedA[T] {
 	return p
 }
 
-// PrepackedB is B packed once into the tile layout (one K-block), with
-// one replica per socket group so the grouped compute phase streams a
-// socket-local copy. Replicas are byte-for-byte copies of replica 0, so
-// results are bitwise independent of the replica count.
+// PrepackedB is B packed once into the tile layout (one K-block).
 type PrepackedB[T matrix.Float] struct {
-	pbs  []pack.BOf[T] // the slab's header slice, one entry per replica
-	k, n int
-	slab *prepackBSlab[T]
+	pb *pack.BOf[T]
 }
 
 // Release recycles the packed buffer; see (*PrepackedA).Release.
 func (b *PrepackedB[T]) Release() {
-	if b != nil && b.slab != nil {
-		state[T]().bSlabs.Put(b.slab)
-		b.slab, b.pbs = nil, nil
+	if b != nil && b.pb != nil {
+		state[T]().bSlabs.Put(b.pb)
+		b.pb = nil
 	}
 }
 
@@ -381,31 +328,23 @@ func PrepackB[T matrix.Float](b *matrix.Of[T]) *PrepackedB[T] {
 	if k > packKC {
 		return nil
 	}
+	// B operands get a pool of their own because they are small where A
+	// operands are tall: in one shared pool every 32 KiB U block would
+	// sooner or later sit in a slab grown for a megabyte L panel.
 	st := state[T]()
-	groups := bGroups()
 	tileN := pack.TileNOf[T]()
 	bTiles := (n + tileN - 1) / tileN
-	rep := bTiles * k * tileN
-	slab := pooled[prepackBSlab[T]](&st.bSlabs)
-	if cap(slab.data) < groups*rep {
-		slab.data = make([]T, groups*rep)
+	size := bTiles * k * tileN
+	pb := pooled[pack.BOf[T]](&st.bSlabs)
+	if cap(pb.Data) < size {
+		pb.Data = make([]T, size)
 	}
-	slab.data = slab.data[:groups*rep]
-	if cap(slab.pbs) < groups {
-		slab.pbs = make([]pack.BOf[T], groups)
-	}
-	pbs := slab.pbs[:groups]
-	pbs[0] = pack.BOf[T]{K: k, N: n, Data: slab.data[:rep]}
+	pb.K, pb.N, pb.Data = k, n, pb.Data[:size]
 	for t := 0; t < bTiles; t++ {
-		pack.PackBTileOp(&pbs[0], b, false, 0, t)
+		pack.PackBTileOp(pb, b, false, 0, t)
 	}
-	for g := 1; g < groups; g++ {
-		data := slab.data[g*rep : (g+1)*rep]
-		copy(data, pbs[0].Data)
-		pbs[g] = pack.BOf[T]{K: k, N: n, Data: data}
-	}
-	st.bytes.Load().Add(sizeOf[T]() * int64(len(slab.data)))
-	return &PrepackedB[T]{pbs: pbs, k: k, n: n, slab: slab}
+	st.bytes.Load().Add(sizeOf[T]() * int64(size))
+	return &PrepackedB[T]{pb: pb}
 }
 
 // GemmPrepacked computes C += (alpha·A)·B from prepacked operands (the
@@ -414,25 +353,21 @@ func PrepackB[T matrix.Float](b *matrix.Of[T]) *PrepackedB[T] {
 // single-K-block schedule, so the result is bitwise identical to
 // GemmPacked(false, false, alpha, a, b, 1, c, workers).
 func GemmPrepacked[T matrix.Float](a *PrepackedA[T], b *PrepackedB[T], c *matrix.Of[T], workers int) {
-	pa, pbs := &a.pa, b.pbs
-	if pa.K != b.k || c.Rows != pa.M || c.Cols != b.n {
+	pa, pb := &a.pa, b.pb
+	if pa.K != pb.K || c.Rows != pa.M || c.Cols != pb.N {
 		panic("blas: GemmPrepacked dimension mismatch")
 	}
-	if pa.M == 0 || b.n == 0 || pa.K == 0 {
+	if pa.M == 0 || pb.N == 0 || pa.K == 0 {
 		return
 	}
 	st := state[T]()
 	st.calls.Load().Inc()
-	st.flops.Load().Add(2 * int64(pa.M) * int64(b.n) * int64(pa.K))
+	st.flops.Load().Add(2 * int64(pa.M) * int64(pb.N) * int64(pa.K))
 	tileN := pack.TileNOf[T]()
-	aTiles, bTiles := pa.Tiles(), pbs[0].Tiles()
-	pool.DoGrouped(aTiles*bTiles, workers, func(j, g int) {
+	aTiles, bTiles := pa.Tiles(), pb.Tiles()
+	pool.Do(aTiles*bTiles, workers, func(j int) {
 		ta, tb := j/bTiles, j%bTiles
 		rows := pa.TileRows(ta)
-		if g >= len(pbs) {
-			g = 0 // prepacked under a smaller group count than the caller's
-		}
-		pb := &pbs[g]
 		cols := pb.TileCols(tb)
 		off := ta*pa.TileM*c.Stride + tb*tileN
 		pack.Kernel(pa.Tile(ta), pa.TileM, pa.K, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phihpl/internal/matrix"
+	"phihpl/internal/pack"
 )
 
 // ulpEps is the double-precision machine epsilon, the unit for the
@@ -357,4 +358,40 @@ func TestGemmPrepackedGuards(t *testing.T) {
 		}
 	}()
 	GemmPrepacked(pa, pb, matrix.NewDense(8, 8), 1)
+}
+
+// TestDgemmPackedKernelModeEnvelope pins the cross-kernel contract: the
+// vector (FMA) and scalar kernels agree element-wise within the
+// 8·(k+2)·ulp forward-error envelope — never bitwise, the FMA fuses each
+// product — while WITHIN one kernel mode the result is bitwise
+// independent of the worker count. Skipped where no vector kernel built.
+func TestDgemmPackedKernelModeEnvelope(t *testing.T) {
+	if !pack.VectorKernel() {
+		t.Skip("no vector kernel on this platform/build")
+	}
+	m, n, k := 95, 23, packKC+17
+	a := matrix.RandomGeneral(m, k, 7)
+	b := matrix.RandomGeneral(k, n, 8)
+	c0 := matrix.RandomGeneral(m, n, 9)
+
+	vec := c0.Clone()
+	DgemmPacked(false, false, -1, a, b, 1, vec, 4)
+	vec1 := c0.Clone()
+	DgemmPacked(false, false, -1, a, b, 1, vec1, 1)
+	if !matrix.Equal(vec, vec1) {
+		t.Fatal("vector kernel result depends on worker count")
+	}
+
+	prev := pack.DisableVectorKernel // already set on the scalar-oracle CI leg
+	pack.DisableVectorKernel = true
+	defer func() { pack.DisableVectorKernel = prev }()
+	sca := c0.Clone()
+	DgemmPacked(false, false, -1, a, b, 1, sca, 4)
+	sca1 := c0.Clone()
+	DgemmPacked(false, false, -1, a, b, 1, sca1, 7)
+	if !matrix.Equal(sca, sca1) {
+		t.Fatal("scalar kernel result depends on worker count")
+	}
+
+	assertPackedMatchesRef(t, "vector-vs-scalar", false, false, -1, a, b, 1, c0, vec, sca)
 }

@@ -116,19 +116,19 @@ var tableIII = []struct {
 }{
 	{"cpu-1node", SimConfig{N: 84000, P: 1, Q: 1, Cards: 0}, 0.29, 86.4},
 	{"cpu-2x2", SimConfig{N: 168000, P: 2, Q: 2, Cards: 0}, 1.10, 82.8},
-	{"1card-basic", SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: BasicLookahead}, 0.99, 71.0},
-	{"1card-pipe", SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: PipelinedLookahead}, 1.12, 79.8},
-	{"1card-2x2-basic", SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: BasicLookahead}, 3.88, 69.1},
-	{"1card-2x2-pipe", SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: PipelinedLookahead}, 4.36, 77.6},
-	{"1card-10x10-basic", SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: BasicLookahead}, 95.2, 67.7},
-	{"1card-10x10-pipe", SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: PipelinedLookahead}, 107.0, 76.1},
-	{"2card-basic", SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: BasicLookahead}, 1.66, 68.2},
-	{"2card-pipe", SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: PipelinedLookahead}, 1.87, 76.6},
-	{"2card-2x2-basic", SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: BasicLookahead}, 6.36, 65.0},
-	{"2card-2x2-pipe", SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: PipelinedLookahead}, 7.15, 73.1},
-	{"2card-10x10-basic", SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: BasicLookahead}, 156.5, 64.0},
-	{"2card-10x10-pipe", SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: PipelinedLookahead}, 175.8, 71.9},
-	{"1card-128GB-pipe", SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: PipelinedLookahead}, 4.42, 79.6},
+	{"1card-basic", SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: LookaheadBasic}, 0.99, 71.0},
+	{"1card-pipe", SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: LookaheadPipelined}, 1.12, 79.8},
+	{"1card-2x2-basic", SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadBasic}, 3.88, 69.1},
+	{"1card-2x2-pipe", SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadPipelined}, 4.36, 77.6},
+	{"1card-10x10-basic", SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: LookaheadBasic}, 95.2, 67.7},
+	{"1card-10x10-pipe", SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: LookaheadPipelined}, 107.0, 76.1},
+	{"2card-basic", SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: LookaheadBasic}, 1.66, 68.2},
+	{"2card-pipe", SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: LookaheadPipelined}, 1.87, 76.6},
+	{"2card-2x2-basic", SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: LookaheadBasic}, 6.36, 65.0},
+	{"2card-2x2-pipe", SimConfig{N: 166800, P: 2, Q: 2, Cards: 2, Lookahead: LookaheadPipelined}, 7.15, 73.1},
+	{"2card-10x10-basic", SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: LookaheadBasic}, 156.5, 64.0},
+	{"2card-10x10-pipe", SimConfig{N: 822000, P: 10, Q: 10, Cards: 2, Lookahead: LookaheadPipelined}, 175.8, 71.9},
+	{"1card-128GB-pipe", SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: LookaheadPipelined}, 4.42, 79.6},
 }
 
 func TestTableIIIWithinTolerance(t *testing.T) {
@@ -150,8 +150,8 @@ func TestPipelineImproves7to9Percent(t *testing.T) {
 	for _, pq := range []struct{ n, p, q int }{
 		{84000, 1, 1}, {168000, 2, 2}, {825600, 10, 10},
 	} {
-		basic := Simulate(SimConfig{N: pq.n, P: pq.p, Q: pq.q, Cards: 1, Lookahead: BasicLookahead})
-		pipe := Simulate(SimConfig{N: pq.n, P: pq.p, Q: pq.q, Cards: 1, Lookahead: PipelinedLookahead})
+		basic := Simulate(SimConfig{N: pq.n, P: pq.p, Q: pq.q, Cards: 1, Lookahead: LookaheadBasic})
+		pipe := Simulate(SimConfig{N: pq.n, P: pq.p, Q: pq.q, Cards: 1, Lookahead: LookaheadPipelined})
 		gain := (pipe.Eff - basic.Eff) * 100
 		if gain < 6 || gain > 10.5 {
 			t.Errorf("%dx%d: pipeline gain %.1f points, paper 7-9", pq.p, pq.q, gain)
@@ -162,7 +162,7 @@ func TestPipelineImproves7to9Percent(t *testing.T) {
 func TestHeadline107TFLOPS(t *testing.T) {
 	// "scales up to 107 TFLOPS on a 100-node cluster, which corresponds
 	// to 76.1% efficiency".
-	r := Simulate(SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: PipelinedLookahead})
+	r := Simulate(SimConfig{N: 825600, P: 10, Q: 10, Cards: 1, Lookahead: LookaheadPipelined})
 	if math.Abs(r.TFLOPS-107) > 7 {
 		t.Errorf("100-node = %.1f TFLOPS, paper 107", r.TFLOPS)
 	}
@@ -175,11 +175,11 @@ func TestFigure9IdleFractions(t *testing.T) {
 	// Figure 9 (2x2 multi-node, N=84K... the paper plots per-node 84K;
 	// Table III's 2x2 at 168K is the same local shape): basic look-ahead
 	// leaves the card idle >=13% of the time; pipelining cuts it below ~3%.
-	basic := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: BasicLookahead})
+	basic := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadBasic})
 	if basic.CardIdleFrac < 0.11 || basic.CardIdleFrac > 0.18 {
 		t.Errorf("basic idle = %.1f%%, paper ≈13%%", basic.CardIdleFrac*100)
 	}
-	pipe := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: PipelinedLookahead})
+	pipe := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadPipelined})
 	if pipe.CardIdleFrac > 0.045 {
 		t.Errorf("pipelined idle = %.1f%%, paper <3%%", pipe.CardIdleFrac*100)
 	}
@@ -187,9 +187,9 @@ func TestFigure9IdleFractions(t *testing.T) {
 
 func TestFigure9PerIterationTrace(t *testing.T) {
 	var basic trace.Recorder
-	Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: BasicLookahead, Trace: &basic})
+	Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: LookaheadBasic, Trace: &basic})
 	var pipe trace.Recorder
-	Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: PipelinedLookahead, Trace: &pipe})
+	Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 2, Lookahead: LookaheadPipelined, Trace: &pipe})
 
 	bIters, pIters := basic.IterTotals(), pipe.IterTotals()
 	if len(bIters) < 100 {
@@ -223,9 +223,9 @@ func TestFigure9PerIterationTrace(t *testing.T) {
 func TestLookaheadOrdering(t *testing.T) {
 	// none < basic < pipelined, always.
 	for _, cards := range []int{1, 2} {
-		none := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: NoLookahead})
-		basic := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: BasicLookahead})
-		pipe := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: PipelinedLookahead})
+		none := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: LookaheadNone})
+		basic := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: LookaheadBasic})
+		pipe := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: cards, Lookahead: LookaheadPipelined})
 		if !(none.TFLOPS < basic.TFLOPS && basic.TFLOPS < pipe.TFLOPS) {
 			t.Errorf("cards=%d: ordering broken: %.2f %.2f %.2f",
 				cards, none.TFLOPS, basic.TFLOPS, pipe.TFLOPS)
@@ -235,8 +235,8 @@ func TestLookaheadOrdering(t *testing.T) {
 
 func TestSecondCardCostsEfficiency(t *testing.T) {
 	// "the efficiency loss due to a second Knights Corner card is 4.2%".
-	one := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: PipelinedLookahead})
-	two := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: PipelinedLookahead})
+	one := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: LookaheadPipelined})
+	two := Simulate(SimConfig{N: 84000, P: 1, Q: 1, Cards: 2, Lookahead: LookaheadPipelined})
 	drop := (one.Eff - two.Eff) * 100
 	if drop < 2 || drop > 6.5 {
 		t.Errorf("second-card efficiency drop = %.1f points, paper ≈4.2", drop)
@@ -250,8 +250,8 @@ func TestSecondCardCostsEfficiency(t *testing.T) {
 func TestMoreMemoryHelps(t *testing.T) {
 	// Table III's last section: doubling host memory (larger N) raises
 	// cluster efficiency.
-	small := Simulate(SimConfig{N: 166800, P: 2, Q: 2, Cards: 1, Lookahead: PipelinedLookahead})
-	big := Simulate(SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: PipelinedLookahead})
+	small := Simulate(SimConfig{N: 166800, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadPipelined})
+	big := Simulate(SimConfig{N: 242400, P: 2, Q: 2, Cards: 1, HostMemGiB: 128, Lookahead: LookaheadPipelined})
 	if big.Eff <= small.Eff {
 		t.Errorf("128 GB (N=242K) eff %.3f should beat 64 GB (N=167K) eff %.3f", big.Eff, small.Eff)
 	}
@@ -274,14 +274,14 @@ func TestMaxProblemSize(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	cfg := SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: PipelinedLookahead}
+	cfg := SimConfig{N: 84000, P: 1, Q: 1, Cards: 1, Lookahead: LookaheadPipelined}
 	if Simulate(cfg) != Simulate(cfg) {
 		t.Error("simulation must be deterministic")
 	}
 }
 
 func TestModeString(t *testing.T) {
-	if NoLookahead.String() != "none" || BasicLookahead.String() != "basic" || PipelinedLookahead.String() != "pipelined" {
+	if LookaheadNone.String() != "none" || LookaheadBasic.String() != "basic" || LookaheadPipelined.String() != "pipelined" {
 		t.Error("mode names")
 	}
 }
@@ -294,11 +294,11 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestSimulateFTOverheadPricing(t *testing.T) {
-	base := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: PipelinedLookahead})
+	base := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: LookaheadPipelined})
 	if base.FTOverheadFrac != 0 {
 		t.Fatalf("FT pricing off must report zero overhead, got %g", base.FTOverheadFrac)
 	}
-	ft := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: PipelinedLookahead,
+	ft := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: LookaheadPipelined,
 		FTLossRate: 1e-3, FTCheckpointEvery: 8})
 	if ft.FTOverheadFrac <= 0 || ft.FTOverheadFrac >= 0.5 {
 		t.Fatalf("FT overhead fraction %g out of the plausible band", ft.FTOverheadFrac)
@@ -308,13 +308,13 @@ func TestSimulateFTOverheadPricing(t *testing.T) {
 			ft.Seconds, ft.Eff*100, base.Seconds, base.Eff*100)
 	}
 	// More loss -> more resend traffic -> strictly more overhead.
-	lossy := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: PipelinedLookahead,
+	lossy := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: LookaheadPipelined,
 		FTLossRate: 1e-2, FTCheckpointEvery: 8})
 	if lossy.FTOverheadFrac <= ft.FTOverheadFrac {
 		t.Errorf("overhead must grow with loss rate: %g vs %g", lossy.FTOverheadFrac, ft.FTOverheadFrac)
 	}
 	// Tighter checkpoint period -> more write-backs -> more overhead.
-	tight := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: PipelinedLookahead,
+	tight := Simulate(SimConfig{N: 84000, Cards: 1, Lookahead: LookaheadPipelined,
 		FTLossRate: 1e-3, FTCheckpointEvery: 2})
 	if tight.FTOverheadFrac <= ft.FTOverheadFrac {
 		t.Errorf("overhead must grow with checkpoint frequency: %g vs %g", tight.FTOverheadFrac, ft.FTOverheadFrac)

@@ -10,34 +10,6 @@ import (
 	"phihpl/internal/trace"
 )
 
-// Mode selects the look-ahead scheme of Figure 8.
-type Mode int
-
-const (
-	// NoLookahead runs every phase serially; the card idles outside the
-	// trailing update (Figure 8a).
-	NoLookahead Mode = iota
-	// BasicLookahead overlaps the next panel factorization (and its
-	// broadcast) with the trailing update, but U broadcast, row swapping
-	// and DTRSM stay exposed (Figure 8b; Table III's "no pipeline").
-	BasicLookahead
-	// PipelinedLookahead additionally software-pipelines U broadcast,
-	// swapping and DTRSM in column chunks so they overlap the update
-	// (Figure 8c; Table III's "pipeline").
-	PipelinedLookahead
-)
-
-func (m Mode) String() string {
-	switch m {
-	case NoLookahead:
-		return "none"
-	case BasicLookahead:
-		return "basic"
-	default:
-		return "pipelined"
-	}
-}
-
 // SimConfig describes one hybrid HPL run (a Table III row).
 type SimConfig struct {
 	N    int
@@ -47,7 +19,13 @@ type SimConfig struct {
 	Cards int
 	// HostMemGiB bounds the problem size (64 or 128 in Table III).
 	HostMemGiB int
-	Lookahead  Mode
+	// Lookahead prices the schedules of Figure 8: LookaheadNone runs every
+	// phase serially and the card idles outside the trailing update (8a);
+	// LookaheadBasic overlaps the next panel and its broadcast with the
+	// update but leaves U broadcast, swapping and DTRSM exposed (8b,
+	// Table III's "no pipeline"); LookaheadPipelined (the zero value)
+	// additionally chunks those three under the update (8c, "pipeline").
+	Lookahead LookaheadMode
 	// Trace receives per-iteration region spans (Figure 9): names
 	// "DGEMM", "swap", "DTRSM", "Ubcast", "panel".
 	Trace *trace.Recorder
@@ -112,12 +90,11 @@ const (
 	pipeChunkOverhead = 1.2e-3
 	// pipeResidualFrac: the sliver of swap/DTRSM/U-broadcast that stays
 	// exposed even inside the pipeline (synchronization between the
-	// swapping threads and the offload threads). Cross-checked against
-	// the real 2D driver's measured schedule ladder (BENCH_*.json,
-	// cmd/benchjson): pipelining the real driver buys an additional
-	// 7–10% of wall-clock over basic look-ahead on both benchmarked
-	// grids, matching the model's residual-exposure prediction and the
-	// paper's 7–9% efficiency claim (see EXPERIMENTS.md, Ablations).
+	// swapping threads and the offload threads). It is the paper's
+	// calibrated figure: with it the model reproduces the 7–9% efficiency
+	// pipelining adds over basic look-ahead in Table III (EXPERIMENTS.md,
+	// Table III). It is not fitted to the real 2D driver, whose per-mode
+	// timings (DESIGN.md §18) price overlap on a much smaller machine.
 	pipeResidualFrac = 0.05
 )
 
@@ -197,18 +174,18 @@ func Simulate(cfg SimConfig) SimResult {
 			iter = tPanel + tPanelBcast + tSwap + tTrsm + tUBcast + tUpdate
 			exposed = tSwap + tTrsm + tUBcast
 			panelExposed = tPanel + tPanelBcast
-		case cfg.Lookahead == NoLookahead:
+		case cfg.Lookahead == LookaheadNone:
 			iter = tPanel + tPanelBcast + tSwap + tTrsm + tUBcast + tUpdate
 			exposed = tSwap + tTrsm + tUBcast
 			panelExposed = tPanel + tPanelBcast
-		case cfg.Lookahead == BasicLookahead:
+		case cfg.Lookahead == LookaheadBasic:
 			// Panel of stage i+1 overlaps the update; U broadcast, swap
 			// and DTRSM stay exposed (the ≥13% idle of Figure 9a).
 			exposed = tSwap + tTrsm + tUBcast
 			overlap := maxf(tUpdate, tPanel+tPanelBcast)
 			panelExposed = overlap - tUpdate
 			iter = exposed + overlap
-		default: // PipelinedLookahead
+		default: // LookaheadPipelined
 			// Only the first column chunk of Ubcast/swap/DTRSM is
 			// exposed; the rest overlaps the update. Chunking costs
 			// per-chunk overhead, which also delays the next panel.

@@ -62,7 +62,7 @@ func TestFutureWorkEnergyClaim(t *testing.T) {
 	// delivers more GFLOPS/W than hybrid even though its absolute TFLOPS
 	// are lower per node.
 	b := power.Default()
-	hybrid := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: PipelinedLookahead})
+	hybrid := Simulate(SimConfig{N: 168000, P: 2, Q: 2, Cards: 1, Lookahead: LookaheadPipelined})
 	nNative := MaxNativeProblemSize(2, 2, 300) // card memory caps native N
 	native := SimulateNativeCluster(NativeClusterConfig{N: nNative, P: 2, Q: 2})
 

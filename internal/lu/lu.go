@@ -31,11 +31,6 @@ type Options struct {
 	// Workers is the number of concurrent thread groups (goroutines)
 	// executing tasks.
 	Workers int
-	// RecursivePanel selects the recursively blocked panel factorization
-	// (Toledo-style) over the unblocked kernel. Both produce bitwise
-	// identical factors; the recursive one turns most panel flops into
-	// DGEMM, which is what made the paper's panels fast.
-	RecursivePanel bool
 	// Trace, when non-nil, receives one wall-clock span per executed task
 	// from the dynamic scheduler — worker = thread-group id, name =
 	// "PanelFact" or "Update", iter = the task's stage — producing the
@@ -90,12 +85,11 @@ var testHookL21 func(stage, delta int)
 
 // state carries the shared factorization context of the concurrent drivers.
 type state struct {
-	a         *matrix.Dense
-	n         int
-	nb        int
-	np        int
-	piv       [][]int // per-stage local pivots (panel-relative)
-	recursive bool
+	a   *matrix.Dense
+	n   int
+	nb  int
+	np  int
+	piv [][]int // per-stage local pivots (panel-relative)
 
 	// l21[s] is −L21 of stage s in packed-tile form: packed once, by
 	// factorPanel(s), and read by every updatePanel(s, ·), instead of
@@ -114,7 +108,7 @@ func newState(a *matrix.Dense, opts Options) *state {
 		panic(fmt.Sprintf("lu: matrix must be square, got %dx%d", a.Rows, a.Cols))
 	}
 	n := a.Cols
-	st := &state{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB), recursive: opts.RecursivePanel}
+	st := &state{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB)}
 	st.piv = make([][]int, st.np)
 	st.l21 = make([]*blas.PrepackedA[float64], st.np)
 	st.left = make([]atomic.Int32, st.np)
@@ -145,12 +139,7 @@ func (st *state) factorPanel(p int) error {
 	lo, hi := panelCols(st.n, st.nb, p)
 	w := hi - lo
 	panel := st.a.View(lo, lo, st.n-lo, w)
-	var err error
-	if st.recursive {
-		err = blas.Dgetf2Recursive(panel, st.piv[p])
-	} else {
-		err = blas.Dgetf2(panel, st.piv[p])
-	}
+	err := blas.Dgetf2(panel, st.piv[p])
 	// L21 is final from here on (the swaps later stages owe it are
 	// deferred to finishLeftSwaps), so pack it for the stage's updates.
 	// The gate is RankKUpdate's own, on k alone: a stage that would not

@@ -78,39 +78,3 @@ func TestSolveRefinedSingular(t *testing.T) {
 		t.Error("expected singularity error")
 	}
 }
-
-func TestRecursivePanelOption(t *testing.T) {
-	// Dynamic with recursive panels is bitwise identical to plain dynamic.
-	n := 120
-	a := matrix.RandomGeneral(n, n, 13)
-	plain := a.Clone()
-	p1 := make([]int, n)
-	if err := Dynamic(plain, p1, Options{NB: 24, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	rec := a.Clone()
-	p2 := make([]int, n)
-	if err := Dynamic(rec, p2, Options{NB: 24, Workers: 4, RecursivePanel: true}); err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(plain, rec) {
-		t.Errorf("recursive-panel factors differ (maxdiff %g)", matrix.MaxDiff(plain, rec))
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("pivot %d differs", i)
-		}
-	}
-}
-
-func TestRecursivePanelStatic(t *testing.T) {
-	n := 90
-	a, b := matrix.RandomSystem(n, 23)
-	_, res, err := Solve(a, b, Options{NB: 18, Workers: 3, RecursivePanel: true}, StaticLookahead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res > matrix.ResidualThreshold {
-		t.Errorf("residual %g", res)
-	}
-}

@@ -13,17 +13,9 @@
 // regions from independent callers interleave safely: pool workers never
 // block on the pool themselves.
 //
-// Topology: at startup the pool probes the machine's socket layout
-// (DetectTopology) and partitions its workers into socket groups — the
-// software analogue of the paper's dual-socket interleaving (Fig. 10/11).
-// On multi-socket Linux machines each worker's OS thread is additionally
-// pinned to its socket's CPUs (best-effort, sched_setaffinity), so a
-// group's workers really do share a last-level cache. DoGrouped hands
-// each job its executing worker's group id, which the packed BLAS
-// drivers use to stream a socket-local replica of the B panel instead of
-// pulling one shared copy across the interconnect. Single-socket
-// machines (and platforms without sysfs) collapse to one group and the
-// flat behaviour of old.
+// The pool is flat: any worker may claim any index, and no worker is
+// pinned to a CPU. Groups reports the machine's socket count for run
+// records only.
 //
 // Robustness: every job runs behind a recover barrier. A panic inside fn
 // never crashes a pool worker goroutine (which would kill the process);
@@ -42,7 +34,6 @@ package pool
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -56,15 +47,6 @@ var (
 	once   sync.Once
 	submit chan func(worker int)
 	nproc  int
-
-	// workerGroup maps a worker lane to its socket group; index nproc is
-	// the caller lane (group 0: the region caller is not pinned, so it is
-	// charged to the first socket). Written by ensure and ForceGroups
-	// only; ForceGroups is a test/benchmark hook and, like the other
-	// kernel-mode toggles, is not safe to call concurrently with running
-	// regions.
-	workerGroup []int
-	groupCount  int
 
 	obsTrace   atomic.Pointer[trace.Recorder]
 	mRegions   atomic.Pointer[metrics.Counter]
@@ -108,110 +90,25 @@ func SetObservability(rec *trace.Recorder, reg *metrics.Registry) {
 	mPanicsCnt.Store(reg.Counter("pool.contained_panics"))
 }
 
-// ensure starts the long-lived workers exactly once, partitioned (and on
-// multi-socket Linux, pinned) according to the detected topology.
+// ensure starts the long-lived workers exactly once.
 func ensure() {
 	once.Do(func() {
 		nproc = runtime.GOMAXPROCS(0)
-		topo := DetectTopology()
-		workerGroup, groupCount = buildGroups(topo, nproc)
-		pin := groupCount > 1 && os.Getenv("PHIHPL_DISABLE_PIN") == ""
 		submit = make(chan func(worker int), 4*nproc)
 		for i := 0; i < nproc; i++ {
-			var cpus []int
-			if pin {
-				cpus = topo.Sockets[workerGroup[i]].CPUs
-			}
-			go func(id int, cpus []int) {
-				if cpus != nil {
-					// The binding must stay with this goroutine for the
-					// worker's lifetime, so the thread is locked first.
-					runtime.LockOSThread()
-					_ = pinToCPUs(cpus) // best-effort; see pinToCPUs
-				}
+			go func(id int) {
 				for f := range submit {
 					f(id)
 				}
-			}(i, cpus)
+			}(i)
 		}
 	})
-}
-
-// buildGroups assigns each of the n worker lanes (plus the caller lane at
-// index n) to a socket group: worker w serves the socket that owns CPU
-// ⌊w·ncpu/n⌋, which splits the lanes proportionally to socket sizes and,
-// in the common n == ncpu case, maps worker w to the socket of CPU w.
-// The caller lane is group 0 (the caller is never pinned).
-func buildGroups(topo *Topology, n int) ([]int, int) {
-	ncpu := 0
-	for _, s := range topo.Sockets {
-		ncpu += len(s.CPUs)
-	}
-	cpuSocket := make([]int, 0, ncpu)
-	for si, s := range topo.Sockets {
-		for range s.CPUs {
-			cpuSocket = append(cpuSocket, si)
-		}
-	}
-	wg := make([]int, n+1)
-	for w := 0; w < n; w++ {
-		if ncpu > 0 {
-			wg[w] = cpuSocket[w*ncpu/n%ncpu]
-		}
-	}
-	wg[n] = 0
-	return wg, len(topo.Sockets)
 }
 
 // Size returns the number of persistent workers (GOMAXPROCS at first use).
 func Size() int {
 	ensure()
 	return nproc
-}
-
-// Groups returns the number of socket groups the pool's workers are
-// partitioned into: the detected socket count, or the ForceGroups
-// override. Callers that replicate per-group state (the packed drivers'
-// B panels) size it by this value and select a replica with the group id
-// DoGrouped passes to each job. 1 on single-socket machines and wherever
-// topology discovery fell back — per-group state then collapses to one
-// shared copy.
-func Groups() int {
-	ensure()
-	return groupCount
-}
-
-// ForceGroups overrides the socket-group count: g >= 1 partitions the
-// worker lanes arithmetically into g groups (lane w → w·g/nproc), g <= 0
-// restores the detected topology. It exists for benchmarks (measuring
-// replication overhead on single-socket machines) and the bitwise-
-// invariance tests; it does not re-pin worker threads and, like the
-// kernel-mode toggles, is not safe to call concurrently with running
-// regions.
-func ForceGroups(g int) {
-	ensure()
-	if g <= 0 {
-		workerGroup, groupCount = buildGroups(DetectTopology(), nproc)
-		return
-	}
-	wg := make([]int, nproc+1)
-	for w := 0; w < nproc; w++ {
-		wg[w] = w * g / nproc
-		if wg[w] >= g {
-			wg[w] = g - 1
-		}
-	}
-	wg[nproc] = 0
-	workerGroup, groupCount = wg, g
-}
-
-// groupOf maps a worker lane to its socket group. Out-of-range lanes
-// (the -1 serial marker) land in group 0.
-func groupOf(worker int) int {
-	if worker < 0 || worker >= len(workerGroup) {
-		return 0
-	}
-	return workerGroup[worker]
 }
 
 // Do runs fn(i) for every i in [0,n), distributing the indices across the
@@ -227,20 +124,7 @@ func groupOf(worker int) int {
 // A panic inside fn is contained by the recover barrier and re-raised
 // here, on the caller, as a *PanicError; pool worker goroutines survive.
 func Do(n, workers int, fn func(i int)) {
-	if err := run(nil, n, workers, fn, nil); err != nil {
-		panic(err)
-	}
-}
-
-// DoGrouped is Do with socket awareness: fn additionally receives the
-// executing worker's socket group in [0, Groups()), so the job can read
-// group-local state (a socket's B-panel replica). Work stealing is
-// unchanged — any worker may claim any index — which is safe precisely
-// because per-group state must hold identical bytes in every replica;
-// results are therefore bitwise independent of the grouping, worker
-// count, and steal order. The region caller participates as group 0.
-func DoGrouped(n, workers int, fn func(i, group int)) {
-	if err := run(nil, n, workers, nil, fn); err != nil {
+	if err := run(nil, n, workers, fn); err != nil {
 		panic(err)
 	}
 }
@@ -256,10 +140,10 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 		mCancelled.Load().Inc()
 		return err
 	}
-	return run(ctx, n, workers, fn, nil)
+	return run(ctx, n, workers, fn)
 }
 
-// region is the shared state of one parallel Do/DoCtx/DoGrouped
+// region is the shared state of one parallel Do/DoCtx
 // invocation. Regions are recycled through a sync.Pool: together with the
 // single hoisted helper closure in run, a steady-state parallel region
 // allocates one closure, not one region + one closure per helper — the
@@ -268,7 +152,6 @@ func DoCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 type region struct {
 	n    int64
 	fn   func(i int)
-	fng  func(i, group int)
 	rec  *trace.Recorder
 	task func(worker int) // created once per region object, reused forever
 	next atomic.Int64     // work-stealing index counter
@@ -311,17 +194,6 @@ func protect(fn func(i int), worker, i int) (pe *PanicError) {
 	return nil
 }
 
-// protectG is protect for group-aware jobs.
-func protectG(fn func(i, group int), worker, i, group int) (pe *PanicError) {
-	defer func() {
-		if v := recover(); v != nil {
-			pe = &PanicError{Worker: worker, Value: v, Stack: string(debug.Stack())}
-		}
-	}()
-	fn(i, group)
-	return nil
-}
-
 // panicked records the first contained panic and stops the region.
 func (r *region) panicked(pe *PanicError) {
 	r.stop.Store(true)
@@ -335,23 +207,12 @@ func (r *region) panicked(pe *PanicError) {
 
 // loop drains indices until the space is exhausted or the region stopped.
 func (r *region) loop(worker int) {
-	fng := r.fng
-	group := 0
-	if fng != nil {
-		group = groupOf(worker)
-	}
 	for !r.stop.Load() {
 		i := r.next.Add(1) - 1
 		if i >= r.n {
 			return
 		}
-		var pe *PanicError
-		if fng != nil {
-			pe = protectG(fng, worker, int(i), group)
-		} else {
-			pe = protect(r.fn, worker, int(i))
-		}
-		if pe != nil {
+		if pe := protect(r.fn, worker, int(i)); pe != nil {
 			r.panicked(pe)
 			return
 		}
@@ -359,9 +220,8 @@ func (r *region) loop(worker int) {
 	}
 }
 
-// run is the shared driver behind Do/DoGrouped (ctx == nil) and DoCtx.
-// Exactly one of fn and fng is non-nil.
-func run(ctx context.Context, n, workers int, fn func(i int), fng func(i, group int)) error {
+// run is the shared driver behind Do (ctx == nil) and DoCtx.
+func run(ctx context.Context, n, workers int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -377,13 +237,7 @@ func run(ctx context.Context, n, workers int, fn func(i int), fng func(i, group 
 					return err
 				}
 			}
-			var pe *PanicError
-			if fng != nil {
-				pe = protectG(fng, -1, i, 0)
-			} else {
-				pe = protect(fn, -1, i)
-			}
-			if pe != nil {
+			if pe := protect(fn, -1, i); pe != nil {
 				mPanicsCnt.Load().Inc()
 				return pe
 			}
@@ -394,7 +248,7 @@ func run(ctx context.Context, n, workers int, fn func(i int), fng func(i, group 
 	mRegions.Load().Inc()
 	rec := obsTrace.Load()
 	r := regionPool.Get().(*region)
-	r.n, r.fn, r.fng, r.rec = int64(n), fn, fng, rec
+	r.n, r.fn, r.rec = int64(n), fn, rec
 	r.next.Store(0)
 	r.done.Store(0)
 	r.stop.Store(false)
@@ -426,7 +280,7 @@ func run(ctx context.Context, n, workers int, fn func(i int), fng func(i, group 
 
 	perr := r.perr
 	completed := r.done.Load() == r.n
-	r.fn, r.fng, r.rec, r.perr = nil, nil, nil, nil
+	r.fn, r.rec, r.perr = nil, nil, nil
 	regionPool.Put(r)
 	if perr != nil {
 		return perr

@@ -80,3 +80,21 @@ func TestSize(t *testing.T) {
 		t.Errorf("Size() = %d", Size())
 	}
 }
+
+// TestDoSteadyStateAllocs pins the pool's own per-region allocation cost:
+// regions and their helper-task closures are recycled through a
+// sync.Pool, so a steady-state Do costs zero heap allocations beyond
+// whatever the caller's fn closure captures. This is the pool half of the
+// DgemmPacked allocs-per-op regression (the count used to grow with the
+// number of regions per call).
+func TestDoSteadyStateAllocs(t *testing.T) {
+	var sink atomic.Int64
+	fn := func(i int) { sink.Add(int64(i)) }
+	Do(64, 4, fn) // warm the region pool
+	allocs := testing.AllocsPerRun(20, func() {
+		Do(64, 4, fn)
+	})
+	if allocs > 1 {
+		t.Errorf("steady-state Do allocates %.0f objects per region, want <= 1", allocs)
+	}
+}

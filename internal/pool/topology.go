@@ -1,161 +1,55 @@
 package pool
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Cache/NUMA topology discovery. The paper's dual-socket runs (Fig.
-// 10/11) split the node into two symmetric halves — each socket's threads
-// stream their own copy of the broadcast panel instead of pulling it
-// across the interconnect. The software analogue needs to know where the
-// sockets are: on Linux the kernel exports the package and cache topology
-// under /sys/devices/system/cpu; everywhere else (and whenever the tree
-// is missing or garbled) discovery degrades to a single flat socket,
-// which makes the grouped execution paths collapse to the old flat-pool
-// behaviour exactly.
-
-// Socket is one physical package and the logical CPUs it carries.
-type Socket struct {
-	// ID is the kernel's physical_package_id (dense re-numbering is NOT
-	// applied; IDs are only used for grouping and display).
-	ID int
-	// CPUs are the logical CPU numbers of the package, ascending.
-	CPUs []int
-	// L3ID is the id of the last-level cache shared by the package's
-	// CPUs, or -1 when the cache tree is absent. It is informational:
-	// grouping is by package, which on every machine we target coincides
-	// with the L3/NUMA domain.
-	L3ID int
-}
-
-// Topology is the discovered socket layout.
-type Topology struct {
-	// Sockets, ascending by ID. Never empty: fallback produces one
-	// socket spanning every CPU.
-	Sockets []Socket
-	// FallbackReason is empty when real sysfs discovery succeeded and
-	// otherwise names why the flat single-socket fallback was used
-	// ("unsupported platform", "no cpu directories", a parse error…).
-	FallbackReason string
-}
-
-// NumSockets returns the number of discovered packages.
-func (t *Topology) NumSockets() int { return len(t.Sockets) }
-
-// String renders a one-line summary for logs and banners.
-func (t *Topology) String() string {
-	if t.FallbackReason != "" {
-		return fmt.Sprintf("flat (%s, %d cpus)", t.FallbackReason, len(t.Sockets[0].CPUs))
-	}
-	parts := make([]string, len(t.Sockets))
-	for i, s := range t.Sockets {
-		parts[i] = fmt.Sprintf("socket%d:%dcpus", s.ID, len(s.CPUs))
-	}
-	return strings.Join(parts, " ")
-}
-
 var (
-	topoOnce sync.Once
-	topoVal  *Topology
+	groupsOnce sync.Once
+	groups     int
 )
 
-// DetectTopology probes the machine's socket layout once and caches the
-// result. On Linux it reads /sys/devices/system/cpu; on other platforms,
-// or when the tree is missing or unparsable, it returns the flat
-// single-socket fallback (never an error — a misread topology must not
-// stop a solve, only forgo the placement optimisation).
-func DetectTopology() *Topology {
-	topoOnce.Do(func() {
-		if runtime.GOOS != "linux" {
-			topoVal = flatTopology(runtime.NumCPU(), "unsupported platform")
-			return
-		}
-		topoVal = detectTopology("/sys", runtime.NumCPU())
-	})
-	return topoVal
-}
-
-// flatTopology is the graceful fallback: one socket spanning ncpu CPUs.
-func flatTopology(ncpu int, reason string) *Topology {
-	if ncpu < 1 {
-		ncpu = 1
-	}
-	cpus := make([]int, ncpu)
-	for i := range cpus {
-		cpus[i] = i
-	}
-	return &Topology{
-		Sockets:        []Socket{{ID: 0, CPUs: cpus, L3ID: -1}},
-		FallbackReason: reason,
-	}
+// Groups returns the number of CPU sockets (physical packages) Linux
+// reports under /sys, or 1 wherever that cannot be read, other platforms
+// included. It is recorded in run fingerprints only: no code path
+// branches on it.
+func Groups() int {
+	groupsOnce.Do(func() { groups = socketCount("/sys") })
+	return groups
 }
 
 var cpuDirRe = regexp.MustCompile(`^cpu([0-9]+)$`)
 
-// detectTopology reads the socket layout from a sysfs-shaped tree rooted
-// at root. Any inconsistency — no cpu directories, an unreadable or
-// garbled physical_package_id — abandons grouping and returns the flat
-// fallback with the reason recorded: a topology half-read is worse than
-// none, because worker placement built on it would be wrong, not merely
-// absent. Factored out of DetectTopology so tests can aim it at fake
+// socketCount counts the distinct physical_package_ids under a
+// sysfs-shaped tree rooted at root. It returns 1 on any inconsistency —
+// no cpu tree, no cpuN directories, a missing or garbled package id —
+// since a count half-read is no better than none. Tests aim it at fake
 // trees.
-func detectTopology(root string, ncpu int) *Topology {
-	entries, err := os.ReadDir(filepath.Join(root, "devices", "system", "cpu"))
+func socketCount(root string) int {
+	dir := filepath.Join(root, "devices", "system", "cpu")
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return flatTopology(ncpu, "no sysfs cpu tree")
+		return 1
 	}
-	byPkg := map[int][]int{}
-	l3ByPkg := map[int]int{}
-	found := 0
+	pkgs := map[int]bool{}
 	for _, e := range entries {
-		m := cpuDirRe.FindStringSubmatch(e.Name())
-		if m == nil {
+		if !cpuDirRe.MatchString(e.Name()) {
 			continue
 		}
-		cpu, _ := strconv.Atoi(m[1])
-		pkgPath := filepath.Join(root, "devices", "system", "cpu", e.Name(), "topology", "physical_package_id")
-		raw, err := os.ReadFile(pkgPath)
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name(), "topology", "physical_package_id"))
 		if err != nil {
-			return flatTopology(ncpu, fmt.Sprintf("cpu%d: missing physical_package_id", cpu))
+			return 1
 		}
 		pkg, err := strconv.Atoi(strings.TrimSpace(string(raw)))
 		if err != nil || pkg < 0 {
-			return flatTopology(ncpu, fmt.Sprintf("cpu%d: garbled physical_package_id", cpu))
+			return 1
 		}
-		byPkg[pkg] = append(byPkg[pkg], cpu)
-		found++
-		// L3 id is best-effort: absence is normal (VMs, old kernels).
-		if _, seen := l3ByPkg[pkg]; !seen {
-			l3ByPkg[pkg] = -1
-			idPath := filepath.Join(root, "devices", "system", "cpu", e.Name(), "cache", "index3", "id")
-			if b, err := os.ReadFile(idPath); err == nil {
-				if id, err := strconv.Atoi(strings.TrimSpace(string(b))); err == nil {
-					l3ByPkg[pkg] = id
-				}
-			}
-		}
+		pkgs[pkg] = true
 	}
-	if found == 0 {
-		return flatTopology(ncpu, "no cpu directories")
-	}
-	ids := make([]int, 0, len(byPkg))
-	for id := range byPkg {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	t := &Topology{Sockets: make([]Socket, 0, len(ids))}
-	for _, id := range ids {
-		cpus := byPkg[id]
-		sort.Ints(cpus)
-		t.Sockets = append(t.Sockets, Socket{ID: id, CPUs: cpus, L3ID: l3ByPkg[id]})
-	}
-	return t
+	return max(len(pkgs), 1)
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-// fakeCPU creates cpuN under a fake sysfs root. pkg and l3 are written
-// verbatim when non-empty (garbled-input tests pass non-numeric text);
-// an empty pkg leaves physical_package_id absent entirely.
-func fakeCPU(t *testing.T, root string, cpu int, pkg, l3 string) {
+// fakeCPU creates cpuN under a fake sysfs root. pkg is written verbatim
+// when non-empty (garbled-input tests pass non-numeric text); an empty
+// pkg leaves physical_package_id absent entirely.
+func fakeCPU(t *testing.T, root string, cpu int, pkg string) {
 	t.Helper()
 	base := filepath.Join(root, "devices", "system", "cpu", fmt.Sprintf("cpu%d", cpu))
 	if err := os.MkdirAll(filepath.Join(base, "topology"), 0o755); err != nil {
@@ -22,141 +21,89 @@ func fakeCPU(t *testing.T, root string, cpu int, pkg, l3 string) {
 			t.Fatal(err)
 		}
 	}
-	if l3 != "" {
-		if err := os.MkdirAll(filepath.Join(base, "cache", "index3"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(base, "cache", "index3", "id"), []byte(l3), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 func TestDetectTopologySingleSocket(t *testing.T) {
 	root := t.TempDir()
 	for c := 0; c < 4; c++ {
-		fakeCPU(t, root, c, "0\n", "0\n")
+		fakeCPU(t, root, c, "0\n")
 	}
-	topo := detectTopology(root, 4)
-	if topo.FallbackReason != "" {
-		t.Fatalf("unexpected fallback: %q", topo.FallbackReason)
-	}
-	if topo.NumSockets() != 1 {
-		t.Fatalf("sockets = %d, want 1", topo.NumSockets())
-	}
-	s := topo.Sockets[0]
-	if s.ID != 0 || s.L3ID != 0 || len(s.CPUs) != 4 {
-		t.Fatalf("socket = %+v", s)
-	}
-	for i, c := range s.CPUs {
-		if c != i {
-			t.Fatalf("CPUs = %v, want ascending 0..3", s.CPUs)
-		}
+	if got := socketCount(root); got != 1 {
+		t.Fatalf("sockets = %d, want 1", got)
 	}
 }
 
 func TestDetectTopologyDualSocket(t *testing.T) {
 	root := t.TempDir()
 	// Interleaved enumeration (even CPUs on package 0, odd on package 1),
-	// the layout the kernel reports on round-robin-numbered machines:
-	// discovery must still hand back sorted per-socket CPU lists.
+	// the layout the kernel reports on round-robin-numbered machines.
 	for c := 0; c < 8; c++ {
-		fakeCPU(t, root, c, fmt.Sprintf("%d\n", c%2), fmt.Sprintf("%d\n", c%2))
+		fakeCPU(t, root, c, fmt.Sprintf("%d\n", c%2))
 	}
-	topo := detectTopology(root, 8)
-	if topo.FallbackReason != "" {
-		t.Fatalf("unexpected fallback: %q", topo.FallbackReason)
-	}
-	if topo.NumSockets() != 2 {
-		t.Fatalf("sockets = %d, want 2", topo.NumSockets())
-	}
-	want := [][]int{{0, 2, 4, 6}, {1, 3, 5, 7}}
-	for si, s := range topo.Sockets {
-		if s.ID != si || s.L3ID != si {
-			t.Errorf("socket %d: ID=%d L3ID=%d", si, s.ID, s.L3ID)
-		}
-		if fmt.Sprint(s.CPUs) != fmt.Sprint(want[si]) {
-			t.Errorf("socket %d CPUs = %v, want %v", si, s.CPUs, want[si])
-		}
-	}
-	if got := topo.String(); !strings.Contains(got, "socket0:4cpus") || !strings.Contains(got, "socket1:4cpus") {
-		t.Errorf("String() = %q", got)
+	if got := socketCount(root); got != 2 {
+		t.Fatalf("sockets = %d, want 2", got)
 	}
 }
 
 func TestDetectTopologyMissingPackageFile(t *testing.T) {
 	root := t.TempDir()
-	fakeCPU(t, root, 0, "0\n", "")
-	fakeCPU(t, root, 1, "", "") // no physical_package_id at all
-	topo := detectTopology(root, 2)
-	if topo.FallbackReason == "" {
-		t.Fatal("expected flat fallback for missing physical_package_id")
+	fakeCPU(t, root, 0, "0\n")
+	fakeCPU(t, root, 1, "1\n")
+	fakeCPU(t, root, 2, "") // no physical_package_id at all
+	if got := socketCount(root); got != 1 {
+		t.Fatalf("missing physical_package_id: sockets = %d, want the fallback 1", got)
 	}
-	assertFlat(t, topo, 2)
 }
 
 func TestDetectTopologyGarbledPackageFile(t *testing.T) {
-	for _, garbage := range []string{"banana\n", "-3\n", ""} {
+	for _, garbage := range []string{"banana\n", "-3\n", "\n"} {
 		root := t.TempDir()
-		fakeCPU(t, root, 0, garbage, "")
-		topo := detectTopology(root, 4)
-		if topo.FallbackReason == "" {
-			t.Fatalf("garbage %q: expected flat fallback", garbage)
+		fakeCPU(t, root, 0, "0\n")
+		fakeCPU(t, root, 1, "1\n")
+		fakeCPU(t, root, 2, garbage)
+		if got := socketCount(root); got != 1 {
+			t.Fatalf("garbage %q: sockets = %d, want the fallback 1", garbage, got)
 		}
-		assertFlat(t, topo, 4)
 	}
 }
 
 func TestDetectTopologyMissingTree(t *testing.T) {
-	topo := detectTopology(filepath.Join(t.TempDir(), "nonexistent"), 3)
-	if topo.FallbackReason == "" {
-		t.Fatal("expected flat fallback for missing sysfs tree")
+	if got := socketCount(filepath.Join(t.TempDir(), "nonexistent")); got != 1 {
+		t.Fatalf("missing sysfs tree: sockets = %d, want 1", got)
 	}
-	assertFlat(t, topo, 3)
+}
 
-	// An existing tree with no cpuN entries is equally flat.
+// An existing tree with no cpuN entries counts no package; the count
+// clamps to one socket.
+func TestFlatTopologyClampsNCPU(t *testing.T) {
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, "devices", "system", "cpu"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	topo = detectTopology(root, 2)
-	if topo.FallbackReason == "" {
-		t.Fatal("expected flat fallback for empty cpu directory")
+	if got := socketCount(root); got != 1 {
+		t.Fatalf("empty cpu directory: sockets = %d, want 1", got)
 	}
-	assertFlat(t, topo, 2)
 }
 
+// Only the package id is read: cpuN directories without a cache tree
+// (VMs, old kernels) and sibling entries that are not cpuN directories
+// (cpufreq, cpuidle) neither force the fallback nor count as sockets.
 func TestDetectTopologyMissingL3IsBestEffort(t *testing.T) {
 	root := t.TempDir()
-	fakeCPU(t, root, 0, "0\n", "") // package id present, no cache tree
-	topo := detectTopology(root, 1)
-	if topo.FallbackReason != "" {
-		t.Fatalf("missing L3 must not force fallback: %q", topo.FallbackReason)
+	fakeCPU(t, root, 0, "0\n")
+	fakeCPU(t, root, 1, "1\n")
+	for _, d := range []string{"cpufreq", "cpuidle"} {
+		if err := os.MkdirAll(filepath.Join(root, "devices", "system", "cpu", d), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if topo.Sockets[0].L3ID != -1 {
-		t.Fatalf("L3ID = %d, want -1 sentinel", topo.Sockets[0].L3ID)
-	}
-}
-
-// assertFlat checks the flat-fallback shape: one socket covering ncpu
-// consecutive CPUs, which makes every grouped code path collapse to the
-// old flat-pool behaviour.
-func assertFlat(t *testing.T, topo *Topology, ncpu int) {
-	t.Helper()
-	if topo.NumSockets() != 1 {
-		t.Fatalf("fallback sockets = %d, want 1", topo.NumSockets())
-	}
-	if len(topo.Sockets[0].CPUs) != ncpu {
-		t.Fatalf("fallback CPUs = %v, want %d entries", topo.Sockets[0].CPUs, ncpu)
-	}
-	if !strings.Contains(topo.String(), "flat") {
-		t.Errorf("fallback String() = %q", topo.String())
+	if got := socketCount(root); got != 2 {
+		t.Fatalf("sockets = %d, want 2", got)
 	}
 }
 
-func TestFlatTopologyClampsNCPU(t *testing.T) {
-	topo := flatTopology(0, "test")
-	if len(topo.Sockets[0].CPUs) != 1 {
-		t.Fatalf("ncpu=0 must clamp to one CPU, got %v", topo.Sockets[0].CPUs)
+func TestGroupsIsPositive(t *testing.T) {
+	if Groups() < 1 {
+		t.Fatalf("Groups() = %d, want >= 1", Groups())
 	}
 }

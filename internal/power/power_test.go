@@ -36,7 +36,7 @@ func TestPaperConclusionEnergyOrdering(t *testing.T) {
 	// fully-native multi-node implementation".
 	b := Default()
 	host := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 0}).TFLOPS * 1000
-	hybrid := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead}).TFLOPS * 1000
+	hybrid := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined}).TFLOPS * 1000
 	native := simlu.Dynamic(simlu.Config{N: 30000}).GFLOPS
 
 	s := Compare(b, host, hybrid, native, 1)
@@ -56,8 +56,8 @@ func TestTwoCardScaling(t *testing.T) {
 	b := Default()
 	// Adding a second card improves hybrid GFLOPS/W (the card is more
 	// efficient than the host+platform base).
-	hy1 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.PipelinedLookahead}).TFLOPS * 1000
-	hy2 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 2, Lookahead: hpl.PipelinedLookahead}).TFLOPS * 1000
+	hy1 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: hpl.LookaheadPipelined}).TFLOPS * 1000
+	hy2 := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 2, Lookahead: hpl.LookaheadPipelined}).TFLOPS * 1000
 	if Efficiency(hy2, b.HybridNodeW(2)) <= Efficiency(hy1, b.HybridNodeW(1)) {
 		t.Errorf("second card should raise GFLOPS/W: %.2f vs %.2f",
 			Efficiency(hy2, b.HybridNodeW(2)), Efficiency(hy1, b.HybridNodeW(1)))

@@ -28,7 +28,7 @@ type Config struct {
 	N, NB int
 	P, Q  int
 	Cards int
-	Mode  hpl.Mode
+	Mode  hpl.LookaheadMode
 	// MaxIters truncates the run (0 = all iterations) — Figure 8 only
 	// needs a few iterations to show the overlap structure.
 	MaxIters int
@@ -151,7 +151,7 @@ func Simulate(cfg Config) Result {
 		}
 
 		switch cfg.Mode {
-		case hpl.NoLookahead:
+		case hpl.LookaheadNone:
 			// Figure 8a: strictly serial; the card idles outside DGEMM.
 			s, e := host.Reserve(start, tSwap)
 			record(laneHost, "swap", i, s, e)
@@ -164,7 +164,7 @@ func Simulate(cfg Config) Result {
 			now = e3
 			panelReady[i+1] = nextPanel(e3)
 
-		case hpl.BasicLookahead:
+		case hpl.LookaheadBasic:
 			// Figure 8b: the next panel overlaps the card's DGEMM, but
 			// swap/DTRSM/Ubcast precede the update and expose card idle.
 			s, e := host.Reserve(start, tSwap)
@@ -181,7 +181,7 @@ func Simulate(cfg Config) Result {
 				now = panelReady[i+1]
 			}
 
-		default: // PipelinedLookahead
+		default: // LookaheadPipelined
 			// Figure 8c: swap/DTRSM/Ubcast are chunked; the card starts
 			// after the first chunk and the rest pipeline underneath.
 			const chunks = 8
@@ -233,7 +233,7 @@ func Simulate(cfg Config) Result {
 // event-driven timeline.
 func Figure8(n, cards int) string {
 	out := ""
-	for _, mode := range []hpl.Mode{hpl.NoLookahead, hpl.BasicLookahead, hpl.PipelinedLookahead} {
+	for _, mode := range []hpl.LookaheadMode{hpl.LookaheadNone, hpl.LookaheadBasic, hpl.LookaheadPipelined} {
 		var rec trace.Recorder
 		Simulate(Config{N: n, Cards: cards, Mode: mode, MaxIters: 3, Trace: &rec})
 		out += "look-ahead: " + mode.String() + " (lanes: 0=host, 1=card, 2=bcast)\n"

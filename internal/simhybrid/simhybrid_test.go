@@ -12,9 +12,9 @@ import (
 func TestModeOrdering(t *testing.T) {
 	// The event-driven timeline must rank the schemes like Figure 8:
 	// none < basic < pipelined.
-	none := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.NoLookahead})
-	basic := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.BasicLookahead})
-	pipe := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.PipelinedLookahead})
+	none := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadNone})
+	basic := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadBasic})
+	pipe := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadPipelined})
 	if !(none.Seconds > basic.Seconds && basic.Seconds > pipe.Seconds) {
 		t.Errorf("ordering broken: %.1f %.1f %.1f", none.Seconds, basic.Seconds, pipe.Seconds)
 	}
@@ -28,7 +28,7 @@ func TestCrossValidatesAnalyticModel(t *testing.T) {
 	// The event-driven totals must agree with internal/hpl's closed-form
 	// model within a few percent — they share cost inputs but compose
 	// them differently.
-	for _, mode := range []hpl.Mode{hpl.BasicLookahead, hpl.PipelinedLookahead} {
+	for _, mode := range []hpl.LookaheadMode{hpl.LookaheadBasic, hpl.LookaheadPipelined} {
 		ev := Simulate(Config{N: 84000, Cards: 1, Mode: mode})
 		an := hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: mode})
 		rel := math.Abs(ev.Seconds-an.Seconds) / an.Seconds
@@ -41,7 +41,7 @@ func TestCrossValidatesAnalyticModel(t *testing.T) {
 
 func TestPipelinedCardGapsAreSmall(t *testing.T) {
 	var rec trace.Recorder
-	r := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.PipelinedLookahead, Trace: &rec})
+	r := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadPipelined, Trace: &rec})
 	if r.CardBusy < 0.9 {
 		t.Errorf("pipelined card busy = %.3f, want > 0.9", r.CardBusy)
 	}
@@ -73,8 +73,8 @@ func TestFigure8Rendering(t *testing.T) {
 }
 
 func TestTruncation(t *testing.T) {
-	short := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.BasicLookahead, MaxIters: 3})
-	full := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.BasicLookahead})
+	short := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadBasic, MaxIters: 3})
+	full := Simulate(Config{N: 84000, Cards: 1, Mode: hpl.LookaheadBasic})
 	if short.Seconds >= full.Seconds {
 		t.Error("truncated run should be shorter")
 	}
@@ -84,8 +84,8 @@ func TestTruncation(t *testing.T) {
 }
 
 func TestDefaultsAndDeterminism(t *testing.T) {
-	a := Simulate(Config{N: 60000})
-	b := Simulate(Config{N: 60000})
+	a := Simulate(Config{N: 60000, Mode: hpl.LookaheadNone})
+	b := Simulate(Config{N: 60000, Mode: hpl.LookaheadNone})
 	if a != b {
 		t.Error("must be deterministic")
 	}

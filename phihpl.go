@@ -224,11 +224,10 @@ func SolveDistributed2D(n, nb, p, q int, seed uint64) (SolveResult, error) {
 // LookaheadPipelined (the default) additionally runs each block column's
 // GEMM on an asynchronous lane under the next column's swaps and
 // broadcasts. All three produce bitwise-identical factorizations.
+// HybridConfig.Lookahead prices the same three schedules (Figure 8).
 type LookaheadMode = hpl.LookaheadMode
 
-// Look-ahead schedules for the real 2D drivers (distinct from the
-// simulator's NoLookahead/BasicLookahead/PipelinedLookahead, which price
-// a modeled machine rather than schedule a real solve).
+// Look-ahead schedules.
 const (
 	LookaheadNone      = hpl.LookaheadNone
 	LookaheadBasic     = hpl.LookaheadBasic
@@ -320,13 +319,6 @@ func OffloadDGEMMSim(m, n, cards int) (gflops, eff float64) {
 
 // HybridConfig configures a hybrid HPL simulation (a Table III row).
 type HybridConfig = hpl.SimConfig
-
-// Lookahead modes for HybridConfig.
-const (
-	NoLookahead        = hpl.NoLookahead
-	BasicLookahead     = hpl.BasicLookahead
-	PipelinedLookahead = hpl.PipelinedLookahead
-)
 
 // HybridResult is the outcome of a hybrid HPL simulation.
 type HybridResult = hpl.SimResult

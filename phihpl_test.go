@@ -93,7 +93,7 @@ func TestSimFacades(t *testing.T) {
 	if g, e := OffloadDGEMMSim(82000, 82000, 1); g < 900 || e < 0.84 {
 		t.Errorf("offload sim: %v GF %v eff", g, e)
 	}
-	r := HybridHPLSim(HybridConfig{N: 84000, Cards: 1, Lookahead: PipelinedLookahead})
+	r := HybridHPLSim(HybridConfig{N: 84000, Cards: 1, Lookahead: LookaheadPipelined})
 	if r.TFLOPS < 1.0 {
 		t.Errorf("hybrid sim: %v TF", r.TFLOPS)
 	}
