@@ -43,12 +43,12 @@ race:
 
 # poolsize: the numeric suites at two pool sizes. pool.Size() is fixed at
 # GOMAXPROCS for the life of a process, so one run meets one worker count;
-# these two runs put every bitwise suite (packed GEMM, LU drivers, grid)
-# under a single worker and under eight, on whatever core count the
-# machine has.
+# these two runs put every bitwise suite (packed GEMM, LU drivers, grid,
+# and the facade's in-place native solve with its one-matrix pin) under a
+# single worker and under eight, on whatever core count the machine has.
 poolsize:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
-	GOMAXPROCS=8 $(GO) test -count=1 ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
+	GOMAXPROCS=8 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for

@@ -34,7 +34,6 @@ func SolveTracedContext(ctx context.Context, n int, sched Scheduler, nb, workers
 	if err := ctx.Err(); err != nil {
 		return SolveResult{}, err
 	}
-	a, b := matrix.RandomSystem(n, seed)
 	driver := lu.SequentialCtx
 	switch sched {
 	case StaticLookahead:
@@ -42,11 +41,12 @@ func SolveTracedContext(ctx context.Context, n int, sched Scheduler, nb, workers
 	case DynamicDAG:
 		driver = lu.DynamicCtx
 	}
-	x, res, err := lu.SolveCtx(ctx, a, b, lu.Options{NB: nb, Workers: workers, Trace: rec}, driver)
+	a := matrix.RandomGeneral(n, n, seed)
+	x, res, secs, err := lu.SolveInPlace(ctx, a, matrix.SeededSystem(n, seed), lu.Options{NB: nb, Workers: workers, Trace: rec}, driver)
 	if err != nil {
 		return SolveResult{}, err
 	}
-	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n}, nil
+	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n, Seconds: secs}, nil
 }
 
 // SolveMixedPrecisionCtx is SolveMixedPrecision under a context, observed
@@ -55,7 +55,7 @@ func SolveTracedContext(ctx context.Context, n int, sched Scheduler, nb, workers
 // A nil recorder disables tracing.
 func SolveMixedPrecisionCtx(ctx context.Context, n int, mode PrecisionMode, nb, workers int, seed uint64, rec *trace.Recorder) (SolveResult, error) {
 	if mode != PrecisionMixed {
-		return SolveTracedContext(ctx, n, Sequential, nb, workers, seed, rec)
+		return SolveTracedContext(ctx, n, DynamicDAG, nb, workers, seed, rec)
 	}
 	if err := ctx.Err(); err != nil {
 		return SolveResult{}, err

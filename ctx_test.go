@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"phihpl/internal/testutil"
 )
@@ -43,8 +44,9 @@ func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// Every grid entry point reports the timed factor+solve phase, which the
-// solve server prices a job with.
+// Every native FP64 and grid entry point reports the timed factor+solve
+// phase, which the solve server prices a job with: more than nothing, less
+// than the whole call, which also generates A and checks the residual.
 func TestFacadeCtxReportsSeconds(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	ctx := context.Background()
@@ -52,6 +54,15 @@ func TestFacadeCtxReportsSeconds(t *testing.T) {
 		name  string
 		solve func() (SolveResult, error)
 	}{
+		{"Solve", func() (SolveResult, error) {
+			return Solve(64, DynamicDAG, 16, 2, 1)
+		}},
+		{"SolveContext", func() (SolveResult, error) {
+			return SolveContext(ctx, 64, Sequential, 16, 2, 1)
+		}},
+		{"SolveMixedPrecisionCtx(fp64)", func() (SolveResult, error) {
+			return SolveMixedPrecisionCtx(ctx, 64, PrecisionFP64, 16, 2, 1, nil)
+		}},
 		{"SolveDistributed2DCtx", func() (SolveResult, error) {
 			return SolveDistributed2DCtx(ctx, 64, 16, 2, 2, 1)
 		}},
@@ -68,15 +79,17 @@ func TestFacadeCtxReportsSeconds(t *testing.T) {
 			return SolveFaultTolerant2DCtx(ctx, 64, 16, 2, 2, 1, FTConfig{})
 		}},
 	} {
+		start := time.Now()
 		r, err := tc.solve()
+		wall := time.Since(start).Seconds()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !r.Passed || r.N != 64 {
 			t.Errorf("%s: passed=%v N=%d, want a passing n=64 solve", tc.name, r.Passed, r.N)
 		}
-		if r.Seconds <= 0 {
-			t.Errorf("%s: Seconds = %g, want the timed phase", tc.name, r.Seconds)
+		if !(r.Seconds > 0 && r.Seconds < wall) {
+			t.Errorf("%s: Seconds = %g, want the timed phase, in (0, %g)", tc.name, r.Seconds, wall)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package lu
 import (
 	"context"
 	"runtime/debug"
+	"time"
 
 	"phihpl/internal/blas"
 	"phihpl/internal/matrix"
@@ -60,14 +61,26 @@ func SequentialCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options
 // is returned and no solution is produced.
 func SolveCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Options,
 	driver func(context.Context, *matrix.Dense, []int, Options) error) (x []float64, residual float64, err error) {
-	lu := a.Clone()
+	x, residual, _, err = SolveInPlace(ctx, a.Clone(), matrix.DenseSystem(a, b), opts, driver)
+	return x, residual, err
+}
+
+// SolveInPlace is the solve core: it factors a, which must hold sys's
+// matrix, in place under ctx with driver, substitutes sys.B, and returns
+// x with its scaled HPL residual against sys. Checked against
+// matrix.SeededSystem, the solve holds one n×n matrix, as HPL does.
+// seconds is the timed phase, factorization through back-substitution.
+func SolveInPlace(ctx context.Context, a *matrix.Dense, sys matrix.System, opts Options,
+	driver func(context.Context, *matrix.Dense, []int, Options) error) (x []float64, residual, seconds float64, err error) {
 	piv := make([]int, a.Rows)
-	if err := driver(ctx, lu, piv, opts); err != nil {
-		return nil, 0, err
+	start := time.Now()
+	if err := driver(ctx, a, piv, opts); err != nil {
+		return nil, 0, 0, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	x = blas.LUSolve(lu, piv, b)
-	return x, matrix.Residual(a, x, b), nil
+	x = blas.LUSolve(a, piv, sys.B)
+	seconds = time.Since(start).Seconds()
+	return x, sys.Residual(x), seconds, nil
 }

@@ -3,6 +3,7 @@ package lu
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -160,5 +161,41 @@ func TestSolveCtx(t *testing.T) {
 	cancel()
 	if _, _, err := SolveCtx(ctx, a, b, Options{NB: 16}, SequentialCtx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled SolveCtx: err = %v", err)
+	}
+}
+
+// SolveInPlace on A generated for the solve, checked against the seed,
+// gives Solve's X and residual bit for bit under every driver, and a
+// timed phase of more than nothing. A cancelled context produces no
+// solution.
+func TestSolveInPlaceMatchesSolve(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	const n, seed = 90, 17
+	opts := Options{NB: 16, Workers: 3}
+	a, b := matrix.RandomSystem(n, seed)
+	want, wantRes, err := Solve(a, b, opts, Sequential)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ctxDrivers {
+		t.Run(d.name, func(t *testing.T) {
+			x, res, secs, err := SolveInPlace(context.Background(), matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, d.driver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res) != math.Float64bits(wantRes) || secs <= 0 {
+				t.Errorf("residual %g, seconds %g; want residual %g and seconds > 0", res, secs, wantRes)
+			}
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("x[%d] = %g, want %g bit for bit", i, x[i], want[i])
+				}
+			}
+		})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if x, _, _, err := SolveInPlace(ctx, matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, DynamicCtx); !errors.Is(err, context.Canceled) || x != nil {
+		t.Errorf("cancelled SolveInPlace: x = %v, err = %v", x != nil, err)
 	}
 }

@@ -15,6 +15,7 @@
 package lu
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -247,11 +248,7 @@ func (st *state) globalPivots(piv []int) {
 // Dynamic.
 func Solve(a *matrix.Dense, b []float64, opts Options,
 	driver func(*matrix.Dense, []int, Options) error) (x []float64, residual float64, err error) {
-	lu := a.Clone()
-	piv := make([]int, a.Rows)
-	if err := driver(lu, piv, opts); err != nil {
-		return nil, 0, err
-	}
-	x = blas.LUSolve(lu, piv, b)
-	return x, matrix.Residual(a, x, b), nil
+	return SolveCtx(context.Background(), a, b, opts, func(_ context.Context, a *matrix.Dense, piv []int, o Options) error {
+		return driver(a, piv, o)
+	})
 }

@@ -238,14 +238,16 @@ func defaultStr(s, d string) string {
 }
 
 // MemEstimate is the admission gate's rough per-job matrix footprint: the
-// FP64 system plus vectors, doubled again for the distributed drivers
-// (per-rank local blocks + the root's gathered copy) and once more for
-// ABFT checksums and checkpoints. A mixed-precision job additionally
-// carries an FP32 shadow of the matrix (half the FP64 bytes — the n²
-// float32 mirror for native, the distributed FP32 blocks plus the root's
-// gathered FP32 factors for the 2D drivers). Deliberately pessimistic —
-// the gate exists to queue jobs rather than OOM, not to pack memory
-// tightly.
+// FP64 system plus vectors, once for native (it factors A in place; the
+// facade's TestNativeSolveHoldsOneMatrix pins one n×n object), 3× for the
+// distributed drivers (the ranks' blocks, the root's gather of the others'
+// local matrices and the stage payloads in flight: 2.85–3.09× measured on
+// 2×2, DESIGN.md §21), 4× for FT (plus ABFT checksums and checkpoints). A
+// mixed-precision job additionally carries an FP32 shadow of the matrix
+// (half the FP64 bytes — the n² float32 mirror for native, the distributed
+// FP32 blocks plus the root's gathered FP32 factors for the 2D drivers).
+// Deliberately pessimistic — the gate exists to queue jobs rather than
+// OOM, not to pack memory tightly.
 func (sp Spec) MemEstimate() int64 {
 	n := int64(sp.N)
 	base := 8 * (n*n + 8*n)
@@ -258,7 +260,7 @@ func (sp Spec) MemEstimate() int64 {
 		return base + shadow
 	case ModeFT:
 		return 4 * base // ft+mixed is rejected by Validate; no shadow term
-	default: // dist2d, hybrid2d: per-rank blocks + root's gathered copy
+	default: // dist2d, hybrid2d
 		return 3*base + 2*shadow
 	}
 }

@@ -19,6 +19,7 @@
 package phihpl
 
 import (
+	"context"
 	"math"
 
 	"phihpl/internal/blas"
@@ -73,8 +74,9 @@ type SolveResult struct {
 	Passed   bool
 	N        int
 	// Seconds is the wall-clock of the timed phase (factorization through
-	// back-substitution, entered through a barrier), the figure HPL itself
-	// reports. Set by the 2D distributed drivers; zero elsewhere.
+	// back-substitution; on a grid, entered through a barrier), the figure
+	// HPL itself reports. Set by the native FP64 solves and the 2D
+	// distributed drivers; zero for a native mixed-precision solve.
 	Seconds float64
 	// FT carries recovery statistics when the fault-tolerant driver ran.
 	FT *FTStats
@@ -113,9 +115,10 @@ const (
 	DynamicDAG
 )
 
-// Solve generates the seeded random system A·x = b of order n, factors it
-// with the selected scheduler (NB block size, `workers` goroutine thread
-// groups) and returns the solution with its HPL residual.
+// Solve generates the seeded random system A·x = b of order n, factors A
+// in place with the selected scheduler (NB block size, `workers` goroutine
+// thread groups) and returns the solution with its HPL residual, checked
+// against A regenerated from the seed row by row.
 func Solve(n int, sched Scheduler, nb, workers int, seed uint64) (SolveResult, error) {
 	return SolveTraced(n, sched, nb, workers, seed, nil)
 }
@@ -127,19 +130,7 @@ func Solve(n int, sched Scheduler, nb, workers int, seed uint64) (SolveResult, e
 // the recorder with trace.Recorder.Gantt or WriteChromeTrace. A nil
 // recorder makes this identical to Solve.
 func SolveTraced(n int, sched Scheduler, nb, workers int, seed uint64, rec *trace.Recorder) (SolveResult, error) {
-	a, b := matrix.RandomSystem(n, seed)
-	driver := lu.Sequential
-	switch sched {
-	case StaticLookahead:
-		driver = lu.StaticLookahead
-	case DynamicDAG:
-		driver = lu.Dynamic
-	}
-	x, res, err := lu.Solve(a, b, lu.Options{NB: nb, Workers: workers, Trace: rec}, driver)
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n}, nil
+	return SolveTracedContext(context.Background(), n, sched, nb, workers, seed, rec)
 }
 
 // PrecisionMode selects the arithmetic of the shared-memory solve:
@@ -176,10 +167,11 @@ const (
 
 // SolveMixedPrecision generates the seeded random system of order n and
 // solves it in the selected precision: PrecisionFP64 routes to the
-// blocked FP64 driver, PrecisionMixed factors in FP32 and refines in FP64
-// (Result.Refine carries the iteration count and any fallback). Either
-// way the result is held to the same HPL residual verdict — a mixed solve
-// never trades accuracy for its speed.
+// dynamic DAG driver with the given workers (SolveTraced's path),
+// PrecisionMixed factors in FP32 and refines in FP64 (Result.Refine
+// carries the iteration count and any fallback). Either way the result is
+// held to the same HPL residual verdict — a mixed solve never trades
+// accuracy for its speed.
 func SolveMixedPrecision(n int, mode PrecisionMode, nb, workers int, seed uint64) (SolveResult, error) {
 	return SolveMixedPrecisionTraced(n, mode, nb, workers, seed, nil)
 }
@@ -189,15 +181,7 @@ func SolveMixedPrecision(n int, mode PrecisionMode, nb, workers int, seed uint64
 // span per correction solve, and "FP64Fallback" when it re-solves in
 // double precision.
 func SolveMixedPrecisionTraced(n int, mode PrecisionMode, nb, workers int, seed uint64, rec *trace.Recorder) (SolveResult, error) {
-	if mode != PrecisionMixed {
-		return SolveTraced(n, Sequential, nb, workers, seed, rec)
-	}
-	a, b := matrix.RandomSystem(n, seed)
-	x, res, rep, err := lu.SolveMixed(a, b, lu.Options{NB: nb, Workers: workers, Trace: rec})
-	if err != nil {
-		return SolveResult{}, err
-	}
-	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n, Refine: &rep}, nil
+	return SolveMixedPrecisionCtx(context.Background(), n, mode, nb, workers, seed, rec)
 }
 
 // SolveDistributed runs the functional distributed Linpack on `ranks`
