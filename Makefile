@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-scalar poolsize fuzz smoke check clean
+.PHONY: all build test vet race race-scalar poolsize fuzz smoke examples check clean
 
 all: vet test
 
@@ -57,6 +57,13 @@ poolsize:
 # the interrupted job.
 smoke:
 	sh scripts/smoke_hplserver.sh
+
+# examples: run every program under examples/ and fail on the first
+# non-zero exit. Each checks its own verdict (residual PASSED, bitwise
+# agreement), so an API change that still compiles but breaks a
+# walkthrough fails here rather than in a reader's terminal.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
 
 # fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
 # scalar oracle (never panic, ulp envelope, no out-of-window writes — the

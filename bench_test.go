@@ -7,6 +7,7 @@
 package phihpl
 
 import (
+	"context"
 	"testing"
 
 	"phihpl/internal/blas"
@@ -215,7 +216,7 @@ func BenchmarkOffloadCompute(b *testing.B) {
 // BenchmarkDistributedSolve measures the functional distributed Linpack.
 func BenchmarkDistributedSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hpl.SolveDistributed(300, 32, 4, uint64(i)); err != nil {
+		if _, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 300, NB: 32, P: 1, Q: 4, Seed: uint64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +308,7 @@ func BenchmarkStreamTriad(b *testing.B) {
 // distributed swaps and broadcasts) on in-process nodes.
 func BenchmarkDistributed2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hpl.SolveDistributed2D(240, 24, 2, 2, uint64(i)); err != nil {
+		if _, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 240, NB: 24, P: 2, Q: 2, Seed: uint64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -318,7 +319,7 @@ func BenchmarkDistributed2D(b *testing.B) {
 // through the real offload work-stealing engine.
 func BenchmarkHybrid2D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := hpl.SolveDistributed2DHybrid(240, 24, 2, 2, uint64(i)); err != nil {
+		if _, err := Run(context.Background(), Spec{Mode: ModeHybrid2D, N: 240, NB: 24, P: 2, Q: 2, Seed: uint64(i)}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

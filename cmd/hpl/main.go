@@ -124,6 +124,8 @@ func exitCode(err error) int {
 		return exitPass
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return exitAborted
+	case errors.Is(err, phihpl.ErrUnsupported):
+		return exitUnsupported
 	case errors.As(err, &pe), errors.As(err, &rpe), errors.As(err, &fe),
 		errors.Is(err, cluster.ErrRankFailed):
 		return exitRankFail
@@ -223,61 +225,26 @@ func main() {
 		lu.SetMetrics(reg)
 	}
 
-	if *native {
-		bs := *nb
-		if bs == 0 {
-			bs = 64
-		}
-		start := time.Now()
-		var res phihpl.SolveResult
-		var err error
-		if precision == phihpl.PrecisionMixed {
-			res, err = phihpl.SolveMixedPrecisionCtx(ctx, *n, precision, bs, *workers, *seed, rec)
-		} else {
-			res, err = phihpl.SolveTracedContext(ctx, *n, phihpl.DynamicDAG, bs, *workers, *seed, rec)
-		}
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			if code := exitCode(err); code == exitAborted {
-				writeAbortedReport(*n, bs, 1, 1, elapsed)
-				finishObservability(rec, *traceOut, *gantt, reg)
-				os.Exit(code)
-			} else {
-				os.Exit(code)
+	// The real solves share one Run call; -dat and the projection write
+	// reports of their own.
+	bs := *nb
+	if bs == 0 {
+		bs = 64
+	}
+	var sp phihpl.Spec
+	switch {
+	case *native:
+		sp = phihpl.Spec{Mode: phihpl.ModeNative, N: *n, NB: bs, Workers: *workers, Seed: *seed, Precision: precision}
+	case *faults != "" || *ft:
+		sp = phihpl.Spec{Mode: phihpl.ModeFT, N: *n, NB: bs, P: *p, Q: *q, Seed: *seed, Lookahead: lookahead,
+			FT: phihpl.FTConfig{Timeout: *ftTime, CheckpointEvery: *ckEvery, MaxRestarts: *restarts}}
+		if *faults != "" {
+			if sp.FT.Plan, err = phihpl.ParseFaultPlan(*faults); err != nil {
+				fmt.Fprintln(os.Stderr, "error:", err)
+				os.Exit(exitFailed)
 			}
 		}
-		if reg != nil {
-			reg.Gauge("hpl.gflops").Set(phihpl.LUFlops(*n) / elapsed / 1e9)
-			reg.Gauge("hpl.seconds").Set(elapsed)
-		}
-		status := "PASSED"
-		if !res.Passed {
-			status = "FAILED"
-		}
-		sched := "dynamic"
-		if precision == phihpl.PrecisionMixed {
-			sched = "mixed"
-		}
-		fmt.Printf("N=%d NB=%d workers=%d sched=%s %.3fs %.2f GFLOPS\n",
-			*n, bs, *workers, sched, elapsed, phihpl.LUFlops(*n)/elapsed/1e9)
-		printRefine(res.Refine)
-		fmt.Printf("||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N) = %10.7f ...... %s\n",
-			res.Residual, status)
-		finishObservability(rec, *traceOut, *gantt, reg)
-		if !res.Passed {
-			os.Exit(exitFailed)
-		}
-		return
-	}
-
-	if *faults != "" || *ft {
-		runFaultTolerant(ctx, *n, *nb, *p, *q, *seed, *faults, *ftTime, *ckEvery, *restarts, lookahead, rec)
-		finishObservability(rec, *traceOut, *gantt, reg)
-		return
-	}
-
-	if *dat != "" {
+	case *dat != "":
 		var r io.Reader
 		if *dat == "-" {
 			r = strings.NewReader(hplio.Example())
@@ -291,70 +258,43 @@ func main() {
 			r = f
 		}
 		// Combinations up to N=2000 run the real distributed solver. On
-		// cancellation RunDatCtx has already written the partial report
-		// with the unfinished combinations marked ABORTED.
-		if err := phihpl.RunDatModeCtx(ctx, r, os.Stdout, 2000, lookahead); err != nil {
+		// cancellation RunDat has already written the partial report with
+		// the unfinished combinations marked ABORTED.
+		if err := phihpl.RunDat(ctx, r, os.Stdout, 2000, lookahead); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			finishObservability(rec, *traceOut, *gantt, reg)
 			os.Exit(exitCode(err))
 		}
 		finishObservability(rec, *traceOut, *gantt, reg)
 		return
-	}
-
-	if *real {
-		bs := *nb
-		if bs == 0 {
-			bs = 64
-		}
+	case *real:
 		// One driver for every shape: the selected look-ahead schedule and
 		// precision, with per-stage pipeline spans on rec.
 		gp, gq := realGrid(*p, *q, *ranks)
-		start := time.Now()
-		res, err := phihpl.SolveDistributed2DPrecisionCtx(ctx, *n, bs, gp, gq, *seed, lookahead, precision, rec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			if code := exitCode(err); code == exitAborted {
-				writeAbortedReport(*n, bs, gp, gq, time.Since(start).Seconds())
-				finishObservability(rec, *traceOut, *gantt, reg)
-				os.Exit(code)
-			} else {
-				os.Exit(code)
-			}
+		sp = phihpl.Spec{Mode: phihpl.ModeDist2D, N: *n, NB: bs, P: gp, Q: gq, Seed: *seed,
+			Precision: precision, Lookahead: lookahead}
+	default:
+		var la phihpl.HybridConfig
+		la.N, la.NB, la.P, la.Q = *n, *nb, *p, *q
+		la.Cards, la.HostMemGiB = *cards, *mem
+		la.Trace = rec
+		if la.Lookahead, err = phihpl.ParseLookaheadMode(*mode); err != nil {
+			fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+			os.Exit(exitFailed) // 2 is reserved for aborted runs
 		}
-		elapsed := time.Since(start).Seconds()
-		status := "PASSED"
-		if !res.Passed {
-			status = "FAILED"
-		}
-		fmt.Printf("N=%d NB=%d grid=%dx%d lookahead=%s %.3fs %.2f GFLOPS\n",
-			*n, bs, gp, gq, lookahead, elapsed, phihpl.LUFlops(*n)/elapsed/1e9)
-		printRefine(res.Refine)
-		fmt.Printf("||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N) = %10.7f ...... %s\n",
-			res.Residual, status)
+		r := phihpl.HybridHPLSim(la)
+		fmt.Printf("T/V                N    NB     P     Q               Time                 Gflops\n")
+		fmt.Printf("--------------------------------------------------------------------------------\n")
+		fmt.Printf("WR%-9s %8d %5d %5d %5d %18.2f %22.3e\n",
+			*mode, la.N, max(la.NB, 1200), la.P, la.Q, r.Seconds, r.TFLOPS*1000)
+		fmt.Printf("efficiency: %.1f%% of node peak, coprocessor idle: %.1f%%\n",
+			r.Eff*100, r.CardIdleFrac*100)
 		finishObservability(rec, *traceOut, *gantt, reg)
-		if !res.Passed {
-			os.Exit(exitFailed)
-		}
 		return
 	}
-
-	var la phihpl.HybridConfig
-	la.N, la.NB, la.P, la.Q = *n, *nb, *p, *q
-	la.Cards, la.HostMemGiB = *cards, *mem
-	la.Trace = rec
-	if la.Lookahead, err = phihpl.ParseLookaheadMode(*mode); err != nil {
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(exitFailed) // 2 is reserved for aborted runs
-	}
-	r := phihpl.HybridHPLSim(la)
-	fmt.Printf("T/V                N    NB     P     Q               Time                 Gflops\n")
-	fmt.Printf("--------------------------------------------------------------------------------\n")
-	fmt.Printf("WR%-9s %8d %5d %5d %5d %18.2f %22.3e\n",
-		*mode, la.N, maxInt(la.NB, 1200), la.P, la.Q, r.Seconds, r.TFLOPS*1000)
-	fmt.Printf("efficiency: %.1f%% of node peak, coprocessor idle: %.1f%%\n",
-		r.Eff*100, r.CardIdleFrac*100)
+	code := solve(ctx, sp, *faults, rec, reg)
 	finishObservability(rec, *traceOut, *gantt, reg)
+	os.Exit(code)
 }
 
 // finishObservability writes the Chrome trace file (and optional ASCII
@@ -387,28 +327,15 @@ func finishObservability(rec *trace.Recorder, tracePath string, gantt bool, reg 
 	}
 }
 
-// runFaultTolerant drives the checksum-protected distributed solver under
-// an optional injected fault plan and reports the recovery activity. An
-// unrecoverable run exits non-zero with the structured fault report
-// instead of hanging or printing a bogus residual; a cancelled run writes
-// the partial ABORTED report and exits with the aborted code.
-func runFaultTolerant(ctx context.Context, n, nb, p, q int, seed uint64, spec string, timeout time.Duration, ckptEvery, maxRestarts int, lookahead phihpl.LookaheadMode, rec *trace.Recorder) {
-	if nb == 0 {
-		nb = 64
-	}
-	cfg := phihpl.FTConfig{Timeout: timeout, CheckpointEvery: ckptEvery, MaxRestarts: maxRestarts, Lookahead: lookahead, Trace: rec}
-	if spec != "" {
-		plan, err := phihpl.ParseFaultPlan(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(exitFailed)
-		}
-		cfg.Plan = plan
-	}
+// solve runs sp and reports it: the result line, the mixed-precision and
+// recovery reports and the HPL residual verdict. An unrecoverable
+// fault-tolerant run prints the structured fault report instead of
+// hanging or printing a bogus residual; a cancelled run writes the partial
+// ABORTED report. It returns the exit code.
+func solve(ctx context.Context, sp phihpl.Spec, faults string, rec *trace.Recorder, reg *metrics.Registry) int {
 	start := time.Now()
-	res, err := phihpl.SolveFaultTolerant2DCtx(ctx, n, nb, p, q, seed, cfg)
+	res, err := phihpl.Run(ctx, sp, rec)
 	if err != nil {
-		code := exitCode(err)
 		var fe *phihpl.FaultError
 		if errors.As(err, &fe) {
 			fmt.Fprintf(os.Stderr, "UNRECOVERABLE after %d restart(s), reached stage %d: %v\n",
@@ -419,16 +346,22 @@ func runFaultTolerant(ctx context.Context, n, nb, p, q int, seed uint64, spec st
 		} else {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
+		code := exitCode(err)
 		if code == exitAborted {
-			writeAbortedReport(n, nb, p, q, time.Since(start).Seconds())
+			writeAbortedReport(sp.N, sp.NB, max(sp.P, 1), max(sp.Q, 1), time.Since(start).Seconds())
 		}
-		os.Exit(code)
+		return code
+	}
+	if reg != nil {
+		reg.Gauge("hpl.gflops").Set(phihpl.LUFlops(sp.N) / res.Seconds / 1e9)
+		reg.Gauge("hpl.seconds").Set(res.Seconds)
 	}
 	status := "PASSED"
 	if !res.Passed {
 		status = "FAILED"
 	}
-	fmt.Printf("N=%d NB=%d grid=%dx%d faults=%q\n", n, nb, p, q, spec)
+	fmt.Println(resultLine(sp, faults, res))
+	printRefine(res.Refine)
 	fmt.Printf("||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N) = %10.7f ...... %s\n",
 		res.Residual, status)
 	if ftst := res.FT; ftst != nil {
@@ -440,13 +373,28 @@ func runFaultTolerant(ctx context.Context, n, nb, p, q int, seed uint64, spec st
 			ftst.Faults.Crashes, ftst.Faults.Stalls, ftst.Faults.Scrubs)
 	}
 	if !res.Passed {
-		os.Exit(exitFailed)
+		return exitFailed
 	}
+	return exitPass
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// resultLine is a solve's one-line summary. Its rate is HPL's: the flop
+// count over the timed phase res.Seconds, which leaves out generating A
+// and checking the residual.
+func resultLine(sp phihpl.Spec, faults string, res phihpl.SolveResult) string {
+	var what string
+	switch sp.Mode {
+	case phihpl.ModeNative:
+		sched := "dynamic"
+		if sp.Precision == phihpl.PrecisionMixed {
+			sched = "mixed"
+		}
+		what = fmt.Sprintf("workers=%d sched=%s", sp.Workers, sched)
+	case phihpl.ModeFT:
+		what = fmt.Sprintf("grid=%dx%d faults=%q", sp.P, sp.Q, faults)
+	default:
+		what = fmt.Sprintf("grid=%dx%d lookahead=%s", sp.P, sp.Q, sp.Lookahead)
 	}
-	return b
+	return fmt.Sprintf("N=%d NB=%d %s %.3fs %.2f GFLOPS", sp.N, sp.NB, what, res.Seconds,
+		phihpl.LUFlops(sp.N)/res.Seconds/1e9)
 }

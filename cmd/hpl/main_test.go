@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -47,8 +48,8 @@ func TestMixedSupportedPaths(t *testing.T) {
 // 1×3 grid — it solves, refines without falling back, and passes.
 func TestRealRanksMixedSolves(t *testing.T) {
 	gp, gq := realGrid(1, 1, 3)
-	res, err := phihpl.SolveDistributed2DPrecisionCtx(context.Background(), 150, 16, gp, gq, 1,
-		phihpl.LookaheadPipelined, phihpl.PrecisionMixed, nil)
+	res, err := phihpl.Run(context.Background(), phihpl.Spec{Mode: phihpl.ModeDist2D, N: 150, NB: 16,
+		P: gp, Q: gq, Seed: 1, Lookahead: phihpl.LookaheadPipelined, Precision: phihpl.PrecisionMixed}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,5 +87,33 @@ func TestMixedUnsupportedGuard(t *testing.T) {
 	}
 	if exitUnsupported != 3 {
 		t.Errorf("exitUnsupported = %d, want the documented code 3", exitUnsupported)
+	}
+}
+
+// TestResultLineRate: every real branch prints one result line whose rate
+// is HPL's — the flop count over the solve's timed phase res.Seconds, not
+// over the wall time of the call, which also generates A and checks the
+// residual.
+func TestResultLineRate(t *testing.T) {
+	for _, sp := range []phihpl.Spec{
+		{Mode: phihpl.ModeNative, N: 200, NB: 32, Workers: 2, Seed: 1},
+		{Mode: phihpl.ModeNative, N: 200, NB: 32, Workers: 2, Seed: 1, Precision: phihpl.PrecisionMixed},
+		{Mode: phihpl.ModeDist2D, N: 200, NB: 32, P: 1, Q: 3, Seed: 1},
+		{Mode: phihpl.ModeFT, N: 200, NB: 32, P: 2, Q: 2, Seed: 1},
+	} {
+		res, err := phihpl.Run(context.Background(), sp, nil)
+		if err != nil {
+			t.Fatalf("%s %s: %v", sp.Mode, sp.Precision, err)
+		}
+		line := resultLine(sp, "", res)
+		want := fmt.Sprintf(" %.3fs %.2f GFLOPS", res.Seconds, phihpl.LUFlops(sp.N)/res.Seconds/1e9)
+		if res.Seconds <= 0 || !strings.HasSuffix(line, want) {
+			t.Errorf("%s %s: result line %q, want it to end with %q (LUFlops(n)/Seconds)", sp.Mode, sp.Precision, line, want)
+		}
+	}
+	// A fixed timed phase pins the arithmetic: 2/3·n³ + 2·n² flops in 0.5 s.
+	line := resultLine(phihpl.Spec{Mode: phihpl.ModeDist2D, N: 1000, NB: 64, P: 2, Q: 2}, "", phihpl.SolveResult{Seconds: 0.5})
+	if want := "N=1000 NB=64 grid=2x2 lookahead=pipelined 0.500s 1.34 GFLOPS"; line != want {
+		t.Errorf("result line %q, want %q", line, want)
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // The facade's cancellation contract: an already-cancelled context returns
-// promptly with context.Canceled from every ctx entry point, leaking no
-// goroutines and doing no work.
+// promptly with context.Canceled from every mode, leaking no goroutines and
+// doing no work. The subtests keep the names of the entry points each Spec
+// replaced.
 func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -21,19 +22,19 @@ func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 		solve func() (SolveResult, error)
 	}{
 		{"SolveContext", func() (SolveResult, error) {
-			return SolveContext(ctx, 96, DynamicDAG, 16, 2, 1)
+			return Run(ctx, Spec{N: 96, NB: 16, Workers: 2, Seed: 1}, nil)
 		}},
 		{"SolveDistributedCtx", func() (SolveResult, error) {
-			return SolveDistributedCtx(ctx, 64, 16, 2, 1)
+			return Run(ctx, Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 1, Q: 2, Seed: 1}, nil)
 		}},
 		{"SolveDistributed2DCtx", func() (SolveResult, error) {
-			return SolveDistributed2DCtx(ctx, 64, 16, 2, 2, 1)
+			return Run(ctx, Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
 		{"SolveHybrid2DCtx", func() (SolveResult, error) {
-			return SolveHybrid2DCtx(ctx, 64, 16, 2, 2, 1)
+			return Run(ctx, Spec{Mode: ModeHybrid2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
 		{"SolveFaultTolerant2DCtx", func() (SolveResult, error) {
-			return SolveFaultTolerant2DCtx(ctx, 64, 16, 2, 2, 1, FTConfig{})
+			return Run(ctx, Spec{Mode: ModeFT, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -44,9 +45,9 @@ func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-// Every native FP64 and grid entry point reports the timed factor+solve
-// phase, which the solve server prices a job with: more than nothing, less
-// than the whole call, which also generates A and checks the residual.
+// Every mode, native mixed included, reports the timed phase, which the
+// solve server prices a job with: more than nothing, less than the whole
+// call, which also generates A and checks the residual.
 func TestFacadeCtxReportsSeconds(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	ctx := context.Background()
@@ -57,26 +58,29 @@ func TestFacadeCtxReportsSeconds(t *testing.T) {
 		{"Solve", func() (SolveResult, error) {
 			return Solve(64, DynamicDAG, 16, 2, 1)
 		}},
-		{"SolveContext", func() (SolveResult, error) {
-			return SolveContext(ctx, 64, Sequential, 16, 2, 1)
+		{"native sequential", func() (SolveResult, error) {
+			return Run(ctx, Spec{N: 64, NB: 16, Workers: 2, Seed: 1, Scheduler: Sequential}, nil)
 		}},
-		{"SolveMixedPrecisionCtx(fp64)", func() (SolveResult, error) {
-			return SolveMixedPrecisionCtx(ctx, 64, PrecisionFP64, 16, 2, 1, nil)
+		{"native fp64", func() (SolveResult, error) {
+			return Run(ctx, Spec{N: 64, NB: 16, Workers: 2, Seed: 1, Precision: PrecisionFP64}, nil)
 		}},
-		{"SolveDistributed2DCtx", func() (SolveResult, error) {
-			return SolveDistributed2DCtx(ctx, 64, 16, 2, 2, 1)
+		{"native mixed", func() (SolveResult, error) {
+			return Run(ctx, Spec{N: 64, NB: 16, Workers: 2, Seed: 1, Precision: PrecisionMixed}, nil)
 		}},
-		{"SolveDistributed2DModeCtx", func() (SolveResult, error) {
-			return SolveDistributed2DModeCtx(ctx, 64, 16, 2, 2, 1, LookaheadBasic, nil)
+		{"dist2d", func() (SolveResult, error) {
+			return Run(ctx, Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
-		{"SolveHybrid2DCtx", func() (SolveResult, error) {
-			return SolveHybrid2DCtx(ctx, 64, 16, 2, 2, 1)
+		{"dist2d basic", func() (SolveResult, error) {
+			return Run(ctx, Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1, Lookahead: LookaheadBasic}, nil)
 		}},
-		{"SolveHybrid2DModeCtx", func() (SolveResult, error) {
-			return SolveHybrid2DModeCtx(ctx, 64, 16, 2, 2, 1, LookaheadNone, nil)
+		{"hybrid2d", func() (SolveResult, error) {
+			return Run(ctx, Spec{Mode: ModeHybrid2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
-		{"SolveFaultTolerant2DCtx", func() (SolveResult, error) {
-			return SolveFaultTolerant2DCtx(ctx, 64, 16, 2, 2, 1, FTConfig{})
+		{"hybrid2d none", func() (SolveResult, error) {
+			return Run(ctx, Spec{Mode: ModeHybrid2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 1, Lookahead: LookaheadNone}, nil)
+		}},
+		{"ft", func() (SolveResult, error) {
+			return Run(ctx, Spec{Mode: ModeFT, N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
 	} {
 		start := time.Now()
@@ -94,7 +98,8 @@ func TestFacadeCtxReportsSeconds(t *testing.T) {
 	}
 }
 
-// A completed SolveContext run matches Solve bitwise for every scheduler.
+// A completed Run under a context matches Solve bitwise for every
+// scheduler.
 func TestSolveContextMatchesSolve(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	for _, s := range []Scheduler{Sequential, StaticLookahead, DynamicDAG} {
@@ -102,7 +107,7 @@ func TestSolveContextMatchesSolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scheduler %v: %v", s, err)
 		}
-		got, err := SolveContext(context.Background(), 96, s, 16, 3, 7)
+		got, err := Run(context.Background(), Spec{N: 96, NB: 16, Workers: 3, Seed: 7, Scheduler: s}, nil)
 		if err != nil {
 			t.Fatalf("scheduler %v: %v", s, err)
 		}
@@ -114,5 +119,47 @@ func TestSolveContextMatchesSolve(t *testing.T) {
 				t.Fatalf("scheduler %v: solution differs at %d", s, i)
 			}
 		}
+	}
+}
+
+// Run refuses, before any work, every combination no solver implements —
+// each wraps ErrUnsupported — and a non-positive n, P or Q; the zero Spec
+// with only N set is a native solve.
+func TestRunRefusesUnsupported(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	plan, err := ParseFaultPlan("seed=1;drop=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := func(m Mode) Spec { return Spec{Mode: m, N: 32, NB: 8, P: 2, Q: 2, Seed: 1} }
+	withPlan := func(sp Spec) Spec { sp.FT.Plan = plan; return sp }
+	withPrec := func(sp Spec) Spec { sp.Precision = PrecisionMixed; return sp }
+	for _, tc := range []struct {
+		name        string
+		sp          Spec
+		unsupported bool
+	}{
+		{"ft+mixed", withPrec(grid(ModeFT)), true},
+		{"ft+offload", withPlan(grid(ModeHybrid2D)), true},
+		{"plan on dist2d", withPlan(grid(ModeDist2D)), true},
+		{"plan on native", withPlan(Spec{N: 32}), true},
+		{"unknown mode", grid("quantum"), true},
+		{"n=0 native", Spec{}, false},
+		{"n=0 grid", Spec{Mode: ModeDist2D, P: 1, Q: 1}, false},
+		{"P=0", Spec{Mode: ModeDist2D, N: 32, Q: 2}, false},
+		{"Q=0", Spec{Mode: ModeFT, N: 32, P: 2}, false},
+	} {
+		verr := tc.sp.Validate()
+		_, rerr := Run(context.Background(), tc.sp, nil)
+		if verr == nil || rerr == nil || rerr.Error() != verr.Error() {
+			t.Errorf("%s: Validate = %v, Run = %v; want the same refusal", tc.name, verr, rerr)
+			continue
+		}
+		if got := errors.Is(verr, ErrUnsupported); got != tc.unsupported {
+			t.Errorf("%s: errors.Is(%v, ErrUnsupported) = %v, want %v", tc.name, verr, got, tc.unsupported)
+		}
+	}
+	if r, err := Run(context.Background(), Spec{N: 32}, nil); err != nil || !r.Passed {
+		t.Errorf("zero Spec with N=32: %v passed=%v, want a passing native solve", err, r.Passed)
 	}
 }

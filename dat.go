@@ -13,26 +13,16 @@ import (
 // its parameter lists, and writes an HPL.out-style report to w.
 //
 // Combinations with N <= realBelow execute the *real* 2D block-cyclic
-// distributed solver on P×Q in-process ranks, measuring the actual HPL
-// residual; larger combinations are priced on the simulated Knights Corner
-// cluster (1 card per node), for which no residual line is printed — the
-// same split a user of this repository would want.
-func RunDat(r io.Reader, w io.Writer, realBelow int) error {
-	return RunDatCtx(context.Background(), r, w, realBelow)
-}
-
-// RunDatCtx is RunDat under a context. On cancellation the sweep stops,
-// the in-flight and remaining combinations are reported as ABORTED, the
-// partial report is still written to w, and ctx.Err() is returned — so a
-// timed-out benchmark run always leaves a truthful record of how far it got.
-func RunDatCtx(ctx context.Context, r io.Reader, w io.Writer, realBelow int) error {
-	return RunDatModeCtx(ctx, r, w, realBelow, LookaheadPipelined)
-}
-
-// RunDatModeCtx is RunDatCtx with an explicit look-ahead schedule for the
-// real combinations; the mode is echoed in the report header. (The
-// virtual-time combinations keep their own per-combination DEPTH column.)
-func RunDatModeCtx(ctx context.Context, r io.Reader, w io.Writer, realBelow int, mode LookaheadMode) error {
+// distributed solver on P×Q in-process ranks under the look-ahead schedule
+// mode (echoed in the report header), measuring the actual HPL residual;
+// every combination is priced on the simulated Knights Corner cluster (1
+// card per node, the combination's own DEPTH column), and larger ones get
+// no residual line — the same split a user of this repository would want.
+// On cancellation the sweep stops, the in-flight and remaining
+// combinations are reported as ABORTED, the partial report is still
+// written to w, and ctx.Err() is returned — so a timed-out benchmark run
+// always leaves a truthful record of how far it got.
+func RunDat(ctx context.Context, r io.Reader, w io.Writer, realBelow int, mode LookaheadMode) error {
 	params, err := hplio.Parse(r)
 	if err != nil {
 		return err
@@ -53,7 +43,7 @@ func RunDatModeCtx(ctx context.Context, r io.Reader, w io.Writer, realBelow int,
 			continue
 		}
 		if c.N <= realBelow {
-			dr, err := hpl.SolveDistributed2DModeCtx(ctx, c.N, c.NB, c.P, c.Q, 0x5eed, mode, nil)
+			dr, err := Run(ctx, Spec{Mode: ModeDist2D, N: c.N, NB: c.NB, P: c.P, Q: c.Q, Seed: 0x5eed, Lookahead: mode}, nil)
 			if err != nil {
 				if ctx.Err() != nil {
 					res.Aborted = true
@@ -66,7 +56,7 @@ func RunDatModeCtx(ctx context.Context, r io.Reader, w io.Writer, realBelow int,
 			// the model's node projection for the Gflops column anyway so
 			// the report stays comparable, but keep the real residual.
 			res.Residual = dr.Residual
-			res.Passed = dr.Residual < ResidualThreshold
+			res.Passed = dr.Passed
 		}
 		sim := hpl.Simulate(hpl.SimConfig{
 			N: c.N, NB: simNB(c.NB), P: c.P, Q: c.Q, Cards: 1,

@@ -1,6 +1,7 @@
 package phihpl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestRunDatMixedRealAndSim(t *testing.T) {
 1 2      DEPTHs
 `
 	var out strings.Builder
-	if err := RunDat(strings.NewReader(in), &out, 2000); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000, LookaheadPipelined); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -52,7 +53,7 @@ func TestRunDatSkipsIllegalCombinations(t *testing.T) {
 1        DEPTHs
 `
 	var out strings.Builder
-	if err := RunDat(strings.NewReader(in), &out, 2000); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000, LookaheadPipelined); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -68,14 +69,14 @@ func TestRunDatSkipsIllegalCombinations(t *testing.T) {
 }
 
 func TestRunDatParseError(t *testing.T) {
-	if err := RunDat(strings.NewReader("garbage"), &strings.Builder{}, 0); err == nil {
+	if err := RunDat(context.Background(), strings.NewReader("garbage"), &strings.Builder{}, 0, LookaheadPipelined); err == nil {
 		t.Error("expected parse error")
 	}
 }
 
 func TestRunDatExampleAllSim(t *testing.T) {
 	var out strings.Builder
-	if err := RunDat(strings.NewReader(hplio.Example()), &out, 0); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(hplio.Example()), &out, 0, LookaheadPipelined); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "PASSED") {

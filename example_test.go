@@ -1,6 +1,7 @@
 package phihpl_test
 
 import (
+	"context"
 	"fmt"
 
 	"phihpl"
@@ -17,9 +18,10 @@ func ExampleSolve() {
 	// Output: passed: true
 }
 
-// Run the distributed Linpack on four in-process nodes.
-func ExampleSolveDistributed() {
-	res, err := phihpl.SolveDistributed(300, 32, 4, 7)
+// Run the distributed Linpack on four in-process nodes, one process row.
+func ExampleRun() {
+	res, err := phihpl.Run(context.Background(),
+		phihpl.Spec{Mode: phihpl.ModeDist2D, N: 300, NB: 32, P: 1, Q: 4, Seed: 7}, nil)
 	if err != nil {
 		panic(err)
 	}

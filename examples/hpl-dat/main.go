@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -31,7 +32,7 @@ func main() {
 	fmt.Print(dat)
 	fmt.Println()
 	fmt.Println("output report (N<=2000 rows run the real distributed solver):")
-	if err := phihpl.RunDat(strings.NewReader(dat), os.Stdout, 2000); err != nil {
+	if err := phihpl.RunDat(context.Background(), strings.NewReader(dat), os.Stdout, 2000, phihpl.LookaheadPipelined); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -12,10 +13,11 @@ import (
 )
 
 func main() {
-	// Real distributed solve over 6 goroutine nodes.
+	// Real distributed solve over 6 goroutine nodes, one process row.
 	const n, nb, ranks = 1200, 48, 6
 	fmt.Printf("distributed Linpack: N=%d, NB=%d over %d nodes...\n", n, nb, ranks)
-	res, err := phihpl.SolveDistributed(n, nb, ranks, 2026)
+	res, err := phihpl.Run(context.Background(),
+		phihpl.Spec{Mode: phihpl.ModeDist2D, N: n, NB: nb, P: 1, Q: ranks, Seed: 2026}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -14,7 +15,8 @@ func main() {
 	const n = 1500
 
 	fmt.Printf("Solving a %dx%d random system with DAG-scheduled LU...\n", n, n)
-	res, err := phihpl.Solve(n, phihpl.DynamicDAG, 96, 8, 42)
+	ctx := context.Background()
+	res, err := phihpl.Run(ctx, phihpl.Spec{N: n, NB: 96, Workers: 8, Seed: 42}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "factorization failed:", err)
 		os.Exit(1)
@@ -30,7 +32,7 @@ func main() {
 
 	// The three schedulers reorder only independent work, so they agree
 	// bit for bit.
-	seq, _ := phihpl.Solve(n, phihpl.Sequential, 96, 1, 42)
+	seq, _ := phihpl.Run(ctx, phihpl.Spec{N: n, NB: 96, Workers: 1, Seed: 42, Scheduler: phihpl.Sequential}, nil)
 	identical := true
 	for i := range res.X {
 		if res.X[i] != seq.X[i] {

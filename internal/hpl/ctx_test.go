@@ -38,7 +38,8 @@ func (c *countCtx) Err() error {
 
 // Every distributed solver returns promptly with the plain context error
 // when handed an already-cancelled context — no world is spun up, no
-// goroutine leaks.
+// goroutine leaks. The subtests keep the names of the entry points each
+// Grid replaced.
 func TestDistributedCtxAlreadyCancelled(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -48,16 +49,16 @@ func TestDistributedCtxAlreadyCancelled(t *testing.T) {
 		solve func() (DistResult, error)
 	}{
 		{"SolveDistributedCtx", func() (DistResult, error) {
-			return SolveDistributedCtx(ctx, 64, 16, 2, 1)
+			return Solve(ctx, Grid{N: 64, NB: 16, P: 1, Q: 2, Seed: 1}, nil)
 		}},
 		{"SolveDistributed2DCtx", func() (DistResult, error) {
-			return SolveDistributed2DCtx(ctx, 64, 16, 2, 2, 1)
+			return Solve(ctx, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 1}, nil)
 		}},
 		{"SolveDistributed2DHybridCtx", func() (DistResult, error) {
-			return SolveDistributed2DHybridCtx(ctx, 64, 16, 2, 2, 1)
+			return Solve(ctx, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 1, Offload: true}, nil)
 		}},
 		{"SolveDistributed2DFTCtx", func() (DistResult, error) {
-			return SolveDistributed2DFTCtx(ctx, 64, 16, 2, 2, 1, FTConfig{})
+			return Solve(ctx, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 1, FT: &FTConfig{}}, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,16 +79,16 @@ func TestDistributedCtxCancelMidRun(t *testing.T) {
 		solve func(ctx context.Context) (DistResult, error)
 	}{
 		{"SolveDistributedCtx", func(ctx context.Context) (DistResult, error) {
-			return SolveDistributedCtx(ctx, 96, 8, 3, 5)
+			return Solve(ctx, Grid{N: 96, NB: 8, P: 1, Q: 3, Seed: 5}, nil)
 		}},
 		{"SolveDistributed2DCtx", func(ctx context.Context) (DistResult, error) {
-			return SolveDistributed2DCtx(ctx, 96, 8, 2, 2, 5)
+			return Solve(ctx, Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 5}, nil)
 		}},
 		{"SolveDistributed2DHybridCtx", func(ctx context.Context) (DistResult, error) {
-			return SolveDistributed2DHybridCtx(ctx, 96, 8, 2, 2, 5)
+			return Solve(ctx, Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 5, Offload: true}, nil)
 		}},
 		{"SolveDistributed2DFTCtx", func(ctx context.Context) (DistResult, error) {
-			return SolveDistributed2DFTCtx(ctx, 96, 8, 2, 2, 5, FTConfig{})
+			return Solve(ctx, Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 5, FT: &FTConfig{}}, nil)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,16 +102,18 @@ func TestDistributedCtxCancelMidRun(t *testing.T) {
 	}
 }
 
-// A ctx solve that runs to completion is indistinguishable from the plain
-// one — bitwise for the deterministic drivers, residual-checked for the
-// hybrid.
+// A solve under a live, cancellable context that runs to completion is
+// indistinguishable from one under context.Background() — bitwise for the
+// deterministic drivers, residual-checked for the hybrid.
 func TestDistributedCtxCompletedMatchesPlain(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	want, err := SolveDistributed2D(64, 16, 2, 2, 42)
+	want, err := Solve(context.Background(), Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveDistributed2DCtx(context.Background(), 64, 16, 2, 2, 42)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := Solve(ctx, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestDistributedCtxCompletedMatchesPlain(t *testing.T) {
 		}
 	}
 
-	hr, err := SolveDistributed2DHybridCtx(context.Background(), 64, 16, 2, 2, 42)
+	hr, err := Solve(ctx, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 42, Offload: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestFTCtxCancelIsNotAFault(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	plan := mustParsePlan(t, "crash=1@2")
 	ctx := &countCtx{Context: context.Background(), after: 2}
-	_, err := SolveDistributed2DFTCtx(ctx, 96, 8, 2, 2, 5, FTConfig{Plan: plan, MaxRestarts: 3})
+	_, err := Solve(ctx, Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 5, FT: &FTConfig{Plan: plan, MaxRestarts: 3}}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

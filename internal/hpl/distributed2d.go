@@ -41,7 +41,7 @@ type DistResult struct {
 	// A fault-tolerant solve reports its successful attempt only: restarts
 	// show in FT.Restarts, not in Seconds.
 	Seconds float64
-	// FT carries the fault-tolerance counters of SolveDistributed2DFT
+	// FT carries the fault-tolerance counters of a Grid with FT set
 	// (nil for the plain drivers).
 	FT *FTStats
 	// Refine describes the FP64 iterative-refinement phase of a
@@ -62,32 +62,24 @@ func clampNB(n int) int {
 	return nb
 }
 
-// SolveDistributed factors and solves the seeded random system A·x = b on
-// `ranks` in-process nodes with 1D block-cyclic column distribution —
-// HPL's structure with a single process row, which is exactly what it
-// runs: the 1×ranks grid of the 2D driver under the pipelined schedule
-// (no row swaps cross a rank, the L broadcast is the per-stage panel
-// broadcast, the U solve is local). The factors are bitwise identical to
-// the sequential blocked algorithm; the returned residual is the HPL
-// check.
-func SolveDistributed(n, nb, ranks int, seed uint64) (DistResult, error) {
-	return SolveDistributedCtx(context.Background(), n, nb, ranks, seed)
+// Grid is one grid solve: the seeded system of order N, the block size NB
+// (out of [1, N] it takes min(64, N)), the P×Q process grid, the stage
+// schedule and the precision. Offload routes every FP64 trailing update
+// through the offload work-stealing engine. A non-nil FT runs the
+// fault-tolerant restart loop, an FP64 grid without offload; the facade's
+// Spec.Validate refuses the combinations it cannot honour.
+type Grid struct {
+	N, NB, P, Q int
+	Seed        uint64
+	Lookahead   LookaheadMode
+	Precision   lu.PrecisionMode
+	Offload     bool
+	FT          *FTConfig
 }
 
-// SolveDistributedCtx is SolveDistributed under a context: every rank
-// observes cancellation at its stage boundary, the first rank to return
-// aborts the world (unblocking peers parked on fabric operations), and the
-// caller always sees the plain ctx.Err() once ctx is done.
-func SolveDistributedCtx(ctx context.Context, n, nb, ranks int, seed uint64) (DistResult, error) {
-	if n < 1 || ranks < 1 {
-		return DistResult{}, errors.New("hpl: n and ranks must be positive")
-	}
-	return solve2D(ctx, n, nb, 1, ranks, seed, false, LookaheadPipelined, lu.PrecisionFP64, nil)
-}
-
-// SolveDistributed2D factors and solves the seeded random system on a
-// P×Q process grid with 2D block-cyclic distribution — the full HPL
-// structure. Per stage it performs:
+// Solve factors and solves the seeded random system on a P×Q process grid
+// with 2D block-cyclic distribution — the full HPL structure. Per stage it
+// performs:
 //
 //   - panel factorization of the current block column (gathered to the
 //     diagonal owner, factored, scattered back — a functional
@@ -101,105 +93,90 @@ func SolveDistributedCtx(ctx context.Context, n, nb, ranks int, seed uint64) (Di
 //   - the local trailing update, per owned block column J one GEMM over
 //     every owned row below the panel: A(·,J) -= L21·U12(J).
 //
-// Factors and pivots are bitwise identical to the sequential blocked
-// algorithm, and the solution passes the HPL residual test.
-func SolveDistributed2D(n, nb, p, q int, seed uint64) (DistResult, error) {
-	return SolveDistributed2DCtx(context.Background(), n, nb, p, q, seed)
+// Every schedule produces factors and pivots bitwise identical to the
+// sequential blocked algorithm; a 1×R grid is HPL's 1D column
+// distribution. With Offload each update is one offload-engine call, whose
+// "card" worker multiplies packed Knights Corner tiles while a host worker
+// steals from the other end — the functional composition of Sections III
+// and V; its micro-kernel accumulates in a different order, so it matches
+// the sequential solution to round-off, not bitwise. PrecisionMixed
+// factors in FP32 (panel, swaps, broadcasts and packed trailing updates,
+// halving the wire and GEMM bytes) and refines in FP64 at the root; when
+// the FP32 route cannot reach the HPL bar the FP64 path re-runs and
+// DistResult.Refine carries the typed reason. FT adds Huang–Abraham
+// checksum columns, super-step checkpoints and world respawn (ft.go).
+//
+// Every rank observes ctx at its stage boundary; the first rank to return
+// ctx.Err() aborts the world, which unblocks any peers parked
+// mid-protocol, and once ctx is done the caller sees the plain ctx.Err().
+// rec, when non-nil, receives per-phase protocol spans (worker = rank,
+// plus an async-GEMM lane at P·Q + rank) — the real-execution counterpart
+// of the paper's Figure 8/9 pipeline Gantt charts.
+func Solve(ctx context.Context, g Grid, rec *trace.Recorder) (DistResult, error) {
+	if g.N < 1 || g.P < 1 || g.Q < 1 {
+		return DistResult{}, errors.New("hpl: n, P and Q must be positive")
+	}
+	if g.NB < 1 || g.NB > g.N {
+		g.NB = clampNB(g.N)
+	}
+	if g.FT != nil {
+		return solveFT(ctx, g, rec)
+	}
+	return solve2D(ctx, g, rec)
 }
 
-// SolveDistributed2DMode is SolveDistributed2D with an explicit
-// look-ahead schedule. All modes produce bitwise-identical factors; they
-// differ only in how much panel/broadcast latency hides behind GEMM.
+// SolveDistributed2DMode is Solve on an FP64 grid with the given schedule.
+// It remains because the repository benchmark calls it.
 func SolveDistributed2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (DistResult, error) {
-	return SolveDistributed2DModeCtx(context.Background(), n, nb, p, q, seed, mode, nil)
+	return Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode}, nil)
 }
 
-// SolveDistributed2DCtx is SolveDistributed2D under a context. Every rank
-// observes cancellation at its stage boundary; the first rank to return
-// ctx.Err() aborts the world, which unblocks any peers parked mid-protocol.
-// Once ctx is done the caller sees the plain ctx.Err() — never a wrapped
-// transport error from the unwinding fabric.
-func SolveDistributed2DCtx(ctx context.Context, n, nb, p, q int, seed uint64) (DistResult, error) {
-	return solve2D(ctx, n, nb, p, q, seed, false, LookaheadPipelined, lu.PrecisionFP64, nil)
-}
-
-// SolveDistributed2DModeCtx is SolveDistributed2DMode under a context,
-// optionally recording per-phase protocol spans (worker = rank, plus an
-// async-GEMM lane at P·Q + rank) into rec for the look-ahead Gantt.
-func SolveDistributed2DModeCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, rec *trace.Recorder) (DistResult, error) {
-	return solve2D(ctx, n, nb, p, q, seed, false, mode, lu.PrecisionFP64, rec)
-}
-
-// SolveDistributed2DPrecision is SolveDistributed2DMode with an explicit
-// precision: lu.PrecisionFP64 is the classical all-double pipeline;
-// lu.PrecisionMixed factors in FP32 (panel, swaps, broadcasts and packed
-// trailing updates all single precision, halving the wire and GEMM bytes)
-// and recovers a double-precision-quality solution with FP64 iterative
-// refinement at the root. When the FP32 route cannot reach the HPL bar the
-// driver re-runs the FP64 path automatically and reports the typed reason
-// in DistResult.Refine.
-func SolveDistributed2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMode, prec lu.PrecisionMode) (DistResult, error) {
-	return SolveDistributed2DPrecisionCtx(context.Background(), n, nb, p, q, seed, mode, prec, nil)
-}
-
-// SolveDistributed2DPrecisionCtx is SolveDistributed2DPrecision under a
-// context, optionally recording protocol spans into rec. Cancellation is
-// observed at every rank's stage boundary and between refinement steps.
-func SolveDistributed2DPrecisionCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, prec lu.PrecisionMode, rec *trace.Recorder) (DistResult, error) {
-	return solve2D(ctx, n, nb, p, q, seed, false, mode, prec, rec)
-}
-
-// solve2D is the shared entry of every grid solver. offloadUpdates routes
-// trailing updates through the offload work-stealing engine; prec selects
-// FP64 throughout or the mixed-precision pipeline (FP32 factorization,
-// FP64 refinement at the root). When the mixed route cannot reach the HPL
-// bar it re-runs the FP64 path in a fresh world, keeping the typed
-// fallback reason — a precision decision, not a fault, so no FT restart
-// budget is involved — and charges the failed attempt's timed phase to the
-// result, so a rate derived from Seconds prices the whole solve.
-func solve2D(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, prec lu.PrecisionMode, rec *trace.Recorder) (DistResult, error) {
-	res, err := solve2DOnce(ctx, n, nb, p, q, seed, offloadUpdates, mode, prec, rec)
-	if err != nil || prec != lu.PrecisionMixed || res.Refine == nil || !res.Refine.FellBack {
+// solve2D runs a grid solve without the FT loop. When the mixed route
+// cannot reach the HPL bar it re-runs the FP64 path in a fresh world,
+// keeping the typed fallback reason — a precision decision, not a fault,
+// so no FT restart budget is involved — and charges the failed attempt's
+// timed phase to the result, so a rate derived from Seconds prices the
+// whole solve.
+func solve2D(ctx context.Context, g Grid, rec *trace.Recorder) (DistResult, error) {
+	res, err := solve2DOnce(ctx, g, rec)
+	if err != nil || g.Precision != lu.PrecisionMixed || res.Refine == nil || !res.Refine.FellBack {
 		return res, err
 	}
 	rep := res.Refine
-	fres, ferr := solve2DOnce(ctx, n, nb, p, q, seed, offloadUpdates, mode, lu.PrecisionFP64, rec)
+	g.Precision = lu.PrecisionFP64
+	fres, ferr := solve2DOnce(ctx, g, rec)
 	rep.Residual = fres.Residual
 	fres.Refine = rep
 	fres.Seconds += res.Seconds
 	return fres, ferr
 }
 
-// solve2DOnce runs one grid, one solve, in the element type prec names.
-// The mixed-precision pipeline is the FP32 instantiation of the grid: every
-// factorization-phase structure — panel gather/factor/scatter, the row
-// swaps, the L and U broadcasts, the packed trailing updates — is the same
-// code over single precision, halving both the wire bytes and the GEMM
-// memory traffic, so every look-ahead mode and grid shape produces bitwise
-// identical FP32 factors by the argument that holds for FP64.
-func solve2DOnce(ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, prec lu.PrecisionMode, rec *trace.Recorder) (DistResult, error) {
-	if prec == lu.PrecisionMixed {
+// solve2DOnce runs one grid, one solve, in the element type g.Precision
+// names. The mixed-precision pipeline is the FP32 instantiation of the
+// grid: every factorization-phase structure — panel gather/factor/scatter,
+// the row swaps, the L and U broadcasts, the packed trailing updates — is
+// the same code over single precision, so every look-ahead mode and grid
+// shape produces bitwise identical FP32 factors by the argument that holds
+// for FP64.
+func solve2DOnce(ctx context.Context, g Grid, rec *trace.Recorder) (DistResult, error) {
+	if g.Precision == lu.PrecisionMixed {
 		// The offload engine computes in FP64 only, so a mixed hybrid solve
 		// routes its updates through the FP32 packed host path — the same
 		// crossover as the sequential FP32 factorization, keeping the mixed
 		// solver bitwise identical to it — and keeps the engine for the
 		// FP64 fallback re-run.
-		return solveGrid[float32](ctx, n, nb, p, q, seed, false, mode, rec)
+		g.Offload = false
+		return solveGrid[float32](ctx, g, rec)
 	}
-	return solveGrid[float64](ctx, n, nb, p, q, seed, offloadUpdates, mode, rec)
+	return solveGrid[float64](ctx, g, rec)
 }
 
-// solveGrid is the world-construction core.
-func solveGrid[T matrix.Float](ctx context.Context, n, nb, p, q int, seed uint64, offloadUpdates bool, mode LookaheadMode, rec *trace.Recorder) (DistResult, error) {
-	if n < 1 || p < 1 || q < 1 {
-		return DistResult{}, errors.New("hpl: n, P and Q must be positive")
-	}
+// solveGrid is the world-construction core; cfg has passed Solve's checks.
+func solveGrid[T matrix.Float](ctx context.Context, cfg Grid, rec *trace.Recorder) (DistResult, error) {
 	if err := ctx.Err(); err != nil {
 		return DistResult{}, err
 	}
-	if nb < 1 || nb > n {
-		nb = clampNB(n)
-	}
+	n, nb, p, q := cfg.N, cfg.NB, cfg.P, cfg.Q
 	nBlocks := (n + nb - 1) / nb
 
 	// Per-pair channel buffers must absorb a stage's worth of eagerly
@@ -211,9 +188,9 @@ func solveGrid[T matrix.Float](ctx context.Context, n, nb, p, q int, seed uint64
 	errs := make([]error, p*q)
 	if err := world.Run(func(c *Comm) error {
 		g := &grid2d[T]{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
-			offloadUpdates: offloadUpdates, mode: mode, rec: rec}
+			offloadUpdates: cfg.Offload, mode: cfg.Lookahead, rec: rec}
 		g.p, g.q = c.Rank()/q, c.Rank()%q
-		return g.run(seed, results, errs)
+		return g.run(cfg.Seed, results, errs)
 	}); err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return results[0], cerr
@@ -254,7 +231,7 @@ type grid2d[T matrix.Float] struct {
 	negL       *matrix.Of[T]       // −L21 for the offload engine, negated once per stage
 	firstError error
 	// offloadUpdates routes trailing updates through the real offload
-	// work-stealing engine (SolveDistributed2DHybrid); FP64 grids only.
+	// work-stealing engine (Grid.Offload); FP64 grids only.
 	offloadUpdates bool
 
 	// Look-ahead bookkeeping (basic/pipelined schedules).

@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +19,7 @@ func TestSolveDistributed2DResidual(t *testing.T) {
 		{60, 16, 4, 1},
 		{75, 10, 2, 2}, // ragged final blocks
 	} {
-		r, err := SolveDistributed2D(tc.n, tc.nb, tc.p, tc.q, 99)
+		r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: 99}, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -42,7 +43,7 @@ func TestSolveDistributed2DMatchesSequential(t *testing.T) {
 	want := blas.LUSolve(lu, piv, b)
 
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {2, 3}} {
-		r, err := SolveDistributed2D(n, nb, grid[0], grid[1], 17)
+		r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: grid[0], Q: grid[1], Seed: 17}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,12 +57,12 @@ func TestSolveDistributed2DMatchesSequential(t *testing.T) {
 
 func TestSolveDistributed2DGridInvariance(t *testing.T) {
 	// Same answer regardless of grid shape.
-	base, err := SolveDistributed2D(60, 10, 1, 1, 5)
+	base, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: 1, Q: 1, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, grid := range [][2]int{{2, 1}, {1, 2}, {2, 2}, {3, 3}} {
-		r, err := SolveDistributed2D(60, 10, grid[0], grid[1], 5)
+		r, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: grid[0], Q: grid[1], Seed: 5}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,14 +75,14 @@ func TestSolveDistributed2DGridInvariance(t *testing.T) {
 }
 
 func TestSolveDistributed2DErrors(t *testing.T) {
-	if _, err := SolveDistributed2D(0, 4, 2, 2, 1); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 0, NB: 4, P: 2, Q: 2, Seed: 1}, nil); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := SolveDistributed2D(10, 4, 0, 2, 1); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 10, NB: 4, P: 0, Q: 2, Seed: 1}, nil); err == nil {
 		t.Error("P=0 should error")
 	}
 	// nb=0 clamps.
-	if _, err := SolveDistributed2D(16, 0, 2, 2, 1); err != nil {
+	if _, err := Solve(context.Background(), Grid{N: 16, NB: 0, P: 2, Q: 2, Seed: 1}, nil); err != nil {
 		t.Errorf("nb=0 should clamp: %v", err)
 	}
 }
@@ -91,7 +92,7 @@ func TestSolveDistributed2DProperty(t *testing.T) {
 		n := 20 + int(nR)%40
 		p := 1 + int(pR)%3
 		q := 1 + int(qR)%3
-		r, err := SolveDistributed2D(n, 8, p, q, seed)
+		r, err := Solve(context.Background(), Grid{N: n, NB: 8, P: p, Q: q, Seed: seed}, nil)
 		if err != nil {
 			return true
 		}
@@ -106,11 +107,11 @@ func TestSolveDistributed2DHybrid(t *testing.T) {
 	// The offload-engine-backed updates must still pass the residual test
 	// and agree with the plain driver to round-off.
 	n, nb := 96, 16
-	plain, err := SolveDistributed2D(n, nb, 2, 2, 31)
+	plain, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := SolveDistributed2DHybrid(n, nb, 2, 2, 31)
+	hy, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31, Offload: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +127,10 @@ func TestSolveDistributed2DHybrid(t *testing.T) {
 }
 
 func TestSolveDistributed2DHybridErrors(t *testing.T) {
-	if _, err := SolveDistributed2DHybrid(0, 4, 1, 1, 1); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 0, NB: 4, P: 1, Q: 1, Seed: 1, Offload: true}, nil); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := SolveDistributed2DHybrid(32, 0, 2, 1, 1); err != nil {
+	if _, err := Solve(context.Background(), Grid{N: 32, NB: 0, P: 2, Q: 1, Seed: 1, Offload: true}, nil); err != nil {
 		t.Errorf("nb clamp: %v", err)
 	}
 }

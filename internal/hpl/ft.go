@@ -19,11 +19,17 @@ import (
 // checkpoint when one exists.
 var ErrChecksum = errors.New("hpl: ABFT checksum verification failed beyond recovery")
 
-// FTConfig configures the fault-tolerant 2D solver.
+// FTConfig configures the fault-tolerant 2D solver. The stage schedule is
+// the Grid's Lookahead (all modes are bitwise identical; look-ahead is
+// suppressed across super-step boundaries, so verification and
+// checkpoints always see an untouched next panel), and Solve's recorder
+// receives one wall-clock span per rank per super-step phase (worker =
+// rank, name = "stage" / "verify" / "checkpoint", iter = the outer stage)
+// beside the grid's protocol spans.
 type FTConfig struct {
 	// Plan is the deterministic fault plan to inject (nil or empty: a
-	// clean run on the plain transport, bitwise identical to
-	// SolveDistributed2D).
+	// clean run on the plain transport, bitwise identical to the plain
+	// grid).
 	Plan *fault.Plan
 	// Timeout bounds every fabric operation (default 2s).
 	Timeout time.Duration
@@ -38,16 +44,6 @@ type FTConfig struct {
 	Watchdog time.Duration
 	// Logf receives watchdog dumps.
 	Logf func(format string, args ...any)
-	// Trace, when non-nil, receives one wall-clock span per rank per
-	// super-step phase (worker = rank, name = "stage" / "verify" /
-	// "checkpoint", iter = the outer stage) — the measured multi-rank
-	// timeline of the FT protocol. Nil records nothing.
-	Trace *trace.Recorder
-	// Lookahead selects the stage schedule (default LookaheadPipelined,
-	// the zero value). All modes are bitwise identical; look-ahead is
-	// automatically suppressed across super-step boundaries so
-	// verification and checkpoints always see an untouched next panel.
-	Lookahead LookaheadMode
 }
 
 // FTStats counts the recovery work a fault-tolerant solve performed.
@@ -117,31 +113,21 @@ const (
 	ftLost    // corruption could not be localized
 )
 
-// SolveDistributed2DFT is SolveDistributed2D extended with the paper-era
-// HPC resilience stack: Huang–Abraham weighted checksum columns carried
-// through swap/TRSM/GEMM as an extra block column (so a corrupted block
-// is localized by the weight ratio and reconstructed in place), plus
-// super-step checkpointing with rollback and world respawn for crashes,
-// stalls and timeouts. With an empty plan the solve runs on the clean
-// transport and its results are bitwise identical to SolveDistributed2D.
-// On unrecoverable faults it returns a *FaultError — never garbage,
-// never a hang.
-func SolveDistributed2DFT(n, nb, p, q int, seed uint64, cfg FTConfig) (DistResult, error) {
-	return SolveDistributed2DFTCtx(context.Background(), n, nb, p, q, seed, cfg)
-}
-
-// SolveDistributed2DFTCtx is SolveDistributed2DFT under a context.
-// Cancellation is not a fault: once ctx is done the attempt unwinds at the
-// next super-step boundary and the plain ctx.Err() is returned directly —
-// no rollback, no respawn, no *FaultError wrapping — so callers can always
-// distinguish "you asked me to stop" from "the machine failed".
-func SolveDistributed2DFTCtx(ctx context.Context, n, nb, p, q int, seed uint64, cfg FTConfig) (DistResult, error) {
-	if n < 1 || p < 1 || q < 1 {
-		return DistResult{}, errors.New("hpl: n, P and Q must be positive")
-	}
-	if nb < 1 || nb > n {
-		nb = clampNB(n)
-	}
+// solveFT is Solve's fault-tolerant path, the plain grid extended with
+// the paper-era HPC resilience stack: Huang–Abraham weighted checksum
+// columns carried through swap/TRSM/GEMM as an extra block column (so a
+// corrupted block is localized by the weight ratio and reconstructed in
+// place), plus super-step checkpointing with rollback and world respawn
+// for crashes, stalls and timeouts. With an empty plan the solve runs on
+// the clean transport and its results are bitwise identical to the plain
+// grid's. On unrecoverable faults it returns a *FaultError — never
+// garbage, never a hang. Cancellation is not a fault: once ctx is done the
+// attempt unwinds at the next super-step boundary and the plain ctx.Err()
+// is returned directly — no rollback, no respawn, no *FaultError wrapping
+// — so callers can always distinguish "you asked me to stop" from "the
+// machine failed".
+func solveFT(ctx context.Context, gr Grid, rec *trace.Recorder) (DistResult, error) {
+	n, nb, p, q, cfg := gr.N, gr.NB, gr.P, gr.Q, *gr.FT
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
@@ -179,7 +165,7 @@ func SolveDistributed2DFTCtx(ctx context.Context, n, nb, p, q int, seed uint64, 
 
 		runErr := world.Run(func(c *Comm) error {
 			g2 := &grid2d[float64]{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
-				mode: cfg.Lookahead, rec: cfg.Trace}
+				mode: gr.Lookahead, rec: rec}
 			g2.p, g2.q = c.Rank()/q, c.Rank()%q
 			f := &ftGrid{
 				grid2d: g2, in: in, store: store, cfg: cfg,
@@ -187,7 +173,7 @@ func SolveDistributed2DFTCtx(ctx context.Context, n, nb, p, q int, seed uint64, 
 			}
 			g2.hooks = f
 			g2.aheadBlocked = func(next int) bool { return next%cfg.CheckpointEvery == 0 }
-			return f.runFT(seed, results, errs)
+			return f.runFT(gr.Seed, results, errs)
 		})
 		ws := world.Stats()
 		stats.Resends += ws.Resends
@@ -280,14 +266,14 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 		}
 		f.store.noteIter(k)
 		t0 := time.Now()
-		ts := f.cfg.Trace.Start()
+		ts := f.rec.Start()
 		if err := f.c.Progress(k); err != nil {
 			return err
 		}
 		if err := f.stage(k); err != nil {
 			return err
 		}
-		f.cfg.Trace.Since(f.me(), "stage", k, ts)
+		f.rec.Since(f.me(), "stage", k, ts)
 		if f.in.ScrubAt(f.me(), k) {
 			// Silent data corruption strikes a trailing block after the
 			// stage's updates; the next super-step verifies it while the
@@ -307,14 +293,14 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 			if err := f.drainPipe(); err != nil {
 				return err
 			}
-			ts = f.cfg.Trace.Start()
+			ts = f.rec.Start()
 			if err := f.verify(k); err != nil {
 				return err
 			}
-			f.cfg.Trace.Since(f.me(), "verify", k, ts)
-			ts = f.cfg.Trace.Start()
+			f.rec.Since(f.me(), "verify", k, ts)
+			ts = f.rec.Start()
 			f.checkpoint(k)
-			f.cfg.Trace.Since(f.me(), "checkpoint", k, ts)
+			f.rec.Since(f.me(), "checkpoint", k, ts)
 			mFTCheckpoints.Load().Inc()
 		}
 		if f.me() == 0 {

@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -12,10 +13,10 @@ import (
 	"phihpl/internal/testutil"
 )
 
-// runFTWithDeadline runs the FT solver and fails the test if it hangs —
-// the acceptance bar is "typed error or PASS within the deadline, never a
-// wedge".
-func runFTWithDeadline(t *testing.T, n, nb, p, q int, seed uint64, cfg FTConfig) (DistResult, error) {
+// runFTWithDeadline runs g, which sets FT, and fails the test if it hangs
+// — the acceptance bar is "typed error or PASS within the deadline, never
+// a wedge".
+func runFTWithDeadline(t *testing.T, g Grid) (DistResult, error) {
 	t.Helper()
 	type out struct {
 		r   DistResult
@@ -23,7 +24,7 @@ func runFTWithDeadline(t *testing.T, n, nb, p, q int, seed uint64, cfg FTConfig)
 	}
 	ch := make(chan out, 1)
 	go func() {
-		r, err := SolveDistributed2DFT(n, nb, p, q, seed, cfg)
+		r, err := Solve(context.Background(), g, nil)
 		ch <- out{r, err}
 	}()
 	select {
@@ -47,7 +48,7 @@ func TestFTCleanPathBitwiseIdentical(t *testing.T) {
 	want := blas.LUSolve(lu, piv, b)
 
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {2, 3}} {
-		r, err := SolveDistributed2DFT(n, nb, grid[0], grid[1], 17, FTConfig{})
+		r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: grid[0], Q: grid[1], Seed: 17, FT: &FTConfig{}}, nil)
 		if err != nil {
 			t.Fatalf("grid %v: %v", grid, err)
 		}
@@ -88,12 +89,9 @@ func TestFTChaosSuite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := runFTWithDeadline(t, n, nb, p, q, 7, FTConfig{
-				Plan:            plan,
-				Timeout:         2 * time.Second,
-				CheckpointEvery: 2,
-				MaxRestarts:     3,
-			})
+			r, err := runFTWithDeadline(t, Grid{N: n, NB: nb, P: p, Q: q, Seed: 7, FT: &FTConfig{
+				Plan: plan, Timeout: 2 * time.Second, CheckpointEvery: 2, MaxRestarts: 3,
+			}})
 			if err != nil {
 				t.Fatalf("plan %q: %v", tc.spec, err)
 			}
@@ -109,9 +107,9 @@ func TestFTChaosSuite(t *testing.T) {
 
 func TestFTCrashRollsBackToCheckpoint(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.RankEvent{{Rank: 1, Iter: 3}}}
-	r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
+	r, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, FT: &FTConfig{
 		Plan: plan, CheckpointEvery: 2, MaxRestarts: 2,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +129,9 @@ func TestFTCrashRollsBackToCheckpoint(t *testing.T) {
 
 func TestFTScrubIsReconstructed(t *testing.T) {
 	plan := &fault.Plan{Scrubs: []fault.RankEvent{{Rank: 3, Iter: 1}}}
-	r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
+	r, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, FT: &FTConfig{
 		Plan: plan, CheckpointEvery: 2, MaxRestarts: 0,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +150,9 @@ func TestFTLongStallTimesOutAndRecovers(t *testing.T) {
 	// The stall exceeds the timeout: peers see ErrTimeout, the world
 	// aborts and the driver restarts. One-shot, so attempt 2 passes.
 	plan := &fault.Plan{Stalls: []fault.StallEvent{{Rank: 2, Iter: 1, Dur: 30 * time.Second}}}
-	r, err := runFTWithDeadline(t, 64, 16, 2, 2, 7, FTConfig{
+	r, err := runFTWithDeadline(t, Grid{N: 64, NB: 16, P: 2, Q: 2, Seed: 7, FT: &FTConfig{
 		Plan: plan, Timeout: 250 * time.Millisecond, CheckpointEvery: 2, MaxRestarts: 2,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +171,9 @@ func TestFTUnrecoverableReturnsFaultError(t *testing.T) {
 	plan := &fault.Plan{Crashes: []fault.RankEvent{
 		{Rank: 1, Iter: 0}, {Rank: 1, Iter: 1}, {Rank: 1, Iter: 2}, {Rank: 1, Iter: 3},
 	}}
-	_, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
+	_, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, FT: &FTConfig{
 		Plan: plan, CheckpointEvery: 2, MaxRestarts: 2,
-	})
+	}})
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want *FaultError, got %v", err)
@@ -207,9 +205,9 @@ func TestFTGridShapes(t *testing.T) {
 		{75, 10, 2, 2}, // ragged final blocks
 	} {
 		plan := &fault.Plan{Seed: 21, Drop: 0.03, Dup: 0.02}
-		r, err := runFTWithDeadline(t, tc.n, tc.nb, tc.p, tc.q, 9, FTConfig{
+		r, err := runFTWithDeadline(t, Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: 9, FT: &FTConfig{
 			Plan: plan, CheckpointEvery: 2, MaxRestarts: 2,
-		})
+		}})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}

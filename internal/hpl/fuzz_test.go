@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -46,7 +47,7 @@ func FuzzSolve2D(f *testing.F) {
 			if err != nil || wantRep.FellBack {
 				t.Skipf("mixed oracle did not converge: err %v, report %+v", err, wantRep)
 			}
-			r, err := SolveDistributed2DPrecision(n, nb, p, q, seed, mode, lu.PrecisionMixed)
+			r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed}, nil)
 			if err != nil {
 				t.Fatalf("n=%d nb=%d %dx%d %s mixed: %v", n, nb, p, q, mode, err)
 			}
@@ -65,14 +66,14 @@ func FuzzSolve2D(f *testing.F) {
 			t.Fatalf("sequential oracle: %v", err)
 		}
 		want := blas.LUSolve(fa, piv, b)
-		r, err := SolveDistributed2DMode(n, nb, p, q, seed, mode)
+		r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode}, nil)
 		if err != nil {
 			t.Fatalf("n=%d nb=%d %dx%d %s: %v", n, nb, p, q, mode, err)
 		}
 		if !slices.Equal(r.X, want) {
 			t.Fatalf("n=%d nb=%d %dx%d %s: X differs from lu.Sequential", n, nb, p, q, mode)
 		}
-		ft, err := SolveDistributed2DFT(n, nb, p, q, seed, FTConfig{Lookahead: mode})
+		ft, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, FT: &FTConfig{}}, nil)
 		if err != nil {
 			t.Fatalf("n=%d nb=%d %dx%d %s ft: %v", n, nb, p, q, mode, err)
 		}

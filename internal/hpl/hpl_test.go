@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,7 @@ func TestSolveDistributedResidual(t *testing.T) {
 		{100, 16, 4},
 		{131, 24, 5}, // ragged last panel, uneven panel ownership
 	} {
-		r, err := SolveDistributed(tc.n, tc.nb, tc.ranks, 42)
+		r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: 1, Q: tc.ranks, Seed: 42}, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -47,7 +48,7 @@ func TestSolveDistributedMatchesSequential(t *testing.T) {
 	}
 	want := blas.LUSolve(lu, piv, b)
 
-	r, err := SolveDistributed(n, nb, 3, 7)
+	r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 1, Q: 3, Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,12 +61,12 @@ func TestSolveDistributedMatchesSequential(t *testing.T) {
 
 func TestSolveDistributedRankInvariance(t *testing.T) {
 	// The answer must not depend on how many ranks share the work.
-	base, err := SolveDistributed(64, 8, 1, 11)
+	base, err := Solve(context.Background(), Grid{N: 64, NB: 8, P: 1, Q: 1, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ranks := range []int{2, 4, 8} {
-		r, err := SolveDistributed(64, 8, ranks, 11)
+		r, err := Solve(context.Background(), Grid{N: 64, NB: 8, P: 1, Q: ranks, Seed: 11}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,14 +79,14 @@ func TestSolveDistributedRankInvariance(t *testing.T) {
 }
 
 func TestSolveDistributedErrors(t *testing.T) {
-	if _, err := SolveDistributed(0, 4, 2, 1); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 0, NB: 4, P: 1, Q: 2, Seed: 1}, nil); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := SolveDistributed(10, 4, 0, 1); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 10, NB: 4, P: 1, Q: 0, Seed: 1}, nil); err == nil {
 		t.Error("ranks=0 should error")
 	}
 	// nb out of range is clamped, not an error.
-	if _, err := SolveDistributed(10, 0, 2, 1); err != nil {
+	if _, err := Solve(context.Background(), Grid{N: 10, NB: 0, P: 1, Q: 2, Seed: 1}, nil); err != nil {
 		t.Errorf("nb=0 should clamp: %v", err)
 	}
 }
@@ -94,7 +95,7 @@ func TestSolveDistributedProperty(t *testing.T) {
 	f := func(seed uint64, nR, rR uint8) bool {
 		n := 16 + int(nR)%48
 		ranks := 1 + int(rR)%5
-		r, err := SolveDistributed(n, 8, ranks, seed)
+		r, err := Solve(context.Background(), Grid{N: n, NB: 8, P: 1, Q: ranks, Seed: seed}, nil)
 		if err != nil {
 			return true // singular random matrix: skip
 		}

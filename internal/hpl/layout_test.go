@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"testing"
 
 	"phihpl/internal/blas"
@@ -137,7 +138,7 @@ func TestPackedCallsOnePerOwnedColumn(t *testing.T) {
 	for _, mode := range allModes {
 		reg := metrics.NewRegistry()
 		blas.SetObservability(nil, reg)
-		_, err := SolveDistributed2DMode(n, nb, P, Q, 3, mode)
+		_, err := Solve(context.Background(), Grid{N: n, NB: nb, P: P, Q: Q, Seed: 3, Lookahead: mode}, nil)
 		blas.SetObservability(nil, nil)
 		if err != nil {
 			t.Fatal(err)

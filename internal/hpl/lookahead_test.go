@@ -38,7 +38,7 @@ func TestLookaheadModesBitwiseIdentical(t *testing.T) {
 		want := blas.LUSolve(lu, piv, b)
 
 		for _, m := range allModes {
-			r, err := SolveDistributed2DMode(tc.n, tc.nb, tc.p, tc.q, 23, m)
+			r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: 23, Lookahead: m}, nil)
 			if err != nil {
 				t.Fatalf("%+v %s: %v", tc, m, err)
 			}
@@ -63,12 +63,12 @@ func TestLookaheadModesBitwiseIdentical(t *testing.T) {
 func TestLookaheadModesHybridAgree(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	n, nb := 96, 16
-	plain, err := SolveDistributed2D(n, nb, 2, 2, 31)
+	plain, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range allModes {
-		hy, err := SolveDistributed2DHybridMode(n, nb, 2, 2, 31, m)
+		hy, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31, Lookahead: m, Offload: true}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -91,7 +91,7 @@ func TestLookaheadPipelinedCtxCancelMidRun(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	for _, m := range allModes {
 		ctx := &countCtx{Context: context.Background(), after: 6}
-		_, err := SolveDistributed2DModeCtx(ctx, 96, 8, 2, 2, 5, m, nil)
+		_, err := Solve(ctx, Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 5, Lookahead: m}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", m, err)
 		}
@@ -103,15 +103,15 @@ func TestLookaheadPipelinedCtxCancelMidRun(t *testing.T) {
 // stage.
 func TestLookaheadPipelinedFTCrashRestart(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	clean, err := SolveDistributed2DMode(96, 16, 2, 2, 7, LookaheadPipelined)
+	clean, err := Solve(context.Background(), Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, Lookahead: LookaheadPipelined}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range allModes {
 		plan := &fault.Plan{Crashes: []fault.RankEvent{{Rank: 1, Iter: 3}}}
-		r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
-			Plan: plan, CheckpointEvery: 2, MaxRestarts: 2, Lookahead: m,
-		})
+		r, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, Lookahead: m, FT: &FTConfig{
+			Plan: plan, CheckpointEvery: 2, MaxRestarts: 2,
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -135,9 +135,9 @@ func TestLookaheadPipelinedFTScrub(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	for _, m := range allModes {
 		plan := &fault.Plan{Scrubs: []fault.RankEvent{{Rank: 3, Iter: 1}}}
-		r, err := runFTWithDeadline(t, 96, 16, 2, 2, 7, FTConfig{
-			Plan: plan, CheckpointEvery: 2, Lookahead: m,
-		})
+		r, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, Lookahead: m, FT: &FTConfig{
+			Plan: plan, CheckpointEvery: 2,
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}

@@ -24,7 +24,7 @@ func TestMixed2DResidualAndReport(t *testing.T) {
 		{60, 16, 4, 1},
 		{75, 10, 2, 2}, // ragged final blocks
 	} {
-		r, err := SolveDistributed2DPrecision(tc.n, tc.nb, tc.p, tc.q, 99, LookaheadPipelined, lu.PrecisionMixed)
+		r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: 99, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -80,7 +80,7 @@ func TestMixed2DMatchesSequentialMixed(t *testing.T) {
 	}
 
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {3, 2}, {2, 3}} {
-		r, err := SolveDistributed2DPrecision(n, nb, grid[0], grid[1], 17, LookaheadPipelined, lu.PrecisionMixed)
+		r, err := Solve(context.Background(), Grid{N: n, NB: nb, P: grid[0], Q: grid[1], Seed: 17, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,13 +103,13 @@ func TestMixed2DMatchesSequentialMixed(t *testing.T) {
 // reorder communication and overlap, never arithmetic, in FP32 exactly as
 // in FP64.
 func TestMixed2DModeAndGridInvariance(t *testing.T) {
-	base, err := SolveDistributed2DPrecision(60, 10, 1, 1, 5, LookaheadPipelined, lu.PrecisionMixed)
+	base, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: 1, Q: 1, Seed: 5, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []LookaheadMode{LookaheadNone, LookaheadBasic, LookaheadPipelined} {
 		for _, grid := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 3}} {
-			r, err := SolveDistributed2DPrecision(60, 10, grid[0], grid[1], 5, mode, lu.PrecisionMixed)
+			r, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: grid[0], Q: grid[1], Seed: 5, Lookahead: mode, Precision: lu.PrecisionMixed}, nil)
 			if err != nil {
 				t.Fatalf("mode %v grid %v: %v", mode, grid, err)
 			}
@@ -131,11 +131,11 @@ func TestMixed2DModeAndGridInvariance(t *testing.T) {
 // the FP64 hybrid, which is only equal to round-off).
 func TestMixed2DHybridBitwiseMatchesPlain(t *testing.T) {
 	n, nb := 96, 16
-	plain, err := SolveDistributed2DPrecision(n, nb, 2, 2, 31, LookaheadPipelined, lu.PrecisionMixed)
+	plain, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hy, err := SolveDistributed2DHybridPrecision(n, nb, 2, 2, 31, LookaheadPipelined, lu.PrecisionMixed)
+	hy, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed, Offload: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestMixed2DHybridBitwiseMatchesPlain(t *testing.T) {
 // with PrecisionFP64 is exactly the plain FP64 driver — bitwise, nil
 // Refine.
 func TestMixed2DPrecisionFP64Passthrough(t *testing.T) {
-	want, err := SolveDistributed2D(60, 10, 2, 2, 5)
+	want, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: 2, Q: 2, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := SolveDistributed2DPrecision(60, 10, 2, 2, 5, LookaheadPipelined, lu.PrecisionFP64)
+	r, err := Solve(context.Background(), Grid{N: 60, NB: 10, P: 2, Q: 2, Seed: 5, Lookahead: LookaheadPipelined, Precision: lu.PrecisionFP64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func subnormalColumn32(a *matrix.Dense, col int) {
 func solveFellBack(t *testing.T, n, nb, p, q int, seed uint64) DistResult {
 	t.Helper()
 	ctx := context.Background()
-	attempt, err := solve2DOnce(ctx, n, nb, p, q, seed, false, LookaheadPipelined, lu.PrecisionMixed, nil)
+	attempt, err := solve2DOnce(ctx, Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 	if err != nil {
 		t.Fatalf("grid %dx%d: mixed attempt: %v", p, q, err)
 	}
@@ -214,7 +214,7 @@ func solveFellBack(t *testing.T, n, nb, p, q int, seed uint64) DistResult {
 			p, q, attempt.Refine, attempt.Seconds)
 	}
 	rec := new(trace.Recorder)
-	r, err := SolveDistributed2DPrecisionCtx(ctx, n, nb, p, q, seed, LookaheadPipelined, lu.PrecisionMixed, rec)
+	r, err := Solve(ctx, Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, rec)
 	if err != nil {
 		t.Fatalf("grid %dx%d: %v", p, q, err)
 	}
@@ -296,12 +296,12 @@ func TestMixed2DStalledRefinementFallsBack(t *testing.T) {
 func TestMixed2DCtxCancellation(t *testing.T) {
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveDistributed2DPrecisionCtx(done, 48, 8, 2, 2, 3, LookaheadPipelined, lu.PrecisionMixed, nil); !errors.Is(err, context.Canceled) {
+	if _, err := Solve(done, Grid{N: 48, NB: 8, P: 2, Q: 2, Seed: 3, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
 	for _, after := range []int64{1, 5, 17} {
 		ctx := &countCtx{Context: context.Background(), after: after}
-		_, err := SolveDistributed2DPrecisionCtx(ctx, 64, 8, 2, 2, 3, LookaheadPipelined, lu.PrecisionMixed, nil)
+		_, err := Solve(ctx, Grid{N: 64, NB: 8, P: 2, Q: 2, Seed: 3, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("after=%d: err = %v, want context.Canceled", after, err)
 		}
@@ -310,13 +310,13 @@ func TestMixed2DCtxCancellation(t *testing.T) {
 
 // TestMixed2DErrors: argument validation matches the FP64 driver.
 func TestMixed2DErrors(t *testing.T) {
-	if _, err := SolveDistributed2DPrecision(0, 4, 2, 2, 1, LookaheadPipelined, lu.PrecisionMixed); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 0, NB: 4, P: 2, Q: 2, Seed: 1, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := SolveDistributed2DPrecision(10, 4, 0, 2, 1, LookaheadPipelined, lu.PrecisionMixed); err == nil {
+	if _, err := Solve(context.Background(), Grid{N: 10, NB: 4, P: 0, Q: 2, Seed: 1, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil); err == nil {
 		t.Error("P=0 should error")
 	}
-	if _, err := SolveDistributed2DPrecision(16, 0, 2, 2, 1, LookaheadPipelined, lu.PrecisionMixed); err != nil {
+	if _, err := Solve(context.Background(), Grid{N: 16, NB: 0, P: 2, Q: 2, Seed: 1, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil); err != nil {
 		t.Errorf("nb=0 should clamp: %v", err)
 	}
 }

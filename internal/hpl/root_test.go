@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -21,11 +22,15 @@ func TestGridRootHoldsNoFullMatrix(t *testing.T) {
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 	runtime.MemProfileRate = 1
 	for name, solve := range map[string]func() (DistResult, error){
-		"fp64": func() (DistResult, error) { return SolveDistributed2D(n, nb, P, Q, 3) },
-		"mixed": func() (DistResult, error) {
-			return SolveDistributed2DPrecision(n, nb, P, Q, 3, LookaheadPipelined, lu.PrecisionMixed)
+		"fp64": func() (DistResult, error) {
+			return Solve(context.Background(), Grid{N: n, NB: nb, P: P, Q: Q, Seed: 3}, nil)
 		},
-		"ft": func() (DistResult, error) { return SolveDistributed2DFT(n, nb, P, Q, 3, FTConfig{}) },
+		"mixed": func() (DistResult, error) {
+			return Solve(context.Background(), Grid{N: n, NB: nb, P: P, Q: Q, Seed: 3, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
+		},
+		"ft": func() (DistResult, error) {
+			return Solve(context.Background(), Grid{N: n, NB: nb, P: P, Q: Q, Seed: 3, FT: &FTConfig{}}, nil)
+		},
 	} {
 		before := gridAllocs()
 		if _, err := solve(); err != nil {

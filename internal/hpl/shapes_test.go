@@ -1,6 +1,7 @@
 package hpl
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -15,8 +16,7 @@ import (
 // hand-picked cases elsewhere leave out, each under all three schedules
 // and both precisions, against the shared-memory oracle bit for bit —
 // lu.Sequential for FP64, lu.SolveMixed (solution, residual and
-// refinement step count) for mixed. The last table pins the 1D entry
-// point to the 1×R grid.
+// refinement step count) for mixed.
 func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	const seed = 29
@@ -58,7 +58,7 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 		}
 
 		for _, mode := range allModes {
-			r, err := SolveDistributed2DMode(tc.n, tc.nb, tc.p, tc.q, seed, mode)
+			r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode}, nil)
 			if err != nil {
 				t.Fatalf("%s %s fp64: %v", tc.name, mode, err)
 			}
@@ -72,7 +72,7 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 				t.Errorf("%s %s fp64: X differs from lu.Sequential", tc.name, mode)
 			}
 
-			m, err := SolveDistributed2DPrecision(tc.n, tc.nb, tc.p, tc.q, seed, mode, lu.PrecisionMixed)
+			m, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed}, nil)
 			if err != nil {
 				t.Fatalf("%s %s mixed: %v", tc.name, mode, err)
 			}
@@ -86,30 +86,6 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 				t.Errorf("%s %s mixed: residual %g after %d steps, oracle %g after %d",
 					tc.name, mode, m.Residual, m.Refine.Iterations, wantRes, wantRep.Iterations)
 			}
-		}
-	}
-
-	for _, tc := range []struct{ n, nb, ranks int }{
-		{60, 12, 1},
-		{50, 8, 3},   // n not a multiple of nb
-		{131, 24, 5}, // ragged last panel, uneven ownership
-		{20, 32, 4},  // nb clamped to one panel: three idle ranks
-		{64, 8, 8},
-		{100, 0, 3}, // nb defaulted
-	} {
-		one, err := SolveDistributed(tc.n, tc.nb, tc.ranks, seed)
-		if err != nil {
-			t.Fatalf("%+v 1D: %v", tc, err)
-		}
-		grid, err := SolveDistributed2D(tc.n, tc.nb, 1, tc.ranks, seed)
-		if err != nil {
-			t.Fatalf("%+v 1xR: %v", tc, err)
-		}
-		if !slices.Equal(one.X, grid.X) || one.Residual != grid.Residual {
-			t.Errorf("%+v: SolveDistributed differs from the 1x%d grid", tc, tc.ranks)
-		}
-		if one.Ranks != grid.Ranks || one.Panels != grid.Panels {
-			t.Errorf("%+v: metadata %d/%d vs %d/%d", tc, one.Ranks, one.Panels, grid.Ranks, grid.Panels)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package server turns the cancellable, observable solver stack into a
 // long-running HPL-as-a-service: an HTTP/JSON job API backed by a bounded
 // multi-tenant queue, a scheduler that multiplexes jobs over the shared
-// internal/pool workers through the phihpl facade (SolveContext /
-// SolveDistributed2DModeCtx / SolveMixedPrecisionCtx / ...), single-flight
+// internal/pool workers through the phihpl facade's one entry point
+// (phihpl.Run of the job's phihpl.Spec), single-flight
 // result caching (runs are bitwise deterministic, so cache hits are
 // exact), per-job panic isolation, retry-with-backoff for transient typed
 // errors, and graceful drain.
@@ -59,15 +59,16 @@ func (s State) Terminal() bool {
 	return s == StatePassed || s == StateFailed || s == StateAborted
 }
 
-// Mode selects the solver a job runs.
-type Mode string
+// Mode selects the solver a job runs: the facade's Mode, whose strings are
+// the wire's, the journal's and the cache key's.
+type Mode = phihpl.Mode
 
 // Solver modes.
 const (
-	ModeNative   Mode = "native"   // shared-memory dynamic-DAG solve (supports precision=mixed)
-	ModeDist2D   Mode = "dist2d"   // P×Q block-cyclic distributed solve (supports precision=mixed)
-	ModeHybrid2D Mode = "hybrid2d" // dist2d with offload-engine trailing updates (supports precision=mixed)
-	ModeFT       Mode = "ft"       // fault-tolerant dist2d (supports a fault plan; FP64 only)
+	ModeNative   = phihpl.ModeNative
+	ModeDist2D   = phihpl.ModeDist2D
+	ModeHybrid2D = phihpl.ModeHybrid2D
+	ModeFT       = phihpl.ModeFT
 )
 
 // JobSpec is the wire format of POST /v1/solve. Zero fields take server
@@ -94,43 +95,30 @@ type JobSpec struct {
 }
 
 // Spec is a validated, normalized job: every field is in range, enums are
-// parsed, and defaults are applied. It is what the Runner receives.
+// parsed, and defaults are applied. It is what the Runner receives: the
+// solve itself (the facade's Spec, run by phihpl.Run) plus the job's
+// tenant, fault-plan source text, deadline and retry budget.
 type Spec struct {
-	Tenant    string
-	Mode      Mode
-	N, NB     int
-	Workers   int
-	P, Q      int
-	Seed      uint64
-	Precision phihpl.PrecisionMode
-	Lookahead phihpl.LookaheadMode
-	Faults    string
-	Plan      *phihpl.FaultPlan
-	Timeout   time.Duration
-	Retries   int
-
-	FTTimeout   time.Duration
-	CkptEvery   int
-	MaxRestarts int
+	phihpl.Spec
+	Tenant  string
+	Faults  string
+	Timeout time.Duration
+	Retries int
 }
 
 var tenantRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // Validate checks js against the server limits and returns the normalized
 // Spec. Every failure is a *BadRequestError naming the offending field;
-// an unsupported-but-well-formed combination (mixed precision with the
-// fault-tolerant mode) is a *BadRequestError with Code "unsupported",
-// mirroring cmd/hpl's exit-code-3 contract.
+// an unsupported-but-well-formed combination — one phihpl.Spec.Validate
+// refuses: mixed precision with the fault-tolerant mode, a fault plan off
+// it — is a *BadRequestError with Code "unsupported", mirroring cmd/hpl's
+// exit-code-3 contract.
 func (js JobSpec) Validate(cfg Config) (Spec, error) {
 	sp := Spec{
-		Tenant:  js.Tenant,
-		N:       js.N,
-		NB:      js.NB,
-		Workers: js.Workers,
-		P:       js.P,
-		Q:       js.Q,
-		Seed:    js.Seed,
-		Faults:  js.Faults,
+		Spec:   phihpl.Spec{N: js.N, NB: js.NB, Workers: js.Workers, P: js.P, Q: js.Q, Seed: js.Seed},
+		Tenant: js.Tenant,
+		Faults: js.Faults,
 	}
 	if sp.Tenant == "" {
 		sp.Tenant = "default"
@@ -181,27 +169,22 @@ func (js JobSpec) Validate(cfg Config) (Spec, error) {
 	if sp.Precision, err = phihpl.ParsePrecisionMode(defaultStr(js.Precision, "fp64")); err != nil {
 		return Spec{}, badField("precision", "%v", err)
 	}
-	if sp.Precision == phihpl.PrecisionMixed && sp.Mode == ModeFT {
-		return Spec{}, &BadRequestError{
-			Field: "precision",
-			Code:  "unsupported",
-			Msg: "precision \"mixed\" cannot be combined with mode \"ft\": the fault-tolerant solver's " +
-				"ABFT checksum columns and checkpoints protect FP64 state only, and a mixed FP64 fallback " +
-				"re-run would be indistinguishable from a rollback — use mode \"dist2d\", \"hybrid2d\" or " +
-				"\"native\" for mixed, or precision \"fp64\" with \"ft\" (same contract as cmd/hpl exit code 3)",
-		}
-	}
 	if sp.Lookahead, err = phihpl.ParseLookaheadMode(defaultStr(js.Lookahead, "pipelined")); err != nil {
 		return Spec{}, badField("lookahead", "%v", err)
 	}
 	if sp.Faults != "" {
-		if sp.Mode != ModeFT {
-			return Spec{}, &BadRequestError{Field: "faults", Code: "unsupported",
-				Msg: "fault plans require mode \"ft\""}
-		}
-		if sp.Plan, err = phihpl.ParseFaultPlan(sp.Faults); err != nil {
+		if sp.FT.Plan, err = phihpl.ParseFaultPlan(sp.Faults); err != nil {
 			return Spec{}, badField("faults", "%v", err)
 		}
+	}
+	if err := sp.Spec.Validate(); err != nil {
+		// The range checks above leave the facade only its unsupported
+		// combinations: mixed precision with ft, a fault plan off ft.
+		field := "faults"
+		if sp.Mode == ModeFT {
+			field = "precision"
+		}
+		return Spec{}, &BadRequestError{Field: field, Code: "unsupported", Msg: err.Error()}
 	}
 	if js.TimeoutMs < 0 || js.FTTimeoutMs < 0 || js.CkptEvery < 0 || js.MaxRestarts < 0 {
 		return Spec{}, badField("timeout_ms", "durations and budgets must be non-negative")
@@ -220,9 +203,9 @@ func (js JobSpec) Validate(cfg Config) (Spec, error) {
 		}
 		sp.Retries = *js.MaxRetries
 	}
-	sp.FTTimeout = time.Duration(js.FTTimeoutMs) * time.Millisecond
-	sp.CkptEvery = js.CkptEvery
-	sp.MaxRestarts = js.MaxRestarts
+	sp.FT.Timeout = time.Duration(js.FTTimeoutMs) * time.Millisecond
+	sp.FT.CheckpointEvery = js.CkptEvery
+	sp.FT.MaxRestarts = js.MaxRestarts
 	if est := sp.MemEstimate(); est > cfg.MemBudget {
 		return Spec{}, badField("n", "estimated footprint %d bytes exceeds the server memory budget %d",
 			est, cfg.MemBudget)

@@ -53,13 +53,13 @@ func TestMemEstimateFormula(t *testing.T) {
 		sp   Spec
 		want int64
 	}{
-		{"native fp64", Spec{Mode: ModeNative, N: n}, base},
-		{"native mixed", Spec{Mode: ModeNative, N: n, Precision: phihpl.PrecisionMixed}, base + shadow},
-		{"dist2d fp64", Spec{Mode: ModeDist2D, N: n}, 3 * base},
-		{"dist2d mixed", Spec{Mode: ModeDist2D, N: n, Precision: phihpl.PrecisionMixed}, 3*base + 2*shadow},
-		{"hybrid2d fp64", Spec{Mode: ModeHybrid2D, N: n}, 3 * base},
-		{"hybrid2d mixed", Spec{Mode: ModeHybrid2D, N: n, Precision: phihpl.PrecisionMixed}, 3*base + 2*shadow},
-		{"ft fp64", Spec{Mode: ModeFT, N: n}, 4 * base},
+		{"native fp64", Spec{Spec: phihpl.Spec{Mode: ModeNative, N: n}}, base},
+		{"native mixed", Spec{Spec: phihpl.Spec{Mode: ModeNative, N: n, Precision: phihpl.PrecisionMixed}}, base + shadow},
+		{"dist2d fp64", Spec{Spec: phihpl.Spec{Mode: ModeDist2D, N: n}}, 3 * base},
+		{"dist2d mixed", Spec{Spec: phihpl.Spec{Mode: ModeDist2D, N: n, Precision: phihpl.PrecisionMixed}}, 3*base + 2*shadow},
+		{"hybrid2d fp64", Spec{Spec: phihpl.Spec{Mode: ModeHybrid2D, N: n}}, 3 * base},
+		{"hybrid2d mixed", Spec{Spec: phihpl.Spec{Mode: ModeHybrid2D, N: n, Precision: phihpl.PrecisionMixed}}, 3*base + 2*shadow},
+		{"ft fp64", Spec{Spec: phihpl.Spec{Mode: ModeFT, N: n}}, 4 * base},
 	} {
 		if got := tc.sp.MemEstimate(); got != tc.want {
 			t.Errorf("%s: MemEstimate = %d, want %d", tc.name, got, tc.want)
@@ -72,8 +72,8 @@ func TestMemEstimateFormula(t *testing.T) {
 // mixed submission — the gate sees the FP32 shadow.
 func TestMixedAdmissionUsesShadow(t *testing.T) {
 	const n = 64
-	fp64Est := Spec{Mode: ModeDist2D, N: n}.MemEstimate()
-	mixedEst := Spec{Mode: ModeDist2D, N: n, Precision: phihpl.PrecisionMixed}.MemEstimate()
+	fp64Est := Spec{Spec: phihpl.Spec{Mode: ModeDist2D, N: n}}.MemEstimate()
+	mixedEst := Spec{Spec: phihpl.Spec{Mode: ModeDist2D, N: n, Precision: phihpl.PrecisionMixed}}.MemEstimate()
 	if mixedEst <= fp64Est {
 		t.Fatalf("mixed estimate %d must exceed fp64 estimate %d", mixedEst, fp64Est)
 	}

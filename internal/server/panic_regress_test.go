@@ -18,7 +18,7 @@ import (
 
 // TestPanicErrorSurvivesFacadeJSON is the regression test for the panic
 // error contract: a panic contained by the pool's recover barrier — the
-// same barrier every facade solve (SolveContext and friends) relies on —
+// same barrier every facade solve (phihpl.Run, every mode) relies on —
 // must carry its value and stack unchanged through the facade's type
 // re-export, the server's error wrapping, and the JSON serialization a
 // client sees.
@@ -27,7 +27,7 @@ func TestPanicErrorSurvivesFacadeJSON(t *testing.T) {
 
 	const boom = "boom #42 ☠ (unique sentinel)"
 	// Mint a real *pool.PanicError: a panicking job inside a parallel
-	// region, exactly how a panic inside a solve reaches SolveContext.
+	// region, exactly how a panic inside a solve reaches phihpl.Run.
 	err := pool.DoCtx(context.Background(), 4, 2, func(i int) {
 		if i == 1 {
 			panic(boom)

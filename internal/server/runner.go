@@ -2,40 +2,17 @@ package server
 
 import (
 	"context"
-	"fmt"
 
 	"phihpl"
 	"phihpl/internal/trace"
 )
 
-// DefaultRunner dispatches a validated Spec onto the facade's ctx-aware
-// solvers — the same plumbing cmd/hpl uses, so a job observes its
-// deadline at every task-issue and stage boundary, worker panics arrive
-// as typed *pool.PanicError, and results are bitwise identical to the
-// CLI's. Tests wrap this to inject chaos (panics, transient errors)
-// while delegating real specs unchanged.
+// DefaultRunner runs a validated Spec through the facade's one entry
+// point — the same call cmd/hpl makes, so a job observes its deadline at
+// every task-issue and stage boundary, worker panics arrive as typed
+// *pool.PanicError, and results are bitwise identical to the CLI's. Tests
+// wrap this to inject chaos (panics, transient errors) while delegating
+// real specs unchanged.
 func DefaultRunner(ctx context.Context, sp Spec, rec *trace.Recorder) (phihpl.SolveResult, error) {
-	switch sp.Mode {
-	case ModeNative:
-		if sp.Precision == phihpl.PrecisionMixed {
-			return phihpl.SolveMixedPrecisionCtx(ctx, sp.N, sp.Precision, sp.NB, sp.Workers, sp.Seed, rec)
-		}
-		return phihpl.SolveTracedContext(ctx, sp.N, phihpl.DynamicDAG, sp.NB, sp.Workers, sp.Seed, rec)
-	case ModeDist2D:
-		return phihpl.SolveDistributed2DPrecisionCtx(ctx, sp.N, sp.NB, sp.P, sp.Q, sp.Seed, sp.Lookahead, sp.Precision, rec)
-	case ModeHybrid2D:
-		return phihpl.SolveHybrid2DPrecisionCtx(ctx, sp.N, sp.NB, sp.P, sp.Q, sp.Seed, sp.Lookahead, sp.Precision, rec)
-	case ModeFT:
-		cfg := phihpl.FTConfig{
-			Plan:            sp.Plan,
-			Timeout:         sp.FTTimeout,
-			CheckpointEvery: sp.CkptEvery,
-			MaxRestarts:     sp.MaxRestarts,
-			Lookahead:       sp.Lookahead,
-			Trace:           rec,
-		}
-		return phihpl.SolveFaultTolerant2DCtx(ctx, sp.N, sp.NB, sp.P, sp.Q, sp.Seed, cfg)
-	default:
-		return phihpl.SolveResult{}, fmt.Errorf("server: unknown mode %q", sp.Mode)
-	}
+	return phihpl.Run(ctx, sp.Spec, rec)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"time"
 
+	"phihpl"
 	"phihpl/internal/journal"
 )
 
@@ -62,9 +63,9 @@ func (sp Spec) wireSpec() *JobSpec {
 		Lookahead:   sp.Lookahead.String(),
 		Faults:      sp.Faults,
 		TimeoutMs:   int(sp.Timeout / time.Millisecond),
-		FTTimeoutMs: int(sp.FTTimeout / time.Millisecond),
-		CkptEvery:   sp.CkptEvery,
-		MaxRestarts: sp.MaxRestarts,
+		FTTimeoutMs: int(sp.FT.Timeout / time.Millisecond),
+		CkptEvery:   sp.FT.CheckpointEvery,
+		MaxRestarts: sp.FT.MaxRestarts,
 	}
 	r := sp.Retries
 	js.MaxRetries = &r
@@ -77,9 +78,9 @@ func (sp Spec) wireSpec() *JobSpec {
 // only needed for the client-facing view, never for scheduling.
 func looseSpec(js *JobSpec) Spec {
 	sp := Spec{
-		Tenant: js.Tenant, Mode: Mode(js.Mode),
-		N: js.N, NB: js.NB, Workers: js.Workers,
-		P: js.P, Q: js.Q, Seed: js.Seed, Faults: js.Faults,
+		Spec: phihpl.Spec{Mode: Mode(js.Mode), N: js.N, NB: js.NB, Workers: js.Workers,
+			P: js.P, Q: js.Q, Seed: js.Seed},
+		Tenant: js.Tenant, Faults: js.Faults,
 	}
 	if sp.Tenant == "" {
 		sp.Tenant = "default"

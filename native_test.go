@@ -15,9 +15,9 @@ import (
 )
 
 // A native FP64 solve generates A into the matrix it factors and checks x
-// against the seed, so under every scheduler, plain and under a context,
-// the allocation profile shows exactly one object of half an n×n matrix or
-// more: A itself. A second one (a copy kept for the residual) names its
+// against the seed, so under every scheduler, through Solve and through
+// Run, the allocation profile shows exactly one object of half an n×n
+// matrix or more: A itself. A second one (a copy kept for the residual) names its
 // call site.
 func TestNativeSolveHoldsOneMatrix(t *testing.T) {
 	const n, nb, workers = 256, 32, 2
@@ -25,8 +25,10 @@ func TestNativeSolveHoldsOneMatrix(t *testing.T) {
 	runtime.MemProfileRate = 1
 	for _, s := range []Scheduler{Sequential, StaticLookahead, DynamicDAG} {
 		for name, solve := range map[string]func() (SolveResult, error){
-			"Solve":        func() (SolveResult, error) { return Solve(n, s, nb, workers, 3) },
-			"SolveContext": func() (SolveResult, error) { return SolveContext(context.Background(), n, s, nb, workers, 3) },
+			"Solve": func() (SolveResult, error) { return Solve(n, s, nb, workers, 3) },
+			"Run": func() (SolveResult, error) {
+				return Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: 3, Scheduler: s}, nil)
+			},
 		} {
 			before := largeAllocs(n * n * 8 / 2)
 			r, err := solve()
@@ -84,10 +86,10 @@ func frames(stk []uintptr) string {
 	}
 }
 
-// SolveMixedPrecision in FP64 mode runs the DAG driver with the caller's
-// workers: its X hashes equal lu.Sequential's on the same system, and an
-// attached recorder receives the DAG's task spans, which the sequential
-// driver never emits.
+// A native FP64 Spec runs the DAG driver with the caller's workers: its X
+// hashes equal lu.Sequential's on the same system, and an attached
+// recorder receives the DAG's task spans, which the sequential driver
+// never emits.
 func TestMixedPrecisionFP64MatchesSequential(t *testing.T) {
 	const n, nb, workers, seed = 200, 24, 3, 11
 	a, b := matrix.RandomSystem(n, seed)
@@ -97,9 +99,11 @@ func TestMixedPrecisionFP64MatchesSequential(t *testing.T) {
 	}
 	rec := new(trace.Recorder)
 	for name, solve := range map[string]func() (SolveResult, error){
-		"SolveMixedPrecision": func() (SolveResult, error) { return SolveMixedPrecision(n, PrecisionFP64, nb, workers, seed) },
-		"SolveMixedPrecisionCtx": func() (SolveResult, error) {
-			return SolveMixedPrecisionCtx(context.Background(), n, PrecisionFP64, nb, workers, seed, rec)
+		"Run": func() (SolveResult, error) {
+			return Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: seed, Precision: PrecisionFP64}, nil)
+		},
+		"Run traced": func() (SolveResult, error) {
+			return Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: seed, Precision: PrecisionFP64}, rec)
 		},
 	} {
 		r, err := solve()

@@ -73,15 +73,17 @@ type SolveResult struct {
 	Residual float64
 	Passed   bool
 	N        int
-	// Seconds is the wall-clock of the timed phase (factorization through
-	// back-substitution; on a grid, entered through a barrier), the figure
-	// HPL itself reports. Set by the native FP64 solves and the 2D
-	// distributed drivers; zero for a native mixed-precision solve.
+	// Seconds is the wall-clock of the timed phase, the figure HPL itself
+	// reports, set by every mode: factorization through back-substitution
+	// (on a grid, entered through a barrier). A native mixed solve times
+	// the FP32 demotion through the last refinement step, plus any FP64
+	// fallback; a grid's mixed solve that fell back charges the failed
+	// FP32 attempt too.
 	Seconds float64
 	// FT carries recovery statistics when the fault-tolerant driver ran.
 	FT *FTStats
 	// Refine reports the mixed-precision path (iteration count, typed
-	// fallback) when SolveMixedPrecision ran; nil for pure-FP64 solves.
+	// fallback) of a PrecisionMixed solve; nil for pure-FP64 solves.
 	Refine *RefineReport
 }
 
@@ -107,30 +109,30 @@ func passed(res float64) bool {
 type Scheduler int
 
 const (
+	// DynamicDAG is the paper's dynamic DAG scheduler (the zero value).
+	DynamicDAG Scheduler = iota
 	// Sequential is the blocked reference algorithm.
-	Sequential Scheduler = iota
+	Sequential
 	// StaticLookahead is the barrier-per-stage baseline of Section IV-B.
 	StaticLookahead
-	// DynamicDAG is the paper's dynamic DAG scheduler.
-	DynamicDAG
 )
 
-// Solve generates the seeded random system A·x = b of order n, factors A
-// in place with the selected scheduler (NB block size, `workers` goroutine
-// thread groups) and returns the solution with its HPL residual, checked
-// against A regenerated from the seed row by row.
+// Solve is Run of a native FP64 Spec. It remains because the repository
+// benchmark calls it.
 func Solve(n int, sched Scheduler, nb, workers int, seed uint64) (SolveResult, error) {
-	return SolveTraced(n, sched, nb, workers, seed, nil)
+	return Run(context.Background(), Spec{N: n, Scheduler: sched, NB: nb, Workers: workers, Seed: seed}, nil)
 }
 
-// SolveTraced is Solve with a span recorder attached to the native LU
-// driver: the dynamic DAG scheduler emits one wall-clock span per
-// executed task (worker = thread group, name = PanelFact/Update), the
-// real-execution counterpart of the paper's Figure 7 Gantt chart. Export
-// the recorder with trace.Recorder.Gantt or WriteChromeTrace. A nil
-// recorder makes this identical to Solve.
+// SolveTraced is Solve with a span recorder. It remains because the
+// repository benchmark calls it.
 func SolveTraced(n int, sched Scheduler, nb, workers int, seed uint64, rec *trace.Recorder) (SolveResult, error) {
-	return SolveTracedContext(context.Background(), n, sched, nb, workers, seed, rec)
+	return Run(context.Background(), Spec{N: n, Scheduler: sched, NB: nb, Workers: workers, Seed: seed}, rec)
+}
+
+// SolveDistributed2DPrecisionCtx is Run of a ModeDist2D Spec. It remains
+// because the repository benchmark calls it.
+func SolveDistributed2DPrecisionCtx(ctx context.Context, n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode, rec *trace.Recorder) (SolveResult, error) {
+	return Run(ctx, Spec{Mode: ModeDist2D, N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, Precision: prec}, rec)
 }
 
 // PrecisionMode selects the arithmetic of the shared-memory solve:
@@ -140,7 +142,7 @@ func SolveTraced(n int, sched Scheduler, nb, workers int, seed uint64, rec *trac
 // the matrix is beyond single precision's reach.
 type PrecisionMode = lu.PrecisionMode
 
-// Precision modes for SolveMixedPrecision.
+// Precision modes of a Spec.
 const (
 	PrecisionFP64  = lu.PrecisionFP64
 	PrecisionMixed = lu.PrecisionMixed
@@ -165,42 +167,6 @@ const (
 	FallbackNonFinite = lu.FallbackNonFinite
 )
 
-// SolveMixedPrecision generates the seeded random system of order n and
-// solves it in the selected precision: PrecisionFP64 routes to the
-// dynamic DAG driver with the given workers (SolveTraced's path),
-// PrecisionMixed factors in FP32 and refines in FP64 (Result.Refine
-// carries the iteration count and any fallback). Either way the result is
-// held to the same HPL residual verdict — a mixed solve never trades
-// accuracy for its speed.
-func SolveMixedPrecision(n int, mode PrecisionMode, nb, workers int, seed uint64) (SolveResult, error) {
-	return SolveMixedPrecisionTraced(n, mode, nb, workers, seed, nil)
-}
-
-// SolveMixedPrecisionTraced is SolveMixedPrecision with a span recorder:
-// the mixed path emits "SFactor" for the FP32 factorization, one "Refine"
-// span per correction solve, and "FP64Fallback" when it re-solves in
-// double precision.
-func SolveMixedPrecisionTraced(n int, mode PrecisionMode, nb, workers int, seed uint64, rec *trace.Recorder) (SolveResult, error) {
-	return SolveMixedPrecisionCtx(context.Background(), n, mode, nb, workers, seed, rec)
-}
-
-// SolveDistributed runs the functional distributed Linpack on `ranks`
-// in-process nodes (1D block-cyclic columns, per-stage panel broadcasts
-// over a real message fabric — the 1×ranks grid of SolveDistributed2D)
-// and returns the solution, the residual and the timed phase.
-func SolveDistributed(n, nb, ranks int, seed uint64) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed(n, nb, ranks, seed))
-}
-
-// SolveDistributed2D runs the full HPL structure — a P×Q process grid
-// with 2D block-cyclic blocks, distributed pivot swaps, and row/column
-// broadcasts — on in-process nodes, bitwise identical to the sequential
-// algorithm. It uses the pipelined look-ahead schedule; see
-// SolveDistributed2DMode to pick another.
-func SolveDistributed2D(n, nb, p, q int, seed uint64) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2D(n, nb, p, q, seed))
-}
-
 // LookaheadMode selects the stage schedule of the real 2D distributed
 // driver. All three run one protocol and differ only in overlap:
 // LookaheadNone overlaps nothing with the trailing update, LookaheadBasic
@@ -221,63 +187,12 @@ const (
 // ParseLookaheadMode parses "none", "basic" or "pipelined".
 func ParseLookaheadMode(s string) (LookaheadMode, error) { return hpl.ParseLookaheadMode(s) }
 
-// SolveDistributed2DMode is SolveDistributed2D with an explicit
-// look-ahead schedule.
-func SolveDistributed2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DMode(n, nb, p, q, seed, mode))
-}
-
-// SolveHybrid2D is SolveDistributed2D with every trailing update executed
-// by the real offload engine (host/card work stealing over packed tiles) —
-// the functional composition of the paper's Sections III and V.
-func SolveHybrid2D(n, nb, p, q int, seed uint64) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DHybrid(n, nb, p, q, seed))
-}
-
-// SolveHybrid2DMode is SolveHybrid2D with an explicit look-ahead
-// schedule.
-func SolveHybrid2DMode(n, nb, p, q int, seed uint64, mode LookaheadMode) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DHybridMode(n, nb, p, q, seed, mode))
-}
-
-// SolveDistributed2DPrecision is SolveDistributed2DMode with an explicit
-// precision: PrecisionFP64 is the plain driver, PrecisionMixed runs the
-// distributed HPL-MxP scheme — FP32 panel factorization, broadcasts,
-// swaps and packed trailing updates across the grid, then FP64 iterative
-// refinement on the root (Result.Refine carries the iteration count).
-// When the matrix is beyond single precision's reach the driver re-runs
-// the FP64 path automatically and Refine records the typed reason; the
-// verdict is the same HPL residual bar either way.
-func SolveDistributed2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DPrecision(n, nb, p, q, seed, mode, prec))
-}
-
-// SolveHybrid2DPrecision is SolveHybrid2DMode with an explicit precision.
-// The offload engine computes in FP64 only, so a mixed hybrid solve
-// routes its trailing updates through the FP32 packed host path — bitwise
-// identical to the plain mixed driver — and keeps the offload engine for
-// the FP64 fallback re-run.
-func SolveHybrid2DPrecision(n, nb, p, q int, seed uint64, mode LookaheadMode, prec PrecisionMode) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DHybridPrecision(n, nb, p, q, seed, mode, prec))
-}
-
 // ParseFaultPlan parses a fault-injection spec like
 //
 //	"seed=7;drop=0.02;delay=0.01:2ms;corrupt=0.01;crash=3@2;stall=1@4:300ms;scrub=2@3"
 //
 // into a deterministic plan: the same spec always injects the same faults.
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return fault.Parse(spec) }
-
-// SolveFaultTolerant2D is SolveDistributed2D hardened against the faults
-// scheduled in cfg.Plan: messages are retried over a lossy fabric, silent
-// data corruption is repaired from ABFT checksum columns carried through
-// the factorization, and rank crashes roll back to the last super-step
-// checkpoint. With an empty plan the result is bitwise identical to
-// SolveDistributed2D. On unrecoverable faults the error is a *FaultError
-// carrying the iteration reached and the per-stage profile.
-func SolveFaultTolerant2D(n, nb, p, q int, seed uint64, cfg FTConfig) (SolveResult, error) {
-	return fromDist(hpl.SolveDistributed2DFT(n, nb, p, q, seed, cfg))
-}
 
 // NativeLinpackSim prices a native Linpack run of order n on the simulated
 // Knights Corner with the dynamic DAG scheduler and returns (GFLOPS,

@@ -31,7 +31,7 @@ func TestSolveAllSchedulers(t *testing.T) {
 }
 
 func TestSolveMixedPrecisionFacade(t *testing.T) {
-	mixed, err := SolveMixedPrecision(160, PrecisionMixed, 32, 2, 9)
+	mixed, err := Run(context.Background(), Spec{N: 160, NB: 32, Workers: 2, Seed: 9, Precision: PrecisionMixed}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSolveMixedPrecisionFacade(t *testing.T) {
 	}
 
 	// fp64 mode routes to the classical path: no report, same verdict.
-	plain, err := SolveMixedPrecision(160, PrecisionFP64, 32, 2, 9)
+	plain, err := Run(context.Background(), Spec{N: 160, NB: 32, Workers: 2, Seed: 9, Precision: PrecisionFP64}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +67,19 @@ func TestSolveMixedPrecisionFacade(t *testing.T) {
 }
 
 func TestSolveDistributedFacade(t *testing.T) {
-	res, err := SolveDistributed(90, 16, 3, 5)
+	res, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 90, NB: 16, P: 1, Q: 3, Seed: 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Passed || res.N != 90 {
 		t.Errorf("bad result: %+v", res)
 	}
-	viaCtx, err := SolveDistributedCtx(context.Background(), 90, 16, 3, 5)
+	viaCtx, err := SolveDistributed2DPrecisionCtx(context.Background(), 90, 16, 1, 3, 5, LookaheadPipelined, PrecisionFP64, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Seconds <= 0 || viaCtx.Seconds <= 0 {
-		t.Errorf("timed phase not reported: Seconds = %g, via Ctx %g", res.Seconds, viaCtx.Seconds)
+		t.Errorf("timed phase not reported: Seconds = %g, via the wrapper %g", res.Seconds, viaCtx.Seconds)
 	}
 }
 
@@ -164,16 +164,16 @@ func TestFig6Fig9Outputs(t *testing.T) {
 }
 
 func TestFacade2DSolvers(t *testing.T) {
-	r, err := SolveDistributed2D(72, 12, 2, 3, 8)
+	r, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 72, NB: 12, P: 2, Q: 3, Seed: 8}, nil)
 	if err != nil || !r.Passed {
 		t.Fatalf("2D: %v passed=%v", err, r.Passed)
 	}
-	h, err := SolveHybrid2D(72, 12, 2, 2, 8)
+	h, err := Run(context.Background(), Spec{Mode: ModeHybrid2D, N: 72, NB: 12, P: 2, Q: 2, Seed: 8}, nil)
 	if err != nil || !h.Passed {
 		t.Fatalf("hybrid 2D: %v passed=%v", err, h.Passed)
 	}
 	// Both must agree with the 1D driver's solution to round-off.
-	one, err := SolveDistributed(72, 12, 3, 8)
+	one, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 72, NB: 12, P: 1, Q: 3, Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestFaultTolerantFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := SolveFaultTolerant2D(64, 16, 2, 2, 11, FTConfig{
+	r, err := Run(context.Background(), Spec{Mode: ModeFT, N: 64, NB: 16, P: 2, Q: 2, Seed: 11, FT: FTConfig{
 		Plan: plan, CheckpointEvery: 2, MaxRestarts: 2, Timeout: 2 * time.Second,
-	})
+	}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,17 +217,17 @@ func TestFaultTolerantFacade(t *testing.T) {
 	}
 
 	// Empty plan: bitwise identical to the plain 2D driver, no recovery.
-	clean, err := SolveFaultTolerant2D(64, 16, 2, 2, 11, FTConfig{})
+	clean, err := Run(context.Background(), Spec{Mode: ModeFT, N: 64, NB: 16, P: 2, Q: 2, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := SolveDistributed2D(64, 16, 2, 2, 11)
+	ref, err := Run(context.Background(), Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 2, Q: 2, Seed: 11}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.X {
 		if clean.X[i] != ref.X[i] {
-			t.Fatal("empty fault plan must be bitwise identical to SolveDistributed2D")
+			t.Fatal("empty fault plan must be bitwise identical to the plain grid")
 		}
 	}
 }
