@@ -33,22 +33,27 @@ vet:
 # metrics registry), the matrix containers (FP64 and FP32) the kernels
 # share, the facade package that drives the mixed-precision solve, and
 # the multi-tenant solve server (queue, scheduler, cache, drain). The
-# last line repeats the server's force-finalize tests: a job must never be
+# next line repeats the server's force-finalize tests: a job must never be
 # visibly terminal while it still holds its slot or admission memory, a
-# race one run in twenty used to show.
+# race one run in twenty used to show. The last repeats the FT solver's
+# FaultError.Iter tests at one, two and four procs: Iter once named the
+# furthest stage any rank reached, which ranks running ahead of a crash
+# changed about one run in seventy-five.
 race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/dag/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
 	$(GO) test -race -count=50 -run 'TestPreemptWedgedSolve$$|TestDrainForceFinalizesWedgedJob$$' ./internal/server
+	$(GO) test -count=100 -cpu 1,2,4 -run 'TestFTUnrecoverableReturnsFaultError$$|TestFTFaultErrorIterIgnoresRanksAhead$$' ./internal/hpl
 
 # poolsize: the numeric suites at two pool sizes. pool.Size() is fixed at
 # GOMAXPROCS for the life of a process, so one run meets one worker count;
-# these two runs put every bitwise suite (packed GEMM, LU drivers, grid,
-# and the facade's in-place native solve with its one-matrix pin) under a
-# single worker and under eight, on whatever core count the machine has.
+# these two runs put every bitwise suite (packed GEMM, offload engine, LU
+# drivers, grid, and the facade's in-place native solve with its
+# one-matrix pin) under a single worker and under eight, on whatever core
+# count the machine has.
 poolsize:
-	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
-	GOMAXPROCS=8 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/lu ./internal/hpl
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl
+	GOMAXPROCS=8 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for
@@ -87,15 +92,16 @@ fuzz:
 # race-scalar: the race gate with every assembly kernel disabled — the
 # micro-kernels and the level-1 axpy behind Daxpy/Trsm/Getf2 — so the
 # portable-scalar oracle path of the generic pack and blas code runs under
-# the race detector in both instantiations, and above it both
-# instantiations of the grid driver (grid2d[float64], grid2d[float32]) run
-# their bitwise suites over the pure-Go kernels; then the numeric packages
+# the race detector in both instantiations, and above it the offload
+# engine and both instantiations of the grid driver (grid2d[float64],
+# grid2d[float32]) run their bitwise suites over the pure-Go kernels; then
+# the numeric packages
 # built with the noasm tag. Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
 # reaches assembly. The same leg CI's scalar-oracle job runs.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/...
+	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/...
 	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
 	$(GO) test -tags noasm -timeout 10m ./internal/pack/... ./internal/blas/... ./internal/lu/...
 

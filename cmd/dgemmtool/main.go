@@ -114,6 +114,11 @@ func main() {
 		stats := offload.Compute(a, b, off, offload.RealConfig{Mt: 64, Nt: 64, CardWorkers: 2, HostWorkers: 2})
 		fmt.Printf("offload work-stealing vs reference: maxdiff %.3g (card %d tiles, host %d tiles)\n",
 			matrix.MaxDiff(off, ref), stats.CardTiles, stats.HostTiles)
+		if !matrix.Equal(off, packed) {
+			fmt.Println("offload work-stealing vs packed-tile kernel mismatch!")
+			os.Exit(1)
+		}
+		fmt.Println("offload work-stealing: bitwise identical to packed-tile kernel")
 
 		par := matrix.NewDense(*m, *n)
 		blas.DgemmParallel(false, false, 1, a, b, 0, par, 8)

@@ -1,7 +1,8 @@
 // Offload DGEMM: run the real work-stealing offload engine (host and
-// "card" goroutines meeting in the middle of the tile grid) and check the
-// result against plain DGEMM; then project Figure 11's offload performance
-// for one and two coprocessors on the machine model.
+// "card" goroutines meeting in the middle of the tile grid), check the
+// result against plain DGEMM to round-off and against the packed GEMM on
+// the same packed operands bit for bit; then project Figure 11's offload
+// performance for one and two coprocessors on the machine model.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 	"phihpl/internal/blas"
 	"phihpl/internal/matrix"
 	"phihpl/internal/offload"
+	"phihpl/internal/pack"
 )
 
 func main() {
@@ -30,6 +32,13 @@ func main() {
 		m, n, k, stats.CardTiles, stats.HostTiles, diff)
 	if diff > 1e-10 {
 		fmt.Println("MISMATCH")
+		os.Exit(1)
+	}
+	packed := matrix.NewDense(m, n)
+	pack.Gemm(pack.PackA(a, 0), pack.PackB(b), packed, 1)
+	same := matrix.Equal(c, packed)
+	fmt.Printf("offload vs packed GEMM on the same packed operands bitwise identical: %v\n", same)
+	if !same {
 		os.Exit(1)
 	}
 

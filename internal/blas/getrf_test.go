@@ -315,7 +315,6 @@ func TestLevel1Panics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"daxpy": func() { Daxpy(1, []float64{1}, []float64{1, 2}) },
 		"ddot":  func() { Ddot([]float64{1}, []float64{1, 2}) },
-		"dger":  func() { Dger(1, []float64{1}, []float64{1}, matrix.NewDense(2, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -325,19 +324,6 @@ func TestLevel1Panics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestDger(t *testing.T) {
-	a := matrix.NewDense(2, 3)
-	Dger(2, []float64{1, 2}, []float64{3, 4, 5}, a)
-	want := matrix.FromRows([][]float64{{6, 8, 10}, {12, 16, 20}})
-	if !matrix.Equal(a, want) {
-		t.Errorf("a = %+v", a)
-	}
-	Dger(1, []float64{0, 0}, []float64{1, 1, 1}, a) // zero x rows skipped
-	if !matrix.Equal(a, want) {
-		t.Error("zero-x Dger changed A")
 	}
 }
 

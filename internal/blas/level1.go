@@ -124,21 +124,3 @@ func SwapRows[T matrix.Float](a *matrix.Of[T], i, j int) {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
 }
-
-// Dger computes the rank-1 update A += alpha * x * yᵀ where x has length
-// A.Rows and y has length A.Cols.
-func Dger(alpha float64, x, y []float64, a *matrix.Dense) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("blas: Dger dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, yv := range y {
-			row[j] += ax * yv
-		}
-	}
-}

@@ -1,168 +1,11 @@
 package blas
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
 	"phihpl/internal/matrix"
 )
-
-func TestDgemvNoTrans(t *testing.T) {
-	a := matrix.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	y := []float64{1, 1, 1}
-	Dgemv(false, 2, a, []float64{1, 1}, 3, y)
-	// y = 2*A*[1,1] + 3*[1,1,1] = 2*[3,7,11]+[3,3,3] = [9,17,25]
-	want := []float64{9, 17, 25}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y = %v", y)
-		}
-	}
-}
-
-func TestDgemvTrans(t *testing.T) {
-	a := matrix.RandomGeneral(7, 5, 1)
-	x := matrix.RandomVector(7, 2)
-	y := matrix.RandomVector(5, 3)
-	got := append([]float64(nil), y...)
-	Dgemv(true, 1.5, a, x, -0.5, got)
-	// Reference via explicit transpose.
-	at := matrix.NewDense(5, 7)
-	for i := 0; i < 7; i++ {
-		for j := 0; j < 5; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	want := append([]float64(nil), y...)
-	Dgemv(false, 1.5, at, x, -0.5, want)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("trans gemv mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestDgemvEdgeCases(t *testing.T) {
-	a := matrix.RandomGeneral(3, 3, 4)
-	y := []float64{1, 2, 3}
-	orig := append([]float64(nil), y...)
-	Dgemv(false, 0, a, []float64{1, 1, 1}, 1, y)
-	for i := range y {
-		if y[i] != orig[i] {
-			t.Error("alpha=0, beta=1 must not change y")
-		}
-	}
-	Dgemv(false, 0, a, []float64{1, 1, 1}, 0, y)
-	for i := range y {
-		if y[i] != 0 {
-			t.Error("alpha=0, beta=0 must zero y")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Dgemv(false, 1, a, []float64{1}, 0, y)
-}
-
-func TestDtrsvMatchesDtrsm(t *testing.T) {
-	for _, uplo := range []Uplo{Lower, Upper} {
-		for _, trans := range []bool{false, true} {
-			for _, diag := range []Diag{NonUnit, Unit} {
-				tri := randTriangular(9, uplo, diag, 5)
-				b := matrix.RandomVector(9, 6)
-				x := append([]float64(nil), b...)
-				Dtrsv(uplo, trans, diag, tri, x)
-				want := SolveVec(uplo, trans, diag, tri, b)
-				for i := range want {
-					if math.Abs(x[i]-want[i]) > 1e-12 {
-						t.Fatalf("uplo=%v trans=%v diag=%v: x[%d]=%v want %v",
-							uplo, trans, diag, i, x[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDtrsvPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Dtrsv(Lower, false, Unit, matrix.NewDense(3, 3), []float64{1})
-}
-
-func TestDgetrsMultiRHS(t *testing.T) {
-	n, nrhs := 20, 5
-	a := matrix.RandomGeneral(n, n, 7)
-	xTrue := matrix.RandomGeneral(n, nrhs, 8)
-	b := matrix.NewDense(n, nrhs)
-	Dgemm(false, false, 1, a, xTrue, 0, b)
-
-	lu := a.Clone()
-	piv := make([]int, n)
-	if err := Dgetrf(lu, piv, 6); err != nil {
-		t.Fatal(err)
-	}
-	Dgetrs(false, lu, piv, b)
-	if d := matrix.MaxDiff(b, xTrue); d > 1e-8 {
-		t.Errorf("multi-RHS solve error %g", d)
-	}
-}
-
-func TestDgetrsTransposed(t *testing.T) {
-	n := 15
-	a := matrix.RandomGeneral(n, n, 9)
-	xTrue := matrix.RandomGeneral(n, 2, 10)
-	// b = Aᵀ x
-	b := matrix.NewDense(n, 2)
-	Dgemm(true, false, 1, a, xTrue, 0, b)
-
-	lu := a.Clone()
-	piv := make([]int, n)
-	if err := Dgetrf(lu, piv, 4); err != nil {
-		t.Fatal(err)
-	}
-	Dgetrs(true, lu, piv, b)
-	if d := matrix.MaxDiff(b, xTrue); d > 1e-8 {
-		t.Errorf("transposed solve error %g", d)
-	}
-}
-
-func TestDgetrsMatchesLUSolve(t *testing.T) {
-	n := 30
-	a, bvec := matrix.RandomSystem(n, 11)
-	lu := a.Clone()
-	piv := make([]int, n)
-	if err := Dgetrf(lu, piv, 8); err != nil {
-		t.Fatal(err)
-	}
-	want := LUSolve(lu, piv, bvec)
-
-	b := matrix.NewDense(n, 1)
-	for i, v := range bvec {
-		b.Set(i, 0, v)
-	}
-	Dgetrs(false, lu, piv, b)
-	for i := range want {
-		if b.At(i, 0) != want[i] {
-			t.Fatalf("Dgetrs and LUSolve disagree at %d", i)
-		}
-	}
-}
-
-func TestDgetrsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Dgetrs(false, matrix.NewDense(3, 3), make([]int, 3), matrix.NewDense(2, 1))
-}
 
 // --- recursive panel factorization --------------------------------------
 

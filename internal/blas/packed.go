@@ -289,6 +289,10 @@ func (a *PrepackedA[T]) Release() {
 	}
 }
 
+// Packed returns a's tiles for a caller that schedules the micro-kernel
+// over them itself (the offload engine); a keeps owning them.
+func (a *PrepackedA[T]) Packed() *pack.AOf[T] { return &a.pa }
+
 // PrepackA packs alpha·a (no transpose). Returns nil when a spans more
 // than one K-block (k > packKC) — callers fall back to GemmPacked,
 // which blocks over k itself.
@@ -320,6 +324,9 @@ func (b *PrepackedB[T]) Release() {
 		b.pb = nil
 	}
 }
+
+// Packed returns b's tiles; see (*PrepackedA).Packed.
+func (b *PrepackedB[T]) Packed() *pack.BOf[T] { return b.pb }
 
 // PrepackB packs b (no transpose). Returns nil when b spans more than
 // one K-block (k > packKC).

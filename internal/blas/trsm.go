@@ -1,10 +1,6 @@
 package blas
 
-import (
-	"sync"
-
-	"phihpl/internal/matrix"
-)
+import "phihpl/internal/matrix"
 
 // Side selects whether the triangular matrix multiplies from the left or
 // the right in Dtrsm.
@@ -137,54 +133,10 @@ func Dtrsm(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *mat
 	Trsm(side, uplo, trans, diag, alpha, t, b)
 }
 
-// DtrsmParallel runs the Left-side solves with the columns of B partitioned
-// across workers (each column block is an independent triangular solve).
-// Right-side solves degrade to the serial path because their dependency
-// chain runs across columns.
-func DtrsmParallel(side Side, uplo Uplo, trans bool, diag Diag, alpha float64, t, b *matrix.Dense, workers int) {
-	if side == Right || workers <= 1 || b.Cols < 2*workers {
-		Dtrsm(side, uplo, trans, diag, alpha, t, b)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (b.Cols + workers - 1) / workers
-	for lo := 0; lo < b.Cols; lo += chunk {
-		hi := lo + chunk
-		if hi > b.Cols {
-			hi = b.Cols
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			Dtrsm(side, uplo, trans, diag, alpha, t, b.View(0, lo, b.Rows, hi-lo))
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // div divides a row elementwise (reference-BLAS semantics: a true divide,
 // not a multiply by the reciprocal, so solves match LUSolve bit for bit).
 func div[T matrix.Float](v []T, d T) {
 	for i := range v {
 		v[i] /= d
 	}
-}
-
-// SolveVec solves op(T)·x = b for a vector using the triangle selected by
-// uplo/diag, returning a new slice.
-func SolveVec(uplo Uplo, trans bool, diag Diag, t *matrix.Dense, b []float64) []float64 {
-	n := t.Rows
-	if len(b) != n {
-		panic("blas: SolveVec dimension mismatch")
-	}
-	col := matrix.NewDense(n, 1)
-	for i, v := range b {
-		col.Set(i, 0, v)
-	}
-	Dtrsm(Left, uplo, trans, diag, 1, t, col)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = col.At(i, 0)
-	}
-	return out
 }

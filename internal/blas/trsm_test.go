@@ -110,57 +110,6 @@ func TestDtrsmPanics(t *testing.T) {
 	}()
 }
 
-func TestDtrsmParallelMatchesSerial(t *testing.T) {
-	tri := randTriangular(16, Lower, Unit, 9)
-	b := matrix.RandomGeneral(16, 40, 10)
-	for _, w := range []int{1, 2, 4, 7} {
-		got := b.Clone()
-		DtrsmParallel(Left, Lower, false, Unit, 1, tri, got, w)
-		want := b.Clone()
-		Dtrsm(Left, Lower, false, Unit, 1, tri, want)
-		if d := matrix.MaxDiff(got, want); d > 1e-13 {
-			t.Errorf("workers=%d maxdiff=%g", w, d)
-		}
-	}
-	// Right side falls back to serial and stays correct.
-	triU := randTriangular(12, Upper, NonUnit, 11)
-	br := matrix.RandomGeneral(5, 12, 12)
-	got := br.Clone()
-	DtrsmParallel(Right, Upper, false, NonUnit, 1, triU, got, 4)
-	want := br.Clone()
-	Dtrsm(Right, Upper, false, NonUnit, 1, triU, want)
-	if !matrix.Equal(got, want) {
-		t.Error("right-side parallel fallback mismatch")
-	}
-}
-
-func TestSolveVec(t *testing.T) {
-	tri := randTriangular(8, Upper, NonUnit, 21)
-	xTrue := matrix.RandomVector(8, 22)
-	// b = U * xTrue
-	b := make([]float64, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = Ddot(tri.Row(i), xTrue)
-	}
-	x := SolveVec(Upper, false, NonUnit, tri, b)
-	for i := range x {
-		if diff := x[i] - xTrue[i]; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("x[%d] = %v want %v", i, x[i], xTrue[i])
-		}
-	}
-}
-
-func TestSolveVecPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	SolveVec(Upper, false, NonUnit, matrix.NewDense(3, 3), []float64{1})
-}
-
-// Property: solving then multiplying round-trips for random unit-lower
-// systems (the exact shape of the LU panel update).
 func TestDtrsmRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		n, m := 6, 5

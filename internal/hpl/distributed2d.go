@@ -64,10 +64,12 @@ func clampNB(n int) int {
 
 // Grid is one grid solve: the seeded system of order N, the block size NB
 // (out of [1, N] it takes min(64, N)), the P×Q process grid, the stage
-// schedule and the precision. Offload routes every FP64 trailing update
-// through the offload work-stealing engine. A non-nil FT runs the
-// fault-tolerant restart loop, an FP64 grid without offload; the facade's
-// Spec.Validate refuses the combinations it cannot honour.
+// schedule and the precision. Offload runs every packed trailing update
+// on the offload work-stealing engine, in either precision; updates the
+// plain grid sends through RankKUpdate take that route here too. A
+// non-nil FT runs the fault-tolerant restart loop, an FP64 grid without
+// offload; the facade's Spec.Validate refuses the combinations it cannot
+// honour.
 type Grid struct {
 	N, NB, P, Q int
 	Seed        uint64
@@ -95,11 +97,12 @@ type Grid struct {
 //
 // Every schedule produces factors and pivots bitwise identical to the
 // sequential blocked algorithm; a 1×R grid is HPL's 1D column
-// distribution. With Offload each update is one offload-engine call, whose
-// "card" worker multiplies packed Knights Corner tiles while a host worker
-// steals from the other end — the functional composition of Sections III
-// and V; its micro-kernel accumulates in a different order, so it matches
-// the sequential solution to round-off, not bitwise. PrecisionMixed
+// distribution. With Offload each packed update is one offload-engine
+// call, whose "card" worker multiplies the stage's packed L and the
+// column's packed U from one end of the tile grid while a host worker
+// steals from the other — the functional composition of Sections III and
+// V. Both lanes make the prepacked GEMM's micro-kernel calls, so the
+// hybrid solve too is bitwise the sequential one. PrecisionMixed
 // factors in FP32 (panel, swaps, broadcasts and packed trailing updates,
 // halving the wire and GEMM bytes) and refines in FP64 at the root; when
 // the FP32 route cannot reach the HPL bar the FP64 path re-runs and
@@ -160,12 +163,6 @@ func solve2D(ctx context.Context, g Grid, rec *trace.Recorder) (DistResult, erro
 // for FP64.
 func solve2DOnce(ctx context.Context, g Grid, rec *trace.Recorder) (DistResult, error) {
 	if g.Precision == lu.PrecisionMixed {
-		// The offload engine computes in FP64 only, so a mixed hybrid solve
-		// routes its updates through the FP32 packed host path — the same
-		// crossover as the sequential FP32 factorization, keeping the mixed
-		// solver bitwise identical to it — and keeps the engine for the
-		// FP64 fallback re-run.
-		g.Offload = false
 		return solveGrid[float32](ctx, g, rec)
 	}
 	return solveGrid[float64](ctx, g, rec)
@@ -227,11 +224,10 @@ type grid2d[T matrix.Float] struct {
 	globalPiv  []int
 	stageL11   *matrix.Of[T]       // factored diagonal block of this stage (pivot process row)
 	stageL21   *matrix.Of[T]       // this rank's rows of the stage's L21, one view
-	packedL    *blas.PrepackedA[T] // −L21 packed once per stage (nil: reference or offload path)
-	negL       *matrix.Of[T]       // −L21 for the offload engine, negated once per stage
+	packedL    *blas.PrepackedA[T] // −L21 packed once per stage (nil: reference path)
 	firstError error
-	// offloadUpdates routes trailing updates through the real offload
-	// work-stealing engine (Grid.Offload); FP64 grids only.
+	// offloadUpdates runs the packed trailing updates on the offload
+	// work-stealing engine (Grid.Offload), in either precision.
 	offloadUpdates bool
 
 	// Look-ahead bookkeeping (basic/pipelined schedules).

@@ -2,6 +2,7 @@ package hpl
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -104,8 +105,8 @@ func TestSolveDistributed2DProperty(t *testing.T) {
 }
 
 func TestSolveDistributed2DHybrid(t *testing.T) {
-	// The offload-engine-backed updates must still pass the residual test
-	// and agree with the plain driver to round-off.
+	// The offload-engine-backed updates make the plain driver's
+	// micro-kernel calls: the solution is bitwise the plain one.
 	n, nb := 96, 16
 	plain, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31}, nil)
 	if err != nil {
@@ -118,11 +119,8 @@ func TestSolveDistributed2DHybrid(t *testing.T) {
 	if hy.Residual > matrix.ResidualThreshold {
 		t.Errorf("hybrid residual %g FAILED", hy.Residual)
 	}
-	for i := range plain.X {
-		d := plain.X[i] - hy.X[i]
-		if d > 1e-6 || d < -1e-6 {
-			t.Fatalf("solutions diverge at %d: %v vs %v", i, plain.X[i], hy.X[i])
-		}
+	if !slices.Equal(hy.X, plain.X) {
+		t.Error("hybrid X differs from the plain grid's")
 	}
 }
 

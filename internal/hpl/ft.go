@@ -73,10 +73,15 @@ type StageProfile struct {
 }
 
 // FaultError is the structured failure report of an unrecoverable
-// fault-tolerant solve: the furthest iteration reached, the restart
-// count, the per-iteration profile of the final attempt, and the
+// fault-tolerant solve: the iteration the final attempt failed at, the
+// restart count, the per-iteration profile of the final attempt, and the
 // underlying fabric error.
 type FaultError struct {
+	// Iter is the earliest stage at which a rank of the final attempt
+	// failed by its own fault (a crash, a timeout, corruption past
+	// repair), not by a peer's failure reaching it: the same on every
+	// interleaving, where the stages peers ran ahead to are not. It is −1
+	// when only a rank panic (a cluster.RankPanicError in Err) ended it.
 	Iter     int
 	Restarts int
 	Profile  []StageProfile
@@ -152,6 +157,7 @@ func solveFT(ctx context.Context, gr Grid, rec *trace.Recorder) (DistResult, err
 		if err := ctx.Err(); err != nil {
 			return DistResult{}, err
 		}
+		store.newAttempt()
 		world := cluster.NewWorldOpts(p*q, cluster.Options{
 			Buffer:   nBlocks*nBlocks + 16,
 			Timeout:  cfg.Timeout,
@@ -194,14 +200,13 @@ func solveFT(ctx context.Context, gr Grid, rec *trace.Recorder) (DistResult, err
 			return res, nil
 		}
 		lastErr = runErr
-		store.resetPending()
 		if cerr := ctx.Err(); cerr != nil {
 			// Cancellation, not a fault: don't burn a restart on it.
 			return DistResult{}, cerr
 		}
 		if attempt >= cfg.MaxRestarts {
 			return DistResult{}, &FaultError{
-				Iter:     store.iterReached(),
+				Iter:     store.failedAt(),
 				Restarts: attempt,
 				Profile:  profile,
 				Err:      lastErr,
@@ -237,7 +242,18 @@ func (f *ftGrid) afterSwaps(k int, piv []int) error { return f.swapChecksums(k, 
 func (f *ftGrid) afterL(k int) error                { return f.chkSolveAndBcast(k) }
 func (f *ftGrid) afterUpdate(k int) error           { return f.updateChecksums(k) }
 
-func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
+// testHookSuperStep, when non-nil, runs at every super-step boundary of
+// every rank, before the stage's fault-injection point. Set only by
+// tests, to order ranks.
+var testHookSuperStep func(rank, k int)
+
+func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) (err error) {
+	at := 0 // the stage this rank is in, for the failure record
+	defer func() {
+		if err != nil {
+			f.store.noteFailure(at, err)
+		}
+	}()
 	sys, full := f.scatter(seed)
 	start := 0
 	if snap, stage, ok := f.store.load(f.me()); ok {
@@ -246,7 +262,7 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 		f.chk1, f.chk2 = snap.chk1, snap.chk2
 		copy(f.globalPiv, snap.globalPiv)
 		f.firstError = snap.firstError
-		start = stage
+		start, at = stage, stage
 	} else {
 		f.initChecksums(full)
 	}
@@ -264,7 +280,10 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 		if err := f.ctxErr(); err != nil {
 			return err
 		}
-		f.store.noteIter(k)
+		at = k
+		if h := testHookSuperStep; h != nil {
+			h(f.me(), k)
+		}
 		t0 := time.Now()
 		ts := f.rec.Start()
 		if err := f.c.Progress(k); err != nil {
@@ -307,6 +326,7 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) error {
 			*f.profile = append(*f.profile, StageProfile{Stage: k, Seconds: time.Since(t0).Seconds()})
 		}
 	}
+	at = f.nBlocks
 	return f.gatherAndSolve(sys, results, errs)
 }
 

@@ -195,6 +195,51 @@ func TestFTUnrecoverableReturnsFaultError(t *testing.T) {
 	}
 }
 
+// TestFTFaultErrorIterIgnoresRanksAhead pins the interleaving that made
+// TestFTUnrecoverableReturnsFaultError flaky: on the final attempt rank 1
+// crashes entering stage 2, and the ranks of process column 0, which need
+// nothing from column 1 to finish stage 2, run on into stage 3 before the
+// abort reaches them. Rank 1's crash is held until they have; Iter must
+// still name the stage of the crash.
+func TestFTFaultErrorIterIgnoresRanksAhead(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	ahead := make(chan int, 2)
+	var seen [4]bool // per rank, written only by that rank's goroutines
+	testHookSuperStep = func(rank, k int) {
+		switch {
+		case k == 3 && rank%2 == 0 && !seen[rank]:
+			// Ranks 0 and 2 form process column 0 of the 2×2 grid.
+			seen[rank] = true
+			ahead <- rank
+		case k == 2 && rank == 1 && !seen[rank]:
+			// Only the final attempt gets rank 1 to stage 2.
+			seen[rank] = true
+			for range 2 {
+				select {
+				case <-ahead:
+				case <-time.After(time.Second):
+					t.Error("process column 0 never reached stage 3")
+					return
+				}
+			}
+		}
+	}
+	defer func() { testHookSuperStep = nil }()
+	plan := &fault.Plan{Crashes: []fault.RankEvent{
+		{Rank: 1, Iter: 0}, {Rank: 1, Iter: 1}, {Rank: 1, Iter: 2}, {Rank: 1, Iter: 3},
+	}}
+	_, err := runFTWithDeadline(t, Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, FT: &FTConfig{
+		Plan: plan, CheckpointEvery: 2, MaxRestarts: 2,
+	}})
+	var fe *FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("want *FaultError, got %v", err)
+	}
+	if fe.Iter != 2 {
+		t.Errorf("Iter = %d, want 2, the stage of rank 1's crash", fe.Iter)
+	}
+}
+
 func TestFTGridShapes(t *testing.T) {
 	// Recovery must not depend on the grid: run a lossy plan over several
 	// shapes, including single-row/-column grids and ragged blocks.

@@ -1,8 +1,10 @@
 package hpl
 
 import (
+	"errors"
 	"sync"
 
+	"phihpl/internal/cluster"
 	"phihpl/internal/matrix"
 )
 
@@ -35,14 +37,17 @@ type ftStore struct {
 	snaps   []*ftSnap
 	pending map[int][]*ftSnap
 
-	maxIter         int
+	// failIter is the earliest stage at which a rank of the current
+	// attempt failed by its own fault (-1: none yet).
+	failIter int
+
 	reconstructions int
 	rebuilds        int
 	checkpoints     int
 }
 
 func newFTStore(size int) *ftStore {
-	return &ftStore{size: size, pending: make(map[int][]*ftSnap)}
+	return &ftStore{size: size, pending: make(map[int][]*ftSnap), failIter: -1}
 }
 
 // deposit files rank's snapshot for the given resume stage, promoting the
@@ -80,25 +85,36 @@ func (s *ftStore) load(rank int) (*ftSnap, int, bool) {
 	return s.snaps[rank].clone(), s.stage, true
 }
 
-// resetPending discards partial deposits from a crashed attempt.
-func (s *ftStore) resetPending() {
+// newAttempt discards a crashed attempt's partial deposits and failure
+// stages.
+func (s *ftStore) newAttempt() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pending = make(map[int][]*ftSnap)
+	s.failIter = -1
 }
 
-func (s *ftStore) noteIter(k int) {
-	s.mu.Lock()
-	if k > s.maxIter {
-		s.maxIter = k
+// noteFailure records that a rank's attempt ended with err at stage k.
+// Only the rank's own faults count (a crash, a timeout, corruption it
+// could not localize), not a peer's failure reaching it: peers run ahead
+// of a failing rank by however far the abort takes to reach them, so the
+// stages they fail at are not a property of the run.
+func (s *ftStore) noteFailure(k int, err error) {
+	if errors.Is(err, cluster.ErrRankFailed) || errors.Is(err, cluster.ErrAborted) {
+		return
 	}
-	s.mu.Unlock()
-}
-
-func (s *ftStore) iterReached() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxIter
+	if s.failIter < 0 || k < s.failIter {
+		s.failIter = k
+	}
+}
+
+// failedAt is the current attempt's failIter.
+func (s *ftStore) failedAt() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failIter
 }
 
 func (s *ftStore) noteReconstruction() {

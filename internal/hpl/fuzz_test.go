@@ -13,9 +13,11 @@ import (
 // FuzzSolve2D explores the grid driver's shape space — n ≤ 96, any NB
 // (zero and above n clamp), P, Q ≤ 4, every schedule, both precisions —
 // against the shared-memory oracle bit for bit: lu.Sequential for FP64,
-// lu.SolveMixed (solution, residual, refinement steps) for mixed. An FP64
-// input also runs the fault-tolerant solver under an empty plan, whose X
-// must be the plain grid's: ABFT bookkeeping never touches the data.
+// lu.SolveMixed (solution, residual, refinement steps) for mixed. Every
+// input also runs the hybrid grid (Offload), whose engine makes the plain
+// grid's micro-kernel calls, and an FP64 input the fault-tolerant solver
+// under an empty plan; both X must be the plain grid's: the engine's
+// tiling and ABFT bookkeeping never change a bit.
 // testdata/fuzz/FuzzSolve2D holds the rows of
 // TestGridShapeSpaceMatchesSequential (folded into n ≤ 96, P, Q ≤ 4), so
 // plain `go test` replays them; `go test -fuzz=FuzzSolve2D` hunts beyond.
@@ -57,6 +59,13 @@ func FuzzSolve2D(f *testing.F) {
 			if !slices.Equal(r.X, want) || r.Residual != wantRes || r.Refine.Iterations != wantRep.Iterations {
 				t.Fatalf("n=%d nb=%d %dx%d %s mixed: differs from lu.SolveMixed", n, nb, p, q, mode)
 			}
+			hy, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed, Offload: true}, nil)
+			if err != nil {
+				t.Fatalf("n=%d nb=%d %dx%d %s mixed hybrid: %v", n, nb, p, q, mode, err)
+			}
+			if !slices.Equal(hy.X, r.X) || hy.Residual != r.Residual {
+				t.Fatalf("n=%d nb=%d %dx%d %s: mixed hybrid differs from the plain grid", n, nb, p, q, mode)
+			}
 			return
 		}
 
@@ -72,6 +81,13 @@ func FuzzSolve2D(f *testing.F) {
 		}
 		if !slices.Equal(r.X, want) {
 			t.Fatalf("n=%d nb=%d %dx%d %s: X differs from lu.Sequential", n, nb, p, q, mode)
+		}
+		hy, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, Offload: true}, nil)
+		if err != nil {
+			t.Fatalf("n=%d nb=%d %dx%d %s hybrid: %v", n, nb, p, q, mode, err)
+		}
+		if !slices.Equal(hy.X, r.X) {
+			t.Fatalf("n=%d nb=%d %dx%d %s: hybrid X differs from the plain grid", n, nb, p, q, mode)
 		}
 		ft, err := Solve(context.Background(), Grid{N: n, NB: nb, P: p, Q: q, Seed: seed, Lookahead: mode, FT: &FTConfig{}}, nil)
 		if err != nil {

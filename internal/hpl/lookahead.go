@@ -29,6 +29,7 @@ import (
 	"phihpl/internal/blas"
 	"phihpl/internal/cluster"
 	"phihpl/internal/matrix"
+	"phihpl/internal/offload"
 	"phihpl/internal/pool"
 	"phihpl/internal/trace"
 )
@@ -397,12 +398,12 @@ func (g *grid2d[T]) sendLRoot(k int) error {
 // everyone else receives the payload from its tree parent and relays it
 // onward bitwise. The rank's L21 is then one view — its owned block rows
 // below k are a suffix of its rows — packed here once for the whole
-// stage (or negated once, for the offload engine). Queued updates of an
-// asynchronous pipeline may read the panel column's L21 in place: the
-// next stage swaps rows of that column only after draining them.
+// stage. Queued updates of an asynchronous pipeline may read the panel
+// column's L21 in place: the next stage swaps rows of that column only
+// after draining them.
 func (g *grid2d[T]) recvL(k int) error {
 	rootP, rootQ := g.owner(k, k)
-	g.stageL11, g.stageL21, g.negL = nil, nil, nil
+	g.stageL11, g.stageL21 = nil, nil
 	// The previous stage's packed panel is dead here under an inline
 	// pipeline, so its slab can recycle; with a deferred pipeline queued
 	// jobs may still read it, so it is left to the GC.
@@ -446,14 +447,7 @@ func (g *grid2d[T]) recvL(k int) error {
 		top = w
 	}
 	g.stageL21 = l.View(top, 0, l.Rows-top, w)
-	switch {
-	case g.stageL21.Rows == 0:
-	case g.offloadUpdates:
-		g.negL = g.stageL21.Clone()
-		for i := range g.negL.Data {
-			g.negL.Data[i] = -g.negL.Data[i]
-		}
-	case w >= blas.PackedMinK:
+	if g.stageL21.Rows > 0 && w >= blas.PackedMinK {
 		g.packedL = blas.PrepackA(g.stageL21, -1) // nil beyond one K-block
 	}
 	return nil
@@ -512,14 +506,14 @@ func (g *grid2d[T]) updateJob(k, j int, u *matrix.Of[T]) (job pipeJob[T], ok boo
 		return job, false
 	}
 	job = pipeJob[T]{
-		ctx:  g.ctx,
-		c:    g.colView(j, from),
-		l:    g.stageL21,
-		u:    u,
-		pl:   g.packedL,
-		negL: g.negL,
-		rec:  g.rec,
-		iter: k,
+		ctx:     g.ctxOrBG(),
+		c:       g.colView(j, from),
+		l:       g.stageL21,
+		u:       u,
+		pl:      g.packedL,
+		offload: g.offloadUpdates,
+		rec:     g.rec,
+		iter:    k,
 	}
 	if g.packedL != nil && u != nil {
 		job.pu = blas.PrepackB(u)
@@ -704,28 +698,38 @@ func (s *stageSwap[T]) apply(g *grid2d[T], jb int) {
 // pipeline or inline. It carries its own operand references so the grid
 // can move on to the next stage while the job is still queued.
 type pipeJob[T matrix.Float] struct {
-	ctx    context.Context
-	c      *matrix.Of[T]       // the column's owned rows below the panel
-	l, u   *matrix.Of[T]       // the stage's L21 and the column's U12
-	pl     *blas.PrepackedA[T] // the stage's packed −L21 (nil: reference or offload path)
-	pu     *blas.PrepackedB[T] // the column's packed U, private to the job
-	negL   *matrix.Of[T]       // −L21 for the offload engine (nil: host paths)
-	rec    *trace.Recorder
-	lane   int
-	iter   int
-	signal chan struct{}
+	ctx     context.Context
+	c       *matrix.Of[T]       // the column's owned rows below the panel
+	l, u    *matrix.Of[T]       // the stage's L21 and the column's U12
+	pl      *blas.PrepackedA[T] // the stage's packed −L21 (nil: reference path)
+	pu      *blas.PrepackedB[T] // the column's packed U, private to the job
+	offload bool                // run the packed update on the offload engine
+	rec     *trace.Recorder
+	lane    int
+	iter    int
+	signal  chan struct{}
 }
 
-// run applies the job's update: one offload-engine call, one prepacked
-// GEMM or one RankKUpdate over the whole column, with every pool worker —
-// native's update of one panel (lu.updatePanel).
+// run applies the job's update: one prepacked GEMM over the whole column
+// with every pool worker — native's update of one panel
+// (lu.updatePanel) — or the same packed operands on the offload engine,
+// or, below the packed crossover or beyond one K-block, one RankKUpdate.
+// The engine makes the prepacked GEMM's micro-kernel calls, so all three
+// round as the sequential algorithm does.
 func (job *pipeJob[T]) run() error {
 	if job.l == nil || job.u == nil {
 		return fmt.Errorf("hpl: trailing update missing operands (stage %d)", job.iter)
 	}
 	switch {
-	case job.negL != nil:
-		return offloadUpdate(job.ctx, job.negL, job.u, job.c)
+	case job.pu != nil && job.offload:
+		// Tiles sized for a card+host split of one nb×nb block (the packed
+		// L's depth is the panel's nb), so a column splits into the tiles
+		// its blocks did.
+		a, b := job.pl.Packed(), job.pu.Packed()
+		_, err := offload.ComputePacked(job.ctx, a, b, job.c, offload.RealConfig{
+			Mt: a.K/2 + 1, Nt: job.c.Cols/2 + 1, CardWorkers: 1, HostWorkers: 1,
+		})
+		return err
 	case job.pu != nil:
 		blas.GemmPrepacked(job.pl, job.pu, job.c, pool.Size())
 	default:

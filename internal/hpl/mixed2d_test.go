@@ -7,6 +7,8 @@ import (
 
 	"phihpl/internal/lu"
 	"phihpl/internal/matrix"
+	"phihpl/internal/metrics"
+	"phihpl/internal/offload"
 	"phihpl/internal/trace"
 )
 
@@ -125,11 +127,14 @@ func TestMixed2DModeAndGridInvariance(t *testing.T) {
 	}
 }
 
-// TestMixed2DHybridBitwiseMatchesPlain: the offload engine is FP64-only,
-// so the mixed hybrid driver routes updates through the FP32 packed host
-// path and must be bitwise identical to the plain mixed driver (unlike
-// the FP64 hybrid, which is only equal to round-off).
+// TestMixed2DHybridBitwiseMatchesPlain: the mixed hybrid driver runs its
+// FP32 packed updates on the offload engine — the offload.runs counter
+// moves — and is bitwise identical to the plain mixed driver, whose
+// updates make the same micro-kernel calls.
 func TestMixed2DHybridBitwiseMatchesPlain(t *testing.T) {
+	reg := metrics.NewRegistry()
+	offload.SetObservability(nil, reg)
+	defer offload.SetObservability(nil, nil)
 	n, nb := 96, 16
 	plain, err := Solve(context.Background(), Grid{N: n, NB: nb, P: 2, Q: 2, Seed: 31, Lookahead: LookaheadPipelined, Precision: lu.PrecisionMixed}, nil)
 	if err != nil {
@@ -149,6 +154,9 @@ func TestMixed2DHybridBitwiseMatchesPlain(t *testing.T) {
 	}
 	if hy.Refine == nil || hy.Refine.FellBack {
 		t.Errorf("hybrid mixed report: %+v", hy.Refine)
+	}
+	if reg.Counter("offload.runs").Value() == 0 {
+		t.Error("the mixed hybrid solve never ran the offload engine")
 	}
 }
 

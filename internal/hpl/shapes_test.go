@@ -13,8 +13,9 @@ import (
 
 // TestGridShapeSpaceMatchesSequential is the shape-space differential
 // table of the grid driver: the awkward corners of (n, NB, P, Q) that the
-// hand-picked cases elsewhere leave out, each under all three schedules
-// and both precisions, against the shared-memory oracle bit for bit —
+// hand-picked cases elsewhere leave out, each under all three schedules,
+// both precisions and with the offload engine off and on, against the
+// shared-memory oracle bit for bit —
 // lu.Sequential for FP64, lu.SolveMixed (solution, residual and
 // refinement step count) for mixed.
 func TestGridShapeSpaceMatchesSequential(t *testing.T) {
@@ -58,33 +59,35 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 		}
 
 		for _, mode := range allModes {
-			r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode}, nil)
-			if err != nil {
-				t.Fatalf("%s %s fp64: %v", tc.name, mode, err)
-			}
-			if r.Ranks != tc.p*tc.q || r.Panels != (tc.n+nb-1)/nb || r.Refine != nil {
-				t.Errorf("%s %s fp64: metadata %d ranks, %d panels, refine %+v", tc.name, mode, r.Ranks, r.Panels, r.Refine)
-			}
-			if r.Residual > matrix.ResidualThreshold {
-				t.Errorf("%s %s fp64: residual %g FAILED", tc.name, mode, r.Residual)
-			}
-			if !slices.Equal(r.X, want64) {
-				t.Errorf("%s %s fp64: X differs from lu.Sequential", tc.name, mode)
-			}
+			for _, off := range []bool{false, true} {
+				r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Offload: off}, nil)
+				if err != nil {
+					t.Fatalf("%s %s offload=%v fp64: %v", tc.name, mode, off, err)
+				}
+				if r.Ranks != tc.p*tc.q || r.Panels != (tc.n+nb-1)/nb || r.Refine != nil {
+					t.Errorf("%s %s offload=%v fp64: metadata %d ranks, %d panels, refine %+v", tc.name, mode, off, r.Ranks, r.Panels, r.Refine)
+				}
+				if r.Residual > matrix.ResidualThreshold {
+					t.Errorf("%s %s offload=%v fp64: residual %g FAILED", tc.name, mode, off, r.Residual)
+				}
+				if !slices.Equal(r.X, want64) {
+					t.Errorf("%s %s offload=%v fp64: X differs from lu.Sequential", tc.name, mode, off)
+				}
 
-			m, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed}, nil)
-			if err != nil {
-				t.Fatalf("%s %s mixed: %v", tc.name, mode, err)
-			}
-			if m.Refine == nil || m.Refine.FellBack {
-				t.Fatalf("%s %s mixed: report %+v", tc.name, mode, m.Refine)
-			}
-			if !slices.Equal(m.X, wantMx) {
-				t.Errorf("%s %s mixed: X differs from lu.SolveMixed", tc.name, mode)
-			}
-			if m.Residual != wantRes || m.Refine.Iterations != wantRep.Iterations {
-				t.Errorf("%s %s mixed: residual %g after %d steps, oracle %g after %d",
-					tc.name, mode, m.Residual, m.Refine.Iterations, wantRes, wantRep.Iterations)
+				m, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed, Offload: off}, nil)
+				if err != nil {
+					t.Fatalf("%s %s offload=%v mixed: %v", tc.name, mode, off, err)
+				}
+				if m.Refine == nil || m.Refine.FellBack {
+					t.Fatalf("%s %s offload=%v mixed: report %+v", tc.name, mode, off, m.Refine)
+				}
+				if !slices.Equal(m.X, wantMx) {
+					t.Errorf("%s %s offload=%v mixed: X differs from lu.SolveMixed", tc.name, mode, off)
+				}
+				if m.Residual != wantRes || m.Refine.Iterations != wantRep.Iterations {
+					t.Errorf("%s %s offload=%v mixed: residual %g after %d steps, oracle %g after %d",
+						tc.name, mode, off, m.Residual, m.Refine.Iterations, wantRes, wantRep.Iterations)
+				}
 			}
 		}
 	}

@@ -11,6 +11,22 @@ import (
 	"phihpl/internal/trace"
 )
 
+// gradedSystem builds an increasingly ill-conditioned system by scaling
+// row i of a random matrix by decade^(i/n), so refinement has something
+// to recover.
+func gradedSystem(n int, decades float64, seed uint64) (*matrix.Dense, []float64) {
+	a, b := matrix.RandomSystem(n, seed)
+	for i := 0; i < n; i++ {
+		s := math.Pow(10, -decades*float64(i)/float64(n))
+		row := a.Row(i)
+		for j := range row {
+			row[j] *= s
+		}
+		b[i] *= s
+	}
+	return a, b
+}
+
 // forceScalarKernels pins both micro-kernels (FP32 and FP64) to the
 // portable scalar path for the duration of a test, so golden values hold
 // on every platform regardless of which vector kernels the CPU offers —

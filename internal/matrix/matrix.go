@@ -194,26 +194,6 @@ func (m *Of[T]) NormInf() float64 {
 	return n
 }
 
-// NormOne returns the one norm (max absolute column sum).
-func (m *Of[T]) NormOne() float64 {
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0
-	}
-	sums := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			sums[j] += math.Abs(float64(v))
-		}
-	}
-	n := 0.0
-	for _, s := range sums {
-		if s > n {
-			n = s
-		}
-	}
-	return n
-}
-
 // MaxAbs returns the largest absolute element.
 func (m *Of[T]) MaxAbs() float64 {
 	n := 0.0
@@ -252,15 +232,6 @@ func VecNormInf(v []float64) float64 {
 		if a := math.Abs(x); a > n {
 			n = a
 		}
-	}
-	return n
-}
-
-// VecNormOne returns sum |v_i|.
-func VecNormOne(v []float64) float64 {
-	n := 0.0
-	for _, x := range v {
-		n += math.Abs(x)
 	}
 	return n
 }

@@ -113,7 +113,7 @@ func TestZeroAndEye(t *testing.T) {
 	if e.At(0, 0) != 1 || e.At(1, 1) != 1 || e.At(0, 1) != 0 {
 		t.Error("Eye wrong")
 	}
-	if e.NormInf() != 1 || e.NormOne() != 1 {
+	if e.NormInf() != 1 {
 		t.Error("identity norms wrong")
 	}
 }
@@ -126,15 +126,8 @@ func TestNorms(t *testing.T) {
 	if m.NormInf() != 7 { // max row sum = 3+4
 		t.Errorf("NormInf = %v, want 7", m.NormInf())
 	}
-	if m.NormOne() != 6 { // max col sum = 2+4
-		t.Errorf("NormOne = %v, want 6", m.NormOne())
-	}
 	if m.MaxAbs() != 4 {
 		t.Errorf("MaxAbs = %v, want 4", m.MaxAbs())
-	}
-	var empty Dense
-	if empty.NormOne() != 0 {
-		t.Error("empty NormOne should be 0")
 	}
 }
 
@@ -153,9 +146,6 @@ func TestVecNorms(t *testing.T) {
 	v := []float64{1, -3, 2}
 	if VecNormInf(v) != 3 {
 		t.Error("VecNormInf")
-	}
-	if VecNormOne(v) != 6 {
-		t.Error("VecNormOne")
 	}
 }
 
@@ -293,7 +283,7 @@ func TestViewIndexingProperty(t *testing.T) {
 func TestNormDominanceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		m := RandomGeneral(8, 8, seed)
-		return m.NormInf() >= m.MaxAbs() && m.NormOne() >= m.MaxAbs()
+		return m.NormInf() >= m.MaxAbs()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

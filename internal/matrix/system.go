@@ -51,10 +51,11 @@ func SeededSystem(n int, seed uint64) System {
 
 // Sweep makes one pass over A and returns the residual vector r = b − A·x
 // and x's scaled HPL residual (see Residual). Row i's product is summed in
-// column order, so r is bitwise what b − Dgemv(A, x) gives, and
-// |r_i| is bitwise |(A·x)_i − b_i|. The rows are split into one contiguous
-// range per GOMAXPROCS, swept concurrently: rows are independent and ‖A‖∞
-// is a maximum, so the split changes no bit.
+// column order and r_i formed as b_i + (−1)·dot_i, a BLAS gemv's order
+// for alpha = −1, beta = 1, so |r_i| is bitwise |(A·x)_i − b_i|. The
+// rows are split into one contiguous range per GOMAXPROCS, swept
+// concurrently: rows are independent and ‖A‖∞ is a maximum, so the split
+// changes no bit.
 func (s System) Sweep(x []float64) (r []float64, scaled float64) {
 	n := len(s.B)
 	r = make([]float64, n)

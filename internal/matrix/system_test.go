@@ -8,7 +8,8 @@ import (
 
 // residualOracle is the scaled HPL residual and b − A·x computed the long
 // way: A·x as MulVec, ‖A‖∞ as NormInf, each residual entry as
-// b_i + (−1)·dot_i, the way b − Dgemv(A, x) forms it.
+// b_i + (−1)·dot_i, the way a BLAS gemv with alpha = −1, beta = 1 forms
+// it.
 func residualOracle(a *Dense, x, b []float64) ([]float64, float64) {
 	n := a.Rows
 	ax := a.MulVec(x)

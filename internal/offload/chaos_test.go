@@ -3,6 +3,7 @@ package offload
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -104,8 +105,7 @@ func TestChaosDegradedRuns(t *testing.T) {
 			if stats.ReclaimedTiles < 1 {
 				t.Errorf("ReclaimedTiles = %d, want >= 1", stats.ReclaimedTiles)
 			}
-			plan := PlanTiles(m, n, cfg.Mt, cfg.Nt)
-			nt := plan.NumTiles()
+			nt := numTiles(m, n, cfg)
 			if stats.CardTiles+stats.HostTiles != nt {
 				t.Errorf("tile accounting broken: %+v over %d tiles", stats, nt)
 			}
@@ -116,6 +116,7 @@ func TestChaosDegradedRuns(t *testing.T) {
 				t.Errorf("degraded result differs from undisturbed host-only run (maxdiff %g)",
 					matrix.MaxDiff(got, ref))
 			}
+			checkBitwise(t, "degraded run", a, b, c0, got)
 		})
 	}
 }
@@ -147,6 +148,7 @@ func TestChaosPartialDegradationStillCorrect(t *testing.T) {
 		if d := matrix.MaxDiff(got, want); d > 1e-11 {
 			t.Fatalf("attempt %d (stats %+v) off by %g", attempt, stats, d)
 		}
+		checkBitwise(t, fmt.Sprintf("attempt %d", attempt), a, b, c0, got)
 		if stats.Degraded {
 			if stats.LostWorkers != 1 || stats.ReclaimedTiles < 1 {
 				t.Errorf("stats = %+v, want one lost worker with reclaimed tiles", stats)
@@ -343,8 +345,7 @@ func TestOffloadObservability(t *testing.T) {
 			hostSpans++
 		}
 	}
-	plan := PlanTiles(60, 60, 20, 20)
-	if hostSpans != plan.NumTiles() {
+	if hostSpans != numTiles(60, 60, RealConfig{Mt: 20, Nt: 20}) {
 		t.Errorf("host tile spans = %d, want one per tile", hostSpans)
 	}
 }

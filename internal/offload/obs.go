@@ -22,11 +22,12 @@ var (
 // offload engine. Either may be nil to disable that side.
 //
 // Spans (iter = tile index): "offload.card_tile" on the card worker's lane
-// covers pack+multiply+commit of one tile on the card path;
+// covers multiply+commit of one tile on the card path;
 // "offload.host_tile" on a lane above the card lanes covers one host-path
 // tile — together they redraw the paper's host/card split as a timeline.
 //
-// Counters: offload.runs (ComputeCtx invocations that scheduled tiles),
+// Counters: offload.runs (engine runs that scheduled tiles, in either
+// precision),
 // offload.reclaimed_tiles (tiles taken back from lost card workers),
 // offload.lost_workers (card workers declared dead by the straggler
 // monitor), offload.degraded_runs (runs that lost at least one card

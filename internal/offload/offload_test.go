@@ -1,14 +1,49 @@
 package offload
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"phihpl/internal/blas"
 	"phihpl/internal/matrix"
+	"phihpl/internal/pack"
 	"phihpl/internal/testutil"
 )
+
+// packedReference is pack.Gemm's c0 + a·b on the operands Compute packs:
+// the result every worker mix and every degraded run must equal bit for
+// bit.
+func packedReference(a, b, c0 *matrix.Dense) *matrix.Dense {
+	ref := c0.Clone()
+	pack.Gemm(pack.PackA(a, 0), pack.PackB(b), ref, 1)
+	return ref
+}
+
+// checkBitwise fails unless got is bitwise pack.Gemm's result and, for a
+// product of one K-block, blas.DgemmPacked's.
+func checkBitwise(t *testing.T, what string, a, b, c0, got *matrix.Dense) {
+	t.Helper()
+	if ref := packedReference(a, b, c0); !matrix.Equal(got, ref) {
+		t.Errorf("%s: differs from pack.Gemm (maxdiff %g)", what, matrix.MaxDiff(got, ref))
+	}
+	if a.Cols <= 384 {
+		ref := c0.Clone()
+		blas.DgemmPacked(false, false, 1, a, b, 1, ref, 2)
+		if !matrix.Equal(got, ref) {
+			t.Errorf("%s: differs from blas.DgemmPacked (maxdiff %g)", what, matrix.MaxDiff(got, ref))
+		}
+	}
+}
+
+// numTiles is the engine's tile count for an m×n C under cfg in FP64.
+func numTiles(m, n int, cfg RealConfig) int {
+	cfg = cfg.withDefaults(m, n)
+	p := planMicro(m, n, cfg.Mt, cfg.Nt, pack.DefaultTileM, pack.TileN)
+	return p.NumTiles()
+}
 
 func TestPlanTilesMergesPartials(t *testing.T) {
 	p := PlanTiles(100, 70, 30, 32)
@@ -65,12 +100,12 @@ func TestStealQueueMeetsInMiddle(t *testing.T) {
 	q := newStealQueue(5)
 	var fronts, backs []int
 	for {
-		i, ok := q.front()
+		i, ok := q.take(true)
 		if !ok {
 			break
 		}
 		fronts = append(fronts, i)
-		j, ok := q.back()
+		j, ok := q.take(false)
 		if !ok {
 			break
 		}
@@ -109,8 +144,8 @@ func TestComputeMatchesDgemm(t *testing.T) {
 		if d := matrix.MaxDiff(got, want); d > 1e-11 {
 			t.Errorf("cfg=%+v: maxdiff %g", cfg, d)
 		}
-		plan := PlanTiles(m, n, cfg.Mt, cfg.Nt)
-		if stats.CardTiles+stats.HostTiles != plan.NumTiles() {
+		checkBitwise(t, fmt.Sprintf("cfg=%+v", cfg), a, b, c0, got)
+		if stats.CardTiles+stats.HostTiles != numTiles(m, n, cfg) {
 			t.Errorf("cfg=%+v: tile accounting wrong: %+v", cfg, stats)
 		}
 	}
@@ -124,13 +159,18 @@ func TestComputeWorkerExclusivity(t *testing.T) {
 	a := matrix.RandomGeneral(64, 16, 4)
 	b := matrix.RandomGeneral(16, 64, 5)
 	c := matrix.NewDense(64, 64)
+	// 16×16 rounds up to one 30×8 micro-tile by two: a 3×4 grid.
+	nt := numTiles(64, 64, RealConfig{Mt: 16, Nt: 16})
+	if nt != 12 {
+		t.Fatalf("tile count = %d, want 12", nt)
+	}
 	stats := Compute(a, b, c, RealConfig{Mt: 16, Nt: 16, CardWorkers: 3, HostWorkers: 0})
-	if stats.CardTiles != 16 || stats.HostTiles != 0 {
+	if stats.CardTiles != nt || stats.HostTiles != 0 {
 		t.Errorf("card-only split wrong: %+v", stats)
 	}
 	c.Zero()
 	stats = Compute(a, b, c, RealConfig{Mt: 16, Nt: 16, CardWorkers: 0, HostWorkers: 3})
-	if stats.HostTiles != 16 || stats.CardTiles != 0 {
+	if stats.HostTiles != nt || stats.CardTiles != 0 {
 		t.Errorf("host-only split wrong: %+v", stats)
 	}
 }
@@ -152,8 +192,8 @@ func TestComputeDefaultsAndPanics(t *testing.T) {
 	Compute(a, b, matrix.NewDense(9, 10), RealConfig{})
 }
 
-// Property: the offload result equals plain DGEMM for random shapes and
-// worker mixes.
+// Property: the offload result equals plain DGEMM to round-off and the
+// packed GEMM bit for bit, for random shapes and worker mixes.
 func TestComputeEquivalenceProperty(t *testing.T) {
 	f := func(seed uint64, mR, nR, kR, wR uint8) bool {
 		m := 8 + int(mR)%60
@@ -167,6 +207,7 @@ func TestComputeEquivalenceProperty(t *testing.T) {
 		Compute(a, b, got, RealConfig{Mt: 16, Nt: 16, CardWorkers: cw, HostWorkers: hw})
 		want := matrix.NewDense(m, n)
 		blas.Dgemm(false, false, 1, a, b, 1, want)
+		checkBitwise(t, fmt.Sprintf("%dx%dx%d card=%d host=%d", m, k, n, cw, hw), a, b, matrix.NewDense(m, n), got)
 		return matrix.MaxDiff(got, want) < 1e-11
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -251,5 +292,42 @@ func TestLargerKtHelps(t *testing.T) {
 	e1200 := Simulate(30000, 30000, SimConfig{Cards: 1, Kt: 1200}).Eff
 	if e1200 < e600 {
 		t.Errorf("Kt=1200 eff %.3f should be >= Kt=600 eff %.3f", e1200, e600)
+	}
+}
+
+// The engine is generic: on FP32 operands, whatever the worker mix, it is
+// bitwise pack.Gemm[float32] on the same packed operands, and with a
+// single-K-block A and B bitwise the FP32 packed GEMM.
+func TestComputePackedFP32MatchesPackedGemm(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	m, k, n := 77, 40, 70
+	a := matrix.RandomGeneral(m, k, 101).ToDense32()
+	b := matrix.RandomGeneral(k, n, 102).ToDense32()
+	c0 := matrix.RandomGeneral(m, n, 103).ToDense32()
+	pa, pb := pack.PackA(a, 0), pack.PackB(b)
+	want := c0.Clone()
+	pack.Gemm(pa, pb, want, 1)
+	viaBlas := c0.Clone()
+	blas.SgemmPacked(false, false, 1, a, b, 1, viaBlas, 2)
+	if !matrix.Equal(want, viaBlas) {
+		t.Fatal("pack.Gemm and blas.SgemmPacked disagree on one K-block")
+	}
+	for _, cfg := range []RealConfig{
+		{Mt: 32, Nt: 16, CardWorkers: 1},
+		{Mt: 32, Nt: 16, HostWorkers: 1},
+		{Mt: 40, Nt: 20, CardWorkers: 2, HostWorkers: 2},
+	} {
+		got := c0.Clone()
+		stats, err := ComputePacked(context.Background(), pa, pb, got, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrix.Equal(got, want) {
+			t.Errorf("cfg=%+v: differs from pack.Gemm (maxdiff %g)", cfg, matrix.MaxDiff(got, want))
+		}
+		p := planMicro(m, n, cfg.Mt, cfg.Nt, pack.DefaultTileM32, pack.TileN32)
+		if stats.CardTiles+stats.HostTiles != p.NumTiles() {
+			t.Errorf("cfg=%+v: tile accounting wrong: %+v over %d tiles", cfg, stats, p.NumTiles())
+		}
 	}
 }

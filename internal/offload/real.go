@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"phihpl/internal/blas"
 	"phihpl/internal/fault"
 	"phihpl/internal/matrix"
 	"phihpl/internal/pack"
@@ -17,13 +16,17 @@ import (
 // RealConfig configures the functional offload engine.
 type RealConfig struct {
 	// Mt, Nt are the nominal tile dimensions (0 -> 64; values larger than
-	// the matrix clamp to its extents).
+	// the matrix clamp to its extents). The engine rounds them up to whole
+	// micro-tiles of the packed operands (30×8 in FP64, 32×16 in FP32).
 	Mt, Nt int
 	// CardWorkers emulate coprocessor cards: goroutines that consume
-	// tiles from the top-left, packing operands into the Knights
-	// Corner-friendly layout first, exactly like the real offload path.
+	// tiles from the top-left, multiplying the packed operands into a
+	// private copy of the tile and committing it under the tile's
+	// ownership CAS, like a card shipping its result tile back.
 	CardWorkers int
-	// HostWorkers consume tiles from the bottom-right with plain DGEMM.
+	// HostWorkers consume tiles from the bottom-right, multiplying the
+	// same packed operands straight into C with the same micro-kernel
+	// calls.
 	HostWorkers int
 	// StallTimeout arms the straggler monitor: a card worker whose
 	// heartbeat goes silent for longer is declared lost, its
@@ -122,10 +125,6 @@ func (q *stealQueue) take(front bool) (int, bool) {
 	return i, true
 }
 
-// front and back keep the historical single-end claim API.
-func (q *stealQueue) front() (int, bool) { return q.take(true) }
-func (q *stealQueue) back() (int, bool)  { return q.take(false) }
-
 // push returns a reclaimed tile to the queue.
 func (q *stealQueue) push(idx int) {
 	q.mu.Lock()
@@ -150,15 +149,17 @@ const (
 	callerID   int32 = 1 << 21
 )
 
-// engine is the shared state of one ComputeCtx run.
-type engine struct {
-	ctx     context.Context
-	a, b, c *matrix.Dense
-	plan    TilePlan
-	cfg     RealConfig
-	q       *stealQueue
-	nt      int
-	in      *fault.Injector
+// engine is the shared state of one ComputePacked run.
+type engine[T matrix.Float] struct {
+	ctx  context.Context
+	a    *pack.AOf[T]
+	b    *pack.BOf[T]
+	c    *matrix.Of[T]
+	plan TilePlan // in micro-tiles of a and b
+	cfg  RealConfig
+	q    *stealQueue
+	nt   int
+	in   *fault.Injector
 
 	owner     []atomic.Int32 // per-tile: tileFree | worker id | tileDone
 	committed atomic.Int32
@@ -185,14 +186,14 @@ type engine struct {
 }
 
 // Compute performs C += A·B (A: M×K, B: K×N, C: M×N) using the offload
-// work-stealing schedule: card workers take tiles in column-major order
-// from the front of the grid, host workers from the back, one tile at a
-// time, until the grid is exhausted. Card workers pack their operands into
-// the tiled Knights Corner layout before multiplying — the same data path
-// as the real offload engine — while host workers run plain DGEMM.
-// Tiles are disjoint regions of C and each is computed exactly once, so
-// the result is determined entirely by which path executed each tile.
-// A contained worker panic is re-raised here on the caller.
+// work-stealing schedule: A and B are packed once into the tiled Knights
+// Corner layout, then card workers take tiles in column-major order from
+// the front of the grid and host workers from the back, one tile at a
+// time, until the grid is exhausted. Both lanes run the same micro-kernel
+// calls over the same packed tiles, so C is bitwise pack.Gemm's result on
+// those operands whichever lane ran each tile, whatever the worker mix,
+// and however many card workers were lost on the way. A contained worker
+// panic is re-raised here on the caller.
 func Compute(a, b, c *matrix.Dense, cfg RealConfig) Stats {
 	stats, err := ComputeCtx(context.Background(), a, b, c, cfg)
 	if err != nil {
@@ -212,21 +213,31 @@ func Compute(a, b, c *matrix.Dense, cfg RealConfig) Stats {
 // unacknowledged tiles reclaimed and the run completes on the survivors —
 // host-only in the worst case — reporting the degradation in Stats.
 func ComputeCtx(ctx context.Context, a, b, c *matrix.Dense, cfg RealConfig) (Stats, error) {
-	if a.Rows != c.Rows || b.Cols != c.Cols || a.Cols != b.Rows {
+	return ComputePacked(ctx, pack.PackA(a, 0), pack.PackB(b), c, cfg)
+}
+
+// ComputePacked is ComputeCtx on operands already packed, in either
+// precision: C += A·B with each engine tile a block of whole micro-tiles
+// of a and b. A tile's C elements get exactly the pack.Kernel calls that
+// pack.Gemm (and, for single-K-block operands, blas.GemmPrepacked) makes
+// for them, so the result is bitwise theirs.
+func ComputePacked[T matrix.Float](ctx context.Context, a *pack.AOf[T], b *pack.BOf[T], c *matrix.Of[T], cfg RealConfig) (Stats, error) {
+	if a.K != b.K || c.Rows != a.M || c.Cols != b.N {
 		panic("offload: Compute dimension mismatch")
 	}
 	cfg = cfg.withDefaults(c.Rows, c.Cols)
-	if c.Rows == 0 || c.Cols == 0 || a.Cols == 0 {
-		// Empty update: nothing to do, and PlanTiles would degenerate to a
-		// 0x0 grid (or tiles of a 0-deep product). Report it explicitly.
+	if c.Rows == 0 || c.Cols == 0 || a.K == 0 {
+		// Empty update: nothing to do, and the tile plan would degenerate
+		// to a 0x0 grid (or tiles of a 0-deep product). Report it
+		// explicitly.
 		return Stats{}, ctx.Err()
 	}
 	if err := ctx.Err(); err != nil {
 		return Stats{}, err
 	}
 	mRuns.Load().Inc()
-	plan := PlanTiles(c.Rows, c.Cols, cfg.Mt, cfg.Nt)
-	e := &engine{
+	plan := planMicro(c.Rows, c.Cols, cfg.Mt, cfg.Nt, a.TileM, pack.TileNOf[T]())
+	e := &engine[T]{
 		ctx: ctx, a: a, b: b, c: c, plan: plan, cfg: cfg,
 		q:  newStealQueue(plan.NumTiles()),
 		nt: plan.NumTiles(),
@@ -296,12 +307,12 @@ func ComputeCtx(ctx context.Context, a, b, c *matrix.Dense, cfg RealConfig) (Sta
 
 // stopNow reports whether claiming must stop (cancellation or contained
 // panic elsewhere).
-func (e *engine) stopNow() bool {
+func (e *engine[T]) stopNow() bool {
 	return e.aborted.Load() || e.ctx.Err() != nil
 }
 
 // panicked contains a worker panic: record it, stop the region.
-func (e *engine) panicked(worker int, v any) {
+func (e *engine[T]) panicked(worker int, v any) {
 	e.aborted.Store(true)
 	e.perrMu.Lock()
 	if e.perr == nil {
@@ -311,7 +322,7 @@ func (e *engine) panicked(worker int, v any) {
 }
 
 // tileCommitted advances the done count, closing allDone on the last tile.
-func (e *engine) tileCommitted() {
+func (e *engine[T]) tileCommitted() {
 	if int(e.committed.Add(1)) == e.nt {
 		e.doneO.Do(func() { close(e.allDone) })
 	}
@@ -319,23 +330,47 @@ func (e *engine) tileCommitted() {
 
 // releaseCard releases card worker w's live slot exactly once (self-exit
 // or monitor declaration, whichever comes first).
-func (e *engine) releaseCard(w int) {
+func (e *engine[T]) releaseCard(w int) {
 	if e.released[w].Swap(true) {
 		return
 	}
 	e.releaseLive()
 }
 
-func (e *engine) releaseLive() {
+func (e *engine[T]) releaseLive() {
 	if e.live.Add(-1) == 0 {
 		e.drainO.Do(func() { close(e.drained) })
 	}
 }
 
-// runCard is one coprocessor card worker: steal from the front, pack,
+// tileView returns the block of C tile idx covers.
+func (e *engine[T]) tileView(idx int) *matrix.Of[T] {
+	ta, tb, na, nb := e.plan.Tile(idx)
+	tm, tn := e.a.TileM, pack.TileNOf[T]()
+	r0, c0 := ta*tm, tb*tn
+	return e.c.View(r0, c0, min(e.a.M-r0, na*tm), min(e.b.N-c0, nb*tn))
+}
+
+// addTile adds tile idx's block of A·B into dst, whose (0,0) is the
+// tile's top-left C element: one pack.Kernel call per micro-tile, the
+// call pack.Gemm makes for it. The card lane passes its private copy of
+// the tile, the host lane C itself; an element's bits are the same
+// either way.
+func (e *engine[T]) addTile(idx int, dst *matrix.Of[T]) {
+	ta0, tb0, na, nb := e.plan.Tile(idx)
+	tm, tn := e.a.TileM, pack.TileNOf[T]()
+	for ta := ta0; ta < ta0+na; ta++ {
+		for tb := tb0; tb < tb0+nb; tb++ {
+			off := (ta-ta0)*tm*dst.Stride + (tb-tb0)*tn
+			pack.Kernel(e.a.Tile(ta), tm, e.a.K, e.b.Tile(tb), dst.Data[off:], dst.Stride, e.a.TileRows(ta), e.b.TileCols(tb))
+		}
+	}
+}
+
+// runCard is one coprocessor card worker: steal from the front,
 // multiply into a private scratch tile, and commit the result under the
 // tile's ownership CAS so a reclaimed tile is never written twice.
-func (e *engine) runCard(w int) {
+func (e *engine[T]) runCard(w int) {
 	defer e.releaseCard(w)
 	defer func() {
 		if v := recover(); v != nil {
@@ -358,11 +393,10 @@ func (e *engine) runCard(w int) {
 			continue
 		}
 		e.owner[idx].Store(int32(w))
-		r0, c0, rows, cols := e.plan.Tile(idx)
 		// Snapshot the destination before any stall point; after this,
 		// the worker touches only private data until the commit CAS, so a
 		// zombie never races a peer that recomputed its reclaimed tile.
-		cv := e.c.View(r0, c0, rows, cols)
+		cv := e.tileView(idx)
 		scratch := cv.Clone()
 		// Post-snapshot heartbeat: the monitor's staleness read of this
 		// store is what orders the snapshot before any reclaim.
@@ -384,11 +418,7 @@ func (e *engine) runCard(w int) {
 		if rec != nil {
 			t0 = rec.Start()
 		}
-		av := e.a.View(r0, 0, rows, e.a.Cols)
-		bv := e.b.View(0, c0, e.b.Rows, cols)
-		pa := pack.PackA(av, pack.DefaultTileM)
-		pb := pack.PackB(bv)
-		pack.Gemm(pa, pb, scratch, 1)
+		e.addTile(idx, scratch)
 		if e.owner[idx].CompareAndSwap(int32(w), tileDone) {
 			cv.CopyFrom(scratch)
 			e.cardN.Add(1)
@@ -401,9 +431,9 @@ func (e *engine) runCard(w int) {
 	}
 }
 
-// runHost is one host worker: steal from the back, plain DGEMM straight
+// runHost is one host worker: steal from the back, multiply straight
 // into C. Host workers are in-process and not monitored.
-func (e *engine) runHost(id int32) {
+func (e *engine[T]) runHost(id int32) {
 	defer e.releaseLive()
 	defer func() {
 		if v := recover(); v != nil {
@@ -427,18 +457,14 @@ func (e *engine) runHost(id int32) {
 }
 
 // runHostTile executes tile idx with the host path and commits it.
-func (e *engine) runHostTile(id int32, idx int) {
+func (e *engine[T]) runHostTile(id int32, idx int) {
 	rec := obsTrace.Load()
 	var t0 float64
 	if rec != nil {
 		t0 = rec.Start()
 	}
-	r0, c0, rows, cols := e.plan.Tile(idx)
 	e.owner[idx].Store(id)
-	av := e.a.View(r0, 0, rows, e.a.Cols)
-	bv := e.b.View(0, c0, e.b.Rows, cols)
-	cv := e.c.View(r0, c0, rows, cols)
-	blas.Dgemm(false, false, 1, av, bv, 1, cv)
+	e.addTile(idx, e.tileView(idx))
 	e.owner[idx].Store(tileDone)
 	e.hostN.Add(1)
 	if rec != nil {
@@ -450,7 +476,7 @@ func (e *engine) runHostTile(id int32, idx int) {
 // callerDrain finishes remaining tiles on the calling goroutine with the
 // host path, waiting on the monitor to reclaim tiles still owned by lost
 // workers. Entered only when every worker goroutine is gone.
-func (e *engine) callerDrain() {
+func (e *engine[T]) callerDrain() {
 	for int(e.committed.Load()) != e.nt {
 		if e.stopNow() {
 			return
@@ -476,7 +502,7 @@ func (e *engine) callerDrain() {
 // unacknowledged tiles go back into the steal queue, and the run is
 // marked degraded. Dead workers are re-swept every tick so a tile claimed
 // in the instant before death cannot be orphaned.
-func (e *engine) monitor(stop chan struct{}) {
+func (e *engine[T]) monitor(stop chan struct{}) {
 	interval := e.cfg.StallTimeout / 4
 	if interval < time.Millisecond {
 		interval = time.Millisecond
@@ -503,7 +529,7 @@ func (e *engine) monitor(stop chan struct{}) {
 }
 
 // declareDead marks card worker w lost and reclaims its tiles.
-func (e *engine) declareDead(w int) {
+func (e *engine[T]) declareDead(w int) {
 	if e.dead[w].Swap(true) {
 		return
 	}
@@ -518,7 +544,7 @@ func (e *engine) declareDead(w int) {
 
 // reclaimFrom returns every tile still owned by (dead) worker w to the
 // steal queue.
-func (e *engine) reclaimFrom(w int) {
+func (e *engine[T]) reclaimFrom(w int) {
 	for idx := range e.owner {
 		if e.owner[idx].CompareAndSwap(int32(w), tileFree) {
 			e.q.push(idx)

@@ -7,10 +7,14 @@
 // card, and the result tiles are accumulated back into the original matrix
 // (Figure 10b).
 //
-// The package has two layers: a functional layer (Compute) that really
-// performs C += A·B with goroutine "cards" and work stealing, validated
-// against plain DGEMM; and a virtual-time layer (Simulate) that prices the
-// same schedule on the machine model and regenerates Figure 11.
+// The package has two layers: a functional layer (Compute, ComputePacked)
+// that really performs C += A·B with goroutine "cards" and work stealing,
+// and a virtual-time layer (Simulate) that prices the same schedule on the
+// machine model and regenerates Figure 11. The functional layer is generic
+// over the element type: operands are packed once per call, an engine tile
+// is a block of whole micro-tiles, and both lanes run the packed GEMM's
+// micro-kernel calls, so the result is bitwise pack.Gemm's whichever lane
+// ran each tile.
 package offload
 
 // TilePlan is a rectangular tiling of an M×N matrix with partial edge
@@ -75,4 +79,13 @@ func (p *TilePlan) Tile(idx int) (r0, c0, rows, cols int) {
 	col := idx / nr
 	row := idx % nr
 	return p.RowStart[row], p.ColStart[col], p.RowSize[row], p.ColSize[col]
+}
+
+// planMicro is the engine's tiling of an m×n C whose packed operands have
+// tileM-row and tileN-column micro-tiles: PlanTiles over the micro-tile
+// grid, the nominal mt×nt rounded up to whole micro-tiles. Its bounds are
+// in micro-tiles.
+func planMicro(m, n, mt, nt, tileM, tileN int) TilePlan {
+	ceil := func(x, d int) int { return (x + d - 1) / d }
+	return PlanTiles(ceil(m, tileM), ceil(n, tileN), ceil(mt, tileM), ceil(nt, tileN))
 }

@@ -32,7 +32,7 @@ type Mode string
 const (
 	ModeNative   Mode = "native"   // shared-memory LU with the Spec's Scheduler (supports PrecisionMixed)
 	ModeDist2D   Mode = "dist2d"   // P×Q block-cyclic distributed solve (supports PrecisionMixed)
-	ModeHybrid2D Mode = "hybrid2d" // dist2d with offload-engine trailing updates (supports PrecisionMixed)
+	ModeHybrid2D Mode = "hybrid2d" // dist2d with its packed trailing updates on the offload engine, bitwise dist2d's (supports PrecisionMixed)
 	ModeFT       Mode = "ft"       // fault-tolerant dist2d (supports a fault plan; FP64 only)
 )
 
