@@ -48,12 +48,13 @@ race:
 # poolsize: the numeric suites at two pool sizes. pool.Size() is fixed at
 # GOMAXPROCS for the life of a process, so one run meets one worker count;
 # these two runs put every bitwise suite (packed GEMM, offload engine, LU
-# drivers, grid, and the facade's in-place native solve with its
-# one-matrix pin) under a single worker and under eight, on whatever core
-# count the machine has.
+# drivers, grid, the facade's in-place native solve with its one-matrix
+# pin, and dgemmtool's -verify cross-check, whose pack.Gemm runs on the
+# pool) under a single worker and under eight, on whatever core count the
+# machine has.
 poolsize:
-	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl
-	GOMAXPROCS=8 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl
+	GOMAXPROCS=1 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl ./cmd/dgemmtool
+	GOMAXPROCS=8 $(GO) test -count=1 . ./internal/pool ./internal/pack ./internal/blas ./internal/offload ./internal/lu ./internal/hpl ./cmd/dgemmtool
 
 # smoke: end-to-end hplserver check — start the server, run an FP64, a
 # native mixed, and a 2D-distributed mixed solve over HTTP, SIGTERM for
@@ -94,14 +95,15 @@ fuzz:
 # portable-scalar oracle path of the generic pack and blas code runs under
 # the race detector in both instantiations, and above it the offload
 # engine and both instantiations of the grid driver (grid2d[float64],
-# grid2d[float32]) run their bitwise suites over the pure-Go kernels; then
+# grid2d[float32]) and dgemmtool's -verify cross-check run their bitwise
+# suites over the pure-Go kernels; then
 # the numeric packages
 # built with the noasm tag. Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
 # reaches assembly. The same leg CI's scalar-oracle job runs.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/...
+	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/... ./cmd/dgemmtool
 	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
 	$(GO) test -tags noasm -timeout 10m ./internal/pack/... ./internal/blas/... ./internal/lu/...
 

@@ -124,22 +124,8 @@ func BenchmarkRealDGEMM(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }
 
-// BenchmarkRealDGEMMParallel measures the goroutine-parallel DGEMM.
-func BenchmarkRealDGEMMParallel(b *testing.B) {
-	n := 256
-	a := matrix.RandomGeneral(n, n, 1)
-	bb := matrix.RandomGeneral(n, n, 2)
-	c := matrix.NewDense(n, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blas.DgemmParallel(false, false, 1, a, bb, 0, c, 8)
-	}
-	flops := 2 * float64(n) * float64(n) * float64(n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}
-
-// BenchmarkRealDGEMMPackedPath measures the packed-tile fast path at the
-// size where it must beat DgemmParallel (n = 512): panels of A and B are
+// BenchmarkRealDGEMMPackedPath measures the packed-tile fast path at
+// n = 512: panels of A and B are
 // packed once per call into the Knights Corner tile layout and the 30×8
 // micro-kernel runs on the persistent worker pool.
 func BenchmarkRealDGEMMPackedPath(b *testing.B) {

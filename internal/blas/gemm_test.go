@@ -115,49 +115,16 @@ func TestDgemmOnViews(t *testing.T) {
 	}
 }
 
-func TestDgemmParallelMatchesSerial(t *testing.T) {
-	a := matrix.RandomGeneral(33, 27, 6)
-	b := matrix.RandomGeneral(27, 41, 7)
-	c0 := matrix.RandomGeneral(33, 41, 8)
-	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
-		got, want := c0.Clone(), c0.Clone()
-		DgemmParallel(false, false, -1, a, b, 1, got, workers)
-		Dgemm(false, false, -1, a, b, 1, want)
-		if d := matrix.MaxDiff(got, want); d > 1e-12 {
-			t.Errorf("workers=%d maxdiff = %g", workers, d)
-		}
-	}
-}
-
-func TestDgemmParallelTransposed(t *testing.T) {
-	a := matrix.RandomGeneral(13, 21, 61)
-	b := matrix.RandomGeneral(17, 13, 71)
-	c0 := matrix.RandomGeneral(21, 17, 81)
-	got, want := c0.Clone(), c0.Clone()
-	DgemmParallel(true, true, 1.5, a, b, 0.5, got, 4)
-	dgemmRef(true, true, 1.5, a, b, 0.5, want)
-	if d := matrix.MaxDiff(got, want); d > 1e-12 {
-		t.Errorf("maxdiff = %g", d)
-	}
-}
-
 func TestDgemmDimensionPanics(t *testing.T) {
 	a := matrix.NewDense(2, 3)
 	b := matrix.NewDense(4, 2) // mismatch: a.Cols=3 != b.Rows=4
 	c := matrix.NewDense(2, 2)
-	for _, f := range []func(){
-		func() { Dgemm(false, false, 1, a, b, 0, c) },
-		func() { DgemmParallel(false, false, 1, a, b, 0, c, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected dimension panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected dimension panic")
+		}
+	}()
+	Dgemm(false, false, 1, a, b, 0, c)
 }
 
 func TestDgemmEmpty(t *testing.T) {

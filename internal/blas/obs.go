@@ -17,8 +17,8 @@ var obsTrace atomic.Pointer[trace.Recorder]
 //
 // Spans (on worker 0, iter = K-block index): "pack" covers the parallel
 // packing of one K-block's A strip and B tiles, "compute" the outer
-// product over the packed tiles — the two phases of Section III whose
-// ratio decides the PackedMinK crossover. The single-precision path emits
+// product over the packed tiles — the two phases of Section III, whose
+// ratio is the paper's Fig. 4 packing share. The single-precision path emits
 // the same pair as "spack"/"scompute".
 //
 // Counters: blas.packed_calls, blas.bytes_packed (bytes written into the

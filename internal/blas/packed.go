@@ -25,9 +25,10 @@ import (
 // K-block boundaries (a function of k alone) — never on the worker count,
 // the tile the element lands in, or how the m×n iteration space is
 // partitioned. The LU and HPL drivers split one mathematical trailing
-// update into many differently-shaped DGEMM calls with the *same* k, so
-// this property (plus the k-only crossover in RankKUpdate) is exactly
-// what keeps sequential, look-ahead, DAG-scheduled and distributed
+// update into many differently-shaped DGEMM calls with the *same* k, and
+// every one of them — RankKUpdate, GemmPrepacked, the offload engine —
+// runs this arithmetic whatever k is, so this property is exactly what
+// keeps sequential, look-ahead, DAG-scheduled and distributed
 // factorizations bitwise identical to each other.
 
 // packKC is the K-block depth: each outer product packs at most packKC
@@ -35,16 +36,6 @@ import (
 // plus one b-tile (packKC×8) stay L2-resident. It mirrors the paper's
 // k≈300–400 blocking (Table II peaks at k=300).
 const packKC = 384
-
-// PackedMinK is the crossover of RankKUpdate: trailing updates with
-// k >= PackedMinK take the packed fast path, smaller ones the plain
-// row-split loop whose lower setup cost wins for thin updates. The
-// crossover deliberately depends on k only — m and n are partitioned
-// differently by the sequential, per-panel and distributed drivers, and a
-// shape-dependent path choice would break their bitwise-identity
-// guarantees. Tests may override it (e.g. to force the reference path);
-// it is not safe to change concurrently with running kernels.
-var PackedMinK = 16
 
 // perType is what the generic code keeps once per element width: the
 // recycled buffers, and the names its spans and counters are published
@@ -55,7 +46,7 @@ type perType struct {
 	packSpan, computeSpan string
 	calls, bytes, flops   atomic.Pointer[metrics.Counter]
 
-	bufs, slabs, bSlabs sync.Pool // *packBuf[T], *[]T (behind keep), *pack.BOf[T]
+	bufs, slabs, bSlabs sync.Pool // *packBuf[T], *[]T (behind keep), *bSlab[T]
 	keep                chan any  // *[]T; see prepackPut
 }
 
@@ -273,10 +264,12 @@ func prepackTake[T matrix.Float](n int) *[]T {
 	return s
 }
 
-// PrepackedA is alpha·A packed once into the tile layout (one K-block).
+// PrepackedA is alpha·A packed once into the tile layout: one packed
+// block per K-block of GemmPacked's schedule, all in one slab.
 type PrepackedA[T matrix.Float] struct {
-	pa   pack.AOf[T]
-	slab *[]T
+	m, k   int
+	blocks []pack.AOf[T]
+	slab   *[]T
 }
 
 // Release recycles the packed buffer. Optional (an unreleased operand is
@@ -285,100 +278,103 @@ type PrepackedA[T matrix.Float] struct {
 func (a *PrepackedA[T]) Release() {
 	if a != nil && a.slab != nil {
 		prepackPut(a.slab)
-		a.slab, a.pa.Data = nil, nil
+		a.slab, a.blocks = nil, nil
 	}
 }
 
-// Packed returns a's tiles for a caller that schedules the micro-kernel
-// over them itself (the offload engine); a keeps owning them.
-func (a *PrepackedA[T]) Packed() *pack.AOf[T] { return &a.pa }
+// Blocks returns a's packed K-blocks, in order, for a caller that
+// schedules the micro-kernel over them itself (the offload engine); a
+// keeps owning them.
+func (a *PrepackedA[T]) Blocks() []pack.AOf[T] { return a.blocks }
 
-// PrepackA packs alpha·a (no transpose). Returns nil when a spans more
-// than one K-block (k > packKC) — callers fall back to GemmPacked,
-// which blocks over k itself.
+// PrepackA packs alpha·a (no transpose).
 func PrepackA[T matrix.Float](a *matrix.Of[T], alpha T) *PrepackedA[T] {
 	m, k := a.Rows, a.Cols
-	if k > packKC {
-		return nil
-	}
 	tileM := pack.DefaultTileMOf[T]()
-	aTiles := (m + tileM - 1) / tileM
-	slab := prepackTake[T](aTiles * tileM * k)
-	p := &PrepackedA[T]{pa: pack.AOf[T]{M: m, K: k, TileM: tileM, Data: *slab}, slab: slab}
-	for t := 0; t < aTiles; t++ {
-		pack.PackATileOp(&p.pa, a, false, alpha, 0, t)
+	rows := (m + tileM - 1) / tileM * tileM
+	slab := prepackTake[T](rows * k)
+	p := &PrepackedA[T]{m: m, k: k, slab: slab, blocks: make([]pack.AOf[T], 0, (k+packKC-1)/packKC)}
+	for k0 := 0; k0 < k; k0 += packKC {
+		kb := min(packKC, k-k0)
+		p.blocks = append(p.blocks, pack.AOf[T]{M: m, K: kb, TileM: tileM, Data: (*slab)[rows*k0 : rows*(k0+kb)]})
+		blk := &p.blocks[len(p.blocks)-1]
+		for t := range blk.Tiles() {
+			pack.PackATileOp(blk, a, false, alpha, k0, t)
+		}
 	}
 	state[T]().bytes.Load().Add(sizeOf[T]() * int64(len(*slab)))
 	return p
 }
 
-// PrepackedB is B packed once into the tile layout (one K-block).
+// PrepackedB is B packed once into the tile layout, one packed block per
+// K-block; its storage is recycled through perType.bSlabs.
 type PrepackedB[T matrix.Float] struct {
-	pb *pack.BOf[T]
+	k, n int
+	s    *bSlab[T]
+}
+
+// bSlab is what PrepackB draws from its pool: the packed data and the
+// block headers over it, both reused by the next operand.
+type bSlab[T matrix.Float] struct {
+	data   []T
+	blocks []pack.BOf[T]
 }
 
 // Release recycles the packed buffer; see (*PrepackedA).Release.
 func (b *PrepackedB[T]) Release() {
-	if b != nil && b.pb != nil {
-		state[T]().bSlabs.Put(b.pb)
-		b.pb = nil
+	if b != nil && b.s != nil {
+		state[T]().bSlabs.Put(b.s)
+		b.s = nil
 	}
 }
 
-// Packed returns b's tiles; see (*PrepackedA).Packed.
-func (b *PrepackedB[T]) Packed() *pack.BOf[T] { return b.pb }
+// Blocks returns b's packed K-blocks; see (*PrepackedA).Blocks.
+func (b *PrepackedB[T]) Blocks() []pack.BOf[T] { return b.s.blocks }
 
-// PrepackB packs b (no transpose). Returns nil when b spans more than
-// one K-block (k > packKC).
+// PrepackB packs b (no transpose).
 func PrepackB[T matrix.Float](b *matrix.Of[T]) *PrepackedB[T] {
 	k, n := b.Rows, b.Cols
-	if k > packKC {
-		return nil
-	}
 	// B operands get a pool of their own because they are small where A
 	// operands are tall: in one shared pool every 32 KiB U block would
 	// sooner or later sit in a slab grown for a megabyte L panel.
 	st := state[T]()
 	tileN := pack.TileNOf[T]()
-	bTiles := (n + tileN - 1) / tileN
-	size := bTiles * k * tileN
-	pb := pooled[pack.BOf[T]](&st.bSlabs)
-	if cap(pb.Data) < size {
-		pb.Data = make([]T, size)
+	cols := (n + tileN - 1) / tileN * tileN
+	s := pooled[bSlab[T]](&st.bSlabs)
+	if cap(s.data) < cols*k {
+		s.data = make([]T, cols*k)
 	}
-	pb.K, pb.N, pb.Data = k, n, pb.Data[:size]
-	for t := 0; t < bTiles; t++ {
-		pack.PackBTileOp(pb, b, false, 0, t)
+	s.data, s.blocks = s.data[:cols*k], s.blocks[:0]
+	for k0 := 0; k0 < k; k0 += packKC {
+		kb := min(packKC, k-k0)
+		s.blocks = append(s.blocks, pack.BOf[T]{K: kb, N: n, Data: s.data[cols*k0 : cols*(k0+kb)]})
+		blk := &s.blocks[len(s.blocks)-1]
+		for t := range blk.Tiles() {
+			pack.PackBTileOp(blk, b, false, k0, t)
+		}
 	}
-	st.bytes.Load().Add(sizeOf[T]() * int64(size))
-	return &PrepackedB[T]{pb: pb}
+	st.bytes.Load().Add(sizeOf[T]() * int64(len(s.data)))
+	return &PrepackedB[T]{k: k, n: n, s: s}
 }
 
 // GemmPrepacked computes C += (alpha·A)·B from prepacked operands (the
-// alpha was folded into the A tiles at pack time; beta is fixed at 1).
-// The tile grid and micro-kernel invocations are exactly GemmPacked's
-// single-K-block schedule, so the result is bitwise identical to
+// alpha was folded into the A tiles at pack time; beta is fixed at 1):
+// pack.Gemm over each K-block in order, exactly GemmPacked's schedule, so
+// the result is bitwise identical to
 // GemmPacked(false, false, alpha, a, b, 1, c, workers).
 func GemmPrepacked[T matrix.Float](a *PrepackedA[T], b *PrepackedB[T], c *matrix.Of[T], workers int) {
-	pa, pb := &a.pa, b.pb
-	if pa.K != pb.K || c.Rows != pa.M || c.Cols != pb.N {
+	if a.k != b.k || c.Rows != a.m || c.Cols != b.n {
 		panic("blas: GemmPrepacked dimension mismatch")
 	}
-	if pa.M == 0 || pb.N == 0 || pa.K == 0 {
+	if a.m == 0 || b.n == 0 || a.k == 0 {
 		return
 	}
 	st := state[T]()
 	st.calls.Load().Inc()
-	st.flops.Load().Add(2 * int64(pa.M) * int64(pb.N) * int64(pa.K))
-	tileN := pack.TileNOf[T]()
-	aTiles, bTiles := pa.Tiles(), pb.Tiles()
-	pool.Do(aTiles*bTiles, workers, func(j int) {
-		ta, tb := j/bTiles, j%bTiles
-		rows := pa.TileRows(ta)
-		cols := pb.TileCols(tb)
-		off := ta*pa.TileM*c.Stride + tb*tileN
-		pack.Kernel(pa.Tile(ta), pa.TileM, pa.K, pb.Tile(tb), c.Data[off:], c.Stride, rows, cols)
-	})
+	st.flops.Load().Add(2 * int64(a.m) * int64(b.n) * int64(a.k))
+	for i := range a.blocks {
+		pack.Gemm(&a.blocks[i], &b.s.blocks[i], c, workers)
+	}
 }
 
 // scaleRows applies C *= beta row-wise (beta==0 stores exact zeros,

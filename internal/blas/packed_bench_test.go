@@ -7,8 +7,8 @@ import (
 	"phihpl/internal/matrix"
 )
 
-// Benchmarks comparing the packed-tile fast path against the row-split
-// reference at the sizes the LU drivers hit. Run with
+// Benchmarks of the packed-tile GEMM at the sizes the LU drivers hit. Run
+// with
 //
 //	go test ./internal/blas -bench 'Dgemm|RankK' -benchmem
 //
@@ -26,16 +26,6 @@ func benchGemm(b *testing.B, n int, f func(a, x, c *matrix.Dense)) {
 	}
 	flops := 2 * float64(n) * float64(n) * float64(n)
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-}
-
-func BenchmarkDgemmParallel(b *testing.B) {
-	for _, n := range []int{128, 256, 512} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			benchGemm(b, n, func(a, x, c *matrix.Dense) {
-				DgemmParallel(false, false, -1, a, x, 1, c, 4)
-			})
-		})
-	}
 }
 
 func BenchmarkDgemmPacked(b *testing.B) {
@@ -68,22 +58,4 @@ func BenchmarkRankKUpdate(b *testing.B) {
 			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 		})
 	}
-}
-
-// BenchmarkRankKUpdateReference pins the seed-era path (packing disabled)
-// on the same shape, so the crossover win is visible in one run.
-func BenchmarkRankKUpdateReference(b *testing.B) {
-	s := struct{ m, n, k int }{512, 512, 64}
-	l := matrix.RandomGeneral(s.m, s.k, 1)
-	u := matrix.RandomGeneral(s.k, s.n, 2)
-	c := matrix.NewDense(s.m, s.n)
-	saved := PackedMinK
-	PackedMinK = 1 << 30
-	defer func() { PackedMinK = saved }()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RankKUpdate(l, u, c, 4)
-	}
-	flops := 2 * float64(s.m) * float64(s.n) * float64(s.k)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
 }

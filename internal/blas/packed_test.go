@@ -179,26 +179,41 @@ func TestDgemmPackedWorkerAndPartitionInvariance(t *testing.T) {
 	}
 }
 
-// TestRankKUpdateCrossover verifies the k-only routing: deep updates land
-// bitwise on the packed path, thin ones bitwise on the reference loop.
-func TestRankKUpdateCrossover(t *testing.T) {
-	m, n := 50, 34
-	for _, k := range []int{PackedMinK - 1, PackedMinK, PackedMinK + 5} {
-		a := matrix.RandomGeneral(m, k, uint64(k))
-		b := matrix.RandomGeneral(k, n, uint64(k)+1)
-		c0 := matrix.RandomGeneral(m, n, 9)
+// TestRankKUpdateIsPackedGemmBitwise pins the one update route in both
+// precisions: RankKUpdate, GemmPacked(−1, β = 1) and a PrepackA /
+// PrepackB / GemmPrepacked round agree bit for bit at every depth — thin,
+// at either side of one K-block and over several — on ragged m and n,
+// with the prepacked operands reused for a second product.
+func TestRankKUpdateIsPackedGemmBitwise(t *testing.T) {
+	t.Run("float64", testRankKUpdateIsPackedGemm[float64])
+	t.Run("float32", testRankKUpdateIsPackedGemm[float32])
+}
 
-		got := c0.Clone()
-		RankKUpdate(a, b, got, 3)
+func testRankKUpdateIsPackedGemm[T matrix.Float](t *testing.T) {
+	for _, k := range []int{1, 2, 7, 15, 16, 31, packKC, packKC + 1, 2*packKC + 5} {
+		for _, sh := range []struct{ m, n int }{{1, 1}, {29, 7}, {61, 33}} {
+			a := rnd[T](sh.m, k, uint64(k))
+			b := rnd[T](k, sh.n, uint64(k)+1)
+			c0 := rnd[T](sh.m, sh.n, 9)
 
-		want := c0.Clone()
-		if k >= PackedMinK {
-			DgemmPacked(false, false, -1, a, b, 1, want, 3)
-		} else {
-			DgemmParallel(false, false, -1, a, b, 1, want, 3)
-		}
-		if !matrix.Equal(got, want) {
-			t.Fatalf("k=%d: RankKUpdate did not match its designated path bitwise", k)
+			want := c0.Clone()
+			GemmPacked(false, false, -1, a, b, 1, want, 3)
+			got := c0.Clone()
+			RankKUpdate(a, b, got, 3)
+			if !matrix.Equal(got, want) {
+				t.Fatalf("k=%d %dx%d: RankKUpdate is not GemmPacked(−1, β = 1) bit for bit", k, sh.m, sh.n)
+			}
+
+			pa, pb := PrepackA(a, -1), PrepackB(b)
+			for _, workers := range []int{1, 2} {
+				pre := c0.Clone()
+				GemmPrepacked(pa, pb, pre, workers)
+				if !matrix.Equal(pre, want) {
+					t.Fatalf("k=%d %dx%d w=%d: GemmPrepacked is not GemmPacked bit for bit", k, sh.m, sh.n, workers)
+				}
+			}
+			pa.Release()
+			pb.Release()
 		}
 	}
 }
@@ -207,17 +222,16 @@ func TestRankKUpdateCrossover(t *testing.T) {
 // aip == 0 early-continue: a zero row of A times a NaN/Inf column of B
 // must produce NaN (0·NaN = NaN, 0·Inf = NaN) on every path.
 func TestGemmNaNInfPropagation(t *testing.T) {
-	m, n, k := 35, 10, PackedMinK+4
+	m, n, k := 35, 10, 20
 	a := matrix.NewDense(m, k) // identically zero
 	b := matrix.RandomGeneral(k, n, 5)
 	b.Set(3, 4, math.NaN())
 	b.Set(5, 1, math.Inf(1))
 
 	run := map[string]func(c *matrix.Dense){
-		"Dgemm":         func(c *matrix.Dense) { Dgemm(false, false, 1, a, b, 0, c) },
-		"DgemmParallel": func(c *matrix.Dense) { DgemmParallel(false, false, 1, a, b, 0, c, 4) },
-		"DgemmPacked":   func(c *matrix.Dense) { DgemmPacked(false, false, 1, a, b, 0, c, 4) },
-		"RankKUpdate":   func(c *matrix.Dense) { RankKUpdate(a, b, c, 4) },
+		"Dgemm":       func(c *matrix.Dense) { Dgemm(false, false, 1, a, b, 0, c) },
+		"DgemmPacked": func(c *matrix.Dense) { DgemmPacked(false, false, 1, a, b, 0, c, 4) },
+		"RankKUpdate": func(c *matrix.Dense) { RankKUpdate(a, b, c, 4) },
 	}
 	for name, f := range run {
 		c := matrix.NewDense(m, n)
@@ -265,7 +279,7 @@ func TestDgemmPackedQuickReturnSemantics(t *testing.T) {
 
 // TestDgemmPackedSteadyStateNoGoroutineSpawn: after warm-up, repeated
 // fast-path calls must not grow the goroutine count — the worker pool is
-// persistent, unlike DgemmParallel's per-call spawning.
+// persistent, nothing spawns per call.
 func TestDgemmPackedSteadyStateNoGoroutineSpawn(t *testing.T) {
 	a := matrix.RandomGeneral(64, 48, 1)
 	b := matrix.RandomGeneral(48, 40, 2)
@@ -296,9 +310,9 @@ func TestDgemmPackedDimensionPanics(t *testing.T) {
 
 // GemmPrepacked's pack-once-reuse must be bitwise the per-call
 // DgemmPacked result — the contract that lets the 2D HPL driver share
-// packed operands across a block row/column — for every shape in the
-// single-K-block regime, including ragged tiles, and independent of how
-// many calls reuse the same prepacked operand.
+// packed operands across a block row/column — for every shape, ragged
+// tiles and a second K-block included, and independent of how many calls
+// reuse the same prepacked operand.
 func TestGemmPrepackedBitwiseMatchesDgemmPacked(t *testing.T) {
 	for _, sh := range []struct{ m, n, k int }{
 		{30, 8, 16},  // exactly one tile
@@ -306,6 +320,7 @@ func TestGemmPrepackedBitwiseMatchesDgemmPacked(t *testing.T) {
 		{31, 9, 17},  // ragged everything
 		{1, 1, 16},
 		{95, 23, 384}, // k at the K-block boundary
+		{95, 23, 389}, // one row of B past it: two K-blocks
 	} {
 		a := matrix.RandomGeneral(sh.m, sh.k, 11)
 		b := matrix.RandomGeneral(sh.k, sh.n, 12)
@@ -316,9 +331,6 @@ func TestGemmPrepackedBitwiseMatchesDgemmPacked(t *testing.T) {
 
 		pa := PrepackA(a, -1)
 		pb := PrepackB(b)
-		if pa == nil || pb == nil {
-			t.Fatalf("%+v: prepack refused a single-K-block shape", sh)
-		}
 		// Reuse both operands twice: second use must still be bitwise.
 		scratch := matrix.NewDense(sh.m, sh.n)
 		GemmPrepacked(pa, pb, scratch, 1)
@@ -335,16 +347,8 @@ func TestGemmPrepackedBitwiseMatchesDgemmPacked(t *testing.T) {
 	}
 }
 
-// Prepacking refuses multi-K-block operands (the caller falls back to
-// DgemmPacked, which blocks over k itself), mismatched shapes panic, and
-// Release is safe on nil and after use.
+// Mismatched shapes panic, and Release is safe on nil and after use.
 func TestGemmPrepackedGuards(t *testing.T) {
-	if pa := PrepackA(matrix.RandomGeneral(8, 385, 1), -1); pa != nil {
-		t.Error("PrepackA must refuse k > one K-block")
-	}
-	if pb := PrepackB(matrix.RandomGeneral(385, 8, 1)); pb != nil {
-		t.Error("PrepackB must refuse k > one K-block")
-	}
 	var nilA *PrepackedA[float64]
 	var nilB *PrepackedB[float64]
 	nilA.Release()

@@ -64,9 +64,9 @@ func clampNB(n int) int {
 
 // Grid is one grid solve: the seeded system of order N, the block size NB
 // (out of [1, N] it takes min(64, N)), the P×Q process grid, the stage
-// schedule and the precision. Offload runs every packed trailing update
-// on the offload work-stealing engine, in either precision; updates the
-// plain grid sends through RankKUpdate take that route here too. A
+// schedule and the precision. Offload runs every trailing update on the
+// offload work-stealing engine, one engine run per K-block of the
+// stage's packed L, in either precision. A
 // non-nil FT runs the fault-tolerant restart loop, an FP64 grid without
 // offload; the facade's Spec.Validate refuses the combinations it cannot
 // honour.

@@ -468,20 +468,22 @@ func (f *ftGrid) chkSolveAndBcast(k int) error {
 
 // updateChecksums applies the trailing update to the checksum columns:
 // C -= L21·CU over every owned row below block row k, the same update
-// every data column receives. The factored column's contribution cancels
-// exactly, so the invariant C(I) = Σ_{J≥k+1} A(I,J)·S_J holds at the next
-// super-step.
+// every data column receives, on the stage's packed L21. The factored
+// column's contribution cancels exactly, so the invariant
+// C(I) = Σ_{J≥k+1} A(I,J)·S_J holds at the next super-step.
 func (f *ftGrid) updateChecksums(k int) error {
 	from := f.rowsFrom(k + 1)
 	if f.q != f.cq || from == f.mloc {
 		return nil
 	}
-	l := f.stageL21
-	if l == nil {
+	if f.packedL == nil {
 		return fmt.Errorf("hpl: rank (%d,%d) missing stage-%d L21 for the checksum update", f.p, f.q, k)
 	}
-	blas.RankKUpdate(l, f.cu1, f.chk1.View(from, 0, f.mloc-from, f.nb), 1)
-	blas.RankKUpdate(l, f.cu2, f.chk2.View(from, 0, f.mloc-from, f.nb), 1)
+	for _, cu := range []struct{ u, chk *matrix.Dense }{{f.cu1, f.chk1}, {f.cu2, f.chk2}} {
+		pu := blas.PrepackB(cu.u)
+		blas.GemmPrepacked(f.packedL, pu, cu.chk.View(from, 0, f.mloc-from, f.nb), 1)
+		pu.Release()
+	}
 	return nil
 }
 

@@ -447,8 +447,8 @@ func (g *grid2d[T]) recvL(k int) error {
 		top = w
 	}
 	g.stageL21 = l.View(top, 0, l.Rows-top, w)
-	if g.stageL21.Rows > 0 && w >= blas.PackedMinK {
-		g.packedL = blas.PrepackA(g.stageL21, -1) // nil beyond one K-block
+	if g.stageL21.Rows > 0 {
+		g.packedL = blas.PrepackA(g.stageL21, -1)
 	}
 	return nil
 }
@@ -496,10 +496,9 @@ func (g *grid2d[T]) solveUColumn(k, j int) (*matrix.Of[T], error) {
 // over every owned row below block row k: one GEMM on one view, whose
 // packed path reuses the stage's packed L21 and packs U here, on the
 // protocol goroutine. ok is false when this rank owns no such rows.
-// The packed gate depends on k alone — the crossover RankKUpdate applies
-// — and by the k-only contract of the packed GEMM the rows and columns
-// of one call round exactly as the sequential algorithm's, however the
-// update is tiled.
+// By the k-only contract of the packed GEMM the rows and columns of one
+// call round exactly as the sequential algorithm's, however the update
+// is tiled.
 func (g *grid2d[T]) updateJob(k, j int, u *matrix.Of[T]) (job pipeJob[T], ok bool) {
 	from := g.rowsFrom(k + 1)
 	if from == g.mloc {
@@ -508,14 +507,12 @@ func (g *grid2d[T]) updateJob(k, j int, u *matrix.Of[T]) (job pipeJob[T], ok boo
 	job = pipeJob[T]{
 		ctx:     g.ctxOrBG(),
 		c:       g.colView(j, from),
-		l:       g.stageL21,
-		u:       u,
 		pl:      g.packedL,
 		offload: g.offloadUpdates,
 		rec:     g.rec,
 		iter:    k,
 	}
-	if g.packedL != nil && u != nil {
+	if u != nil {
 		job.pu = blas.PrepackB(u)
 	}
 	return job, true
@@ -700,9 +697,8 @@ func (s *stageSwap[T]) apply(g *grid2d[T], jb int) {
 type pipeJob[T matrix.Float] struct {
 	ctx     context.Context
 	c       *matrix.Of[T]       // the column's owned rows below the panel
-	l, u    *matrix.Of[T]       // the stage's L21 and the column's U12
-	pl      *blas.PrepackedA[T] // the stage's packed −L21 (nil: reference path)
-	pu      *blas.PrepackedB[T] // the column's packed U, private to the job
+	pl      *blas.PrepackedA[T] // the stage's packed −L21
+	pu      *blas.PrepackedB[T] // the column's packed U12, private to the job
 	offload bool                // run the packed update on the offload engine
 	rec     *trace.Recorder
 	lane    int
@@ -713,27 +709,27 @@ type pipeJob[T matrix.Float] struct {
 // run applies the job's update: one prepacked GEMM over the whole column
 // with every pool worker — native's update of one panel
 // (lu.updatePanel) — or the same packed operands on the offload engine,
-// or, below the packed crossover or beyond one K-block, one RankKUpdate.
-// The engine makes the prepacked GEMM's micro-kernel calls, so all three
-// round as the sequential algorithm does.
+// one engine run per K-block. The engine makes the prepacked GEMM's
+// micro-kernel calls, so both round as the sequential algorithm does.
 func (job *pipeJob[T]) run() error {
-	if job.l == nil || job.u == nil {
+	if job.pl == nil || job.pu == nil {
 		return fmt.Errorf("hpl: trailing update missing operands (stage %d)", job.iter)
 	}
-	switch {
-	case job.pu != nil && job.offload:
-		// Tiles sized for a card+host split of one nb×nb block (the packed
-		// L's depth is the panel's nb), so a column splits into the tiles
-		// its blocks did.
-		a, b := job.pl.Packed(), job.pu.Packed()
-		_, err := offload.ComputePacked(job.ctx, a, b, job.c, offload.RealConfig{
+	if !job.offload {
+		blas.GemmPrepacked(job.pl, job.pu, job.c, pool.Size())
+		return nil
+	}
+	bs := job.pu.Blocks()
+	for i, a := range job.pl.Blocks() {
+		// Tiles sized for a card+host split of one nb×nb block (a
+		// K-block's depth is the panel's nb up to packKC), so a column
+		// splits into the tiles its blocks did.
+		_, err := offload.ComputePacked(job.ctx, &a, &bs[i], job.c, offload.RealConfig{
 			Mt: a.K/2 + 1, Nt: job.c.Cols/2 + 1, CardWorkers: 1, HostWorkers: 1,
 		})
-		return err
-	case job.pu != nil:
-		blas.GemmPrepacked(job.pl, job.pu, job.c, pool.Size())
-	default:
-		blas.RankKUpdate(job.l, job.u, job.c, pool.Size())
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

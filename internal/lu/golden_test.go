@@ -3,7 +3,6 @@ package lu
 import (
 	"testing"
 
-	"phihpl/internal/blas"
 	"phihpl/internal/matrix"
 )
 
@@ -25,12 +24,13 @@ var goldenCases = []struct {
 }
 
 // TestGoldenResidualRegression solves each golden system with all three
-// drivers through the packed fast path (RankKUpdate routes the trailing
-// updates through DgemmPacked at these panel depths), asserts the HPL
-// verdict against the reference table, and then re-solves on the seed-era
-// reference path (packing disabled) to confirm the two paths agree on the
-// verdict — the packed path must not change whether HPL passes.
+// drivers through the packed GEMM, asserts the HPL verdict against the
+// reference table, and then re-solves with Sequential at NB = n — one
+// unblocked Getf2 over the whole matrix, no GEMM at all — to confirm the
+// two agree on the verdict: the packed path must not change whether HPL
+// passes.
 func TestGoldenResidualRegression(t *testing.T) {
+	t.Parallel()
 	for _, g := range goldenCases {
 		a, b := matrix.RandomSystem(g.n, uint64(g.n))
 		opts := Options{NB: g.nb, Workers: 4}
@@ -50,12 +50,8 @@ func TestGoldenResidualRegression(t *testing.T) {
 			}
 		}
 
-		// Reference path: force every RankKUpdate onto the plain row-split
-		// loop, exactly the seed behavior, and require the same verdict.
-		saved := blas.PackedMinK
-		blas.PackedMinK = 1 << 30
-		xRef, resRef, err := Solve(a, b, opts, Sequential)
-		blas.PackedMinK = saved
+		// Reference path: the unblocked factorization, and the same verdict.
+		xRef, resRef, err := Solve(a, b, Options{NB: g.n}, Sequential)
 		if err != nil {
 			t.Fatalf("n=%d reference path: %v", g.n, err)
 		}

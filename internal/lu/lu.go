@@ -95,11 +95,10 @@ type state struct {
 	// l21[s] is −L21 of stage s in packed-tile form: packed once, by
 	// factorPanel(s), and read by every updatePanel(s, ·), instead of
 	// each of those np−1−s updates re-packing the same block. It is nil
-	// when the stage's updates take RankKUpdate's own route (panel
-	// narrower than blas.PackedMinK or deeper than one K-block) or there
-	// is nothing below the panel. left[s] counts the stage's updates
-	// still to run; the one that brings it to zero releases the slab, so
-	// a solve holds one slab per stage in flight, not one per stage.
+	// when there is nothing below the panel. left[s] counts the stage's
+	// updates still to run; the one that brings it to zero releases the
+	// slab, so a solve holds one slab per stage in flight, not one per
+	// stage.
 	l21  []*blas.PrepackedA[float64]
 	left []atomic.Int32
 }
@@ -143,14 +142,10 @@ func (st *state) factorPanel(p int) error {
 	err := blas.Dgetf2(panel, st.piv[p])
 	// L21 is final from here on (the swaps later stages owe it are
 	// deferred to finishLeftSwaps), so pack it for the stage's updates.
-	// The gate is RankKUpdate's own, on k alone: a stage that would not
-	// have taken the packed path there does not take it here either.
-	if hi < st.n && w >= blas.PackedMinK {
-		if pa := blas.PrepackA(st.a.View(hi, lo, st.n-hi, w), -1); pa != nil {
-			st.l21[p] = pa
-			if h := testHookL21; h != nil {
-				h(p, +1)
-			}
+	if hi < st.n {
+		st.l21[p] = blas.PrepackA(st.a.View(hi, lo, st.n-hi, w), -1)
+		if h := testHookL21; h != nil {
+			h(p, +1)
 		}
 	}
 	// Panel columns are matrix-local: rebase a singular report to the
@@ -211,18 +206,12 @@ func (st *state) updatePanel(s, p, workers int) {
 	blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, l11, u12)
 	// DGEMM: trailing block of this panel. With the stage's L21 already
 	// packed only U12 is packed here; GemmPrepacked then runs exactly the
-	// single-K-block tile schedule of the DgemmPacked call RankKUpdate
-	// would have made, so the two routes — and blas.Dgetrf, which always
-	// takes RankKUpdate — agree bit for bit.
+	// K-block schedule of the DgemmPacked call RankKUpdate would have
+	// made, so this route and blas.Dgetrf's agree bit for bit.
 	if sHi < st.n {
-		tail := st.a.View(sHi, pLo, st.n-sHi, pw)
-		if pa := st.l21[s]; pa != nil {
-			pb := blas.PrepackB(u12)
-			blas.GemmPrepacked(pa, pb, tail, workers)
-			pb.Release()
-		} else {
-			blas.RankKUpdate(st.a.View(sHi, sLo, st.n-sHi, sw), u12, tail, workers)
-		}
+		pb := blas.PrepackB(u12)
+		blas.GemmPrepacked(st.l21[s], pb, st.a.View(sHi, pLo, st.n-sHi, pw), workers)
+		pb.Release()
 	}
 	if st.left[s].Add(-1) == 0 {
 		st.releaseL21(s)

@@ -15,9 +15,9 @@ import (
 
 // Every stage packs −L21 once and every update of the stage multiplies by
 // that copy. blas.Dgetrf (Sequential) never does — it re-packs per call
-// through RankKUpdate — so agreeing with it bit for bit, at every shape
-// that switches the route, is the proof that sharing the packed panel
-// changed no rounding anywhere.
+// through RankKUpdate — so agreeing with it bit for bit, on thin panels,
+// ragged ones and panels deeper than one K-block, is the proof that
+// sharing the packed panel changed no rounding anywhere.
 func TestSharedPrepackMatchesSequentialBitwise(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	shapes := []struct {
@@ -26,9 +26,9 @@ func TestSharedPrepackMatchesSequentialBitwise(t *testing.T) {
 	}{
 		{"n not a multiple of NB", 100, 32},
 		{"NB > n (one panel, no update)", 48, 64},
-		{"ragged last panel narrower than PackedMinK", 70, 32},
-		{"every stage below PackedMinK (RankKUpdate's thin route)", 60, 8},
-		{"NB > packKC (PrepackA declines, RankKUpdate blocks over k)", 500, 400},
+		{"ragged last panel 6 wide", 70, 32},
+		{"every panel 8 wide", 60, 8},
+		{"NB > packKC (two K-blocks per stage)", 500, 400},
 	}
 	for _, s := range shapes {
 		ref := matrix.RandomGeneral(s.n, s.n, uint64(s.n*s.nb))

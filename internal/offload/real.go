@@ -219,8 +219,8 @@ func ComputeCtx(ctx context.Context, a, b, c *matrix.Dense, cfg RealConfig) (Sta
 // ComputePacked is ComputeCtx on operands already packed, in either
 // precision: C += A·B with each engine tile a block of whole micro-tiles
 // of a and b. A tile's C elements get exactly the pack.Kernel calls that
-// pack.Gemm (and, for single-K-block operands, blas.GemmPrepacked) makes
-// for them, so the result is bitwise theirs.
+// pack.Gemm makes for them — and so blas.GemmPrepacked for each K-block
+// — so the result is bitwise theirs.
 func ComputePacked[T matrix.Float](ctx context.Context, a *pack.AOf[T], b *pack.BOf[T], c *matrix.Of[T], cfg RealConfig) (Stats, error) {
 	if a.K != b.K || c.Rows != a.M || c.Cols != b.N {
 		panic("offload: Compute dimension mismatch")

@@ -23,9 +23,9 @@ package pack
 
 import (
 	"os"
-	"sync"
 
 	"phihpl/internal/matrix"
+	"phihpl/internal/pool"
 )
 
 // DefaultTileM is the a-tile height of Basic Kernel 2 (30 rows blocked in
@@ -322,51 +322,20 @@ func Kernel[T matrix.Float](aTile []T, tileM, k int, bTile, c []T, ldc, rows, co
 }
 
 // Gemm computes c += a·b from packed operands using the micro-kernel, with
-// the (aTile, bTile) grid distributed across workers. It is the functional
-// model of the paper's native DGEMM and SGEMM: packing plus a grid of
-// TileM×TileN register-blocked outer products.
+// the (aTile, bTile) grid claimed by up to workers participants of the
+// persistent worker pool. It is the functional model of the paper's
+// native DGEMM and SGEMM: packing plus a grid of TileM×TileN
+// register-blocked outer products.
 func Gemm[T matrix.Float](a *AOf[T], b *BOf[T], c *matrix.Of[T], workers int) {
 	if a.K != b.K || c.Rows != a.M || c.Cols != b.N {
 		panic("pack: Gemm dimension mismatch")
 	}
-	type job struct{ ta, tb int }
-	jobs := make([]job, 0, a.Tiles()*b.Tiles())
-	for ta := 0; ta < a.Tiles(); ta++ {
-		for tb := 0; tb < b.Tiles(); tb++ {
-			jobs = append(jobs, job{ta, tb})
-		}
-	}
-	run := func(j job) {
-		rows := a.TileRows(j.ta)
-		cols := b.TileCols(j.tb)
-		off := j.ta*a.TileM*c.Stride + j.tb*TileNOf[T]()
-		Kernel(a.Tile(j.ta), a.TileM, a.K, b.Tile(j.tb), c.Data[off:], c.Stride, rows, cols)
-	}
-	if workers <= 1 || len(jobs) < 2 {
-		for _, j := range jobs {
-			run(j)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan job, len(jobs))
-	for _, j := range jobs {
-		next <- j
-	}
-	close(next)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				run(j)
-			}
-		}()
-	}
-	wg.Wait()
+	bTiles := b.Tiles()
+	pool.Do(a.Tiles()*bTiles, workers, func(j int) {
+		ta, tb := j/bTiles, j%bTiles
+		off := ta*a.TileM*c.Stride + tb*TileNOf[T]()
+		Kernel(a.Tile(ta), a.TileM, a.K, b.Tile(tb), c.Data[off:], c.Stride, a.TileRows(ta), b.TileCols(tb))
+	})
 }
 
 // PackATileOp packs tile t of the K-block [k0, k0+p.K) of op(src), scaled

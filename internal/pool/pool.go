@@ -1,11 +1,13 @@
 // Package pool provides a persistent, package-level worker pool for the
 // compute kernels. The paper's DGEMM keeps its thread team alive across
 // calls (threads are pinned once at startup and park between outer
-// products); spawning fresh goroutines per DGEMM invocation — as the
-// original DgemmParallel did — costs a scheduler round-trip on every
-// trailing update. Here the workers are started once, on first use, and
-// every parallel region afterwards is a channel send plus an atomic
-// work-stealing counter: zero goroutine creation in the steady state.
+// products); spawning fresh goroutines per DGEMM invocation costs a
+// scheduler round-trip on every trailing update. Here the workers are
+// started once, on first use, and every parallel region afterwards is a
+// channel send plus an atomic work-stealing counter: zero goroutine
+// creation in the steady state. Every GEMM of a rank-k update runs its
+// tile grid here — blas.GemmPacked, blas.GemmPrepacked and pack.Gemm
+// under it — whatever k is.
 //
 // Callers always participate in their own region (the calling goroutine
 // executes jobs alongside the pool), so a saturated pool degrades to
