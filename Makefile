@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-scalar poolsize fuzz smoke examples check clean
+.PHONY: all build test vet race race-scalar poolsize fuzz smoke examples experiments check clean
 
 all: vet test
 
@@ -70,6 +70,11 @@ smoke:
 # walkthrough fails here rather than in a reader's terminal.
 examples:
 	for d in examples/*/; do $(GO) run ./$$d || exit 1; done
+
+# experiments: regenerate every table and figure of the paper (≈ 4 s).
+# A model edit that panics or stops an experiment rendering fails here.
+experiments:
+	$(GO) run ./cmd/kncbench -exp all >/dev/null
 
 # fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
 # scalar oracle (never panic, ulp envelope, no out-of-window writes — the

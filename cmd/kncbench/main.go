@@ -11,36 +11,52 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"phihpl"
 )
 
-func main() {
-	list := flag.Bool("list", false, "list available experiments")
-	exp := flag.String("exp", "", "experiment id (table1, table2, fig4, fig6, fig7, fig9, fig11, table3, all)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command on explicit arguments and streams; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	exps := phihpl.Experiments()
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	fs := flag.NewFlagSet("kncbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list available experiments")
+	exp := fs.String("exp", "", "experiment id ("+strings.Join(ids, ", ")+", all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list || *exp == "" {
-		fmt.Println("available experiments:")
-		for _, e := range phihpl.Experiments() {
-			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
+		fmt.Fprintln(stdout, "available experiments:")
+		for _, e := range exps {
+			fmt.Fprintf(stdout, "  %-8s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 	if *exp == "all" {
-		for _, e := range phihpl.Experiments() {
-			fmt.Printf("=== %s: %s ===\n%s\n", e.ID, e.Title, e.Run())
+		for _, e := range exps {
+			fmt.Fprintf(stdout, "=== %s: %s ===\n%s\n", e.ID, e.Title, e.Run())
 		}
-		return
+		return 0
 	}
 	e := phihpl.FindExperiment(*exp)
 	if e == nil {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *exp)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", *exp)
+		return 2
 	}
-	fmt.Printf("=== %s: %s ===\n%s", e.ID, e.Title, e.Run())
+	fmt.Fprintf(stdout, "=== %s: %s ===\n%s", e.ID, e.Title, e.Run())
+	return 0
 }

@@ -8,7 +8,6 @@ import (
 	"phihpl/internal/machine"
 	"phihpl/internal/offload"
 	"phihpl/internal/perfmodel"
-	"phihpl/internal/simhybrid"
 	"phihpl/internal/simlu"
 	"phihpl/internal/trace"
 )
@@ -142,10 +141,22 @@ func Fig7() string {
 	return b.String()
 }
 
-// Fig8 regenerates Figure 8: the host/card/broadcast lane timelines of the
-// three look-ahead schemes, built by the event-driven pipeline simulator.
+// Fig8 regenerates Figure 8: the host and card lanes of the first three
+// iterations under each look-ahead scheme, drawn from the critical path
+// the hybrid model prices for one node with one card (N = 84000).
 func Fig8() string {
-	return simhybrid.Figure8(84000, 1)
+	var b strings.Builder
+	for _, mode := range []hpl.LookaheadMode{hpl.LookaheadNone, hpl.LookaheadBasic, hpl.LookaheadPipelined} {
+		var full, head trace.Recorder
+		hpl.Simulate(hpl.SimConfig{N: 84000, Cards: 1, Lookahead: mode, Trace: &full})
+		for _, s := range full.Spans() {
+			if s.Iter < 3 {
+				head.Add(s.Worker, s.Name, s.Iter, s.Start, s.End)
+			}
+		}
+		fmt.Fprintf(&b, "look-ahead: %s (lanes: 0=host, 1=card)\n%s\n", mode, head.Gantt(100))
+	}
+	return b.String()
 }
 
 // Fig9 regenerates Figure 9: the per-iteration execution profile of

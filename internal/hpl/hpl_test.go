@@ -221,6 +221,46 @@ func TestFigure9PerIterationTrace(t *testing.T) {
 	}
 }
 
+// The trace is each iteration's critical path laid end to end: no two
+// spans on one lane overlap, iteration i starts where i−1 ends, and the
+// last span ends at the run's Seconds — for every schedule, on one node
+// and on Figure 9's 2x2 grid.
+func TestSimulateTraceIsTimeline(t *testing.T) {
+	for _, cfg := range []SimConfig{
+		{N: 84000, Cards: 1},
+		{N: 168000, P: 2, Q: 2, Cards: 2},
+	} {
+		for _, mode := range []LookaheadMode{LookaheadNone, LookaheadBasic, LookaheadPipelined} {
+			var rec trace.Recorder
+			cfg.Lookahead, cfg.Trace = mode, &rec
+			r := Simulate(cfg)
+			tol := 1e-9 * r.Seconds
+			laneEnd := map[int]float64{}
+			iterStart, iterEnd := map[int]float64{}, map[int]float64{}
+			for _, s := range rec.Spans() {
+				if s.Start < laneEnd[s.Worker]-tol {
+					t.Fatalf("%dx%d %v: lane %d %s of iter %d starts at %g, before the lane frees at %g",
+						r.Config.P, r.Config.Q, mode, s.Worker, s.Name, s.Iter, s.Start, laneEnd[s.Worker])
+				}
+				laneEnd[s.Worker] = s.End
+				if st, ok := iterStart[s.Iter]; !ok || s.Start < st {
+					iterStart[s.Iter] = s.Start
+				}
+				iterEnd[s.Iter] = max(iterEnd[s.Iter], s.End)
+			}
+			for i := 1; i < len(iterStart); i++ {
+				if math.Abs(iterStart[i]-iterEnd[i-1]) > tol {
+					t.Fatalf("%dx%d %v: iter %d starts at %g, iter %d ends at %g",
+						r.Config.P, r.Config.Q, mode, i, iterStart[i], i-1, iterEnd[i-1])
+				}
+			}
+			if end := rec.Makespan(); math.Abs(end-r.Seconds) > tol {
+				t.Errorf("%dx%d %v: last span ends at %g, run takes %g s", r.Config.P, r.Config.Q, mode, end, r.Seconds)
+			}
+		}
+	}
+}
+
 func TestLookaheadOrdering(t *testing.T) {
 	// none < basic < pipelined, always.
 	for _, cards := range []int{1, 2} {

@@ -400,17 +400,11 @@ func (g *grid2d[T]) sendLRoot(k int) error {
 // below k are a suffix of its rows — packed here once for the whole
 // stage. Queued updates of an asynchronous pipeline may read the panel
 // column's L21 in place: the next stage swaps rows of that column only
-// after draining them.
+// after draining them. They read the previous stage's packed L21 too,
+// which stage therefore releases only after that drain.
 func (g *grid2d[T]) recvL(k int) error {
 	rootP, rootQ := g.owner(k, k)
-	g.stageL11, g.stageL21 = nil, nil
-	// The previous stage's packed panel is dead here under an inline
-	// pipeline, so its slab can recycle; with a deferred pipeline queued
-	// jobs may still read it, so it is left to the GC.
-	if !g.pipe.deferred() {
-		g.packedL.Release()
-	}
-	g.packedL = nil
+	g.stageL11, g.stageL21, g.packedL = nil, nil, nil
 	if g.q == rootQ && !g.lSent[k] {
 		if err := g.sendLRoot(k); err != nil {
 			return err
@@ -449,9 +443,17 @@ func (g *grid2d[T]) recvL(k int) error {
 	g.stageL21 = l.View(top, 0, l.Rows-top, w)
 	if g.stageL21.Rows > 0 {
 		g.packedL = blas.PrepackA(g.stageL21, -1)
+		if h := testHookPackedL; h != nil {
+			h(g.me(), +1)
+		}
 	}
 	return nil
 }
+
+// testHookPackedL, when non-nil, observes the life of every rank's
+// per-stage packed L21: delta +1 when recvL packs it, −1 when stage
+// releases it. Set only by tests (before a solve starts).
+var testHookPackedL func(rank, delta int)
 
 // --- tree U broadcast and per-column updates ---------------------------
 
@@ -957,6 +959,7 @@ func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 // when swaps, L and U are complete (checksum blocks are disjoint from
 // data blocks, so queued updates may still be in flight).
 func (g *grid2d[T]) stage(k int) error {
+	prevL := g.packedL
 	piv, err := g.openStage(k)
 	if err != nil {
 		return err
@@ -970,6 +973,13 @@ func (g *grid2d[T]) stage(k int) error {
 	// freeze them before packing.
 	if err := g.pipe.drain(); err != nil {
 		return err
+	}
+	// No queued update of stage k−1 is left to read its packed L21.
+	if prevL != nil {
+		prevL.Release()
+		if h := testHookPackedL; h != nil {
+			h(g.me(), -1)
+		}
 	}
 	ts := g.rec.Start()
 	sw, err := g.swapExchange(k, pairs, order)

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 
 	"phihpl/internal/blas"
 	"phihpl/internal/fault"
 	"phihpl/internal/matrix"
+	"phihpl/internal/pool"
 	"phihpl/internal/testutil"
 )
 
@@ -78,6 +80,45 @@ func TestLookaheadModesHybridAgree(t *testing.T) {
 		}
 		if !slices.Equal(hy.X, plain.X) {
 			t.Errorf("%s: hybrid X differs from the plain grid's", m)
+		}
+	}
+}
+
+// Every rank's per-stage packed L21 goes back to the slab pool once its
+// last reader is done, under every schedule — also under the
+// asynchronous pipeline, whose queued updates read the previous stage's
+// slab until the next stage drains them. A rank holds at most two: the
+// current stage's and, until that drain, the previous one's.
+func TestPackedLReleasedEveryStage(t *testing.T) {
+	defer func() { testHookPackedL = nil }()
+	for _, m := range allModes {
+		var (
+			mu           sync.Mutex
+			held, packed = map[int]int{}, 0
+			peak         int
+		)
+		testHookPackedL = func(rank, delta int) {
+			mu.Lock()
+			defer mu.Unlock()
+			held[rank] += delta
+			peak = max(peak, held[rank])
+			if delta > 0 {
+				packed++
+			}
+		}
+		if _, err := Solve(context.Background(), Grid{N: 96, NB: 8, P: 2, Q: 2, Seed: 3, Lookahead: m}, nil); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if packed == 0 {
+			t.Fatalf("%v: no packed L21 observed; the test checks nothing", m)
+		}
+		for rank, h := range held {
+			if h != 0 {
+				t.Errorf("%v (pool of %d): rank %d finished holding %d packed L21 slabs", m, pool.Size(), rank, h)
+			}
+		}
+		if peak > 2 {
+			t.Errorf("%v: a rank held %d packed L21 slabs at once, want at most 2", m, peak)
 		}
 	}
 }

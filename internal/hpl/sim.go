@@ -26,8 +26,12 @@ type SimConfig struct {
 	// Table III's "no pipeline"); LookaheadPipelined (the zero value)
 	// additionally chunks those three under the update (8c, "pipeline").
 	Lookahead LookaheadMode
-	// Trace receives per-iteration region spans (Figure 9): names
-	// "DGEMM", "swap", "DTRSM", "Ubcast", "panel".
+	// Trace receives each iteration's critical path (Figures 8 and 9),
+	// laid end to end from the iteration's start: the exposed "panel",
+	// "swap", "DTRSM" and "Ubcast" on lane 0 (the host), then "DGEMM" on
+	// lane 1 (the cards). Panel work hidden under the update gets no
+	// span; with FT pricing on, the resilience cost is the gap that
+	// closes each iteration.
 	Trace *trace.Recorder
 	// FTLossRate > 0 prices the fault-tolerance machinery of the real
 	// solver into the projection: expected retransmission traffic at
@@ -182,7 +186,7 @@ func Simulate(cfg SimConfig) SimResult {
 			// Panel of stage i+1 overlaps the update; U broadcast, swap
 			// and DTRSM stay exposed (the ≥13% idle of Figure 9a).
 			exposed = tSwap + tTrsm + tUBcast
-			overlap := maxf(tUpdate, tPanel+tPanelBcast)
+			overlap := max(tUpdate, tPanel+tPanelBcast)
 			panelExposed = overlap - tUpdate
 			iter = exposed + overlap
 		default: // LookaheadPipelined
@@ -195,20 +199,24 @@ func Simulate(cfg SimConfig) SimResult {
 			sum := tSwap + tTrsm + tUBcast
 			pipeOverhead := pipeChunks * pipeChunkOverhead
 			exposed = sum/pipeChunks + pipeOverhead + pipeResidualFrac*sum
-			overlap := maxf(tUpdate, tPanel+tPanelBcast+pipeOverhead)
+			overlap := max(tUpdate, tPanel+tPanelBcast+pipeOverhead)
 			panelExposed = overlap - tUpdate
 			iter = exposed + overlap
 		}
 
 		if cfg.Trace != nil {
-			t0 := total
-			cfg.Trace.Add(0, "DGEMM", i, t0, t0+tUpdate)
-			cfg.Trace.Add(1, "swap", i, t0, t0+swapShare(exposed, tSwap, tTrsm, tUBcast, tSwap))
-			cfg.Trace.Add(1, "DTRSM", i, t0, t0+swapShare(exposed, tSwap, tTrsm, tUBcast, tTrsm))
-			cfg.Trace.Add(1, "Ubcast", i, t0, t0+swapShare(exposed, tSwap, tTrsm, tUBcast, tUBcast))
-			if panelExposed > 0 {
-				cfg.Trace.Add(1, "panel", i, t0, t0+panelExposed)
+			t := total
+			span := func(lane int, name string, d float64) {
+				cfg.Trace.Add(lane, name, i, t, t+d)
+				t += d
 			}
+			if panelExposed > 0 {
+				span(0, "panel", panelExposed)
+			}
+			span(0, "swap", swapShare(exposed, tSwap, tTrsm, tUBcast, tSwap))
+			span(0, "DTRSM", swapShare(exposed, tSwap, tTrsm, tUBcast, tTrsm))
+			span(0, "Ubcast", swapShare(exposed, tSwap, tTrsm, tUBcast, tUBcast))
+			span(1, "DGEMM", tUpdate)
 		}
 
 		if ftOn {
@@ -278,11 +286,4 @@ func simulateCPUOnly(cfg SimConfig, nodes int) SimResult {
 		Eff:          eff,
 		CardIdleFrac: 0,
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

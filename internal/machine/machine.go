@@ -150,21 +150,6 @@ func (n *Node) MemBytes() int64 {
 	return n.Host.DRAMBytes
 }
 
-// Cluster is a P×Q grid of identical nodes.
-type Cluster struct {
-	Node   *Node
-	P, Q   int
-	Fabric Interconnect
-}
-
-// Nodes returns the node count P*Q.
-func (c *Cluster) Nodes() int { return c.P * c.Q }
-
-// PeakDPGFLOPS returns the aggregate cluster peak.
-func (c *Cluster) PeakDPGFLOPS() float64 {
-	return float64(c.Nodes()) * c.Node.PeakDPGFLOPS()
-}
-
 const (
 	kib = 1024
 	mib = 1024 * kib
@@ -238,14 +223,4 @@ func HybridNode(cards int, hostMemGiB int) *Node {
 		n.Cards = append(n.Cards, KnightsCorner())
 	}
 	return n
-}
-
-// NewCluster builds a P×Q cluster of identical hybrid nodes.
-func NewCluster(p, q, cards, hostMemGiB int) *Cluster {
-	return &Cluster{
-		Node:   HybridNode(cards, hostMemGiB),
-		P:      p,
-		Q:      q,
-		Fabric: FDRInfiniband(),
-	}
 }

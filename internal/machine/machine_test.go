@@ -90,16 +90,13 @@ func TestNodePeaks(t *testing.T) {
 }
 
 func TestClusterPeak(t *testing.T) {
-	c := NewCluster(10, 10, 1, 64)
-	if c.Nodes() != 100 {
-		t.Fatalf("nodes = %d, want 100", c.Nodes())
-	}
 	// 100 nodes * ~1.4 TF: Table III reports 107 TFLOPS at 76.1% =>
 	// peak ~140.6 TF.
-	if !near(c.PeakDPGFLOPS()/1000, 140.6, 0.5) {
-		t.Errorf("cluster peak = %.1f TF, want ~140.6", c.PeakDPGFLOPS()/1000)
+	peak := 100 * HybridNode(1, 64).PeakDPGFLOPS()
+	if !near(peak/1000, 140.6, 0.5) {
+		t.Errorf("cluster peak = %.1f TF, want ~140.6", peak/1000)
 	}
-	eff := 107000 / c.PeakDPGFLOPS() * 100
+	eff := 107000 / peak * 100
 	if !near(eff, 76.1, 0.5) {
 		t.Errorf("107 TF => %.1f%%, want ~76.1%%", eff)
 	}

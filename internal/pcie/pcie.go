@@ -8,10 +8,7 @@
 // Kt > 4·P/BW: an output tile's transfer must hide under its compute.
 package pcie
 
-import (
-	"phihpl/internal/machine"
-	"phihpl/internal/sim"
-)
+import "phihpl/internal/machine"
 
 // Direction of a transfer.
 type Direction int
@@ -34,8 +31,8 @@ type Link struct {
 	// same host memory controllers (1.0 = exclusive).
 	Share float64
 
-	h2d sim.Resource
-	d2h sim.Resource
+	// busyUntil is when each direction's DMA engine next frees up.
+	busyUntil [2]float64
 
 	// BytesMoved accumulates total traffic per direction.
 	BytesMoved [2]float64
@@ -71,21 +68,15 @@ func (l *Link) TransferTime(bytes float64) float64 {
 // returns the granted [start, end) interval. Requests in one direction
 // serialize; the two directions are independent.
 func (l *Link) Enqueue(dir Direction, t, bytes float64) (start, end float64) {
-	d := l.TransferTime(bytes)
 	l.BytesMoved[dir] += bytes
-	if dir == HostToDevice {
-		return l.h2d.Reserve(t, d)
-	}
-	return l.d2h.Reserve(t, d)
+	start = max(t, l.busyUntil[dir])
+	end = start + l.TransferTime(bytes)
+	l.busyUntil[dir] = end
+	return start, end
 }
 
 // BusyUntil returns when the given direction's engine frees up.
-func (l *Link) BusyUntil(dir Direction) float64 {
-	if dir == HostToDevice {
-		return l.h2d.BusyUntil
-	}
-	return l.d2h.BusyUntil
-}
+func (l *Link) BusyUntil(dir Direction) float64 { return l.busyUntil[dir] }
 
 // MinKt returns the paper's lower bound on the offload panel depth:
 // Kt > 4·Pdgemm/BW, with Pdgemm in flops/s and the result in columns.

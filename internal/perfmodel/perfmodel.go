@@ -181,35 +181,6 @@ func (m *KNC) SgemmGFLOPS(mDim, nDim, k int) float64 {
 	return m.SgemmEff(mDim, nDim, k) * m.Arch.ComputePeakSPGFLOPS()
 }
 
-// DgemmTime returns the seconds to compute an m×n×k DGEMM (packing
-// included) on `cores` Knights Corner cores. Efficiency is evaluated at
-// the given shape; the flop count is the exact 2mnk.
-func (m *KNC) DgemmTime(mDim, nDim, k, cores int) float64 {
-	if mDim <= 0 || nDim <= 0 || k <= 0 || cores <= 0 {
-		return 0
-	}
-	eff := m.DgemmEff(mDim, nDim, k)
-	if eff <= 0 {
-		eff = 1e-3
-	}
-	peak := float64(cores) * m.Arch.ClockGHz * 1e9 * m.Arch.DPFlopsPerCycle()
-	return 2 * float64(mDim) * float64(nDim) * float64(k) / (eff * peak)
-}
-
-// KernelTime is DgemmTime without the packing overhead — the offload
-// DGEMM compute path, where packing happens on the host.
-func (m *KNC) KernelTime(mDim, nDim, k, cores int) float64 {
-	if mDim <= 0 || nDim <= 0 || k <= 0 || cores <= 0 {
-		return 0
-	}
-	eff := m.DgemmKernelEff(mDim, nDim, k)
-	if eff <= 0 {
-		eff = 1e-3
-	}
-	peak := float64(cores) * m.Arch.ClockGHz * 1e9 * m.Arch.DPFlopsPerCycle()
-	return 2 * float64(mDim) * float64(nDim) * float64(k) / (eff * peak)
-}
-
 // Panel factorization model. Panel factorization is latency- and
 // bandwidth-bound (IDAMAX reductions, rank-1 updates on a tall skinny
 // panel); its parallel efficiency saturates quickly with threads. The
@@ -316,26 +287,6 @@ func (s *SNB) DgemmEff(n int) float64 {
 	return e
 }
 
-// DgemmTime returns seconds for an m×n×k MKL DGEMM on `cores` host cores.
-func (s *SNB) DgemmTime(mDim, nDim, k, cores int) float64 {
-	if mDim <= 0 || nDim <= 0 || k <= 0 || cores <= 0 {
-		return 0
-	}
-	minDim := mDim
-	if nDim < minDim {
-		minDim = nDim
-	}
-	if k < minDim {
-		minDim = k
-	}
-	eff := s.DgemmEff(minDim)
-	if eff <= 0 {
-		eff = 1e-3
-	}
-	peak := float64(cores) * s.Arch.ClockGHz * 1e9 * s.Arch.DPFlopsPerCycle()
-	return 2 * float64(mDim) * float64(nDim) * float64(k) / (eff * peak)
-}
-
 // HPLEff returns MKL SMP-Linpack efficiency vs. problem size on one node:
 // 83% at 30K (Figure 6), 86.4% at 84K (Table III, first section).
 func (s *SNB) HPLEff(n int) float64 {
@@ -369,25 +320,6 @@ func (s *SNB) PanelTime(rows, nb, threads int) float64 {
 		rate = 48
 	}
 	return PanelFlops(rows, nb) / (rate * 1e9)
-}
-
-// SwapTime returns host-side row swap time over `cols` columns.
-func (s *SNB) SwapTime(nb, cols int) float64 {
-	if nb <= 0 || cols <= 0 {
-		return 0
-	}
-	bytes := 2 * 8 * float64(nb) * float64(cols)
-	return bytes / (0.5 * s.Arch.StreamBW)
-}
-
-// TrsmTime returns host DTRSM time for the nb×cols U update.
-func (s *SNB) TrsmTime(nb, cols, cores int) float64 {
-	if nb <= 0 || cols <= 0 || cores <= 0 {
-		return 0
-	}
-	flops := float64(nb) * float64(nb) * float64(cols)
-	peak := float64(cores) * s.Arch.ClockGHz * 1e9 * s.Arch.DPFlopsPerCycle()
-	return flops / (0.5 * peak)
 }
 
 // LUFlops returns the standard Linpack flop count 2/3·n³ + 2·n².

@@ -298,7 +298,7 @@ func Static(cfg Config) Result {
 			for _, pt := range []int{4, 8, 16, 32, 64, 120, 180, 236} {
 				pT := m.PanelTime(nextRows, nextW, pt)
 				rT := staticRestTime(m, n, nb, s, rest, cardThreads-pt)
-				if st := maxf(pT, rT); bestStage < 0 || st < bestStage {
+				if st := max(pT, rT); bestStage < 0 || st < bestStage {
 					bestStage, panelT, restT = st, pT, rT
 				}
 			}
@@ -309,14 +309,14 @@ func Static(cfg Config) Result {
 				cfg.Trace.Add(1, "DGEMM", s, start, start+restT)
 			}
 		}
-		stageEnd := start + maxf(panelT, restT)
+		stageEnd := start + max(panelT, restT)
 		// Fork-join imbalance: the static scheme distributes whole-panel
 		// updates to fixed thread teams and joins at a barrier, so each
 		// stage carries a tail of roughly one task granule during which
 		// most threads idle. The granule fraction is 1/(rest+1) of the
 		// stage — large for the small problems of Figure 7a, negligible
 		// for the 30K problem where both schemes meet at 832 GFLOPS.
-		imbalance := (d1 + maxf(panelT, restT)) / float64(rest+1)
+		imbalance := (d1 + max(panelT, restT)) / float64(rest+1)
 		barrier := perfmodel.BarrierTime(cardThreads)
 		if cfg.Trace != nil {
 			cfg.Trace.Add(0, "barrier", s, stageEnd, stageEnd+imbalance+barrier)
@@ -352,18 +352,4 @@ func staticRestTime(m *perfmodel.KNC, n, nb, s, rest, threads int) float64 {
 		}
 	}
 	return total
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

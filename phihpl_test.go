@@ -136,6 +136,21 @@ func TestExperimentOutputs(t *testing.T) {
 	}
 }
 
+// Figure 8 draws one lane chart per look-ahead scheme from the hybrid
+// model's trace.
+func TestFigure8Rendering(t *testing.T) {
+	out := Fig8()
+	for _, w := range []string{"look-ahead: none", "look-ahead: basic", "look-ahead: pipelined",
+		"G=DGEMM", "P=panel"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("figure 8 output missing %q:\n%s", w, out)
+		}
+	}
+	if strings.Count(out, "legend:") != 3 {
+		t.Errorf("figure 8 should draw three charts:\n%s", out)
+	}
+}
+
 func TestTable3Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table3 simulates 15 cluster configurations")
