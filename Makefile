@@ -102,15 +102,16 @@ fuzz:
 # engine and both instantiations of the grid driver (grid2d[float64],
 # grid2d[float32]) and dgemmtool's -verify cross-check run their bitwise
 # suites over the pure-Go kernels; then
-# the numeric packages
-# built with the noasm tag. Both routes are asserted, not assumed:
+# the numeric packages and the facade, whose native solve runs both
+# instantiations of the generic LU drivers, built with the noasm tag.
+# Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
 # reaches assembly. The same leg CI's scalar-oracle job runs.
 race-scalar:
 	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/... ./cmd/dgemmtool
 	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
-	$(GO) test -tags noasm -timeout 10m ./internal/pack/... ./internal/blas/... ./internal/lu/...
+	$(GO) test -tags noasm -timeout 10m . ./internal/pack/... ./internal/blas/... ./internal/lu/...
 
 clean:
 	$(GO) clean ./...

@@ -163,9 +163,9 @@ func BenchmarkRealLU(b *testing.B) {
 		name string
 		f    func(*matrix.Dense, []int, lu.Options) error
 	}{
-		{"sequential", lu.Sequential},
-		{"static", lu.StaticLookahead},
-		{"dynamic", lu.Dynamic},
+		{"sequential", lu.Sequential[float64]},
+		{"static", lu.StaticLookahead[float64]},
+		{"dynamic", lu.Dynamic[float64]},
 	} {
 		b.Run(d.name, func(b *testing.B) {
 			n := 300

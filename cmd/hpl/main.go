@@ -385,11 +385,7 @@ func resultLine(sp phihpl.Spec, faults string, res phihpl.SolveResult) string {
 	var what string
 	switch sp.Mode {
 	case phihpl.ModeNative:
-		sched := "dynamic"
-		if sp.Precision == phihpl.PrecisionMixed {
-			sched = "mixed"
-		}
-		what = fmt.Sprintf("workers=%d sched=%s", sp.Workers, sched)
+		what = fmt.Sprintf("workers=%d sched=dynamic precision=%s", sp.Workers, sp.Precision)
 	case phihpl.ModeFT:
 		what = fmt.Sprintf("grid=%dx%d faults=%q", sp.P, sp.Q, faults)
 	default:

@@ -116,4 +116,9 @@ func TestResultLineRate(t *testing.T) {
 	if want := "N=1000 NB=64 grid=2x2 lookahead=pipelined 0.500s 1.34 GFLOPS"; line != want {
 		t.Errorf("result line %q, want %q", line, want)
 	}
+	// A native line names the scheduler and the precision apart.
+	line = resultLine(phihpl.Spec{Mode: phihpl.ModeNative, N: 1000, NB: 64, Workers: 4, Precision: phihpl.PrecisionMixed}, "", phihpl.SolveResult{Seconds: 0.5})
+	if want := "N=1000 NB=64 workers=4 sched=dynamic precision=mixed 0.500s 1.34 GFLOPS"; line != want {
+		t.Errorf("result line %q, want %q", line, want)
+	}
 }

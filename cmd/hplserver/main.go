@@ -158,20 +158,26 @@ func main() {
 	log.Printf("drained; exiting 0")
 }
 
-// parseWeights parses "a=3,b=1" into a weight map.
+// parseWeights parses "a=3,b=1" into a weight map. Names and weights are
+// trimmed, and a name given twice is refused; server.Open refuses a name
+// no tenant can have.
 func parseWeights(s string) (map[string]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	out := map[string]int{}
 	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
+		k, v, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("tenant-weights: %q is not tenant=weight", part)
 		}
-		w, err := strconv.Atoi(v)
+		k = strings.TrimSpace(k)
+		w, err := strconv.Atoi(strings.TrimSpace(v))
 		if err != nil || w < 1 {
 			return nil, fmt.Errorf("tenant-weights: %q must have a positive integer weight", part)
+		}
+		if _, dup := out[k]; dup {
+			return nil, fmt.Errorf("tenant-weights: tenant %q is given more than once", k)
 		}
 		out[k] = w
 	}

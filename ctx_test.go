@@ -24,6 +24,9 @@ func TestFacadeCtxAlreadyCancelled(t *testing.T) {
 		{"SolveContext", func() (SolveResult, error) {
 			return Run(ctx, Spec{N: 96, NB: 16, Workers: 2, Seed: 1}, nil)
 		}},
+		{"native mixed", func() (SolveResult, error) {
+			return Run(ctx, Spec{N: 96, NB: 16, Workers: 2, Seed: 1, Precision: PrecisionMixed}, nil)
+		}},
 		{"SolveDistributedCtx", func() (SolveResult, error) {
 			return Run(ctx, Spec{Mode: ModeDist2D, N: 64, NB: 16, P: 1, Q: 2, Seed: 1}, nil)
 		}},

@@ -545,25 +545,16 @@ func (g *grid2d[T]) gatherAndSolve(sys matrix.System, results []DistResult, errs
 // (no FT restart is burned: the fallback is a precision decision, not a
 // fault).
 func (g *grid2d[T]) refineRoot(res DistResult, run func(i, j int) []T, firstErr error, sys matrix.System) (DistResult, error) {
-	if firstErr != nil {
-		// Zero/subnormal pivot in FP32 — the matrix may still factor fine
-		// in FP64, so this is a fallback trigger, not a terminal error.
-		res.Refine = &lu.MixedReport{FellBack: true, Reason: lu.FallbackSingular}
-		res.Seconds = g.elapsed()
-		return res, nil
+	// A zero/subnormal pivot in FP32 (firstErr) is a fallback trigger, not
+	// a terminal error: the matrix may still factor fine in FP64.
+	rep := lu.MixedReport{FellBack: true, Reason: lu.FallbackSingular}
+	if firstErr == nil {
+		solve := func(r []float64) []float64 { return blas.LUSolveRuns(g.n, run, g.globalPiv, r) }
+		var err error
+		if res.X, rep, err = lu.RefineMixed(g.ctxOrBG(), sys, solve, g.rec); err != nil {
+			return DistResult{}, err
+		}
 	}
-	solve := func(r []float64) []float64 { return blas.LUSolveRuns(g.n, run, g.globalPiv, r) }
-	x, resid, iters, why, err := lu.RefineMixed(g.ctxOrBG(), sys, solve, g.rec)
-	if err != nil {
-		return DistResult{}, err
-	}
-	res.Seconds = g.elapsed()
-	if why != lu.FallbackNone {
-		res.Refine = &lu.MixedReport{Iterations: iters, FellBack: true, Reason: why}
-		return res, nil
-	}
-	res.X = x
-	res.Residual = resid
-	res.Refine = &lu.MixedReport{Iterations: iters, Residual: resid}
+	res.Residual, res.Refine, res.Seconds = rep.Residual, &rep, g.elapsed()
 	return res, nil
 }

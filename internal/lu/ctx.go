@@ -2,6 +2,7 @@ package lu
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"time"
 
@@ -30,7 +31,7 @@ func protect(worker int, fn func()) (pe *pool.PanicError) {
 // kernels, so a completed SequentialCtx run is bitwise identical to
 // Sequential (and to the concurrent drivers). A panic inside a kernel is
 // returned as a *pool.PanicError.
-func SequentialCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
+func SequentialCtx[T matrix.Float](ctx context.Context, a *matrix.Of[T], piv []int, opts Options) error {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
 	defer st.releaseAll()
@@ -61,26 +62,53 @@ func SequentialCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options
 // is returned and no solution is produced.
 func SolveCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Options,
 	driver func(context.Context, *matrix.Dense, []int, Options) error) (x []float64, residual float64, err error) {
-	x, residual, _, err = SolveInPlace(ctx, a.Clone(), matrix.DenseSystem(a, b), opts, driver)
+	x, residual, _, _, err = SolveInPlace(ctx, a.Clone(), matrix.DenseSystem(a, b), opts, driver)
 	return x, residual, err
 }
 
 // SolveInPlace is the solve core: it factors a, which must hold sys's
-// matrix, in place under ctx with driver, substitutes sys.B, and returns
-// x with its scaled HPL residual against sys. Checked against
+// matrix (rounded to T), in place under ctx with driver, and returns x
+// with its scaled HPL residual against sys. Checked against
 // matrix.SeededSystem, the solve holds one n×n matrix, as HPL does.
-// seconds is the timed phase, factorization through back-substitution.
-func SolveInPlace(ctx context.Context, a *matrix.Dense, sys matrix.System, opts Options,
-	driver func(context.Context, *matrix.Dense, []int, Options) error) (x []float64, residual, seconds float64, err error) {
+// seconds is the timed phase, factorization through the last
+// substitution.
+//
+// At float64 x is the substitution of sys.B and rep is nil. At float32
+// the factors are those of the mixed solve: x is refined in FP64 against
+// sys (RefineMixed) and rep says how. When the single-precision factors
+// cannot reach the HPL bar — a zero or subnormal FP32 pivot, stalled
+// refinement, a non-finite iterate — rep carries the typed reason with
+// FellBack set, x is nil and err is nil: the caller re-solves in FP64.
+func SolveInPlace[T matrix.Float](ctx context.Context, a *matrix.Of[T], sys matrix.System, opts Options,
+	driver func(context.Context, *matrix.Of[T], []int, Options) error) (x []float64, residual, seconds float64, rep *MixedReport, err error) {
+	mixed := !matrix.Is64[T]()
+	if mixed {
+		mMixedSolves.Load().Inc()
+	}
 	piv := make([]int, a.Rows)
 	start := time.Now()
-	if err := driver(ctx, a, piv, opts); err != nil {
-		return nil, 0, 0, err
+	if err = driver(ctx, a, piv, opts); err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, err
+	var r MixedReport
+	switch {
+	case mixed && errors.Is(err, blas.ErrSingular):
+		// A zero or subnormal FP32 pivot: the matrix may be regular in FP64.
+		r = MixedReport{FellBack: true, Reason: FallbackSingular}
+	case err != nil:
+		return nil, 0, 0, nil, err
+	case !mixed:
+		x = blas.LUSolve(a, piv, sys.B)
+		seconds = time.Since(start).Seconds()
+		return x, sys.Residual(x), seconds, nil, nil
+	default:
+		solve := func(v []float64) []float64 { return blas.LUSolve(a, piv, v) }
+		if x, r, err = RefineMixed(ctx, sys, solve, opts.Trace); err != nil {
+			return nil, 0, 0, nil, err
+		}
 	}
-	x = blas.LUSolve(a, piv, sys.B)
-	seconds = time.Since(start).Seconds()
-	return x, sys.Residual(x), seconds, nil
+	if r.FellBack {
+		mMixedFallbacks.Load().Inc()
+	}
+	return x, r.Residual, time.Since(start).Seconds(), &r, nil
 }

@@ -27,40 +27,36 @@ func (c *countCtx) Err() error {
 	return nil
 }
 
-var ctxDrivers = []struct {
+type ctxDriver[T matrix.Float] struct {
 	name   string
-	driver func(context.Context, *matrix.Dense, []int, Options) error
-}{
-	{"SequentialCtx", SequentialCtx},
-	{"StaticLookaheadCtx", StaticLookaheadCtx},
-	{"DynamicCtx", DynamicCtx},
+	driver func(context.Context, *matrix.Of[T], []int, Options) error
 }
 
-// A completed ctx run must be bitwise identical to the non-ctx reference.
+func ctxDriversOf[T matrix.Float]() []ctxDriver[T] {
+	return []ctxDriver[T]{
+		{"SequentialCtx", SequentialCtx[T]},
+		{"StaticLookaheadCtx", StaticLookaheadCtx[T]},
+		{"DynamicCtx", DynamicCtx[T]},
+	}
+}
+
+var ctxDrivers = ctxDriversOf[float64]()
+
+// background runs a ctx driver under context.Background.
+func background[T matrix.Float](d ctxDriver[T]) func(*matrix.Of[T], []int, Options) error {
+	return func(a *matrix.Of[T], piv []int, o Options) error { return d.driver(context.Background(), a, piv, o) }
+}
+
+// A completed ctx run must be bitwise identical to the non-ctx reference,
+// in either precision.
 func TestCtxDriversBitwiseIdentical(t *testing.T) {
 	defer testutil.NoLeaks(t)()
-	n := 96
-	ref := matrix.RandomGeneral(n, n, 3)
-	want := ref.Clone()
-	wantPiv := make([]int, n)
-	if err := Sequential(want, wantPiv, Options{NB: 16}); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ctxDrivers {
+	for i, d := range ctxDrivers {
 		t.Run(d.name, func(t *testing.T) {
-			got := ref.Clone()
-			piv := make([]int, n)
-			if err := d.driver(context.Background(), got, piv, Options{NB: 16, Workers: 3}); err != nil {
-				t.Fatal(err)
-			}
-			if !matrix.Equal(got, want) {
-				t.Error("factors differ bitwise from Sequential")
-			}
-			for i := range piv {
-				if piv[i] != wantPiv[i] {
-					t.Fatalf("pivot %d differs: %d vs %d", i, piv[i], wantPiv[i])
-				}
-			}
+			eachShape(func(a64 *matrix.Dense, a32 *matrix.Dense32, nb int) {
+				matchGetrf(t, d.name, background(d), a64, nb)
+				matchGetrf(t, d.name, background(ctxDriversOf[float32]()[i]), a32, nb)
+			})
 		})
 	}
 }
@@ -132,8 +128,8 @@ func TestNonCtxDriversPanicContained(t *testing.T) {
 		name   string
 		driver func(*matrix.Dense, []int, Options) error
 	}{
-		{"StaticLookahead", StaticLookahead},
-		{"Dynamic", Dynamic},
+		{"StaticLookahead", StaticLookahead[float64]},
+		{"Dynamic", Dynamic[float64]},
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			a := matrix.RandomGeneral(64, 64, 11)
@@ -179,9 +175,12 @@ func TestSolveInPlaceMatchesSolve(t *testing.T) {
 	}
 	for _, d := range ctxDrivers {
 		t.Run(d.name, func(t *testing.T) {
-			x, res, secs, err := SolveInPlace(context.Background(), matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, d.driver)
+			x, res, secs, rep, err := SolveInPlace(context.Background(), matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, d.driver)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if rep != nil {
+				t.Errorf("FP64 solve returned a refinement report %+v", rep)
 			}
 			if math.Float64bits(res) != math.Float64bits(wantRes) || secs <= 0 {
 				t.Errorf("residual %g, seconds %g; want residual %g and seconds > 0", res, secs, wantRes)
@@ -195,7 +194,7 @@ func TestSolveInPlaceMatchesSolve(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if x, _, _, err := SolveInPlace(ctx, matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, DynamicCtx); !errors.Is(err, context.Canceled) || x != nil {
+	if x, _, _, _, err := SolveInPlace(ctx, matrix.RandomGeneral(n, n, seed), matrix.SeededSystem(n, seed), opts, DynamicCtx); !errors.Is(err, context.Canceled) || x != nil {
 		t.Errorf("cancelled SolveInPlace: x = %v, err = %v", x != nil, err)
 	}
 }

@@ -25,7 +25,7 @@ import (
 // A panic inside a task is contained: the remaining workers stop claiming
 // tasks, every goroutine drains, and the panic is returned as a typed
 // *pool.PanicError instead of crashing the process.
-func Dynamic(a *matrix.Dense, piv []int, opts Options) error {
+func Dynamic[T matrix.Float](a *matrix.Of[T], piv []int, opts Options) error {
 	_, err := runDynamic(context.Background(), a, piv, opts)
 	return err
 }
@@ -34,7 +34,7 @@ func Dynamic(a *matrix.Dense, piv []int, opts Options) error {
 // DAG task-issue boundary — once ctx is done no further task is claimed,
 // all workers drain, and ctx.Err() is returned. The matrix contents are
 // then an unspecified partial factorization and must not be used.
-func DynamicCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
+func DynamicCtx[T matrix.Float](ctx context.Context, a *matrix.Of[T], piv []int, opts Options) error {
 	_, err := runDynamic(ctx, a, piv, opts)
 	return err
 }
@@ -42,14 +42,14 @@ func DynamicCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options) e
 // DynamicStats factors like Dynamic and additionally returns the scheduler
 // statistics (critical-section entries, tasks issued), which back the
 // contention ablation in the benchmarks.
-func DynamicStats(a *matrix.Dense, piv []int, opts Options) (dag.Stats, error) {
+func DynamicStats[T matrix.Float](a *matrix.Of[T], piv []int, opts Options) (dag.Stats, error) {
 	sched, err := runDynamic(context.Background(), a, piv, opts)
 	return sched.Stats(), err
 }
 
 // runDynamic is the shared driver behind Dynamic, DynamicCtx and
 // DynamicStats.
-func runDynamic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) (*dag.Scheduler, error) {
+func runDynamic[T matrix.Float](ctx context.Context, a *matrix.Of[T], piv []int, opts Options) (*dag.Scheduler, error) {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
 	defer st.releaseAll() // runs after wg.Wait on every path below

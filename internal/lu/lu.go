@@ -10,6 +10,11 @@
 // panel. The tests assert this, which is the strongest possible statement
 // that dynamic scheduling changes the schedule, not the mathematics.
 //
+// The drivers, their task kernels and SolveInPlace are written once over
+// matrix.Float. The float64 instantiation is the Linpack solve; the
+// float32 one factors the single-precision matrix of the mixed solve,
+// which SolveInPlace then refines in FP64 (mixed.go).
+//
 // Timing of these schedules on the simulated Knights Corner is the job of
 // internal/simlu; this package is about correctness and real concurrency.
 package lu
@@ -68,10 +73,10 @@ func panelCols(n, nb, p int) (lo, hi int) {
 }
 
 // Sequential factors a in place with partial pivoting using the blocked
-// reference algorithm. piv must have length n.
-func Sequential(a *matrix.Dense, piv []int, opts Options) error {
+// reference algorithm, blas.Getrf on one worker. piv must have length n.
+func Sequential[T matrix.Float](a *matrix.Of[T], piv []int, opts Options) error {
 	opts = opts.withDefaults(a.Cols)
-	return blas.Dgetrf(a, piv, opts.NB)
+	return blas.Getrf(a, piv, opts.NB, 1)
 }
 
 // testHookPanelFact, when non-nil, runs at the top of every panel
@@ -85,8 +90,8 @@ var testHookPanelFact func(p int)
 var testHookL21 func(stage, delta int)
 
 // state carries the shared factorization context of the concurrent drivers.
-type state struct {
-	a   *matrix.Dense
+type state[T matrix.Float] struct {
+	a   *matrix.Of[T]
 	n   int
 	nb  int
 	np  int
@@ -99,18 +104,18 @@ type state struct {
 	// updates still to run; the one that brings it to zero releases the
 	// slab, so a solve holds one slab per stage in flight, not one per
 	// stage.
-	l21  []*blas.PrepackedA[float64]
+	l21  []*blas.PrepackedA[T]
 	left []atomic.Int32
 }
 
-func newState(a *matrix.Dense, opts Options) *state {
+func newState[T matrix.Float](a *matrix.Of[T], opts Options) *state[T] {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("lu: matrix must be square, got %dx%d", a.Rows, a.Cols))
 	}
 	n := a.Cols
-	st := &state{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB)}
+	st := &state[T]{a: a, n: n, nb: opts.NB, np: panels(n, opts.NB)}
 	st.piv = make([][]int, st.np)
-	st.l21 = make([]*blas.PrepackedA[float64], st.np)
+	st.l21 = make([]*blas.PrepackedA[T], st.np)
 	st.left = make([]atomic.Int32, st.np)
 	pivots := make([]int, n)
 	for p := range st.piv {
@@ -132,14 +137,14 @@ func newState(a *matrix.Dense, opts Options) *state {
 // own stage). Deferring keeps every L block frozen in exactly the
 // permutation state its consumers expect — the same reason HPL applies
 // swaps to the L panel copy it broadcasts rather than in place.
-func (st *state) factorPanel(p int) error {
+func (st *state[T]) factorPanel(p int) error {
 	if h := testHookPanelFact; h != nil {
 		h(p)
 	}
 	lo, hi := panelCols(st.n, st.nb, p)
 	w := hi - lo
 	panel := st.a.View(lo, lo, st.n-lo, w)
-	err := blas.Dgetf2(panel, st.piv[p])
+	err := blas.Getf2(panel, st.piv[p])
 	// L21 is final from here on (the swaps later stages owe it are
 	// deferred to finishLeftSwaps), so pack it for the stage's updates.
 	if hi < st.n {
@@ -156,7 +161,7 @@ func (st *state) factorPanel(p int) error {
 // releaseL21 recycles stage s's packed L21, if it has one. Callers order
 // it after the stage's last reader: updatePanel through left[s], the
 // drivers' exit sweep by having joined every worker.
-func (st *state) releaseL21(s int) {
+func (st *state[T]) releaseL21(s int) {
 	if pa := st.l21[s]; pa != nil {
 		st.l21[s] = nil
 		pa.Release()
@@ -170,7 +175,7 @@ func (st *state) releaseL21(s int) {
 // contained panic, a cancelled context) leaves stages whose updates never
 // all ran, and their slabs go back to the pool here. Must only run once no
 // task is executing.
-func (st *state) releaseAll() {
+func (st *state[T]) releaseAll() {
 	for s := range st.l21 {
 		st.releaseL21(s)
 	}
@@ -181,17 +186,17 @@ func (st *state) releaseAll() {
 // commute with everything that ran during factorization, so the final
 // matrix is bitwise identical to the sequential algorithm's. Must be
 // called after all tasks complete and before solving.
-func (st *state) finishLeftSwaps() {
+func (st *state[T]) finishLeftSwaps() {
 	for s := 1; s < st.np; s++ {
 		lo, _ := panelCols(st.n, st.nb, s)
 		left := st.a.View(0, 0, st.n, lo)
-		blas.Dlaswp(left, st.piv[s], lo)
+		blas.Laswp(left, st.piv[s], lo)
 	}
 }
 
 // updatePanel runs Task2(s, p): pivot, forward-solve and trailing-update
 // panel p with the factors of stage s. workers parallelizes the DGEMM.
-func (st *state) updatePanel(s, p, workers int) {
+func (st *state[T]) updatePanel(s, p, workers int) {
 	sLo, sHi := panelCols(st.n, st.nb, s)
 	sw := sHi - sLo
 	pLo, pHi := panelCols(st.n, st.nb, p)
@@ -199,15 +204,15 @@ func (st *state) updatePanel(s, p, workers int) {
 
 	target := st.a.View(0, pLo, st.n, pw)
 	// DLASWP: apply stage-s interchanges to the panel's columns.
-	blas.Dlaswp(target, st.piv[s], sLo)
+	blas.Laswp(target, st.piv[s], sLo)
 	// DTRSM: U block row of this panel.
 	l11 := st.a.View(sLo, sLo, sw, sw)
 	u12 := st.a.View(sLo, pLo, sw, pw)
-	blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, l11, u12)
+	blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, l11, u12)
 	// DGEMM: trailing block of this panel. With the stage's L21 already
 	// packed only U12 is packed here; GemmPrepacked then runs exactly the
-	// K-block schedule of the DgemmPacked call RankKUpdate would have
-	// made, so this route and blas.Dgetrf's agree bit for bit.
+	// K-block schedule of the packed GEMM RankKUpdate would have made, so
+	// this route and blas.Getrf's agree bit for bit in either precision.
 	if sHi < st.n {
 		pb := blas.PrepackB(u12)
 		blas.GemmPrepacked(st.l21[s], pb, st.a.View(sHi, pLo, st.n-sHi, pw), workers)
@@ -219,8 +224,8 @@ func (st *state) updatePanel(s, p, workers int) {
 }
 
 // globalPivots flattens the per-stage local pivots into the absolute-row
-// convention of blas.Dgetrf/LUSolve.
-func (st *state) globalPivots(piv []int) {
+// convention of blas.Getrf/LUSolve.
+func (st *state[T]) globalPivots(piv []int) {
 	if len(piv) != st.n {
 		panic("lu: pivot slice must have length n")
 	}

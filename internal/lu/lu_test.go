@@ -1,6 +1,9 @@
 package lu
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,49 +11,92 @@ import (
 	"phihpl/internal/matrix"
 )
 
-type driver struct {
+type driver[T matrix.Float] struct {
 	name string
-	f    func(*matrix.Dense, []int, Options) error
+	f    func(*matrix.Of[T], []int, Options) error
 }
 
-var drivers = []driver{
-	{"sequential", Sequential},
-	{"static", StaticLookahead},
-	{"dynamic", Dynamic},
+func driversOf[T matrix.Float]() []driver[T] {
+	return []driver[T]{
+		{"sequential", Sequential[T]},
+		{"static", StaticLookahead[T]},
+		{"dynamic", Dynamic[T]},
+	}
+}
+
+var drivers = driversOf[float64]()
+
+// bitwiseShapes are the (n, NB) the driver-equivalence suites factor in
+// both precisions: panels narrower than 16, n mod NB in 1…15, a single
+// panel, 1×1, and (tiny) the 12×12 matrix whose column 5 lies below
+// 0x1p-126 — regular in FP64, singular in FP32.
+var bitwiseShapes = []struct {
+	n, nb int
+	tiny  bool
+}{
+	{16, 32, false}, {48, 32, false}, {100, 32, false}, {129, 32, false},
+	{100, 7, false}, {257, 16, false}, {65, 64, false}, {96, 96, false},
+	{1, 1, false}, {12, 4, true},
+}
+
+// eachShape calls check with every bitwise shape's matrix in float64 and
+// in float32 (the FP64 matrix rounded, as the mixed solve rounds it).
+func eachShape(check func(a64 *matrix.Dense, a32 *matrix.Dense32, nb int)) {
+	for _, sh := range bitwiseShapes {
+		a := matrix.RandomGeneral(sh.n, sh.n, uint64(sh.n))
+		if sh.tiny {
+			subnormalColumn(a, 5)
+		}
+		check(a, a.ToDense32(), sh.nb)
+	}
+}
+
+// matchGetrf factors a with f at 1, 2 and 4 workers and requires the
+// factors, pivots and SingularError column of blas.Getrf, the blocked
+// reference, at a's own element type bit for bit.
+func matchGetrf[T matrix.Float](t *testing.T, name string, f func(*matrix.Of[T], []int, Options) error, a *matrix.Of[T], nb int) {
+	t.Helper()
+	want, wantPiv := a.Clone(), make([]int, a.Rows)
+	wantCol := singularCol(t, blas.Getrf(want, wantPiv, nb, 1))
+	for _, w := range []int{1, 2, 4} {
+		tag := fmt.Sprintf("%s[%T] n=%d nb=%d w=%d", name, *new(T), a.Rows, nb, w)
+		got, piv := a.Clone(), make([]int, a.Rows)
+		if col := singularCol(t, f(got, piv, Options{NB: nb, Workers: w})); col != wantCol {
+			t.Errorf("%s: singular column %d, want %d", tag, col, wantCol)
+		}
+		if !matrix.Equal(got, want) {
+			t.Errorf("%s: factors differ (maxdiff %g)", tag, matrix.MaxDiff(got, want))
+		}
+		if !slices.Equal(piv, wantPiv) {
+			t.Errorf("%s: pivots %v, want %v", tag, piv, wantPiv)
+		}
+	}
+}
+
+// singularCol is the column a *blas.SingularError names, −1 for no error.
+func singularCol(t *testing.T, err error) int {
+	t.Helper()
+	var se *blas.SingularError
+	switch {
+	case err == nil:
+		return -1
+	case errors.As(err, &se):
+		return se.Col
+	}
+	t.Fatalf("unexpected error %v", err)
+	return 0
 }
 
 func TestDriversBitwiseIdentical(t *testing.T) {
 	// The paper's claim in miniature: dynamic scheduling reorders only
 	// independent work, so factors and pivots are *identical* — not just
-	// numerically close — across drivers.
-	for _, n := range []int{16, 48, 100, 129} {
-		ref := matrix.RandomGeneral(n, n, uint64(n))
-		want := ref.Clone()
-		wantPiv := make([]int, n)
-		if err := blas.Dgetrf(want, wantPiv, 32); err != nil {
-			t.Fatal(err)
+	// numerically close — across drivers, in either precision.
+	eachShape(func(a64 *matrix.Dense, a32 *matrix.Dense32, nb int) {
+		for i, d := range drivers {
+			matchGetrf(t, d.name, d.f, a64, nb)
+			matchGetrf(t, d.name, driversOf[float32]()[i].f, a32, nb)
 		}
-		for _, d := range drivers {
-			for _, workers := range []int{1, 4} {
-				got := ref.Clone()
-				piv := make([]int, n)
-				if err := d.f(got, piv, Options{NB: 32, Workers: workers}); err != nil {
-					t.Fatalf("%s n=%d: %v", d.name, n, err)
-				}
-				if !matrix.Equal(got, want) {
-					t.Errorf("%s n=%d w=%d: factors differ (maxdiff %g)",
-						d.name, n, workers, matrix.MaxDiff(got, want))
-				}
-				for i := range piv {
-					if piv[i] != wantPiv[i] {
-						t.Errorf("%s n=%d w=%d: pivot[%d] = %d, want %d",
-							d.name, n, workers, i, piv[i], wantPiv[i])
-						break
-					}
-				}
-			}
-		}
-	}
+	})
 }
 
 func TestSolveResidualAllDrivers(t *testing.T) {

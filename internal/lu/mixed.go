@@ -11,7 +11,8 @@ import (
 )
 
 // The mixed-precision solve (HPL-MxP / HPL-AI scheme): factor A entirely
-// in single precision through the packed SGEMM fast path, then recover a
+// in single precision (the float32 instantiation of this package's
+// drivers, trailing updates through the packed SGEMM), then recover a
 // double-precision-quality solution with FP64 iterative refinement — the
 // residual r = b − A·x̂ computed in float64 against the original matrix,
 // the correction solved in float64 against the FP32 factors (O(n²) per
@@ -118,69 +119,38 @@ const DefaultRefineSteps = 30
 // than grazing the threshold.
 const refineTarget = matrix.ResidualThreshold / 16
 
-// SolveMixed factors a single-precision copy of A (blocked FP32 LU with
-// partial pivoting, trailing updates through the packed SGEMM fast path)
+// SolveMixed factors a single-precision copy of A with the DAG scheduler
+// (Dynamic at float32, whose factors are bitwise blas.Getrf's at float32)
 // and solves A·x = b with FP64 iterative refinement against the FP32
-// factors. On success the report carries the step count and final scaled
-// residual. When the FP32 route cannot reach the HPL bar, SolveMixed
-// re-solves with the FP64 Sequential driver and reports the typed reason;
-// the error is non-nil only when that fallback itself fails (e.g. the
-// matrix is singular in double precision too).
+// factors: SolveInPlace at float32, checked against A itself. On success
+// the report carries the step count and final scaled residual. When the
+// FP32 route cannot reach the HPL bar, SolveMixed re-solves with the FP64
+// Sequential driver and reports the typed reason; the error is non-nil
+// only when that fallback itself fails (e.g. the matrix is singular in
+// double precision too).
 //
-// Spans (when opts.Trace is set, worker 0): "SFactor" for the FP32
-// factorization, "Refine" per correction solve (iter = step index),
-// "FP64Fallback" for a fallback re-solve. Counters (see SetMetrics):
-// lu.mixed_solves, lu.refine_iters, lu.mixed_fallbacks.
+// Spans (when opts.Trace is set): the driver's "PanelFact"/"Update" task
+// spans and "Refine" per correction solve (worker 0, iter = step index).
+// Counters (see SetMetrics): lu.mixed_solves, lu.refine_iters,
+// lu.mixed_fallbacks.
 func SolveMixed(a *matrix.Dense, b []float64, opts Options) (x []float64, residual float64, rep MixedReport, err error) {
-	return SolveMixedCtx(context.Background(), a, b, opts)
-}
-
-// SolveMixedCtx is SolveMixed under a context, observed at the solver's
-// stage boundaries: before the FP32 factorization, between refinement
-// steps, and before a fallback re-solve (which then runs the cancellable
-// SequentialCtx driver). The factorization itself is one uninterruptible
-// stage. On cancellation ctx.Err() is returned and no solution is
-// produced.
-func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Options) (x []float64, residual float64, rep MixedReport, err error) {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("lu: matrix must be square, got %dx%d", a.Rows, a.Cols))
 	}
 	if len(b) != a.Rows {
 		panic("lu: SolveMixed right-hand side has wrong length")
 	}
-	opts = opts.withDefaults(a.Cols)
-	mMixedSolves.Load().Inc()
-	rec := opts.Trace
-	if err := ctx.Err(); err != nil {
-		return nil, 0, rep, err
-	}
-
-	a32 := a.ToDense32()
-	piv := make([]int, a.Rows)
-	var t0 float64
-	if rec != nil {
-		t0 = rec.Start()
-	}
-	factErr := blas.Sgetrf(a32, piv, opts.NB, opts.Workers)
-	if rec != nil {
-		rec.Since(0, "SFactor", 0, t0)
-	}
-	if factErr != nil {
-		return fallbackFP64(ctx, a, b, opts, rep, FallbackSingular)
-	}
-
-	solve := func(r []float64) []float64 { return blas.LUSolve(a32, piv, r) }
-	x, residual, rep.Iterations, rep.Reason, err = RefineMixed(ctx, matrix.DenseSystem(a, b), solve, rec)
+	ctx := context.Background()
+	x, residual, _, r, err := SolveInPlace(ctx, a.ToDense32(), matrix.DenseSystem(a, b), opts, DynamicCtx[float32])
 	if err != nil {
 		return nil, 0, rep, err
 	}
-	if rep.Reason != FallbackNone {
-		why := rep.Reason
-		rep.Reason = FallbackNone // fallbackFP64 stamps it
-		return fallbackFP64(ctx, a, b, opts, rep, why)
+	rep = *r
+	if rep.FellBack {
+		x, residual, err = SolveCtx(ctx, a, b, opts, SequentialCtx)
+		rep.Residual = residual
 	}
-	rep.Residual = residual
-	return x, residual, rep, nil
+	return x, residual, rep, err
 }
 
 // RefineMixed is the FP64 iterative-refinement ladder against prefactored
@@ -196,37 +166,33 @@ func SolveMixedCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Optio
 // bar, the step budget (DefaultRefineSteps) runs out, or progress stalls.
 // A stalled-or-capped iterate that still clears the HPL bar is accepted.
 //
-// On acceptance why is FallbackNone; otherwise why says what went wrong
-// (FallbackStalled, FallbackNonFinite) and the caller picks its own FP64
-// fallback — re-solving locally (SolveMixed) or re-running the distributed
-// FP64 path (the 2D drivers). err is non-nil only for ctx cancellation,
-// observed between refinement steps. Spans (worker 0): "Refine" per
-// correction solve. Counter: lu.refine_iters.
-func RefineMixed(ctx context.Context, sys matrix.System, solve func(r []float64) []float64, rec *trace.Recorder) (x []float64, res float64, iters int, why FallbackReason, err error) {
+// On acceptance rep carries the step count and x's scaled residual;
+// otherwise x is nil and rep says what went wrong (FellBack,
+// FallbackStalled or FallbackNonFinite) and the caller picks its own FP64
+// fallback — re-solving locally (SolveInPlace's callers) or re-running the
+// distributed FP64 path (the 2D drivers). err is non-nil only for ctx
+// cancellation, observed between refinement steps. Spans (worker 0):
+// "Refine" per correction solve. Counter: lu.refine_iters.
+func RefineMixed(ctx context.Context, sys matrix.System, solve func(r []float64) []float64, rec *trace.Recorder) (x []float64, rep MixedReport, err error) {
 	x = solve(sys.B)
 	prev := math.Inf(1)
 	var t0 float64
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, iters, FallbackNone, err
+			return nil, rep, err
 		}
-		var r []float64
-		r, res = sys.Sweep(x)
-		if math.IsNaN(res) || math.IsInf(res, 0) {
-			return nil, 0, iters, FallbackNonFinite, nil
-		}
-		if res <= refineTarget {
-			return x, res, iters, FallbackNone, nil
-		}
-		stalled := res >= prev/2
-		if (stalled || iters >= DefaultRefineSteps) && iters > 0 {
-			// No longer improving (or out of budget). Accept the iterate if
-			// it clears the HPL bar anyway; otherwise give up on the FP32
-			// factors.
-			if res < matrix.ResidualThreshold {
-				return x, res, iters, FallbackNone, nil
-			}
-			return nil, 0, iters, FallbackStalled, nil
+		r, res := sys.Sweep(x)
+		// No longer improving, or out of budget: accept the iterate if it
+		// clears the HPL bar anyway, otherwise give up on the FP32 factors.
+		stop := (res >= prev/2 || rep.Iterations >= DefaultRefineSteps) && rep.Iterations > 0
+		switch {
+		case math.IsNaN(res) || math.IsInf(res, 0):
+			return nil, MixedReport{Iterations: rep.Iterations, FellBack: true, Reason: FallbackNonFinite}, nil
+		case res <= refineTarget || stop && res < matrix.ResidualThreshold:
+			rep.Residual = res
+			return x, rep, nil
+		case stop:
+			return nil, MixedReport{Iterations: rep.Iterations, FellBack: true, Reason: FallbackStalled}, nil
 		}
 		prev = res
 
@@ -235,32 +201,10 @@ func RefineMixed(ctx context.Context, sys matrix.System, solve func(r []float64)
 		}
 		delta := solve(r)
 		blas.Daxpy(1, delta, x)
-		iters++
+		rep.Iterations++
 		mRefineIters.Load().Inc()
 		if rec != nil {
-			rec.Since(0, "Refine", iters-1, t0)
+			rec.Since(0, "Refine", rep.Iterations-1, t0)
 		}
 	}
-}
-
-// fallbackFP64 re-solves in double precision with the cancellable
-// sequential driver and stamps the report with the typed reason.
-func fallbackFP64(ctx context.Context, a *matrix.Dense, b []float64, opts Options, rep MixedReport, why FallbackReason) ([]float64, float64, MixedReport, error) {
-	rep.FellBack = true
-	rep.Reason = why
-	mMixedFallbacks.Load().Inc()
-	rec := opts.Trace
-	var t0 float64
-	if rec != nil {
-		t0 = rec.Start()
-	}
-	x, res, err := SolveCtx(ctx, a, b, opts, SequentialCtx)
-	if rec != nil {
-		rec.Since(0, "FP64Fallback", 0, t0)
-	}
-	if err != nil {
-		return nil, 0, rep, err
-	}
-	rep.Residual = res
-	return x, res, rep, nil
 }

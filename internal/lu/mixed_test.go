@@ -2,7 +2,9 @@ package lu
 
 import (
 	"context"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"phihpl/internal/matrix"
@@ -220,13 +222,26 @@ func TestSolveMixedSingularFP32Fallback(t *testing.T) {
 	}
 }
 
-// TestSolveMixedObservability: spans land on the attached recorder
-// ("SFactor" + one "Refine" per iteration; "FP64Fallback" on the fallback
-// path) and the lu.* counters advance.
+// TestSolveMixedObservability: spans land on the attached recorder — the
+// FP32 DAG's task spans (one PanelFact per stage, one Update per stage and
+// later panel) and one "Refine" per iteration — and the lu.* counters
+// advance. The fallback re-solve runs the sequential driver, which emits
+// no spans.
 func TestSolveMixedObservability(t *testing.T) {
 	reg := metrics.NewRegistry()
 	SetMetrics(reg)
 	defer SetMetrics(nil)
+
+	spanCounts := func(rec *trace.Recorder) map[string]int {
+		counts := map[string]int{}
+		for _, s := range rec.Spans() {
+			counts[s.Name]++
+		}
+		return counts
+	}
+	tasks := func(np int) map[string]int {
+		return map[string]int{"PanelFact": np, "Update": np * (np - 1) / 2}
+	}
 
 	rec := new(trace.Recorder)
 	a, b := matrix.RandomSystem(100, 3)
@@ -234,39 +249,23 @@ func TestSolveMixedObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[string]int{}
-	for _, s := range rec.Spans() {
-		counts[s.Name]++
-	}
-	if counts["SFactor"] != 1 {
-		t.Errorf("SFactor spans = %d, want 1", counts["SFactor"])
-	}
-	if counts["Refine"] != rep.Iterations {
-		t.Errorf("Refine spans = %d, want %d", counts["Refine"], rep.Iterations)
-	}
-	if counts["FP64Fallback"] != 0 {
-		t.Errorf("unexpected FP64Fallback span on the accepted path")
+	want := tasks(4)
+	want["Refine"] = rep.Iterations
+	if got := spanCounts(rec); !maps.Equal(got, want) {
+		t.Errorf("accepted path spans %v, want %v", got, want)
 	}
 
-	// Fallback path: singular-in-FP32 matrix emits the fallback span.
+	// Fallback path: a singular-in-FP32 matrix records the FP32 attempt's
+	// task spans and no refinement.
 	rec2 := new(trace.Recorder)
 	a2, b2 := matrix.RandomSystem(8, 5)
 	subnormalColumn(a2, 3)
-	rep2, err2 := func() (MixedReport, error) {
-		_, _, r, e := SolveMixed(a2, b2, Options{NB: 4, Trace: rec2})
-		return r, e
-	}()
+	_, _, rep2, err2 := SolveMixed(a2, b2, Options{NB: 4, Trace: rec2})
 	if err2 != nil || !rep2.FellBack || rep2.Reason != FallbackSingular {
 		t.Fatalf("expected clean fp32-singular fallback, got rep=%+v err=%v", rep2, err2)
 	}
-	saw := false
-	for _, s := range rec2.Spans() {
-		if s.Name == "FP64Fallback" {
-			saw = true
-		}
-	}
-	if !saw {
-		t.Error("no FP64Fallback span on the fallback path")
+	if got, want := spanCounts(rec2), tasks(2); !maps.Equal(got, want) {
+		t.Errorf("fallback path spans %v, want %v", got, want)
 	}
 
 	snap := reg.Snapshot()
@@ -281,28 +280,43 @@ func TestSolveMixedObservability(t *testing.T) {
 	}
 }
 
-// TestSolveMixedCtxCancellation: a pre-cancelled context returns its
-// error with no solution; an open context is bitwise identical to the
-// plain entry point.
-func TestSolveMixedCtxCancellation(t *testing.T) {
-	a, b := matrix.RandomSystem(64, 4)
+// TestSolveInPlaceMixed: at float32, SolveInPlace under every driver
+// against the seeded system gives SolveMixed's solution, residual and step
+// count bit for bit; a matrix singular in FP32 comes back as a typed
+// fallback with no solution and no error; a cancelled context returns its
+// error and no report.
+func TestSolveInPlaceMixed(t *testing.T) {
+	const n, seed = 96, 21
+	opts := Options{NB: 16, Workers: 3}
+	a, b := matrix.RandomSystem(n, seed)
+	want, wantRes, wantRep, err := SolveMixed(a, b, opts)
+	if err != nil || wantRep.FellBack {
+		t.Fatalf("reference: rep %+v, err %v", wantRep, err)
+	}
+	for _, d := range ctxDriversOf[float32]() {
+		x, res, secs, rep, err := SolveInPlace(context.Background(), a.ToDense32(), matrix.SeededSystem(n, seed), opts, d.driver)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		if rep == nil || *rep != wantRep || res != wantRes || secs <= 0 {
+			t.Errorf("%s: rep %+v residual %g seconds %g, want rep %+v residual %g", d.name, rep, res, secs, wantRep, wantRes)
+		}
+		if !slices.Equal(x, want) {
+			t.Errorf("%s: x differs from SolveMixed's", d.name)
+		}
+	}
+
+	s, sb := matrix.RandomSystem(12, 5)
+	subnormalColumn(s, 5)
+	x, _, _, rep, err := SolveInPlace(context.Background(), s.ToDense32(), matrix.DenseSystem(s, sb), opts, DynamicCtx)
+	if err != nil || x != nil || rep == nil || !rep.FellBack || rep.Reason != FallbackSingular {
+		t.Errorf("singular in FP32: x %v, rep %+v, err %v; want a fp32-singular fallback and no x", x, rep, err)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := SolveMixedCtx(ctx, a, b, Options{NB: 16}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	x1, r1, rep1, err1 := SolveMixedCtx(context.Background(), a, b, Options{NB: 16})
-	x2, r2, rep2, err2 := SolveMixed(a, b, Options{NB: 16})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v / %v", err1, err2)
-	}
-	if r1 != r2 || rep1 != rep2 {
-		t.Fatalf("ctx and plain paths disagree: %v/%+v vs %v/%+v", r1, rep1, r2, rep2)
-	}
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatal("solutions differ bitwise")
-		}
+	if x, _, _, rep, err := SolveInPlace(ctx, a.ToDense32(), matrix.DenseSystem(a, b), opts, DynamicCtx); err != context.Canceled || x != nil || rep != nil {
+		t.Errorf("cancelled: x %v, rep %+v, err %v; want context.Canceled alone", x != nil, rep, err)
 	}
 }
 

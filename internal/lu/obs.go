@@ -17,9 +17,10 @@ var (
 )
 
 // SetMetrics attaches a metrics registry to the mixed-precision solver
-// (nil detaches). Counters: lu.mixed_solves (SolveMixed invocations),
+// (nil detaches). Counters: lu.mixed_solves (SolveInPlace calls at
+// float32: SolveMixed and the facade's native mixed solve),
 // lu.refine_iters (FP64 refinement correction solves), lu.mixed_fallbacks
-// (solves that abandoned the FP32 factors for the FP64 path).
+// (those of the mixed solves that abandoned the FP32 factors).
 func SetMetrics(reg *metrics.Registry) {
 	mMixedSolves.Store(reg.Counter("lu.mixed_solves"))
 	mRefineIters.Store(reg.Counter("lu.refine_iters"))

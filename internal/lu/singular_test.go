@@ -19,9 +19,9 @@ func TestSolveSurfacesSingularColumn(t *testing.T) {
 	}
 	b := make([]float64, n)
 	for name, driver := range map[string]func(*matrix.Dense, []int, Options) error{
-		"sequential": Sequential,
-		"static":     StaticLookahead,
-		"dynamic":    Dynamic,
+		"sequential": Sequential[float64],
+		"static":     StaticLookahead[float64],
+		"dynamic":    Dynamic[float64],
 	} {
 		_, _, err := Solve(a, b, Options{NB: 16, Workers: 4}, driver)
 		if !errors.Is(err, blas.ErrSingular) {

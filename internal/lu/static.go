@@ -18,7 +18,7 @@ import (
 // The factors and pivots are bitwise identical to Sequential and Dynamic.
 // A panic in any stage goroutine is contained and returned as a typed
 // *pool.PanicError after the stage barrier, never crashing the process.
-func StaticLookahead(a *matrix.Dense, piv []int, opts Options) error {
+func StaticLookahead[T matrix.Float](a *matrix.Of[T], piv []int, opts Options) error {
 	return runStatic(context.Background(), a, piv, opts)
 }
 
@@ -26,13 +26,13 @@ func StaticLookahead(a *matrix.Dense, piv []int, opts Options) error {
 // observed at every stage barrier — the in-flight stage finishes (its
 // goroutines are always drained), no further stage starts, and ctx.Err()
 // is returned, leaving the matrix partially factored.
-func StaticLookaheadCtx(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
+func StaticLookaheadCtx[T matrix.Float](ctx context.Context, a *matrix.Of[T], piv []int, opts Options) error {
 	return runStatic(ctx, a, piv, opts)
 }
 
 // runStatic is the shared driver behind StaticLookahead and
 // StaticLookaheadCtx.
-func runStatic(ctx context.Context, a *matrix.Dense, piv []int, opts Options) error {
+func runStatic[T matrix.Float](ctx context.Context, a *matrix.Of[T], piv []int, opts Options) error {
 	opts = opts.withDefaults(a.Cols)
 	st := newState(a, opts)
 	// Every return below follows the join of the stage's goroutines.

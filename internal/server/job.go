@@ -226,11 +226,12 @@ func defaultStr(s, d string) string {
 // distributed drivers (the ranks' blocks, the root's gather of the others'
 // local matrices and the stage payloads in flight: 2.85–3.09× measured on
 // 2×2, DESIGN.md §21), 4× for FT (plus ABFT checksums and checkpoints). A
-// mixed-precision job additionally carries an FP32 shadow of the matrix
-// (half the FP64 bytes — the n² float32 mirror for native, the distributed
-// FP32 blocks plus the root's gathered FP32 factors for the 2D drivers).
-// Deliberately pessimistic — the gate exists to queue jobs rather than
-// OOM, not to pack memory tightly.
+// mixed-precision job is charged an FP32 shadow of the matrix on top (half
+// the FP64 bytes; for the 2D drivers, the distributed FP32 blocks plus the
+// root's gathered FP32 factors). A native mixed solve in fact holds the
+// FP32 matrix alone, and the FP64 one only when it falls back, so its
+// estimate is 3× what it usually holds. Deliberately pessimistic — the
+// gate exists to queue jobs rather than OOM, not to pack memory tightly.
 func (sp Spec) MemEstimate() int64 {
 	n := int64(sp.N)
 	base := 8 * (n*n + 8*n)

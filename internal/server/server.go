@@ -156,9 +156,10 @@ type Server struct {
 	hJobNs, hWaitNs                                                *metrics.Histogram
 }
 
-// New builds the server and starts its scheduler workers. It panics if
-// the configured journal cannot be opened; use Open where that error
-// should be handled (cmd/hplserver does).
+// New builds the server and starts its scheduler workers. It panics
+// where Open fails (a journal that cannot be opened, a tenant weight for
+// an invalid name); use Open where that error should be handled
+// (cmd/hplserver does).
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
@@ -172,8 +173,15 @@ func New(cfg Config) *Server {
 // in the background. Until replay settles, the server reports
 // "recovering": /readyz answers 503 and submissions are rejected with a
 // Retry-After hint. A damaged journal never fails Open — the journal
-// layer repairs what it can and counts what it dropped.
+// layer repairs what it can and counts what it dropped. A TenantWeights
+// key no job's tenant could match is refused: its weight would never
+// apply.
 func Open(cfg Config) (*Server, error) {
+	for t := range cfg.TenantWeights {
+		if !tenantRe.MatchString(t) {
+			return nil, fmt.Errorf("server: tenant weight for %q: tenant must match %s", t, tenantRe)
+		}
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,

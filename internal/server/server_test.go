@@ -204,6 +204,28 @@ func TestQueueFull429(t *testing.T) {
 	}
 }
 
+// Open refuses a TenantWeights key that no job's tenant can match (the
+// empty name, one with a space): that weight would never apply, and the
+// tenant it was meant for would run at weight 1.
+func TestOpenRefusesBadTenantWeight(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	for _, name := range []string{"", "alice ", "a/b", strings.Repeat("x", 65)} {
+		cfg := testConfig()
+		cfg.TenantWeights = map[string]int{"bob": 2, name: 3}
+		if s, err := Open(cfg); err == nil {
+			s.Close()
+			t.Errorf("tenant weight for %q: Open succeeded, want an error", name)
+		}
+	}
+	cfg := testConfig()
+	cfg.TenantWeights = map[string]int{"bob": 2, "a.b_c-9": 3}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("valid tenant weights refused: %v", err)
+	}
+	s.Close()
+}
+
 // TestTenantFairness holds the starvation guarantee: a heavy tenant that
 // floods the queue can neither starve a light tenant's dequeue (WRR) nor
 // hold every worker (per-tenant running cap).

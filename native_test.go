@@ -14,11 +14,12 @@ import (
 	"phihpl/internal/trace"
 )
 
-// A native FP64 solve generates A into the matrix it factors and checks x
-// against the seed, so under every scheduler, through Solve and through
-// Run, the allocation profile shows exactly one object of half an n×n
-// matrix or more: A itself. A second one (a copy kept for the residual) names its
-// call site.
+// A native solve generates A into the matrix it factors and checks (FP64)
+// or refines (mixed) x against the seed, so under every scheduler, through
+// Solve and through Run, the allocation profile shows exactly one object of
+// half an n×n FP64 matrix or more: A itself, 8n² bytes in FP64 and 4n² in
+// mixed precision. A second one (a copy kept for the residual, an FP64 A
+// beside the FP32 one) names its call site.
 func TestNativeSolveHoldsOneMatrix(t *testing.T) {
 	const n, nb, workers = 256, 32, 2
 	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
@@ -28,6 +29,9 @@ func TestNativeSolveHoldsOneMatrix(t *testing.T) {
 			"Solve": func() (SolveResult, error) { return Solve(n, s, nb, workers, 3) },
 			"Run": func() (SolveResult, error) {
 				return Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: 3, Scheduler: s}, nil)
+			},
+			"Run mixed": func() (SolveResult, error) {
+				return Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: 3, Scheduler: s, Precision: PrecisionMixed}, nil)
 			},
 		} {
 			before := largeAllocs(n * n * 8 / 2)
@@ -119,6 +123,36 @@ func TestMixedPrecisionFP64MatchesSequential(t *testing.T) {
 	}
 	if rec.Totals()["PanelFact"] == 0 {
 		t.Error("fp64 mode recorded no DAG task spans: it did not run the DAG driver")
+	}
+}
+
+// A native mixed Spec is the FP32 instantiation of the native solve: under
+// every scheduler its X hashes equal lu.SolveMixed's on the same system,
+// with the same refinement report, and a traced DAG run records the FP32
+// DAG's task spans beside its refinement steps.
+func TestNativeMixedMatchesSolveMixed(t *testing.T) {
+	const n, nb, workers, seed = 200, 24, 3, 11
+	a, b := matrix.RandomSystem(n, seed)
+	want, _, wantRep, err := lu.SolveMixed(a, b, lu.Options{NB: nb, Workers: 1})
+	if err != nil || wantRep.FellBack {
+		t.Fatalf("reference: rep %+v, err %v", wantRep, err)
+	}
+	for _, s := range []Scheduler{Sequential, StaticLookahead, DynamicDAG} {
+		rec := new(trace.Recorder)
+		r, err := Run(context.Background(), Spec{N: n, NB: nb, Workers: workers, Seed: seed, Scheduler: s, Precision: PrecisionMixed}, rec)
+		if err != nil {
+			t.Fatalf("scheduler %v: %v", s, err)
+		}
+		if !r.Passed || r.Refine == nil || *r.Refine != wantRep {
+			t.Errorf("scheduler %v: passed=%v refine=%+v, want a passing solve reporting %+v", s, r.Passed, r.Refine, wantRep)
+		}
+		if got, want := hashX(r.X), hashX(want); got != want {
+			t.Errorf("scheduler %v: X hash %x, want lu.SolveMixed's %x", s, got, want)
+		}
+		totals := rec.Totals()
+		if s == DynamicDAG && (totals["PanelFact"] == 0 || totals["Refine"] == 0) {
+			t.Errorf("traced DAG mixed solve recorded %v, want PanelFact and Refine spans", totals)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"phihpl/internal/hpl"
 	"phihpl/internal/lu"
@@ -81,16 +80,16 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Run validates sp and solves it: the native LU (FP64 with the selected
-// driver, or FP32 factors refined in FP64 for PrecisionMixed) or the
-// process grid of hpl.Solve. Every mode observes ctx — at every
+// Run validates sp and solves it: the native LU with the selected driver
+// (in FP64, or for PrecisionMixed its FP32 instantiation refined in FP64)
+// or the process grid of hpl.Solve. Every mode observes ctx — at every
 // task-issue, refinement-step or stage boundary, so cancelling stops the
 // solve promptly, discards partial work and returns the plain ctx.Err(),
 // never a *FaultError; all worker goroutines are joined before return.
 // rec, when non-nil, receives the solve's spans: one per DAG task
-// (PanelFact/Update, the paper's Figure 7), SFactor/Refine/FP64Fallback
-// for a native mixed solve, the grid's per-phase protocol spans (Figures
-// 8 and 9) and the FT super-step spans.
+// (PanelFact/Update, the paper's Figure 7) in either precision, Refine per
+// correction solve of a mixed solve, the grid's per-phase protocol spans
+// (Figures 8 and 9) and the FT super-step spans.
 func Run(ctx context.Context, sp Spec, rec *trace.Recorder) (SolveResult, error) {
 	if err := sp.Validate(); err != nil {
 		return SolveResult{}, err
@@ -109,32 +108,48 @@ func Run(ctx context.Context, sp Spec, rec *trace.Recorder) (SolveResult, error)
 	return fromDist(hpl.Solve(ctx, g, rec))
 }
 
-// runNative is the shared-memory solve. FP64 generates A into the matrix
-// it factors and checks x against A regenerated from the seed row by row;
-// mixed factors an FP32 copy and refines against the FP64 A it keeps.
+// runNative is the shared-memory solve in the element type sp.Precision
+// names: mixed precision is the float32 instantiation of the FP64 solve.
+// When the mixed route cannot reach the HPL bar it re-runs the solve in
+// FP64, keeping the typed fallback reason and charging the failed
+// attempt's timed phase to the result, as the grid's solve2D does.
 func runNative(ctx context.Context, sp Spec, rec *trace.Recorder) (SolveResult, error) {
-	n, opts := sp.N, lu.Options{NB: sp.NB, Workers: sp.Workers, Trace: rec}
+	solve := solveNative[float64]
 	if sp.Precision == PrecisionMixed {
-		a, b := matrix.RandomSystem(n, sp.Seed)
-		start := time.Now()
-		x, res, rep, err := lu.SolveMixedCtx(ctx, a, b, opts)
-		if err != nil {
-			return SolveResult{}, err
-		}
-		return SolveResult{X: x, Residual: res, Passed: passed(res), N: n,
-			Seconds: time.Since(start).Seconds(), Refine: &rep}, nil
+		solve = solveNative[float32]
 	}
-	driver := lu.DynamicCtx
-	switch sp.Scheduler {
-	case Sequential:
-		driver = lu.SequentialCtx
-	case StaticLookahead:
-		driver = lu.StaticLookaheadCtx
+	res, err := solve(ctx, sp, rec)
+	if err != nil || res.Refine == nil || !res.Refine.FellBack {
+		return res, err
 	}
-	a := matrix.RandomGeneral(n, n, sp.Seed)
-	x, res, secs, err := lu.SolveInPlace(ctx, a, matrix.SeededSystem(n, sp.Seed), opts, driver)
+	fres, err := solveNative[float64](ctx, sp, rec)
 	if err != nil {
 		return SolveResult{}, err
 	}
-	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n, Seconds: secs}, nil
+	res.Refine.Residual = fres.Residual
+	fres.Refine = res.Refine
+	fres.Seconds += res.Seconds
+	return fres, nil
+}
+
+// solveNative generates A from the seed straight into the one matrix it
+// factors in place with the Spec's Scheduler, and checks — at float32,
+// refines — x against A regenerated from the seed row by row.
+func solveNative[T matrix.Float](ctx context.Context, sp Spec, rec *trace.Recorder) (SolveResult, error) {
+	driver := lu.DynamicCtx[T]
+	switch sp.Scheduler {
+	case Sequential:
+		driver = lu.SequentialCtx[T]
+	case StaticLookahead:
+		driver = lu.StaticLookaheadCtx[T]
+	}
+	n := sp.N
+	a := matrix.New[T](n, n)
+	a.FillRandom(matrix.NewPRNG(sp.Seed))
+	opts := lu.Options{NB: sp.NB, Workers: sp.Workers, Trace: rec}
+	x, res, secs, rep, err := lu.SolveInPlace(ctx, a, matrix.SeededSystem(n, sp.Seed), opts, driver)
+	if err != nil {
+		return SolveResult{}, err
+	}
+	return SolveResult{X: x, Residual: res, Passed: passed(res), N: n, Seconds: secs, Refine: rep}, nil
 }
