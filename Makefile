@@ -107,9 +107,12 @@ fuzz:
 # Both routes are asserted, not assumed:
 # TestMicroKernelDispatchFollowsKernelGates, TestLevel1DispatchFollowsKernelGates
 # and (noasm) TestNoasmTagDisablesVectorKernels fail if any of them still
-# reaches assembly. The same leg CI's scalar-oracle job runs.
+# reaches assembly. The same leg CI's scalar-oracle job runs. The first
+# leg runs with -count=1: pack reads PHIHPL_DISABLE_VECTOR_KERNEL in a
+# package initializer, before go test records environment reads, so the
+# test cache would otherwise replay make race's vector-kernel passes.
 race-scalar:
-	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/... ./cmd/dgemmtool
+	PHIHPL_DISABLE_VECTOR_KERNEL=1 $(GO) test -count=1 -race -timeout 10m ./internal/blas/... ./internal/pack/... ./internal/offload/... ./internal/lu/... ./internal/pool/... ./internal/dag/... ./internal/hpl/... ./cmd/dgemmtool
 	$(GO) vet -tags noasm ./internal/pack/... ./internal/blas/...
 	$(GO) test -tags noasm -timeout 10m . ./internal/pack/... ./internal/blas/... ./internal/lu/...
 

@@ -21,7 +21,7 @@ func TestRunDatMixedRealAndSim(t *testing.T) {
 1 2      DEPTHs
 `
 	var out strings.Builder
-	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000, LookaheadPipelined); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -29,12 +29,17 @@ func TestRunDatMixedRealAndSim(t *testing.T) {
 	if !strings.Contains(s, "PASSED") {
 		t.Errorf("expected a real PASSED residual line:\n%s", s)
 	}
-	// 2 Ns x 2 depths = 4 result rows.
-	if got := strings.Count(s, "WR"); got != 4 {
-		t.Errorf("expected 4 result rows, got %d:\n%s", got, s)
+	// 2 Ns x 2 depths = 4 rows: the small N measured under the schedule
+	// each DEPTH names, the large N projected.
+	for _, w := range []string{"\nWR1TR1RN", "\nWR2TR1RN", "\nKNCd1", "\nKNCd2"} {
+		if got := strings.Count(s, w); got != 1 {
+			t.Errorf("expected one %q row, got %d:\n%s", w[1:], got, s)
+		}
 	}
-	if !strings.Contains(s, "2 tests completed and passed") {
-		t.Errorf("summary wrong:\n%s", s)
+	for _, w := range []string{"2 tests completed and passed", "2 rows projected", "End of Tests."} {
+		if !strings.Contains(s, w) {
+			t.Errorf("summary missing %q:\n%s", w, s)
+		}
 	}
 }
 
@@ -53,7 +58,7 @@ func TestRunDatSkipsIllegalCombinations(t *testing.T) {
 1        DEPTHs
 `
 	var out strings.Builder
-	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000, LookaheadPipelined); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -69,24 +74,29 @@ func TestRunDatSkipsIllegalCombinations(t *testing.T) {
 }
 
 func TestRunDatParseError(t *testing.T) {
-	if err := RunDat(context.Background(), strings.NewReader("garbage"), &strings.Builder{}, 0, LookaheadPipelined); err == nil {
+	if err := RunDat(context.Background(), strings.NewReader("garbage"), &strings.Builder{}, 0); err == nil {
 		t.Error("expected parse error")
 	}
 }
 
 func TestRunDatExampleAllSim(t *testing.T) {
 	var out strings.Builder
-	if err := RunDat(context.Background(), strings.NewReader(hplio.Example()), &out, 0, LookaheadPipelined); err != nil {
+	if err := RunDat(context.Background(), strings.NewReader(hplio.Example()), &out, 0); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(out.String(), "PASSED") {
-		t.Error("pure-sim run must not print residual lines")
+	if s := out.String(); strings.Contains(s, "PASSED") || strings.Contains(s, "\nWR") || !strings.Contains(s, "8 rows projected") {
+		t.Errorf("pure-sim run must print only projected rows and no residual lines:\n%s", s)
 	}
 }
 
 func TestDepthMapping(t *testing.T) {
 	if depthToMode(0) != LookaheadNone || depthToMode(1) != LookaheadBasic || depthToMode(2) != LookaheadPipelined {
 		t.Error("depth mapping")
+	}
+	for d := 0; d <= 2; d++ {
+		if got := depthToMode(d).Depth(); got != d {
+			t.Errorf("depthToMode(%d).Depth() = %d", d, got)
+		}
 	}
 	if simNB(48) != 1200 || simNB(1200) != 1200 || simNB(960) != 960 {
 		t.Error("simNB promotion")

@@ -2,8 +2,9 @@
 // distribution is driven — a parameter file whose cross-product of problem
 // sizes, block sizes, grids and look-ahead depths is run and reported in
 // HPL.out format. Small problems execute the real 2D block-cyclic solver
-// (with measured residuals); large ones are priced on the simulated
-// Knights Corner cluster.
+// under the schedule each row's DEPTH names (0 none, 1 basic, 2
+// pipelined) and report the measured time, rate and residual; large ones
+// are priced on the simulated Knights Corner cluster as projected rows.
 package main
 
 import (
@@ -32,7 +33,7 @@ func main() {
 	fmt.Print(dat)
 	fmt.Println()
 	fmt.Println("output report (N<=2000 rows run the real distributed solver):")
-	if err := phihpl.RunDat(context.Background(), strings.NewReader(dat), os.Stdout, 2000, phihpl.LookaheadPipelined); err != nil {
+	if err := phihpl.RunDat(context.Background(), strings.NewReader(dat), os.Stdout, 2000); err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}

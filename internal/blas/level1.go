@@ -15,22 +15,6 @@ import (
 	"phihpl/internal/pack"
 )
 
-// Idamax returns the index of the element with the largest absolute value
-// in v, or -1 when v is empty. Ties resolve to the lowest index, matching
-// reference BLAS.
-func Idamax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	best, bestAbs := 0, math.Abs(v[0])
-	for i := 1; i < len(v); i++ {
-		if a := math.Abs(v[i]); a > bestAbs {
-			best, bestAbs = i, a
-		}
-	}
-	return best
-}
-
 // IdamaxCol returns the row index (relative to the view) of the largest
 // absolute value in column j of a, scanning rows [i0, a.Rows).
 func IdamaxCol[T matrix.Float](a *matrix.Of[T], j, i0 int) int {
@@ -100,18 +84,6 @@ func axpyScalar[T matrix.Float](alpha T, x, y []T) {
 	for ; i < len(x); i++ {
 		y[i] += alpha * x[i]
 	}
-}
-
-// Ddot returns x·y.
-func Ddot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("blas: Ddot length mismatch")
-	}
-	s := 0.0
-	for i, xv := range x {
-		s += xv * y[i]
-	}
-	return s
 }
 
 // SwapRows exchanges rows i and j of a (full width).

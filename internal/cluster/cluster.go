@@ -550,7 +550,3 @@ func (b *barrier) fail(cause error) {
 		b.cur = &barGen{done: make(chan struct{})}
 	}
 }
-
-// CyclicOwner returns the rank owning global panel p under block-cyclic
-// distribution.
-func CyclicOwner(p, size int) int { return p % size }

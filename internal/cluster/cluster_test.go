@@ -311,12 +311,6 @@ func TestRecvFromFailedRankDrainsQueuedData(t *testing.T) {
 	}
 }
 
-func TestCyclicOwner(t *testing.T) {
-	if CyclicOwner(0, 3) != 0 || CyclicOwner(4, 3) != 1 || CyclicOwner(5, 3) != 2 {
-		t.Error("cyclic ownership wrong")
-	}
-}
-
 // --- chaos-mode transport ------------------------------------------------
 
 func lossyRing(t *testing.T, plan *fault.Plan, rounds int) Stats {

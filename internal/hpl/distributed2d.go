@@ -547,14 +547,11 @@ func (g *grid2d[T]) gatherAndSolve(sys matrix.System, results []DistResult, errs
 func (g *grid2d[T]) refineRoot(res DistResult, run func(i, j int) []T, firstErr error, sys matrix.System) (DistResult, error) {
 	// A zero/subnormal pivot in FP32 (firstErr) is a fallback trigger, not
 	// a terminal error: the matrix may still factor fine in FP64.
-	rep := lu.MixedReport{FellBack: true, Reason: lu.FallbackSingular}
-	if firstErr == nil {
-		solve := func(r []float64) []float64 { return blas.LUSolveRuns(g.n, run, g.globalPiv, r) }
-		var err error
-		if res.X, rep, err = lu.RefineMixed(g.ctxOrBG(), sys, solve, g.rec); err != nil {
-			return DistResult{}, err
-		}
+	solve := func(r []float64) []float64 { return blas.LUSolveRuns(g.n, run, g.globalPiv, r) }
+	x, rep, err := lu.RefineMixed(g.ctxOrBG(), sys, firstErr, solve, g.rec)
+	if err != nil {
+		return DistResult{}, err
 	}
-	res.Residual, res.Refine, res.Seconds = rep.Residual, &rep, g.elapsed()
+	res.X, res.Residual, res.Refine, res.Seconds = x, rep.Residual, &rep, g.elapsed()
 	return res, nil
 }

@@ -64,6 +64,10 @@ func (m LookaheadMode) String() string {
 	return fmt.Sprintf("LookaheadMode(%d)", int(m))
 }
 
+// Depth returns the HPL.dat DEPTH that names the mode: 0 none, 1 basic,
+// 2 pipelined.
+func (m LookaheadMode) Depth() int { return 2 - int(m) }
+
 // ParseLookaheadMode parses the CLI spelling of a look-ahead mode.
 func ParseLookaheadMode(s string) (LookaheadMode, error) {
 	switch s {

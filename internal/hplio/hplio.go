@@ -65,7 +65,7 @@ func Parse(r io.Reader) (*Params, error) {
 		return nil, err
 	}
 	var counts struct{ ns, nbs, ps, qs, depths int }
-	for i, line := range lines {
+	for _, line := range lines {
 		lower := strings.ToLower(line)
 		switch {
 		case strings.Contains(lower, "# of problems sizes"), strings.Contains(lower, "number of problems"):
@@ -98,7 +98,6 @@ func Parse(r io.Reader) (*Params, error) {
 				p.Depths = leadingInts(line, counts.depths)
 			}
 		}
-		_ = i
 	}
 	if len(p.Ns) == 0 || len(p.NBs) == 0 {
 		return nil, fmt.Errorf("hplio: no problem or block sizes found")
@@ -159,92 +158,106 @@ func Example() string {
 `
 }
 
-// Result is one completed (or skipped) run for the report writer.
+// Result is one row of a report.
 type Result struct {
 	Combination
 	Seconds  float64
 	GFLOPS   float64
-	Residual float64 // negative when not measured (virtual-time runs)
+	Residual float64
 	Passed   bool
+	// Projected marks a row priced on the Knights Corner model, not
+	// measured: it has no residual, its T/V code does not start with W, and
+	// the footer counts it apart from the tests.
+	Projected bool
 	// Skipped marks a combination rejected for illegal input values; it
-	// prints no WR or residual line but is counted in the report footer.
+	// prints no row but is counted in the report footer.
 	Skipped bool
 	// Aborted marks a run cancelled before completion (timeout, SIGINT):
-	// its WR line still prints with whatever time elapsed, the residual
-	// line reports ABORTED instead of a verdict, and the footer counts it
-	// separately — a partial report is still a truthful report.
+	// its row prints the time that elapsed and no rate, a line marks it
+	// ABORTED, and the report — partial, but truthful — ends without
+	// "End of Tests.".
 	Aborted bool
 }
 
-// WriteReport renders results in the HPL.out layout. Skipped combinations
-// contribute only to the footer's skipped count, like the reference HPL.
-func WriteReport(w io.Writer, results []Result) {
-	WriteReportHeader(w, "", results)
+// DepthDynamic is the Depth of a row the native DAG scheduler ran: its
+// look-ahead follows task priorities, not a fixed depth. The T/V code
+// writes it as D.
+const DepthDynamic = -1
+
+// tv returns the row's T/V code, mapped position by position in README.md.
+// A measured row is W, R (row-major rank mapping), the DEPTH that ran,
+// then the variants every solver here runs: T (binomial-tree broadcast),
+// R (right-looking), 1 (the panel is not divided), R (right-looking
+// panel) and N (NBMIN is NB: the whole panel is the base case). A
+// projected row is KNCd and its DEPTH, which no HPL.out scraper anchored
+// on ^W reads as a measurement.
+func (r Result) tv() string {
+	d := strconv.Itoa(r.Depth)
+	if r.Depth == DepthDynamic {
+		d = "D"
+	}
+	if r.Projected {
+		return "KNCd" + d
+	}
+	return "WR" + d + "TR1RN"
 }
 
-// WriteReportHeader is WriteReport with a free-form configuration line
-// (e.g. "look-ahead: pipelined") printed above the result table, the slot
-// the reference HPL.out uses for the run's parameter echo. An empty
-// header prints nothing extra.
-func WriteReportHeader(w io.Writer, header string, results []Result) {
+// Write renders results as an HPL.out report: the header lines (the run's
+// configuration, where HPL echoes its parameters; "" prints none), the
+// T/V table with each measured row followed by its residual verdict, and
+// the footer. Skipped combinations count only in the footer, like the
+// reference HPL.
+func Write(w io.Writer, header string, results []Result) {
+	rule := strings.Repeat("-", 80)
 	if header != "" {
 		fmt.Fprintln(w, header)
 	}
-	fmt.Fprintf(w, "%-14s %9s %5s %5s %5s %12s %14s\n",
-		"T/V", "N", "NB", "P", "Q", "Time", "Gflops")
-	fmt.Fprintln(w, strings.Repeat("-", 72))
-	for _, r := range results {
-		if r.Skipped {
-			continue
-		}
-		fmt.Fprintf(w, "WR%-2d%-10s %9d %5d %5d %5d %12.2f %14.4e\n",
-			r.Depth, "C2C4", r.N, r.NB, r.P, r.Q, r.Seconds, r.GFLOPS)
-	}
-	for _, r := range results {
-		if r.Skipped {
-			continue
-		}
-		if r.Aborted {
-			fmt.Fprintf(w, "N=%d NB=%d P=%d Q=%d run cancelled before completion ...... ABORTED\n",
-				r.N, r.NB, r.P, r.Q)
-			continue
-		}
-		if r.Residual >= 0 {
-			status := "PASSED"
-			if !r.Passed {
-				status = "FAILED"
-			}
-			fmt.Fprintf(w, "||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N)= %10.7f ...... %s\n",
-				r.Residual, status)
-		}
-	}
-	passed, failed, skipped, aborted := 0, 0, 0, 0
+	fmt.Fprintln(w, "T/V                N    NB     P     Q               Time                 Gflops")
+	fmt.Fprintln(w, rule)
+	var passed, failed, skipped, projected, aborted int
 	for _, r := range results {
 		if r.Skipped {
 			skipped++
 			continue
 		}
+		// Fixed point, not HPL's %e: a scraper's [\d.eE+]+ then captures
+		// the whole rate, below 1 Gflops too (%e would end in e-01).
+		rate := fmt.Sprintf("%.4f", r.GFLOPS)
 		if r.Aborted {
+			rate = "-"
+		}
+		fmt.Fprintf(w, "%-8s%12d %5d %5d %5d %18.2f %22s\n", r.tv(), r.N, r.NB, r.P, r.Q, r.Seconds, rate)
+		switch {
+		case r.Aborted:
 			aborted++
-			continue
-		}
-		if r.Residual < 0 {
-			continue
-		}
-		if r.Passed {
-			passed++
-		} else {
-			failed++
+			fmt.Fprintf(w, "N=%d NB=%d P=%d Q=%d run cancelled before completion ...... ABORTED\n", r.N, r.NB, r.P, r.Q)
+		case r.Projected:
+			projected++
+		default:
+			status := "PASSED"
+			if r.Passed {
+				passed++
+			} else {
+				failed++
+				status = "FAILED"
+			}
+			fmt.Fprintf(w, "||Ax-b||_oo/(eps*(||A||_oo*||x||_oo+||b||_oo)*N)= %10.7f ...... %s\n", r.Residual, status)
 		}
 	}
-	fmt.Fprintln(w, strings.Repeat("-", 72))
-	fmt.Fprintf(w, "Finished %6d tests with the following results:\n", len(results)-skipped-aborted)
+	fmt.Fprintln(w, rule)
+	fmt.Fprintf(w, "Finished %6d tests with the following results:\n", passed+failed)
 	fmt.Fprintf(w, "         %6d tests completed and passed residual checks,\n", passed)
 	fmt.Fprintf(w, "         %6d tests completed and failed residual checks,\n", failed)
 	fmt.Fprintf(w, "         %6d tests skipped because of illegal input values.\n", skipped)
+	if projected > 0 {
+		fmt.Fprintf(w, "         %6d rows projected on the Knights Corner model (not tests).\n", projected)
+	}
 	if aborted > 0 {
 		fmt.Fprintf(w, "         %6d tests aborted before completion.\n", aborted)
+		return
 	}
+	fmt.Fprintln(w, rule)
+	fmt.Fprintln(w, "End of Tests.")
 }
 
 // SortResults orders results the way HPL prints them (by grid, N, NB, depth).

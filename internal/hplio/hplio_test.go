@@ -114,20 +114,39 @@ func TestParseDefaultsGrid(t *testing.T) {
 
 func TestWriteReport(t *testing.T) {
 	var sb strings.Builder
-	WriteReport(&sb, []Result{
+	Write(&sb, "grid: 2x2", []Result{
 		{Combination: Combination{N: 1000, NB: 64, P: 2, Q: 2, Depth: 2},
 			Seconds: 1.5, GFLOPS: 444.4, Residual: 0.0031, Passed: true},
 		{Combination: Combination{N: 2000, NB: 64, P: 2, Q: 2, Depth: 1},
-			Seconds: 9.1, GFLOPS: 585.0, Residual: -1},
+			Seconds: 9.1, GFLOPS: 585.0, Projected: true},
+		{Combination: Combination{N: 500, NB: 64, P: 1, Q: 1, Depth: DepthDynamic},
+			Seconds: 0.1, GFLOPS: 0.8333, Residual: 0.002, Passed: true},
 	})
 	out := sb.String()
-	for _, w := range []string{"T/V", "WR2", "PASSED", "Finished", "1 tests completed and passed"} {
+	for _, w := range []string{"grid: 2x2\nT/V", "\nWR2TR1RN        1000    64     2     2               1.50               444.4000\n",
+		"\nKNCd1           2000    64     2     2               9.10               585.0000\n",
+		"\nWRDTR1RN         500", "Finished      2 tests", "2 tests completed and passed",
+		"1 rows projected", "\nEnd of Tests.\n"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("report missing %q:\n%s", w, out)
 		}
 	}
-	if strings.Contains(out, "FAILED") {
-		t.Errorf("virtual-time run must not print a residual status:\n%s", out)
+	if strings.Contains(out, "FAILED") || strings.Count(out, "||Ax-b||") != 2 {
+		t.Errorf("only the measured rows print a residual verdict:\n%s", out)
+	}
+
+	// An aborted row prints its elapsed time and no rate, and the partial
+	// report does not claim to have ended.
+	sb.Reset()
+	Write(&sb, "", []Result{{Combination: Combination{N: 1000, NB: 64, P: 1, Q: 1, Depth: 2}, Seconds: 2, Aborted: true}})
+	out = sb.String()
+	for _, w := range []string{"2.00                      -\n", "...... ABORTED", "1 tests aborted"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("aborted report missing %q:\n%s", w, out)
+		}
+	}
+	if strings.Contains(out, "End of Tests.") {
+		t.Errorf("an aborted report must not end with End of Tests.:\n%s", out)
 	}
 }
 

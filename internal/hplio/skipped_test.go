@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Regression: WriteReport hardcoded "0 tests skipped" in the footer, so
+// Regression: the report writer hardcoded "0 tests skipped" in the footer, so
 // combinations rejected for illegal input values vanished from the report.
 // Skipped results must be counted in the footer, excluded from the
 // "Finished N tests" total, and print no WR or residual line.
@@ -25,7 +25,7 @@ func TestWriteReportSkipped(t *testing.T) {
 		},
 	}
 	var b strings.Builder
-	WriteReport(&b, results)
+	Write(&b, "", results)
 	out := b.String()
 
 	if !strings.Contains(out, "Finished      1 tests") {
@@ -52,7 +52,7 @@ func TestWriteReportNoSkips(t *testing.T) {
 		Seconds:     0.1, GFLOPS: 12, Residual: 0.001, Passed: true,
 	}}
 	var b strings.Builder
-	WriteReport(&b, results)
+	Write(&b, "", results)
 	out := b.String()
 	if !strings.Contains(out, "Finished      1 tests") ||
 		!strings.Contains(out, "0 tests skipped because of illegal input values") {

@@ -82,33 +82,25 @@ func SolveCtx(ctx context.Context, a *matrix.Dense, b []float64, opts Options,
 func SolveInPlace[T matrix.Float](ctx context.Context, a *matrix.Of[T], sys matrix.System, opts Options,
 	driver func(context.Context, *matrix.Of[T], []int, Options) error) (x []float64, residual, seconds float64, rep *MixedReport, err error) {
 	mixed := !matrix.Is64[T]()
-	if mixed {
-		mMixedSolves.Load().Inc()
-	}
 	piv := make([]int, a.Rows)
 	start := time.Now()
 	if err = driver(ctx, a, piv, opts); err == nil {
 		err = ctx.Err()
 	}
-	var r MixedReport
 	switch {
 	case mixed && errors.Is(err, blas.ErrSingular):
-		// A zero or subnormal FP32 pivot: the matrix may be regular in FP64.
-		r = MixedReport{FellBack: true, Reason: FallbackSingular}
+		// A zero or subnormal FP32 pivot: RefineMixed reports the fallback.
 	case err != nil:
 		return nil, 0, 0, nil, err
 	case !mixed:
 		x = blas.LUSolve(a, piv, sys.B)
 		seconds = time.Since(start).Seconds()
 		return x, sys.Residual(x), seconds, nil, nil
-	default:
-		solve := func(v []float64) []float64 { return blas.LUSolve(a, piv, v) }
-		if x, r, err = RefineMixed(ctx, sys, solve, opts.Trace); err != nil {
-			return nil, 0, 0, nil, err
-		}
 	}
-	if r.FellBack {
-		mMixedFallbacks.Load().Inc()
+	solve := func(v []float64) []float64 { return blas.LUSolve(a, piv, v) }
+	x, r, err := RefineMixed(ctx, sys, err, solve, opts.Trace)
+	if err != nil {
+		return nil, 0, 0, nil, err
 	}
 	return x, r.Residual, time.Since(start).Seconds(), &r, nil
 }

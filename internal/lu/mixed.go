@@ -156,7 +156,9 @@ func SolveMixed(a *matrix.Dense, b []float64, opts Options) (x []float64, residu
 // RefineMixed is the FP64 iterative-refinement ladder against prefactored
 // FP32 LU factors, shared by the shared-memory mixed solve and the 2D
 // distributed drivers. sys is the original FP64 system — held in memory or
-// regenerated from its seed on each pass — and solve applies the factors:
+// regenerated from its seed on each pass — factorErr is the FP32
+// factorization's error, non-nil only for a zero or subnormal pivot (the
+// matrix may still be regular in FP64), and solve applies the factors:
 // it returns the FP64 solution of (P·L·U)·y = r, blas.LUSolve or
 // blas.LUSolveRuns over the FP32 factors of (A rounded to single precision)
 // and their pivots. RefineMixed substitutes b through the factors, then
@@ -168,12 +170,23 @@ func SolveMixed(a *matrix.Dense, b []float64, opts Options) (x []float64, residu
 //
 // On acceptance rep carries the step count and x's scaled residual;
 // otherwise x is nil and rep says what went wrong (FellBack,
-// FallbackStalled or FallbackNonFinite) and the caller picks its own FP64
-// fallback — re-solving locally (SolveInPlace's callers) or re-running the
-// distributed FP64 path (the 2D drivers). err is non-nil only for ctx
-// cancellation, observed between refinement steps. Spans (worker 0):
-// "Refine" per correction solve. Counter: lu.refine_iters.
-func RefineMixed(ctx context.Context, sys matrix.System, solve func(r []float64) []float64, rec *trace.Recorder) (x []float64, rep MixedReport, err error) {
+// FallbackSingular, FallbackStalled or FallbackNonFinite) and the caller
+// picks its own FP64 fallback — re-solving locally (SolveInPlace's
+// callers) or re-running the distributed FP64 path (the 2D drivers). err
+// is non-nil only for ctx cancellation, observed between refinement steps.
+// Spans (worker 0): "Refine" per correction solve. Counters: every mixed
+// solve, native or grid, passes here once, so lu.mixed_solves,
+// lu.mixed_fallbacks and lu.refine_iters count them all.
+func RefineMixed(ctx context.Context, sys matrix.System, factorErr error, solve func(r []float64) []float64, rec *trace.Recorder) (x []float64, rep MixedReport, err error) {
+	mMixedSolves.Load().Inc()
+	defer func() {
+		if rep.FellBack {
+			mMixedFallbacks.Load().Inc()
+		}
+	}()
+	if factorErr != nil {
+		return nil, MixedReport{FellBack: true, Reason: FallbackSingular}, nil
+	}
 	x = solve(sys.B)
 	prev := math.Inf(1)
 	var t0 float64

@@ -17,8 +17,8 @@ var (
 )
 
 // SetMetrics attaches a metrics registry to the mixed-precision solver
-// (nil detaches). Counters: lu.mixed_solves (SolveInPlace calls at
-// float32: SolveMixed and the facade's native mixed solve),
+// (nil detaches). Counters, all kept by RefineMixed: lu.mixed_solves
+// (mixed solves whose FP32 factorization finished — native and grid),
 // lu.refine_iters (FP64 refinement correction solves), lu.mixed_fallbacks
 // (those of the mixed solves that abandoned the FP32 factors).
 func SetMetrics(reg *metrics.Registry) {

@@ -408,10 +408,3 @@ func PackBTileOp[T matrix.Float](p *BOf[T], src *matrix.Of[T], trans bool, k0, t
 		}
 	}
 }
-
-// PackedBytes returns the number of bytes moved to pack an M×K A-block and
-// a K×N B-block (read source + write packed buffer), used by the packing
-// overhead model.
-func PackedBytes(m, n, k int) float64 {
-	return 2 * 8 * float64(m*k+k*n)
-}

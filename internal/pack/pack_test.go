@@ -175,13 +175,6 @@ func TestGemmPanics(t *testing.T) {
 	pack.Gemm(a, b, matrix.NewDense(4, 4), 1)
 }
 
-func TestPackedBytes(t *testing.T) {
-	// Packing reads and writes both blocks: 2*8*(mk+kn) bytes.
-	if got := pack.PackedBytes(10, 20, 30); got != 2*8*(300+600) {
-		t.Errorf("PackedBytes = %v", got)
-	}
-}
-
 // Property: pack/unpack is the identity for arbitrary shapes.
 func TestPackRoundTripProperty(t *testing.T) {
 	f := func(seed uint64, mRaw, nRaw, kRaw uint8) bool {

@@ -1,19 +1,14 @@
 // Package stream implements the STREAM memory-bandwidth kernels (McCalpin)
 // referenced in Table I of the paper: Copy, Scale, Add and Triad, in
 // serial and goroutine-parallel forms, together with byte-traffic
-// accounting and a model hook that converts an architecture's published
-// STREAM bandwidth into expected kernel times.
+// accounting.
 //
 // The machine models use the published numbers (150 GB/s Knights Corner,
 // 76 GB/s Sandy Bridge EP); the real kernels exist so the repository's
 // bandwidth assumptions are runnable and testable on the host.
 package stream
 
-import (
-	"sync"
-
-	"phihpl/internal/machine"
-)
+import "sync"
 
 // Op identifies a STREAM kernel.
 type Op int
@@ -118,13 +113,4 @@ func BytesMoved(op Op, n int) float64 {
 	default: // Add, Triad: two reads + one write
 		return 24 * float64(n)
 	}
-}
-
-// ExpectedTime returns the model time of one kernel invocation on an
-// architecture with the given published STREAM bandwidth.
-func ExpectedTime(arch *machine.Arch, op Op, n int) float64 {
-	if arch.StreamBW <= 0 || n <= 0 {
-		return 0
-	}
-	return BytesMoved(op, n) / arch.StreamBW
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"testing"
 
-	"phihpl/internal/machine"
 	"phihpl/internal/matrix"
 )
 
@@ -69,25 +68,6 @@ func TestPanics(t *testing.T) {
 func TestBytesMoved(t *testing.T) {
 	if BytesMoved(CopyOp, 100) != 1600 || BytesMoved(TriadOp, 100) != 2400 {
 		t.Error("byte accounting wrong")
-	}
-}
-
-func TestExpectedTime(t *testing.T) {
-	knc := machine.KnightsCorner()
-	snb := machine.SandyBridgeEP()
-	// Knights Corner has ~2x the host's bandwidth: triad should take
-	// proportionally less model time.
-	tk := ExpectedTime(knc, TriadOp, 1<<20)
-	ts := ExpectedTime(snb, TriadOp, 1<<20)
-	if !(tk < ts) {
-		t.Errorf("KNC triad %v should beat SNB %v", tk, ts)
-	}
-	ratio := ts / tk
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Errorf("bandwidth ratio = %v, want ~150/76", ratio)
-	}
-	if ExpectedTime(knc, TriadOp, 0) != 0 {
-		t.Error("degenerate")
 	}
 }
 
