@@ -12,7 +12,8 @@ import (
 
 // RunDat parses an HPL.dat-style parameter file, runs every combination of
 // its parameter lists, and writes an HPL.out report to w, one row per
-// combination.
+// combination in the order HPL runs them: grids outermost, in file order,
+// then N, NB and DEPTH.
 //
 // Each combination with N <= realBelow executes the *real* 2D block-cyclic
 // solver on P×Q in-process ranks under the schedule its DEPTH names
@@ -59,7 +60,6 @@ func RunDat(ctx context.Context, r io.Reader, w io.Writer, realBelow int) error 
 		}
 		results = append(results, res)
 	}
-	hplio.SortResults(results)
 	hplio.Write(w, fmt.Sprintf("HPL.dat sweep: rows with N <= %d measured on in-process P x Q ranks, "+
 		"larger N projected on the Knights Corner model", realBelow), results)
 	return ctx.Err()

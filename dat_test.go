@@ -73,6 +73,36 @@ func TestRunDatSkipsIllegalCombinations(t *testing.T) {
 	}
 }
 
+// Rows print in the order HPL runs the combinations, grids outermost in
+// file order: a file listing 2×2 before 1×4 reports the 2×2 rows first.
+func TestRunDatKeepsFileGridOrder(t *testing.T) {
+	in := `HPLinpack benchmark input file
+2        # of problems sizes (N)
+40 32    Ns
+1        # of NBs
+8        NBs
+2        # of process grids (P x Q)
+2 1      Ps
+2 4      Qs
+1        # of lookahead depth
+1        DEPTHs
+`
+	var out strings.Builder
+	if err := RunDat(context.Background(), strings.NewReader(in), &out, 2000); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 5 && strings.HasPrefix(f[0], "WR") {
+			got = append(got, strings.Join(f[1:5], " "))
+		}
+	}
+	want := []string{"40 8 2 2", "32 8 2 2", "40 8 1 4", "32 8 1 4"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("rows (N NB P Q) = %q, want %q:\n%s", got, want, out.String())
+	}
+}
+
 func TestRunDatParseError(t *testing.T) {
 	if err := RunDat(context.Background(), strings.NewReader("garbage"), &strings.Builder{}, 0); err == nil {
 		t.Error("expected parse error")

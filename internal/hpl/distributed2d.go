@@ -8,10 +8,12 @@
 // look-ahead schedules, in FP64 or mixed precision; the root solves from
 // the gathered local matrices and checks the residual against the system
 // regenerated from the seed — one grid driver, grid2d[T]), a
-// fault-tolerant variant with ABFT checksum columns and super-step
-// checkpoint/rollback (ft.go), and a virtual-time simulation of the
-// hybrid host+coprocessor implementation with the paper's three
-// look-ahead schemes, which regenerates Figure 9 and Table III.
+// fault-tolerant variant whose ABFT checksums are two more block-column
+// panels of one process column's local matrix, kept by the same stage,
+// with super-step checkpoint/rollback (ft.go), and a virtual-time
+// simulation of the hybrid host+coprocessor implementation with the
+// paper's three look-ahead schemes, which regenerates Figure 9 and
+// Table III.
 package hpl
 
 import (
@@ -107,7 +109,8 @@ type Grid struct {
 // halving the wire and GEMM bytes) and refines in FP64 at the root; when
 // the FP32 route cannot reach the HPL bar the FP64 path re-runs and
 // DistResult.Refine carries the typed reason. FT adds Huang–Abraham
-// checksum columns, super-step checkpoints and world respawn (ft.go).
+// checksum block columns, which the stage maintains like data, super-step
+// checkpoints and world respawn (ft.go).
 //
 // Every rank observes ctx at its stage boundary; the first rank to return
 // ctx.Err() aborts the world, which unblocks any peers parked
@@ -238,10 +241,11 @@ type grid2d[T matrix.Float] struct {
 	scratch  []T          // reusable pack buffer (sends copy payloads)
 	t0       time.Time    // start of the timed factor+solve phase
 
-	// hooks let the FT solver ride checksum maintenance on the schedule;
-	// aheadBlocked vetoes eager factorization (super-step boundaries).
-	hooks        stageHooks
-	aheadBlocked func(next int) bool
+	// checkEvery is the FT solver's checkpoint interval in stages (0: the
+	// plain grid). Look-ahead stops at its super-step boundaries, and the
+	// checksum process column holds C1 and C2 as two more panels of a
+	// (holdsChecksums).
+	checkEvery int
 
 	// rec receives per-phase protocol spans (nil records nothing):
 	// worker = rank for protocol phases and inline GEMMs, P·Q + rank for
@@ -264,13 +268,14 @@ func (g *grid2d[T]) rank(p, q int) int { return p*g.Q + q }
 // owner returns the grid coordinates owning global block (I, J).
 func (g *grid2d[T]) owner(i, j int) (int, int) { return i % g.P, j % g.Q }
 
-// blockDims returns the dimensions of global block (I, J).
+// blockDims returns the dimensions of global block (I, J). The FT grid's
+// checksum block columns (J ≥ nBlocks) are nb wide.
 func (g *grid2d[T]) blockDims(i, j int) (rows, cols int) {
 	rows, cols = g.nb, g.nb
 	if (i+1)*g.nb > g.n {
 		rows = g.n - i*g.nb
 	}
-	if (j+1)*g.nb > g.n {
+	if j < g.nBlocks && (j+1)*g.nb > g.n {
 		cols = g.n - j*g.nb
 	}
 	return rows, cols
@@ -315,6 +320,11 @@ func (g *grid2d[T]) layout() {
 	g.mloc = numroc(g.n, g.nb, g.p, g.P)
 	g.nloc = numroc(g.n, g.nb, g.q, g.Q)
 }
+
+// holdsChecksums reports whether this rank keeps the FT grid's checksum
+// panels: process column nBlocks mod Q, where global block columns
+// nBlocks and nBlocks+Q fall, right after its data panels.
+func (g *grid2d[T]) holdsChecksums() bool { return g.checkEvery > 0 && g.q == g.nBlocks%g.Q }
 
 // localRows is the row count of the nb-wide local matrix of a rank that
 // holds mloc rows of nloc columns: one mloc-row panel per owned block
@@ -411,7 +421,11 @@ func (g *grid2d[T]) scatter(seed uint64) (sys matrix.System, full *matrix.Dense)
 		full, rhs = hook(g.n, seed)
 	}
 	g.layout()
-	g.a = matrix.New[T](localRows(g.mloc, g.nloc, g.nb), g.nb)
+	rows := localRows(g.mloc, g.nloc, g.nb)
+	if g.holdsChecksums() {
+		rows += 2 * g.mloc
+	}
+	g.a = matrix.New[T](rows, g.nb)
 	for i := g.p; i < g.nBlocks; i += g.P {
 		for j := g.q; j < g.nBlocks; j += g.Q {
 			if full != nil {
@@ -499,9 +513,10 @@ func (g *grid2d[T]) gatherAndSolve(sys matrix.System, results []DistResult, errs
 		return err
 	}
 	if g.me() != 0 {
-		// One message per rank: the local matrix as it stands, plus the
-		// singularity flag.
-		return g.send(0, tag2dFinal, g.a.Data, singularFlag(g.firstError))
+		// One message per rank: the data panels of the local matrix as
+		// they stand, plus the singularity flag.
+		data := localRows(g.mloc, g.nloc, g.nb) * g.nb
+		return g.send(0, tag2dFinal, g.a.Data[:data], singularFlag(g.firstError))
 	}
 
 	locals := make([]*matrix.Of[T], g.P*g.Q)

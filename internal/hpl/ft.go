@@ -4,10 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
-	"phihpl/internal/blas"
 	"phihpl/internal/cluster"
 	"phihpl/internal/fault"
 	"phihpl/internal/matrix"
@@ -97,10 +95,8 @@ func (e *FaultError) Unwrap() error { return e.Err }
 
 // FT protocol tags (disjoint from the plain 2D bases).
 const (
-	tagFTCU      = 7 << 20  // + k: checksum-U broadcast down column cq
 	tagFTSum     = 8 << 20  // + k*nBlocks + i: partial checksum sums
 	tagFTVerdict = 9 << 20  // + k*nBlocks + i: per-row verdicts
-	tagFTSwap    = 10 << 20 // + global row index: checksum row exchange
 	tagFTWorst   = 11 << 20 // + k: global verdict reduce/bcast
 	tagFTFix     = 12 << 20 // + k*nBlocks + i: repair re-reduction round
 )
@@ -120,7 +116,7 @@ const (
 
 // solveFT is Solve's fault-tolerant path, the plain grid extended with
 // the paper-era HPC resilience stack: Huang–Abraham weighted checksum
-// columns carried through swap/TRSM/GEMM as an extra block column (so a
+// columns carried through swap/TRSM/GEMM as two extra block columns (so a
 // corrupted block is localized by the weight ratio and reconstructed in
 // place), plus super-step checkpointing with rollback and world respawn
 // for crashes, stalls and timeouts. With an empty plan the solve runs on
@@ -171,14 +167,12 @@ func solveFT(ctx context.Context, gr Grid, rec *trace.Recorder) (DistResult, err
 
 		runErr := world.Run(func(c *Comm) error {
 			g2 := &grid2d[float64]{c: c, ctx: ctx, P: p, Q: q, n: n, nb: nb, nBlocks: nBlocks,
-				mode: gr.Lookahead, rec: rec}
+				mode: gr.Lookahead, checkEvery: cfg.CheckpointEvery, rec: rec}
 			g2.p, g2.q = c.Rank()/q, c.Rank()%q
 			f := &ftGrid{
 				grid2d: g2, in: in, store: store, cfg: cfg,
 				cq: nBlocks % q, profile: &prof,
 			}
-			g2.hooks = f
-			g2.aheadBlocked = func(next int) bool { return next%cfg.CheckpointEvery == 0 }
 			return f.runFT(gr.Seed, results, errs)
 		})
 		ws := world.Stats()
@@ -219,28 +213,18 @@ func solveFT(ctx context.Context, gr Grid, rec *trace.Recorder) (DistResult, err
 // ftGrid is one process of the fault-tolerant solver: the plain 2D grid
 // plus the two weighted checksum block columns C1(I) = Σ_J A(I,J)·S_J and
 // C2(I) = Σ_J (J+1)·A(I,J)·S_J (S_J embeds ragged blocks into width nb),
-// owned by process column cq as a virtual block column J = nBlocks.
+// global block columns nBlocks and nBlocks+Q of process column cq. They
+// are two more panels of a, so the stage swaps, solves, broadcasts and
+// updates them as it does every owned column, and a checkpoint's clone of
+// a carries them.
 type ftGrid struct {
 	*grid2d[float64]
 	in      *fault.Injector
 	store   *ftStore
 	cfg     FTConfig
-	cq      int           // process column owning the checksum blocks
-	chk1    *matrix.Dense // this rank's rows of C1, mloc × nb (checksum column only)
-	chk2    *matrix.Dense // the same rows of C2
-	cu1     *matrix.Dense // this stage's L11⁻¹·C(k), broadcast down cq
-	cu2     *matrix.Dense
+	cq      int // process column owning the checksum blocks
 	profile *[]StageProfile
 }
-
-// The ABFT checksum maintenance rides on the stage's end hooks: the row
-// swaps are mirrored on the virtual checksum column, the checksum-U solve
-// uses the stage's L11, and the checksum GEMM its L21 (checksum blocks are
-// disjoint from data blocks, so pipelined trailing updates may still be
-// in flight).
-func (f *ftGrid) afterSwaps(k int, piv []int) error { return f.swapChecksums(k, piv) }
-func (f *ftGrid) afterL(k int) error                { return f.chkSolveAndBcast(k) }
-func (f *ftGrid) afterUpdate(k int) error           { return f.updateChecksums(k) }
 
 // testHookSuperStep, when non-nil, runs at every super-step boundary of
 // every rank, before the stage's fault-injection point. Set only by
@@ -259,7 +243,6 @@ func (f *ftGrid) runFT(seed uint64, results []DistResult, errs []error) (err err
 	if snap, stage, ok := f.store.load(f.me()); ok {
 		// Roll back: resume from the last promoted checkpoint.
 		f.a = snap.a
-		f.chk1, f.chk2 = snap.chk1, snap.chk2
 		copy(f.globalPiv, snap.globalPiv)
 		f.firstError = snap.firstError
 		start, at = stage, stage
@@ -336,8 +319,6 @@ func (f *ftGrid) initChecksums(full *matrix.Dense) {
 	if f.q != f.cq {
 		return
 	}
-	f.chk1 = matrix.NewDense(f.mloc, f.nb)
-	f.chk2 = matrix.NewDense(f.mloc, f.nb)
 	for i := f.p; i < f.nBlocks; i += f.P {
 		r, _ := f.blockDims(i, 0)
 		// The checksum seeds span the whole block row, most of which this
@@ -349,7 +330,7 @@ func (f *ftGrid) initChecksums(full *matrix.Dense) {
 		} else {
 			band = full.View(i*f.nb, 0, r, f.n)
 		}
-		c1, c2 := f.chkRows(f.chk1, i), f.chkRows(f.chk2, i)
+		c1, c2 := f.chkBlocks(i)
 		for j := 0; j < f.nBlocks; j++ {
 			_, w := f.blockDims(i, j)
 			blk := band.View(0, j*f.nb, r, w)
@@ -366,125 +347,10 @@ func (f *ftGrid) initChecksums(full *matrix.Dense) {
 	}
 }
 
-// chkRows is block row i's rows of a checksum column, as a view.
-func (f *ftGrid) chkRows(chk *matrix.Dense, i int) *matrix.Dense {
-	r, _ := f.blockDims(i, 0)
-	return chk.View(f.lrow(i), 0, r, f.nb)
-}
-
-// swapChecksums applies the stage's pivot row swaps, in pivot order, to
-// the checksum columns — the virtual column's share of the stage's swaps.
-func (f *ftGrid) swapChecksums(k int, piv []int) error {
-	if f.q != f.cq {
-		return nil
-	}
-	for j, pv := range piv {
-		r1 := k*f.nb + j
-		r2 := k*f.nb + pv
-		if r1 == r2 {
-			continue
-		}
-		p1, p2 := f.rowProc(r1), f.rowProc(r2)
-		l1, l2 := f.localRow(r1), f.localRow(r2)
-		tag := tagFTSwap + r1
-		switch {
-		case p1 == f.p && p2 == f.p:
-			for _, chk := range []*matrix.Dense{f.chk1, f.chk2} {
-				row1, row2 := chk.Row(l1), chk.Row(l2)
-				for x := range row1 {
-					row1[x], row2[x] = row2[x], row1[x]
-				}
-			}
-		case p1 == f.p:
-			if err := f.swapChkRows(l1, f.rank(p2, f.q), tag); err != nil {
-				return err
-			}
-		case p2 == f.p:
-			if err := f.swapChkRows(l2, f.rank(p1, f.q), tag); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// swapChkRows exchanges local row lr of both checksum columns with the
-// peer rank.
-func (f *ftGrid) swapChkRows(lr, peer, tag int) error {
-	row1, row2 := f.chk1.Row(lr), f.chk2.Row(lr)
-	payload := append(append([]float64(nil), row1...), row2...)
-	if err := f.c.Send(peer, tag, payload, nil); err != nil {
-		return err
-	}
-	msg, err := f.c.Recv(peer, tag)
-	if err != nil {
-		return err
-	}
-	if len(msg.F) != 2*f.nb {
-		return fmt.Errorf("hpl: checksum swap payload %d != %d", len(msg.F), 2*f.nb)
-	}
-	copy(row1, msg.F[:f.nb])
-	copy(row2, msg.F[f.nb:])
-	return nil
-}
-
-// chkSolveAndBcast performs the checksum columns' share of the U solve:
-// CU = L11⁻¹·C(k) on the pivot row's cq rank, broadcast down column cq.
-func (f *ftGrid) chkSolveAndBcast(k int) error {
-	f.cu1, f.cu2 = nil, nil
-	if f.q != f.cq || k+1 >= f.nBlocks {
-		return nil
-	}
-	rootP, _ := f.owner(k, k)
-	rk, _ := f.blockDims(k, 0)
-	if f.p == rootP {
-		f.cu1, f.cu2 = f.chkRows(f.chk1, k), f.chkRows(f.chk2, k)
-		blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, f.stageL11, f.cu1)
-		blas.Dtrsm(blas.Left, blas.Lower, false, blas.Unit, 1, f.stageL11, f.cu2)
-		payload := slices.Concat(flatten(f.cu1), flatten(f.cu2))
-		for pp := 0; pp < f.P; pp++ {
-			if pp != f.p {
-				if err := f.c.Send(f.rank(pp, f.cq), tagFTCU+k, payload, nil); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	msg, err := f.c.Recv(f.rank(rootP, f.cq), tagFTCU+k)
-	if err != nil {
-		return err
-	}
-	half := rk * f.nb
-	if len(msg.F) != 2*half {
-		return fmt.Errorf("hpl: checksum-U payload %d != %d", len(msg.F), 2*half)
-	}
-	if f.cu1, err = unflatten(msg.F[:half], rk, f.nb); err != nil {
-		return err
-	}
-	f.cu2, err = unflatten(msg.F[half:], rk, f.nb)
-	return err
-}
-
-// updateChecksums applies the trailing update to the checksum columns:
-// C -= L21·CU over every owned row below block row k, the same update
-// every data column receives, on the stage's packed L21. The factored
-// column's contribution cancels exactly, so the invariant
-// C(I) = Σ_{J≥k+1} A(I,J)·S_J holds at the next super-step.
-func (f *ftGrid) updateChecksums(k int) error {
-	from := f.rowsFrom(k + 1)
-	if f.q != f.cq || from == f.mloc {
-		return nil
-	}
-	if f.packedL == nil {
-		return fmt.Errorf("hpl: rank (%d,%d) missing stage-%d L21 for the checksum update", f.p, f.q, k)
-	}
-	for _, cu := range []struct{ u, chk *matrix.Dense }{{f.cu1, f.chk1}, {f.cu2, f.chk2}} {
-		pu := blas.PrepackB(cu.u)
-		blas.GemmPrepacked(f.packedL, pu, cu.chk.View(from, 0, f.mloc-from, f.nb), 1)
-		pu.Release()
-	}
-	return nil
+// chkBlocks returns block row i of C1 and C2: blocks (i, nBlocks) and
+// (i, nBlocks+Q) of the checksum column, views of a.
+func (f *ftGrid) chkBlocks(i int) (c1, c2 *matrix.Dense) {
+	return f.block(i, f.nBlocks), f.block(i, f.nBlocks+f.Q)
 }
 
 // scrubBlock corrupts one owned trailing data block in place (the "silent

@@ -10,19 +10,14 @@ import (
 
 // ftSnap is one rank's checkpointed state.
 type ftSnap struct {
-	a          *matrix.Dense // the local matrix
-	chk1, chk2 *matrix.Dense // its checksum rows (nil off the checksum column)
+	a          *matrix.Dense // the local matrix, checksum panels included
 	globalPiv  []int
 	firstError error
 }
 
 // clone deep-copies the snapshot.
 func (s *ftSnap) clone() *ftSnap {
-	c := &ftSnap{a: s.a.Clone(), globalPiv: append([]int(nil), s.globalPiv...), firstError: s.firstError}
-	if s.chk1 != nil {
-		c.chk1, c.chk2 = s.chk1.Clone(), s.chk2.Clone()
-	}
-	return c
+	return &ftSnap{a: s.a.Clone(), globalPiv: append([]int(nil), s.globalPiv...), firstError: s.firstError}
 }
 
 // ftStore is the in-process stand-in for node-local stable storage: it

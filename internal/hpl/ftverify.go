@@ -191,7 +191,7 @@ func (f *ftGrid) verifyRow(k, i int) (int, error) {
 			}
 		}
 		fixed := make([]float64, r*f.nb)
-		ck1 := f.chkRows(f.chk1, i)
+		ck1, _ := f.chkBlocks(i)
 		for rr := 0; rr < r; rr++ {
 			c1, ex := ck1.Row(rr), ex1.Row(rr)
 			for cc := 0; cc < f.nb; cc++ {
@@ -228,7 +228,7 @@ func (f *ftGrid) judgeRow(k, i int, sum1, sum2 *matrix.Dense) (status, j0 int) {
 	d2 := matrix.NewDense(r, f.nb)
 	var m1, m2 float64
 	var imax, cmax int
-	ck1, ck2 := f.chkRows(f.chk1, i), f.chkRows(f.chk2, i)
+	ck1, ck2 := f.chkBlocks(i)
 	for rr := 0; rr < r; rr++ {
 		c1, c2 := ck1.Row(rr), ck2.Row(rr)
 		s1, s2 := sum1.Row(rr), sum2.Row(rr)
@@ -300,6 +300,6 @@ func (f *ftGrid) installBlock(i, j0 int, vals []float64, r int) error {
 // checkpoint deposits this rank's post-stage-k state into the stable
 // store; the store promotes the checkpoint once every rank has deposited.
 func (f *ftGrid) checkpoint(k int) {
-	live := ftSnap{a: f.a, chk1: f.chk1, chk2: f.chk2, globalPiv: f.globalPiv, firstError: f.firstError}
+	live := ftSnap{a: f.a, globalPiv: f.globalPiv, firstError: f.firstError}
 	f.store.deposit(f.me(), k+1, live.clone())
 }

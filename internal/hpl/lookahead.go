@@ -81,30 +81,6 @@ func ParseLookaheadMode(s string) (LookaheadMode, error) {
 	return 0, fmt.Errorf("hpl: unknown look-ahead mode %q (want none, basic or pipelined)", s)
 }
 
-// stageHooks lets the fault-tolerant solver ride its ABFT checksum
-// maintenance on the stage. All three run at the end of stage k, once its
-// row swaps, L panel and U blocks are complete, in protocol order: mirror
-// the swaps, solve the checksum U, apply the checksum update.
-type stageHooks interface {
-	afterSwaps(k int, piv []int) error
-	afterL(k int) error
-	afterUpdate(k int) error
-}
-
-// runHooks runs the stage-end hooks (none without an FT solver).
-func (g *grid2d[T]) runHooks(k int, piv []int) error {
-	if g.hooks == nil {
-		return nil
-	}
-	if err := g.hooks.afterSwaps(k, piv); err != nil {
-		return err
-	}
-	if err := g.hooks.afterL(k); err != nil {
-		return err
-	}
-	return g.hooks.afterUpdate(k)
-}
-
 func (g *grid2d[T]) me() int { return g.rank(g.p, g.q) }
 
 // tspan records one protocol-phase trace span for this rank.
@@ -117,13 +93,7 @@ func (g *grid2d[T]) tspan(name string, k int, ts float64) {
 // boundaries so verification and checkpoints always see an untouched
 // next panel.
 func (g *grid2d[T]) aheadOK(next int) bool {
-	if g.mode == LookaheadNone || next >= g.nBlocks {
-		return false
-	}
-	if g.aheadBlocked != nil && g.aheadBlocked(next) {
-		return false
-	}
-	return true
+	return g.mode != LookaheadNone && next < g.nBlocks && (g.checkEvery == 0 || next%g.checkEvery != 0)
 }
 
 // recordPivots folds the stage's panel-relative pivots into the global
@@ -464,7 +434,8 @@ var testHookPackedL func(rank, delta int)
 // solveUColumn computes U12(k,j) by DTRSM on the pivot process row and
 // tree-broadcasts it down the process column (relays forward the raw
 // payload, so every copy is bitwise the root's). It returns this rank's
-// copy.
+// copy. j is a data column or, on the FT grid, checksum column nBlocks or
+// nBlocks+Q, so the tag strides k by nBlocks+Q+1.
 func (g *grid2d[T]) solveUColumn(k, j int) (*matrix.Of[T], error) {
 	rootP, _ := g.owner(k, k)
 	var u *matrix.Of[T]
@@ -473,7 +444,7 @@ func (g *grid2d[T]) solveUColumn(k, j int) (*matrix.Of[T], error) {
 		blas.Trsm(blas.Left, blas.Lower, false, blas.Unit, 1, g.stageL11, u)
 	}
 	if g.P > 1 {
-		tag := tag2dUBase + k*g.nBlocks + j
+		tag := tag2dUBase + k*(g.nBlocks+g.Q+1) + j
 		var payload []T
 		parent, children := cluster.BcastTree(g.P, rootP, g.p)
 		if g.p == rootP {
@@ -937,8 +908,9 @@ func (g *grid2d[T]) eagerSendL(next int) error {
 // columnOrder returns the owned block columns of stage k's swap/update
 // loop in schedule order: the look-ahead column k+1 first (when owned
 // and eligible), then every other owned column ascending, skipping the
-// panel column itself. Columns left of the panel still appear — their
-// rows are swapped — but receive no U or GEMM work.
+// panel column itself, then the FT grid's checksum columns. Columns left
+// of the panel still appear — their rows are swapped — but receive no U
+// or GEMM work.
 func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 	var order []int
 	if ahead && (k+1)%g.Q == g.q {
@@ -950,6 +922,9 @@ func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 		}
 		order = append(order, j)
 	}
+	if g.holdsChecksums() {
+		order = append(order, g.nBlocks, g.nBlocks+g.Q)
+	}
 	return order
 }
 
@@ -959,9 +934,9 @@ func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 // column's GEMM goes to the pipeline (overlapping the next column under
 // the async lane). With look-ahead the column k+1 is handled first and
 // synchronously, so panel k+1 factors and its broadcasts post before the
-// bulk of trailing update k. The FT hooks run at the end of the stage,
-// when swaps, L and U are complete (checksum blocks are disjoint from
-// data blocks, so queued updates may still be in flight).
+// bulk of trailing update k. The FT grid's checksum columns are two more
+// owned columns of the loop: the same swap, DTRSM, U broadcast and GEMM
+// keep them the checksums of the trailing matrix.
 func (g *grid2d[T]) stage(k int) error {
 	prevL := g.packedL
 	piv, err := g.openStage(k)
@@ -1032,9 +1007,6 @@ func (g *grid2d[T]) stage(k int) error {
 		// must agree the panel is done; their pivots arrive via the
 		// stage-end fan-out below.
 		g.factored[k+1] = true
-	}
-	if err := g.runHooks(k, piv); err != nil {
-		return err
 	}
 	if ahead {
 		return g.eagerPivotFanout(k + 1)

@@ -138,8 +138,9 @@ func TestLookaheadPipelinedCtxCancelMidRun(t *testing.T) {
 }
 
 // A crash-and-rollback recovery under any schedule must land on the same
-// bits as an undisturbed run: the FT hooks ride the end of every mode's
-// stage.
+// bits as an undisturbed run: every mode's stage keeps the FT checksum
+// panels as two more owned columns, and the checkpoint's clone of the
+// local matrix carries them.
 func TestLookaheadPipelinedFTCrashRestart(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	clean, err := Solve(context.Background(), Grid{N: 96, NB: 16, P: 2, Q: 2, Seed: 7, Lookahead: LookaheadPipelined}, nil)

@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -258,24 +257,4 @@ func Write(w io.Writer, header string, results []Result) {
 	}
 	fmt.Fprintln(w, rule)
 	fmt.Fprintln(w, "End of Tests.")
-}
-
-// SortResults orders results the way HPL prints them (by grid, N, NB, depth).
-func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		if a.Q != b.Q {
-			return a.Q < b.Q
-		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		if a.NB != b.NB {
-			return a.NB < b.NB
-		}
-		return a.Depth < b.Depth
-	})
 }

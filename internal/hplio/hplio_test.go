@@ -150,18 +150,6 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-func TestSortResults(t *testing.T) {
-	rs := []Result{
-		{Combination: Combination{N: 200, NB: 8, P: 2, Q: 2, Depth: 1}},
-		{Combination: Combination{N: 100, NB: 8, P: 1, Q: 1, Depth: 2}},
-		{Combination: Combination{N: 100, NB: 8, P: 1, Q: 1, Depth: 1}},
-	}
-	SortResults(rs)
-	if rs[0].P != 1 || rs[0].Depth != 1 || rs[2].N != 200 {
-		t.Errorf("sorted: %+v", rs)
-	}
-}
-
 func TestFirstIntAndLeadingInts(t *testing.T) {
 	if firstInt("abc 42 xyz") != 42 {
 		t.Error("firstInt")
