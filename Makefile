@@ -81,17 +81,19 @@ experiments:
 
 # fuzz: a short deep-fuzz of the FP64 micro-kernel dispatcher against its
 # scalar oracle (never panic, ulp envelope, no out-of-window writes — the
-# assembly's C-accumulating epilogue included), the pack → micro-kernel →
-# unpack chain, the fused panel factorization and the
-# level-1 axpy against the Go loops they replaced (bit for bit; each input
-# runs as float64 and again rounded to float32, so one target covers both
-# instantiations of the generic code), the grid driver's shape space
-# (n, NB, P, Q, schedule, precision) against the shared-memory LU bit for
-# bit, then the write-ahead journal's
-# crash-recovery scanner (arbitrary bytes must never panic, and repair
-# accounting must close exactly).
+# assembly's C-accumulating epilogue included), the FP32 micro-kernel
+# dispatcher against its own block sum added into C once (bit for bit, no
+# out-of-window writes), the pack → micro-kernel → unpack chain, the fused
+# panel factorization and the level-1 axpy against the Go loops they
+# replaced (bit for bit; each input runs as float64 through daxpyAVX2 and
+# again rounded to float32 through saxpyAVX2, so one target covers both
+# assembly leaves), the grid driver's shape space (n, NB, P, Q, schedule,
+# precision) against the shared-memory LU bit for bit, then the
+# write-ahead journal's crash-recovery scanner (arbitrary bytes must never
+# panic, and repair accounting must close exactly).
 fuzz:
-	$(GO) test ./internal/pack -fuzz FuzzMicroKernel -fuzztime 30s
+	$(GO) test ./internal/pack -fuzz 'FuzzMicroKernel$$' -fuzztime 30s
+	$(GO) test ./internal/pack -fuzz FuzzMicroKernel32 -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzPackedGemm -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzDgetf2 -fuzztime 30s
 	$(GO) test ./internal/blas -fuzz FuzzAxpy -fuzztime 30s

@@ -86,15 +86,14 @@ func FuzzDgetf2(f *testing.F) {
 	})
 }
 
-// FuzzAxpy holds the assembly level-1 primitive to the Go loop it
-// replaces: arbitrary alpha, lengths 0–67 (every combination of the
-// 8-wide, 4-wide and scalar tails), source and destination each at an
-// arbitrary 8-byte offset, bit-for-bit agreement, and no write before or
-// past the len(x) window. On a machine or build without the vector
-// kernel both sides are the Go loop and only the window check bites — as
-// they are for float32, which runs the same inputs rounded: it has no
-// assembly leaf, and the window check is what a float32 slice read as
-// float64 would break.
+// FuzzAxpy holds the assembly level-1 primitives to the Go loop they
+// replace: arbitrary alpha, lengths 0–67 (every combination of the
+// 16-wide, 8-wide, 4-wide and scalar tails), source and destination each
+// at an arbitrary element offset, bit-for-bit agreement, and no write
+// before or past the len(x) window. Each input runs as float64 through
+// daxpyAVX2 and again rounded to float32 through saxpyAVX2. On a machine
+// or build without the vector kernels both sides are the Go loop and only
+// the window check bites.
 func FuzzAxpy(f *testing.F) {
 	f.Add(uint64(1), 1.5, uint8(0), uint8(0), uint8(0))
 	f.Add(uint64(2), -0.25, uint8(67), uint8(1), uint8(3))
@@ -117,9 +116,14 @@ func checkAxpy[T matrix.Float](t *testing.T, seed uint64, alpha T, n, xo, yo int
 	y0 := rnd[T](1, n+8, seed+1).Data
 	got := append([]T(nil), y0...)
 	want := append([]T(nil), y0...)
-	if matrix.Is64[T]() && n > 0 && pack.VectorKernel() {
+	switch {
+	case n == 0:
+		axpy(alpha, x, got[yo:])
+	case matrix.Is64[T]() && pack.VectorKernel():
 		axpyVector(float64(alpha), matrix.Slice64(x), matrix.Slice64(got[yo:]))
-	} else {
+	case !matrix.Is64[T]() && pack.VectorKernel32():
+		axpyVector32(float32(alpha), matrix.Slice32(x), matrix.Slice32(got[yo:]))
+	default:
 		axpy(alpha, x, got[yo:])
 	}
 	axpyScalar(alpha, x, want[yo:])

@@ -50,27 +50,33 @@ func Daxpy(alpha float64, x, y []float64) {
 // axpy computes y[i] += alpha*x[i] for i < len(x); len(y) must be at
 // least len(x). It is the one level-1 update primitive behind Daxpy, the
 // Left-side substitutions of Trsm and the panel factorization. Its leaf is
-// per type: float64 runs an AVX2 loop with a separately rounded multiply
-// and add when pack.UseVector allows it and the pure-Go loop otherwise —
-// bit-identical by construction, so the kernel gates switch speed, never
-// results; float32 has no assembly leaf yet and always runs the Go loop.
-// The type test folds in each instantiation (matrix.Is64), so the float32
-// code contains no path to the float64 assembly at all.
+// per type, each an AVX2 loop with a separately rounded multiply and add,
+// run when that precision's kernel gate is open (pack.UseVector for
+// float64; pack.VectorKernel32 and DisableVectorKernel32 for float32) and
+// the pure-Go loop otherwise — bit-identical by construction, so the
+// kernel gates switch speed, never results. The type test folds in each
+// instantiation (matrix.Is64), so each instantiation contains a path to
+// its own precision's assembly only.
 func axpy[T matrix.Float](alpha T, x, y []T) {
-	if matrix.Is64[T]() && len(x) > 0 && pack.UseVector() {
-		axpyVector(float64(alpha), matrix.Slice64(x), matrix.Slice64(y))
-		return
+	if len(x) > 0 {
+		if matrix.Is64[T]() && pack.UseVector() {
+			axpyVector(float64(alpha), matrix.Slice64(x), matrix.Slice64(y))
+			return
+		}
+		if !matrix.Is64[T]() && pack.VectorKernel32() && !pack.DisableVectorKernel32 {
+			axpyVector32(float32(alpha), matrix.Slice32(x), matrix.Slice32(y))
+			return
+		}
 	}
 	axpyScalar(alpha, x, y)
 }
 
-// axpyScalar is the portable loop and the oracle of the vector primitive.
+// axpyScalar is the portable loop and the oracle of the vector primitives.
 // It is unrolled by four. A one-element body is short enough for its
-// speed to hang on where the linker places it: the float32 loop has no
-// vector primitive and takes about a quarter of a mixed grid solve, and
-// the whole solve ran 13–18 % slower in a build that put that body across
-// a 64-byte boundary. Each element is still y[i] + alpha·x[i], so the
-// bits are the same.
+// speed to hang on where the linker places it: before float32 had a
+// vector primitive the whole mixed grid solve ran 13–18 % slower in a
+// build that put that body across a 64-byte boundary. Each element is
+// still y[i] + alpha·x[i], so the bits are the same.
 func axpyScalar[T matrix.Float](alpha T, x, y []T) {
 	y = y[:len(x)]
 	i := 0

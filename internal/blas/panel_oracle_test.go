@@ -2,6 +2,7 @@ package blas
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"testing"
@@ -207,9 +208,10 @@ func testGetf2MatchesUnblockedReference[T matrix.Float](t *testing.T) {
 // axpyRoute reports which loop axpy ran for T, read off a result the two
 // loops do not share: on overlapping operands — y one element ahead of x,
 // all ones — the Go loop carries each sum into the next element and ends
-// on 17, the assembly loads eight x before it stores any y and ends on 2.
-// (On disjoint operands, the only kind the drivers pass, the two agree bit
-// for bit, so nothing but aliasing can show the route.)
+// on 17, the assembly (either width) loads all sixteen x before it stores
+// any y and ends on 2. (On disjoint operands, the only kind the drivers
+// pass, the two agree bit for bit, so nothing but aliasing can show the
+// route.)
 func axpyRoute[T matrix.Float](t *testing.T) (vector bool) {
 	t.Helper()
 	buf := make([]T, 17)
@@ -223,48 +225,48 @@ func axpyRoute[T matrix.Float](t *testing.T) (vector bool) {
 	case 2:
 		return true
 	}
-	t.Fatalf("axpy probe ended on %v: neither the Go loop nor the 8-wide assembly", buf[16])
+	t.Fatalf("axpy probe ended on %v: neither the Go loop nor the vector assembly", buf[16])
 	return false
 }
 
 // TestLevel1DispatchFollowsKernelGates asserts which loop the level-1
 // update actually ran under each gate, per instantiation. float64 reaches
 // daxpyAVX2 exactly when pack.UseVector() says so — the one predicate
-// Daxpy, Trsm and Getf2 consult — and the scalar-oracle CI leg
-// (PHIHPL_DISABLE_VECTOR_KERNEL=1) and the noasm build must both land on
-// the pure-Go loop. float32 must never reach it, whatever the gates say:
-// a float32 slice handed to the float64 assembly would be read as half as
-// many doubles and corrupt silently.
+// Daxpy, Trsm and Getf2 consult for float64. float32 reaches saxpyAVX2
+// exactly when the FP32 kernel gate (pack.VectorKernel32() &&
+// !pack.DisableVectorKernel32) is open, whatever the FP64 gate says, and
+// never the float64 assembly, which would read the float32 slice as half
+// as many doubles. The scalar-oracle CI leg
+// (PHIHPL_DISABLE_VECTOR_KERNEL=1) and the noasm build must land both on
+// the pure-Go loop.
 func TestLevel1DispatchFollowsKernelGates(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		if got := axpyRoute[float64](t); got != pack.UseVector() {
 			t.Fatalf("%s: float64 axpy ran the assembly = %v, UseVector() = %v", when, got, pack.UseVector())
 		}
-		if axpyRoute[float32](t) {
-			t.Fatalf("%s: float32 axpy reached the float64 assembly", when)
+		gate32 := pack.VectorKernel32() && !pack.DisableVectorKernel32
+		if got := axpyRoute[float32](t); got != gate32 {
+			t.Fatalf("%s: float32 axpy ran the assembly = %v, its gate says %v", when, got, gate32)
 		}
 	}
 	check("as started")
-	if os.Getenv("PHIHPL_DISABLE_VECTOR_KERNEL") != "" && pack.UseVector() {
+	if os.Getenv("PHIHPL_DISABLE_VECTOR_KERNEL") != "" && (pack.UseVector() || axpyRoute[float32](t)) {
 		t.Fatal("PHIHPL_DISABLE_VECTOR_KERNEL is set but level-1 still dispatches to assembly")
 	}
-	if !pack.VectorKernel() {
-		if pack.UseVector() {
-			t.Fatal("UseVector true without a vector kernel (noasm build or unsupported CPU)")
+	if !pack.VectorKernel() || !pack.VectorKernel32() {
+		if pack.UseVector() || axpyRoute[float32](t) {
+			t.Fatal("vector level-1 dispatch without a vector kernel (noasm build or unsupported CPU)")
 		}
 		return
 	}
-	saved := pack.DisableVectorKernel
-	defer func() { pack.DisableVectorKernel = saved }()
-	pack.DisableVectorKernel = true
-	if pack.UseVector() {
-		t.Fatal("DisableVectorKernel did not route level-1 through the Go loop")
+	saved, saved32 := pack.DisableVectorKernel, pack.DisableVectorKernel32
+	defer func() { pack.DisableVectorKernel, pack.DisableVectorKernel32 = saved, saved32 }()
+	for _, g := range []struct{ off64, off32 bool }{{true, false}, {false, true}, {true, true}, {false, false}} {
+		pack.DisableVectorKernel, pack.DisableVectorKernel32 = g.off64, g.off32
+		check(fmt.Sprintf("DisableVectorKernel=%v DisableVectorKernel32=%v", g.off64, g.off32))
 	}
-	check("DisableVectorKernel set")
-	pack.DisableVectorKernel = false
-	if !pack.UseVector() {
-		t.Fatal("vector level-1 primitive not dispatched on a capable CPU")
+	if !pack.UseVector() || !axpyRoute[float32](t) {
+		t.Fatal("vector level-1 primitives not dispatched on a capable CPU")
 	}
-	check("DisableVectorKernel clear")
 }

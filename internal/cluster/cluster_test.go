@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -590,5 +592,98 @@ func TestCostModelRecoveryPricing(t *testing.T) {
 	}
 	if m.ChecksumUpdate(0, 100, rate) != 0 {
 		t.Error("empty update free")
+	}
+}
+
+// TestHandOverDeliversTheSendersSlices runs a ring of hand-overs under the
+// clean transport and each chaos plan: every payload must arrive bit for
+// bit, as the sender's own slices (no copy on the way), and the sender's
+// slices must still hold what was sent once the world has finished — the
+// fabric, retransmissions and corrupted copies included, never wrote them.
+func TestHandOverDeliversTheSendersSlices(t *testing.T) {
+	defer testutil.NoLeaks(t)()
+	const n, rounds = 4, 30
+	payload := func(rank, r int) Msg {
+		v := float64(rank*1000+r) + 0.25
+		negZero := math.Copysign(0, -1)
+		return Msg{
+			Tag: 300 + r,
+			F:   []float64{v, negZero, math.Float64frombits(0x7ff8dead00000000 | uint64(r)), 5e-324, -v},
+			F32: []float32{float32(v), math.Float32frombits(0x7fc0beef), float32(negZero), 1e-45},
+			I:   []int{rank, r},
+		}
+	}
+	same := func(a, b Msg) bool {
+		if len(a.F) != len(b.F) || len(a.F32) != len(b.F32) || !slices.Equal(a.I, b.I) {
+			return false
+		}
+		for i := range a.F {
+			if math.Float64bits(a.F[i]) != math.Float64bits(b.F[i]) {
+				return false
+			}
+		}
+		for i := range a.F32 {
+			if math.Float32bits(a.F32[i]) != math.Float32bits(b.F32[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name string
+		plan *fault.Plan
+	}{
+		{"clean", nil},
+		{"drop", &fault.Plan{Seed: 11, Drop: 0.25}},
+		{"dup-delay", &fault.Plan{Seed: 5, Dup: 0.3, Delay: 0.2, DelayFor: time.Millisecond}},
+		{"corrupt", &fault.Plan{Seed: 23, Corrupt: 0.3}},
+		{"everything", &fault.Plan{Seed: 99, Drop: 0.15, Dup: 0.15, Corrupt: 0.1, Delay: 0.1, DelayFor: 500 * time.Microsecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Timeout: 5 * time.Second}
+			if tc.plan != nil {
+				opt.Injector = fault.NewInjector(tc.plan)
+			}
+			w := NewWorldOpts(n, opt)
+			sent := make([][]Msg, n) // sent[rank][round], written by rank only
+			for rank := range sent {
+				sent[rank] = make([]Msg, rounds)
+			}
+			err := w.Run(func(c *Comm) error {
+				me := c.Rank()
+				next, prev := (me+1)%n, (me+n-1)%n
+				for r := 0; r < rounds; r++ {
+					m := payload(me, r)
+					sent[me][r] = m
+					if err := c.HandOver(next, m); err != nil {
+						return err
+					}
+					got, err := c.Recv(prev, 300+r)
+					if err != nil {
+						return err
+					}
+					if !same(got, payload(prev, r)) || got.Src != prev {
+						t.Errorf("rank %d round %d: delivery %+v is not what rank %d handed over", me, r, got, prev)
+					}
+					if &got.F[0] != &sent[prev][r].F[0] || &got.F32[0] != &sent[prev][r].F32[0] {
+						t.Errorf("rank %d round %d: the payload was copied on the way", me, r)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("hand-over ring failed: %v", err)
+			}
+			for rank := range sent {
+				for r, m := range sent[rank] {
+					if !same(m, payload(rank, r)) {
+						t.Fatalf("rank %d round %d: the sender's slices were written: %+v", rank, r, m)
+					}
+				}
+			}
+			if tc.plan != nil && tc.plan.Corrupt > 0 && w.Stats().Faults.Corrupts == 0 {
+				t.Error("the corrupt plan injected no corruption")
+			}
+		})
 	}
 }

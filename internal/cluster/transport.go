@@ -29,9 +29,10 @@ func backoffFor(attempt int) time.Duration {
 }
 
 // Send delivers a message to dst. Payload slices are copied, so the sender
-// may reuse its buffers immediately (MPI semantics). Send is eager: it
-// only blocks when the link's buffer is full, and then honors the world
-// timeout and peer-failure signals instead of hanging.
+// may reuse its buffers immediately (MPI semantics); HandOver is the
+// variant that skips the copy. Send is eager: it only blocks when the
+// link's buffer is full, and then honors the world timeout and
+// peer-failure signals instead of hanging.
 func (c *Comm) Send(dst, tag int, f []float64, ints []int) error {
 	m := Msg{Src: c.rank, Tag: tag}
 	if f != nil {
@@ -59,7 +60,19 @@ func (c *Comm) Send32(dst, tag int, f []float32, ints []int) error {
 	return c.sendMsg(dst, tag, m)
 }
 
-// sendMsg is the shared delivery core of Send and Send32.
+// HandOver delivers m to dst on tag m.Tag without copying its payloads:
+// dst receives m.F, m.F32 and m.I as they are, and the sender must not
+// write them again. Everything else is Send's: eager buffering,
+// timeout/failure handling and, in chaos mode, the checksum and
+// retransmission of the same slices. The fabric itself never writes a
+// payload (corruptPacket flips its bit in a copy), so only the receiver
+// may.
+func (c *Comm) HandOver(dst int, m Msg) error {
+	m.Src = c.rank
+	return c.sendMsg(dst, m.Tag, m)
+}
+
+// sendMsg is the shared delivery core of Send, Send32 and HandOver.
 func (c *Comm) sendMsg(dst, tag int, m Msg) error {
 	w := c.world
 	if dst < 0 || dst >= w.size {

@@ -406,10 +406,11 @@ func demote[T matrix.Float](dst *matrix.Of[T], src *matrix.Dense) {
 
 // scatter generates the seeded system straight into the local matrix, in
 // the grid's element type: every rank, the root included, jumps the
-// generator to its own blocks (PRNG.Skip) and never allocates the rest of
-// the matrix. It returns, on rank 0, the FP64 system the root checks the
-// solution (and, on an FP32 grid, refines) against — a SeededSystem, which
-// regenerates A from the seed a row at a time on every pass. Under
+// generator to its own blocks (matrix.FillRandomBlockCyclic) and never
+// allocates the rest of the matrix. It returns, on rank 0, the FP64
+// system the root checks the solution (and, on an FP32 grid, refines)
+// against — a SeededSystem, which regenerates A from the seed a row at a
+// time on every pass. Under
 // mixedTestSystem every rank holds the hook's full matrix instead, and
 // scatter returns it as full.
 func (g *grid2d[T]) scatter(seed uint64) (sys matrix.System, full *matrix.Dense) {
@@ -426,13 +427,13 @@ func (g *grid2d[T]) scatter(seed uint64) (sys matrix.System, full *matrix.Dense)
 		rows += 2 * g.mloc
 	}
 	g.a = matrix.New[T](rows, g.nb)
-	for i := g.p; i < g.nBlocks; i += g.P {
-		for j := g.q; j < g.nBlocks; j += g.Q {
-			if full != nil {
+	if full == nil {
+		matrix.FillRandomBlockCyclic(g.n, g.nb, seed, g.p, g.q, g.P, g.Q, g.block)
+	} else {
+		for i := g.p; i < g.nBlocks; i += g.P {
+			for j := g.q; j < g.nBlocks; j += g.Q {
 				r, c := g.blockDims(i, j)
 				demote(g.block(i, j), full.View(i*g.nb, j*g.nb, r, c))
-			} else {
-				matrix.FillRandomSubmatrix(g.block(i, j), g.n, seed, i*g.nb, j*g.nb)
 			}
 		}
 	}
@@ -514,9 +515,10 @@ func (g *grid2d[T]) gatherAndSolve(sys matrix.System, results []DistResult, errs
 	}
 	if g.me() != 0 {
 		// One message per rank: the data panels of the local matrix as
-		// they stand, plus the singularity flag.
+		// they stand, plus the singularity flag. The local matrix is done
+		// with, so the root takes it over instead of a copy.
 		data := localRows(g.mloc, g.nloc, g.nb) * g.nb
-		return g.send(0, tag2dFinal, g.a.Data[:data], singularFlag(g.firstError))
+		return g.handOver(0, tag2dFinal, g.a.Data[:data], singularFlag(g.firstError))
 	}
 
 	locals := make([]*matrix.Of[T], g.P*g.Q)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"phihpl/internal/blas"
+	"phihpl/internal/cluster"
 	"phihpl/internal/matrix"
 )
 
@@ -20,6 +21,18 @@ func (g *grid2d[T]) send(dst, tag int, f []T, ints []int) error {
 		return g.c.Send(dst, tag, matrix.Slice64(f), ints)
 	}
 	return g.c.Send32(dst, tag, matrix.Slice32(f), ints)
+}
+
+// handOver is send without the copy, for the final gather: f and ints
+// pass to dst as they are, and this rank never writes them again.
+func (g *grid2d[T]) handOver(dst, tag int, f []T, ints []int) error {
+	m := cluster.Msg{Tag: tag, I: ints}
+	if matrix.Is64[T]() {
+		m.F = matrix.Slice64(f)
+	} else {
+		m.F32 = matrix.Slice32(f)
+	}
+	return g.c.HandOver(dst, m)
 }
 
 // recv receives (src, tag) and returns the float payload of the grid's

@@ -149,6 +149,40 @@ func FillRandomSubmatrix[T Float](dst *Of[T], n int, seed uint64, r0, c0 int) {
 	}
 }
 
+// FillRandomBlockCyclic fills one process's share of RandomSystem(n,
+// seed)'s matrix under a 2D block-cyclic layout of nb×nb blocks: process
+// (p, q) of a P×Q grid owns every block (i, j) with i ≡ p (mod P) and
+// j ≡ q (mod Q), and block(i, j) returns where that block goes, a matrix
+// or view of its rows×cols (ragged at the last block row and column).
+// Each block gets FillRandomSubmatrix's bits. The stream is jumped once
+// per owned matrix row, to the row's first owned block; from the end of
+// one block to the start of the next it skips the (Q−1)·nb draws the
+// other process columns own, a jump computed once.
+func FillRandomBlockCyclic[T Float](n, nb int, seed uint64, p, q, P, Q int, block func(i, j int) *Of[T]) {
+	nBlocks := (n + nb - 1) / nb
+	gapMul, gapInc := jump(uint64((Q - 1) * nb))
+	var row []*Of[T]
+	for i := p; i < nBlocks; i += P {
+		row = row[:0]
+		for j := q; j < nBlocks; j += Q {
+			row = append(row, block(i, j))
+		}
+		if len(row) == 0 {
+			return // q owns no block column
+		}
+		for r := 0; r < row[0].Rows; r++ {
+			g := NewPRNG(seed)
+			g.Skip(uint64(i*nb+r)*uint64(n) + uint64(q*nb))
+			for b, dst := range row {
+				if b > 0 {
+					g.state = g.state*gapMul + gapInc
+				}
+				fill(g, dst.Row(r))
+			}
+		}
+	}
+}
+
 // RandomVector returns a length-n vector of uniform [-0.5,0.5) entries.
 func RandomVector(n int, seed uint64) []float64 {
 	v := make([]float64, n)

@@ -63,6 +63,59 @@ func TestRandomSubmatrixBitwise(t *testing.T) {
 	}
 }
 
+// FillRandomBlockCyclic must give every block a process owns exactly
+// FillRandomSubmatrix's bits, and touch no block it does not own: ragged
+// n, process grids wider or taller than the block count, both element
+// types.
+func TestFillRandomBlockCyclicMatchesSubmatrix(t *testing.T) {
+	for _, c := range []struct{ n, nb, P, Q int }{
+		{37, 8, 2, 2}, // ragged last block row and column
+		{37, 8, 1, 3}, // three process columns, ragged
+		{40, 8, 3, 1}, // one process column: no gap to jump
+		{20, 8, 2, 5}, // Q > nBlocks: two process columns own nothing
+		{20, 8, 4, 1}, // P > nBlocks
+		{9, 16, 2, 2}, // one ragged block
+		{64, 4, 3, 5}, // many blocks per row
+	} {
+		checkBlockCyclic[float64](t, c.n, c.nb, c.P, c.Q)
+		checkBlockCyclic[float32](t, c.n, c.nb, c.P, c.Q)
+	}
+}
+
+func checkBlockCyclic[T Float](t *testing.T, n, nb, P, Q int) {
+	t.Helper()
+	const seed = 1234
+	nBlocks := (n + nb - 1) / nb
+	view := func(m *Of[T], i, j int) *Of[T] {
+		return m.View(i*nb, j*nb, min(nb, n-i*nb), min(nb, n-j*nb))
+	}
+	for p := 0; p < P; p++ {
+		for q := 0; q < Q; q++ {
+			got := New[T](n, n)
+			for i := range got.Data {
+				got.Data[i] = 7 // not a value the generator draws
+			}
+			FillRandomBlockCyclic(n, nb, seed, p, q, P, Q, func(i, j int) *Of[T] { return view(got, i, j) })
+			for i := 0; i < nBlocks; i++ {
+				for j := 0; j < nBlocks; j++ {
+					blk := view(got, i, j)
+					want := New[T](blk.Rows, blk.Cols)
+					if i%P == p && j%Q == q {
+						FillRandomSubmatrix(want, n, seed, i*nb, j*nb)
+					} else {
+						for k := range want.Data {
+							want.Data[k] = 7
+						}
+					}
+					if !Equal(blk.Clone(), want) {
+						t.Fatalf("n=%d nb=%d %dx%d process (%d,%d): block (%d,%d) differs from FillRandomSubmatrix", n, nb, P, Q, p, q, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
 // fill, the loop behind every generator, must draw exactly the sequential
 // stream at every length.
 func TestFillMatchesSequentialDraws(t *testing.T) {

@@ -103,3 +103,73 @@ func FuzzMicroKernel(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMicroKernel32 holds the FP32 micro-kernel dispatcher to its one
+// contract with C, whichever kernel the gate picks: every rows×cols
+// element of C gets the block sum added exactly once, with one separately
+// rounded float32 add. The oracle runs the same dispatcher into a zeroed
+// C, then adds that into the original C in Go; the two must agree bit for
+// bit. Row counts that are not a multiple of the 4-row vector block, tiles
+// narrower than 16 columns and padded C strides send the vector kernel
+// through its staged edge blocks, and the padding, a guard row past the
+// last C row included, must survive bit for bit.
+func FuzzMicroKernel32(f *testing.F) {
+	f.Add(uint64(1), uint8(31), uint8(15), uint8(15), uint8(3)) // full tile, padded ldc
+	f.Add(uint64(2), uint8(0), uint8(0), uint8(0), uint8(0))    // 1×1×1 degenerate
+	f.Add(uint64(3), uint8(5), uint8(15), uint8(95), uint8(1))  // deep k, a full block and a 2-row edge
+	f.Add(uint64(4), uint8(28), uint8(6), uint8(40), uint8(0))  // rows mod 4 = 1, partial cols, tight ldc
+	f.Add(uint64(5), uint8(10), uint8(15), uint8(1), uint8(4))  // k = 1, rows mod 4 = 3
+	f.Fuzz(func(t *testing.T, seed uint64, rowsR, colsR, kR, padR uint8) {
+		rows := 1 + int(rowsR)%DefaultTileM32
+		cols := 1 + int(colsR)%TileN32
+		k := 1 + int(kR)%96
+		ldc := cols + int(padR)%5
+		tileM := DefaultTileM32
+
+		s := seed
+		next := func() float32 { // splitmix64 → [-1, 1)
+			s += 0x9e3779b97f4a7c15
+			z := s
+			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+			z ^= z >> 31
+			return float32(float64(int64(z>>11))/float64(1<<52) - 1)
+		}
+		aTile := make([]float32, tileM*k)
+		for i := range aTile {
+			aTile[i] = next()
+		}
+		bTile := make([]float32, k*TileN32)
+		for i := range bTile {
+			bTile[i] = next()
+		}
+		const sentinel = math.MaxFloat32 / 3
+		inside := func(i int) bool { return i < rows*ldc && i%ldc < cols }
+		c0 := make([]float32, (rows+1)*ldc)
+		for i := range c0 {
+			if inside(i) {
+				c0[i] = next()
+			} else {
+				c0[i] = sentinel
+			}
+		}
+
+		got := append([]float32(nil), c0...)
+		MicroKernel32(aTile, tileM, k, bTile, got, ldc, rows, cols)
+		sum := make([]float32, len(c0))
+		MicroKernel32(aTile, tileM, k, bTile, sum, ldc, rows, cols)
+
+		for i := range got {
+			want := c0[i]
+			if inside(i) {
+				want = c0[i] + sum[i]
+			} else if sum[i] != 0 {
+				t.Fatalf("zeroed C written outside the window at flat index %d", i)
+			}
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("C flat %d (row %d col %d) = %v, want %v (rows=%d cols=%d k=%d ldc=%d)",
+					i, i/ldc, i%ldc, got[i], want, rows, cols, k, ldc)
+			}
+		}
+	})
+}

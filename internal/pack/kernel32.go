@@ -16,6 +16,10 @@ const TileN32 = 16
 // register blocks.
 const DefaultTileM32 = 32
 
+// microM32 is the row height of the FP32 vector register block: a 4×16
+// accumulator block is 8 YMM registers (two 8-lane halves per row).
+const microM32 = 4
+
 // DisableVectorKernel32 forces the portable scalar FP32 micro-kernel even
 // when the AVX2+FMA block kernel is available. The scalar kernel is the
 // bitwise reference for blas.Sgemm (unfused multiply-add, same per-element
@@ -62,20 +66,24 @@ func MicroKernel32(aTile []float32, tileM, k int, bTile []float32, c []float32, 
 	if k <= 0 || rows <= 0 || cols <= 0 {
 		return
 	}
-	if vectorKernel32 && !DisableVectorKernel32 && tileM%4 == 0 {
-		var acc [64]float32
-		for r0 := 0; r0 < rows; r0 += 4 {
-			kernel32Block(aTile, tileM, k, r0, bTile, &acc)
-			br := rows - r0
-			if br > 4 {
-				br = 4
+	if vectorKernel32 && !DisableVectorKernel32 && tileM%microM32 == 0 {
+		for r0 := 0; r0 < rows; r0 += microM32 {
+			br := min(rows-r0, microM32)
+			if br == microM32 && cols == TileN32 {
+				// Full block: the assembly epilogue adds straight into c.
+				kernel32Block(aTile, tileM, k, r0, bTile, c[r0*ldc:], ldc)
+				continue
 			}
+			// Edge block: staged through a stack copy of the real
+			// br×cols corner, as in MicroKernel; what the zero padding of
+			// the tiles adds to the rest of the window is not copied back.
+			var win [microM32 * TileN32]float32
 			for i := 0; i < br; i++ {
-				row := c[(r0+i)*ldc : (r0+i)*ldc+cols]
-				sums := acc[i*TileN32 : i*TileN32+TileN32]
-				for j := range row {
-					row[j] += sums[j]
-				}
+				copy(win[i*TileN32:], c[(r0+i)*ldc:(r0+i)*ldc+cols])
+			}
+			kernel32Block(aTile, tileM, k, r0, bTile, win[:], TileN32)
+			for i := 0; i < br; i++ {
+				copy(c[(r0+i)*ldc:(r0+i)*ldc+cols], win[i*TileN32:])
 			}
 		}
 		return

@@ -5,20 +5,23 @@
 
 #include "textflag.h"
 
-// func sgemm4x16(a *float32, strideBytes int64, k int64, b *float32, dst *[64]float32)
+// func sgemm4x16(a *float32, strideBytes int64, k int64, b *float32, c *float32, ldcBytes int64)
 //
-// dst[i][j] = sum_p a[p*stride + i] * b[p*16 + j]   (i<4, j<16, fused)
+// c[i*ldc + j] += sum_p a[p*stride + i] * b[p*16 + j]   (i<4, j<16, fused)
 //
 // Register plan (AVX2): Y0..Y7 hold the 4×16 accumulator block (two
 // 8-lane halves per row), Y8..Y11 the four broadcast a values of the
 // current column, Y12/Y13 the 16-wide b row. One k step is 2 b loads,
-// 4 broadcasts and 8 FMAs = 128 fused flops.
-TEXT ·sgemm4x16(SB), NOSPLIT, $0-40
+// 4 broadcasts and 8 FMAs = 128 fused flops. The epilogue adds each
+// accumulator to its c row with a separately rounded VADDPS, as
+// dgemm6x8's does.
+TEXT ·sgemm4x16(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), SI
 	MOVQ strideBytes+8(FP), AX
 	MOVQ k+16(FP), CX
 	MOVQ b+24(FP), BX
-	MOVQ dst+32(FP), DI
+	MOVQ c+32(FP), DI
+	MOVQ ldcBytes+40(FP), DX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -53,13 +56,24 @@ loop:
 	JNE          loop
 
 store:
+	VADDPS  (DI), Y0, Y0
+	VADDPS  32(DI), Y1, Y1
 	VMOVUPS Y0, (DI)
 	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
+	ADDQ    DX, DI
+	VADDPS  (DI), Y2, Y2
+	VADDPS  32(DI), Y3, Y3
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    DX, DI
+	VADDPS  (DI), Y4, Y4
+	VADDPS  32(DI), Y5, Y5
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ    DX, DI
+	VADDPS  (DI), Y6, Y6
+	VADDPS  32(DI), Y7, Y7
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
 	VZEROUPPER
 	RET

@@ -14,6 +14,6 @@ func kernelBlock(aTile []float64, tileM, k, r0 int, bTile []float64, c []float64
 }
 
 // kernel32Block is never called when haveAsmKernel reports false.
-func kernel32Block(aTile []float32, tileM, k, r0 int, bTile []float32, acc *[64]float32) {
+func kernel32Block(aTile []float32, tileM, k, r0 int, bTile []float32, c []float32, ldc int) {
 	panic("pack: vector FP32 kernel unavailable on this platform")
 }
