@@ -40,13 +40,18 @@ vet:
 # furthest stage any rank reached, which ranks running ahead of a crash
 # changed about one run in seventy-five. The FT chaos, scrub and
 # look-ahead FT suites repeat at the same proc counts: the stage keeps the
-# ABFT checksum panels, so FT's interleavings are the stage's.
+# ABFT checksum panels, so FT's interleavings are the stage's. The grid's
+# bitwise suites repeat at the same proc counts too: the fabric's links
+# are FIFO with tag-checked receives, so a message posted out of order on
+# a link fails as a tag mismatch, but only on the interleavings that
+# expose it.
 race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m . ./internal/matrix/... ./internal/blas/... ./internal/pool/... ./internal/pack/... ./internal/dag/... ./internal/lu/... ./internal/offload/... ./internal/cluster/... ./internal/hpl/... ./internal/fault/... ./internal/trace/... ./internal/metrics/... ./internal/server/... ./internal/journal/...
 	$(GO) test -race -count=50 -run 'TestPreemptWedgedSolve$$|TestDrainForceFinalizesWedgedJob$$' ./internal/server
 	$(GO) test -count=100 -cpu 1,2,4 -run 'TestFTUnrecoverableReturnsFaultError$$|TestFTFaultErrorIterIgnoresRanksAhead$$' ./internal/hpl
 	$(GO) test -count=20 -cpu 1,2,4 -run 'TestFTChaosSuite$$|TestFTScrubIsReconstructed$$|TestLookaheadPipelinedFT' ./internal/hpl
+	$(GO) test -count=20 -cpu 1,2,4 -run 'TestGridShapeSpaceMatchesSequential$$|FuzzSolve2D$$|TestLookaheadModesBitwiseIdentical$$' ./internal/hpl
 
 # poolsize: the numeric suites at two pool sizes. pool.Size() is fixed at
 # GOMAXPROCS for the life of a process, so one run meets one worker count;

@@ -228,7 +228,8 @@ func NewWorldOpts(size int, opt Options) *World {
 func (w *World) Size() int { return w.size }
 
 // SendCount reports how many point-to-point sends the given rank has
-// issued so far — the A/B observable for tree vs. flat broadcast.
+// issued so far; summed over the ranks it is a protocol's message count,
+// which the grid solver's tests pin per solve.
 func (w *World) SendCount(rank int) uint64 {
 	if rank < 0 || rank >= w.size {
 		return 0

@@ -88,10 +88,12 @@ type Grid struct {
 //   - panel factorization of the current block column (gathered to the
 //     diagonal owner, factored, scattered back — a functional
 //     simplification of HPL's in-place distributed panel, preserving
-//     pivot choices exactly);
-//   - a pivot broadcast and *distributed row swapping*: pivot rows living
-//     on different process rows exchange row segments per process column;
-//   - the panel (L) broadcast along process rows;
+//     pivot choices exactly), the scatter carrying the pivots;
+//   - the panel (L) broadcast along process rows, carrying the pivots
+//     with L as HPL's panel buffer does;
+//   - *distributed row swapping*: pivot rows living on different process
+//     rows exchange row segments per process column, one packed message
+//     per peer per stage;
 //   - the U block-row solve on the pivot process row, then the U
 //     broadcast along process columns;
 //   - the local trailing update, per owned block column J one GEMM over
@@ -180,10 +182,14 @@ func solveGrid[T matrix.Float](ctx context.Context, cfg Grid, rec *trace.Recorde
 	nBlocks := (n + nb - 1) / nb
 
 	// Per-pair channel buffers must absorb a stage's worth of eagerly
-	// sent messages (U blocks per link scale with nBlocks; the panel, L,
-	// pivot and swap exchanges are one message each per stage) with eager
-	// look-ahead keeping at most two stages in flight.
+	// sent messages (U blocks per link scale with nBlocks; the panel, L
+	// and swap exchanges are one message each per stage, the pivots
+	// riding the panel scatter and L) with look-ahead keeping at most two
+	// stages in flight.
 	world := cluster.NewWorld(p*q, 2*nBlocks+64)
+	if h := testHookWorld; h != nil {
+		h(world)
+	}
 	results := make([]DistResult, p*q)
 	errs := make([]error, p*q)
 	if err := world.Run(func(c *Comm) error {
@@ -204,6 +210,10 @@ func solveGrid[T matrix.Float](ctx context.Context, cfg Grid, rec *trace.Recorde
 	}
 	return results[0], nil
 }
+
+// testHookWorld, when non-nil, sees the world solveGrid builds before it
+// runs. Set only by tests (before a solve starts).
+var testHookWorld func(*cluster.World)
 
 // grid2d is one process of the grid solver, factoring in element type T.
 // No rank holds more of the matrix than its own blocks: rank 0 checks the
@@ -233,13 +243,11 @@ type grid2d[T matrix.Float] struct {
 	// work-stealing engine (Grid.Offload), in either precision.
 	offloadUpdates bool
 
-	// Look-ahead bookkeeping (basic/pipelined schedules).
-	pivots   [][]int      // eagerly factored stage -> its panel pivots
-	factored []bool       // panels factored ahead of their stage
-	lSent    []bool       // stages whose L broadcast was already posted
-	pipe     *pipeline[T] // trailing-update lane (async or inline, see startPipe)
-	scratch  []T          // reusable pack buffer (sends copy payloads)
-	t0       time.Time    // start of the timed factor+solve phase
+	panelPiv      []int        // pivots of the last panel this rank's process column factored
+	factoredAhead bool         // the previous stage factored and posted this stage's panel (look-ahead)
+	pipe          *pipeline[T] // trailing-update lane (async or inline, see startPipe)
+	scratch       []T          // reusable pack buffer (sends copy payloads)
+	t0            time.Time    // start of the timed factor+solve phase
 
 	// checkEvery is the FT solver's checkpoint interval in stages (0: the
 	// plain grid). Look-ahead stops at its super-step boundaries, and the
@@ -256,7 +264,6 @@ type grid2d[T matrix.Float] struct {
 // tag bases; stage-dependent offsets keep each exchange unambiguous.
 const (
 	tag2dGatherBase = 1 << 20
-	tag2dPivBase    = 2 << 20
 	tag2dSwapBase   = 3 << 20
 	tag2dLBase      = 4 << 20
 	tag2dUBase      = 5 << 20
@@ -441,9 +448,6 @@ func (g *grid2d[T]) scatter(seed uint64) (sys matrix.System, full *matrix.Dense)
 	for i := range g.globalPiv {
 		g.globalPiv[i] = i
 	}
-	g.pivots = make([][]int, g.nBlocks)
-	g.factored = make([]bool, g.nBlocks)
-	g.lSent = make([]bool, g.nBlocks)
 	switch {
 	case g.me() != 0:
 	case full != nil:

@@ -4,14 +4,16 @@ package hpl
 // paper's none → basic → pipelined ladder (Section V, Fig. 8/9) applied
 // to the functional in-process grid. The three run one protocol, one
 // stage loop (stage): the panel gathered, factored and scattered in one
-// message per rank pair, its L broadcast over the binomial tree of
-// cluster.BcastTree, the stage's row swaps coalesced into one packed
-// exchange per peer, and per owned block column the swap, DTRSM, tree U
-// broadcast and prepacked trailing GEMM. The mode sets two switches:
+// message per rank pair, its L and pivots broadcast together over the
+// binomial tree of cluster.BcastTree (the pivots have no message of
+// their own), the stage's row swaps coalesced into one packed exchange
+// per peer, and per owned block column the swap, DTRSM, tree U broadcast
+// and prepacked trailing GEMM. The mode sets two switches:
 //
 //   - look-ahead (aheadOK): basic and pipelined update block column k+1
-//     first, factor panel k+1 and post its broadcasts before the rest of
-//     update k; none factors every panel at the start of its own stage.
+//     first, then factor panel k+1 and post its broadcast (postPanel, the
+//     one factor-and-post of every schedule) before the rest of update
+//     k; none factors every panel at the start of its own stage.
 //   - the async GEMM lane (startPipe): pipelined hands each column's
 //     GEMM to a worker goroutine, so the next column's swap, DTRSM and U
 //     broadcast overlap it; none and basic run the GEMM inline.
@@ -134,89 +136,55 @@ func (g *grid2d[T]) interleave(panel, seg *matrix.Of[T], pp, k int, toPanel bool
 	}
 }
 
-// --- batched panel factorization --------------------------------------
+// --- panel factorization and its broadcast -----------------------------
 
-// ensureFactored makes panel k factored and returns its pivots. If the
-// panel was factored eagerly during the previous stage, only the lazy
-// pivot receive remains (the factored segments already sit in place on
-// their owners); otherwise the full synchronous batched factorization
-// runs.
-func (g *grid2d[T]) ensureFactored(k int) ([]int, error) {
-	if !g.factored[k] {
-		return g.factorPanelBatched(k)
+// postPanel factors panel k and posts its broadcast. Only the panel
+// column acts: factorPanelCore leaves every rank of it with its factored
+// rows and the pivots, and the rank posts both — its rows of the panel,
+// one view, and the pivots; the pivots alone from a rank holding no rows
+// of the panel — to its binomial-tree children along the process row (one
+// message per tree edge). The stage calls it at the start of stage k, or
+// under look-ahead from stage k−1 once column k is updated; either way
+// stage k's recvL collects the result.
+func (g *grid2d[T]) postPanel(k int) error {
+	_, rootQ := g.owner(k, k)
+	if g.q != rootQ {
+		return nil
 	}
-	g.factored[k] = false
-	rootP, rootQ := g.owner(k, k)
-	root := g.rank(rootP, rootQ)
-	piv := g.pivots[k]
-	if piv == nil {
-		msg, err := g.c.Recv(root, tag2dPivBase+k)
-		if err != nil {
-			return nil, err
-		}
-		piv = msg.I
-	}
-	g.pivots[k] = nil
-	if _, w := g.blockDims(k, k); len(piv) != w {
-		return nil, fmt.Errorf("hpl: stage %d pivot payload has %d entries, want %d", k, len(piv), w)
-	}
-	g.recordPivots(k, piv)
-	return piv, nil
-}
-
-// factorPanelBatched is the synchronous batched panel factorization:
-// gather/factor/scatter over one message per rank pair, then the flat
-// pivot fan-out consumed immediately by every rank.
-func (g *grid2d[T]) factorPanelBatched(k int) ([]int, error) {
-	rootP, rootQ := g.owner(k, k)
-	root := g.rank(rootP, rootQ)
 	piv, err := g.factorPanelCore(k)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if g.me() == root {
-		for r := 0; r < g.P*g.Q; r++ {
-			if r != root {
-				if err := g.c.Send(r, tag2dPivBase+k, nil, piv); err != nil {
-					return nil, err
-				}
-			}
+	g.panelPiv = piv
+	buf := flatten(g.panelView(k))
+	_, children := cluster.BcastTree(g.Q, rootQ, g.q)
+	for _, cq := range children {
+		if err := g.send(g.rank(g.p, cq), tag2dLBase+k, buf, piv); err != nil {
+			return err
 		}
-	} else {
-		msg, err := g.c.Recv(root, tag2dPivBase+k)
-		if err != nil {
-			return nil, err
-		}
-		piv = msg.I
 	}
-	if _, w := g.blockDims(k, k); len(piv) != w {
-		return nil, fmt.Errorf("hpl: stage %d pivot payload has %d entries, want %d", k, len(piv), w)
-	}
-	g.recordPivots(k, piv)
-	return piv, nil
+	return nil
 }
 
 // factorPanelCore gathers panel k on the diagonal owner in one message
 // per source rank, factors it, and scatters the factored segments back
-// in one message per destination rank. Only panel-column ranks
-// participate; the root returns the pivots, everyone else nil.
+// in one message per destination rank, the pivots in its int payload.
+// The scatter reaches every other process row of the panel column, one
+// holding no rows of the panel included (it gets the pivots alone), so
+// every panel-column rank returns the pivots.
 func (g *grid2d[T]) factorPanelCore(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
 	root := g.rank(rootP, rootQ)
-	if g.q != rootQ {
-		return nil, nil
-	}
 	mine := g.panelView(k)
 	tag := tag2dGatherBase + k
 
 	if g.me() != root {
-		if mine.Rows == 0 {
-			return nil, nil
+		if mine.Rows > 0 {
+			if err := g.send(root, tag, flatten(mine), nil); err != nil {
+				return nil, err
+			}
 		}
-		if err := g.send(root, tag, flatten(mine), nil); err != nil {
-			return nil, err
-		}
-		f, _, err := g.recv(root, tag)
+		f, piv, err := g.recv(root, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +193,7 @@ func (g *grid2d[T]) factorPanelCore(k int) ([]int, error) {
 			return nil, fmt.Errorf("hpl: stage %d factored panel: %w", k, err)
 		}
 		mine.CopyFrom(seg)
-		return nil, nil
+		return piv, nil
 	}
 
 	// Root: assemble the panel from its own rows plus one message per
@@ -258,156 +226,57 @@ func (g *grid2d[T]) factorPanelCore(k int) ([]int, error) {
 			g.interleave(panel, mine, pp, k, false)
 			continue
 		}
-		rows := g.panelRows(pp, k)
-		if rows == 0 {
-			continue
-		}
-		seg := matrix.New[T](rows, w)
+		seg := matrix.New[T](g.panelRows(pp, k), w)
 		g.interleave(panel, seg, pp, k, false)
-		if err := g.send(g.rank(pp, rootQ), tag, seg.Data, nil); err != nil {
+		if err := g.send(g.rank(pp, rootQ), tag, seg.Data, piv); err != nil {
 			return nil, err
 		}
 	}
 	return piv, nil
 }
 
-// eagerFactor factors panel `next` during the current stage. Only
-// panel-column ranks move data; the root keeps the pivots and the other
-// participants consume their pivot copy immediately (keeping their link
-// to the root FIFO-clean). Every rank marks the panel factored — the
-// predicate is a pure function of the schedule, so the grid stays in
-// lockstep without communication.
-func (g *grid2d[T]) eagerFactor(next int) error {
-	rootP, rootQ := g.owner(next, next)
-	root := g.rank(rootP, rootQ)
-	if g.q == rootQ {
-		piv, err := g.factorPanelCore(next)
-		if err != nil {
-			return err
-		}
-		if g.me() == root {
-			g.pivots[next] = piv
-		} else {
-			msg, err := g.c.Recv(root, tag2dPivBase+next)
-			if err != nil {
-				return err
-			}
-			g.pivots[next] = msg.I
-		}
-	}
-	g.factored[next] = true
-	return nil
-}
-
-// eagerPivotSendParticipants posts the pivots of an eagerly factored
-// panel to its panel-column participants (they receive inside
-// eagerFactor, at the same schedule point).
-func (g *grid2d[T]) eagerPivotSendParticipants(next int) error {
-	rootP, rootQ := g.owner(next, next)
-	root := g.rank(rootP, rootQ)
-	if g.me() != root {
-		return nil
-	}
-	piv := g.pivots[next]
-	for pp := 0; pp < g.P; pp++ {
-		if r := g.rank(pp, rootQ); r != root {
-			if err := g.c.Send(r, tag2dPivBase+next, nil, piv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// eagerPivotFanout posts the pivots of an eagerly factored panel to
-// every rank outside the panel column. It must run as the stage's very
-// last sends: any earlier, and a later same-stage message from the root
-// to a non-participant would queue behind pivots that rank only consumes
-// next stage, breaking the link's FIFO order.
-func (g *grid2d[T]) eagerPivotFanout(next int) error {
-	rootP, rootQ := g.owner(next, next)
-	root := g.rank(rootP, rootQ)
-	if g.me() != root {
-		return nil
-	}
-	piv := g.pivots[next]
-	for r := 0; r < g.P*g.Q; r++ {
-		if r == root || r%g.Q == rootQ {
-			continue
-		}
-		if err := g.c.Send(r, tag2dPivBase+next, nil, piv); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- batched tree L broadcast -----------------------------------------
 
-// sendLRoot posts this rank's L payload for stage k — its rows of the
-// panel, one view — to its binomial-tree children along the process row
-// (one message per tree edge).
-func (g *grid2d[T]) sendLRoot(k int) error {
-	_, rootQ := g.owner(k, k)
-	g.lSent[k] = true
-	if g.Q == 1 {
-		return nil
-	}
-	mine := g.panelView(k)
-	if mine.Rows == 0 {
-		return nil
-	}
-	buf := flatten(mine)
-	_, children := cluster.BcastTree(g.Q, rootQ, g.q)
-	for _, cq := range children {
-		if err := g.send(g.rank(g.p, cq), tag2dLBase+k, buf, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// recvL makes stage k's L panel available on every rank: panel-column
-// ranks use (or post, if not already eagerly sent) their own rows of it;
-// everyone else receives the payload from its tree parent and relays it
-// onward bitwise. The rank's L21 is then one view — its owned block rows
-// below k are a suffix of its rows — packed here once for the whole
-// stage. Queued updates of an asynchronous pipeline may read the panel
-// column's L21 in place: the next stage swaps rows of that column only
-// after draining them. They read the previous stage's packed L21 too,
-// which stage therefore releases only after that drain.
-func (g *grid2d[T]) recvL(k int) error {
+// recvL makes stage k's pivots and L panel available on every rank and
+// returns the pivots: panel-column ranks use their own rows and pivots,
+// posted by postPanel; everyone else receives both payloads from its tree
+// parent and relays them onward bitwise. The pivots are folded into the
+// global pivot vector here. The rank's L21 is then one view — its owned
+// block rows below k are a suffix of its rows — packed here once for the
+// whole stage. Queued updates of an asynchronous pipeline may read the
+// panel column's L21 in place: the next stage swaps rows of that column
+// only after draining them. They read the previous stage's packed L21
+// too, which stage therefore releases only after that drain.
+func (g *grid2d[T]) recvL(k int) ([]int, error) {
 	rootP, rootQ := g.owner(k, k)
 	g.stageL11, g.stageL21, g.packedL = nil, nil, nil
-	if g.q == rootQ && !g.lSent[k] {
-		if err := g.sendLRoot(k); err != nil {
-			return err
-		}
-	}
-	g.lSent[k] = false
-
 	_, w := g.blockDims(k, k)
-	rows := g.mloc - g.rowsFrom(k)
-	if rows == 0 {
-		return nil
-	}
 	var l *matrix.Of[T]
+	piv := g.panelPiv
 	if g.q == rootQ {
 		l = g.panelView(k)
 	} else {
 		parent, children := cluster.BcastTree(g.Q, rootQ, g.q)
-		f, _, err := g.recv(g.rank(g.p, parent), tag2dLBase+k)
+		f, ints, err := g.recv(g.rank(g.p, parent), tag2dLBase+k)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if l, err = unflatten(f, rows, w); err != nil {
-			return fmt.Errorf("hpl: stage %d L: %w", k, err)
+		if l, err = unflatten(f, g.mloc-g.rowsFrom(k), w); err != nil {
+			return nil, fmt.Errorf("hpl: stage %d L: %w", k, err)
 		}
 		for _, cq := range children {
-			if err := g.send(g.rank(g.p, cq), tag2dLBase+k, f, nil); err != nil {
-				return err
+			if err := g.send(g.rank(g.p, cq), tag2dLBase+k, f, ints); err != nil {
+				return nil, err
 			}
 		}
+		piv = ints
+	}
+	if len(piv) != w {
+		return nil, fmt.Errorf("hpl: stage %d pivot payload has %d entries, want %d", k, len(piv), w)
+	}
+	g.recordPivots(k, piv)
+	if l.Rows == 0 {
+		return piv, nil
 	}
 	top := 0
 	if g.p == rootP {
@@ -421,7 +290,7 @@ func (g *grid2d[T]) recvL(k int) error {
 			h(g.me(), +1)
 		}
 	}
-	return nil
+	return piv, nil
 }
 
 // testHookPackedL, when non-nil, observes the life of every rank's
@@ -858,51 +727,25 @@ func (g *grid2d[T]) enqueueUpdate(k, j int, u *matrix.Of[T]) {
 
 // --- the stage loop ---------------------------------------------------
 
-// openStage makes panel k's pivots and L panel available. The order of
-// the two steps tracks the wire order on the panel root's links: when
-// the panel was factored eagerly, its L broadcast was posted mid-stage
-// while the pivot fan-out to non-participants ran as the previous
-// stage's last sends, so L must be consumed first; in the synchronous
-// case the panel is factored (and its pivots fanned out) before any L
-// payload exists. g.factored is a pure function of the schedule, so
+// openStage makes panel k's pivots and L panel available: it factors and
+// posts the panel unless the previous stage did so under look-ahead, then
+// collects them. g.factoredAhead is a pure function of the schedule, so
 // every rank takes the same branch.
 func (g *grid2d[T]) openStage(k int) ([]int, error) {
-	if g.factored[k] {
+	if !g.factoredAhead {
 		ts := g.rec.Start()
-		if err := g.recvL(k); err != nil {
-			return nil, err
-		}
-		g.tspan("Lbcast", k, ts)
-		ts = g.rec.Start()
-		piv, err := g.ensureFactored(k)
-		if err != nil {
+		if err := g.postPanel(k); err != nil {
 			return nil, err
 		}
 		g.tspan("panel", k, ts)
-		return piv, nil
 	}
 	ts := g.rec.Start()
-	piv, err := g.ensureFactored(k)
+	piv, err := g.recvL(k)
 	if err != nil {
-		return nil, err
-	}
-	g.tspan("panel", k, ts)
-	ts = g.rec.Start()
-	if err := g.recvL(k); err != nil {
 		return nil, err
 	}
 	g.tspan("Lbcast", k, ts)
 	return piv, nil
-}
-
-// eagerSendL posts the eagerly factored panel's L broadcast from its
-// panel-column owners.
-func (g *grid2d[T]) eagerSendL(next int) error {
-	_, rootQ := g.owner(next, next)
-	if g.q != rootQ {
-		return nil
-	}
-	return g.sendLRoot(next)
 }
 
 // columnOrder returns the owned block columns of stage k's swap/update
@@ -937,6 +780,16 @@ func (g *grid2d[T]) columnOrder(k int, ahead bool) []int {
 // bulk of trailing update k. The FT grid's checksum columns are two more
 // owned columns of the loop: the same swap, DTRSM, U broadcast and GEMM
 // keep them the checksums of the trailing matrix.
+//
+// Every link is FIFO and every receive names its tag, so a link must
+// carry its messages in the order its receiver consumes them. Look-ahead
+// keeps that order. Panel k+1's gather and scatter share process-column
+// links with stage k's swap and U messages, but every panel-column rank
+// reaches postPanel(k+1) at the same point of the same column order.
+// Ranks of one process row exchange only L messages during the
+// factorization, sent and received in stage order, so an early L can
+// overtake nothing; FT verification uses those links only at super-step
+// boundaries, where look-ahead is off.
 func (g *grid2d[T]) stage(k int) error {
 	prevL := g.packedL
 	piv, err := g.openStage(k)
@@ -988,13 +841,7 @@ func (g *grid2d[T]) stage(k int) error {
 			}
 			g.tspan("GEMM", k, ts)
 			ts = g.rec.Start()
-			if err := g.eagerFactor(k + 1); err != nil {
-				return err
-			}
-			if err := g.eagerPivotSendParticipants(k + 1); err != nil {
-				return err
-			}
-			if err := g.eagerSendL(k + 1); err != nil {
+			if err := g.postPanel(k + 1); err != nil {
 				return err
 			}
 			g.tspan("panel", k+1, ts)
@@ -1002,14 +849,6 @@ func (g *grid2d[T]) stage(k int) error {
 			g.enqueueUpdate(k, j, u)
 		}
 	}
-	if ahead && (k+1)%g.Q != g.q {
-		// Non-participants take no part in the eager factorization but
-		// must agree the panel is done; their pivots arrive via the
-		// stage-end fan-out below.
-		g.factored[k+1] = true
-	}
-	if ahead {
-		return g.eagerPivotFanout(k + 1)
-	}
+	g.factoredAhead = ahead
 	return nil
 }

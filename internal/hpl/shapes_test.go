@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"phihpl/internal/blas"
+	"phihpl/internal/cluster"
 	"phihpl/internal/lu"
 	"phihpl/internal/matrix"
 	"phihpl/internal/testutil"
@@ -17,28 +18,32 @@ import (
 // both precisions and with the offload engine off and on, against the
 // shared-memory oracle bit for bit —
 // lu.Sequential for FP64, lu.SolveMixed (solution, residual and
-// refinement step count) for mixed.
+// refinement step count) for mixed. msgs is the solve's point-to-point
+// sends summed over its ranks, the same under every schedule, offload
+// setting and precision: the schedules reorder the protocol's messages
+// but neither add nor drop one.
 func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 	defer testutil.NoLeaks(t)()
 	const seed = 29
 	for _, tc := range []struct {
 		name        string
 		n, nb, p, q int
+		msgs        uint64
 	}{
-		{"n-not-multiple-of-nb", 50, 8, 2, 2},
-		{"ragged-thin-last-block-packed-k", 53, 16, 2, 3},
-		{"nb-above-n-clamps-to-one-block", 20, 32, 2, 2},
-		{"nb-equals-n", 24, 24, 1, 3},
-		{"nb-above-n-clamps-to-64", 100, 200, 2, 2},
-		{"nb-zero-clamps", 70, 0, 2, 2},
-		{"more-ranks-than-blocks", 30, 10, 3, 3},
-		{"more-process-rows-than-blocks", 40, 16, 4, 2},
-		{"more-process-columns-than-blocks", 40, 16, 2, 4},
-		{"one-process-row", 66, 16, 1, 5},
-		{"one-process-column", 66, 16, 5, 1},
-		{"one-rank-ragged", 37, 16, 1, 1},
-		{"unit-blocks", 7, 1, 2, 2},
-		{"n-equals-one", 1, 4, 2, 2},
+		{"n-not-multiple-of-nb", 50, 8, 2, 2, 75},
+		{"ragged-thin-last-block-packed-k", 53, 16, 2, 3, 52},
+		{"nb-above-n-clamps-to-one-block", 20, 32, 2, 2, 6},
+		{"nb-equals-n", 24, 24, 1, 3, 4},
+		{"nb-above-n-clamps-to-64", 100, 200, 2, 2, 15},
+		{"nb-zero-clamps", 70, 0, 2, 2, 15},
+		{"more-ranks-than-blocks", 30, 10, 3, 3, 59},
+		{"more-process-rows-than-blocks", 40, 16, 4, 2, 52},
+		{"more-process-columns-than-blocks", 40, 16, 2, 4, 49},
+		{"one-process-row", 66, 16, 1, 5, 24},
+		{"one-process-column", 66, 16, 5, 1, 92},
+		{"one-rank-ragged", 37, 16, 1, 1, 0},
+		{"unit-blocks", 7, 1, 2, 2, 59},
+		{"n-equals-one", 1, 4, 2, 2, 6},
 	} {
 		nb := tc.nb
 		if nb < 1 || nb > tc.n {
@@ -60,9 +65,12 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 
 		for _, mode := range allModes {
 			for _, off := range []bool{false, true} {
-				r, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Offload: off}, nil)
+				r, sends, err := solveCountingSends(Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Offload: off})
 				if err != nil {
 					t.Fatalf("%s %s offload=%v fp64: %v", tc.name, mode, off, err)
+				}
+				if sends != tc.msgs {
+					t.Errorf("%s %s offload=%v fp64: %d messages, want %d", tc.name, mode, off, sends, tc.msgs)
 				}
 				if r.Ranks != tc.p*tc.q || r.Panels != (tc.n+nb-1)/nb || r.Refine != nil {
 					t.Errorf("%s %s offload=%v fp64: metadata %d ranks, %d panels, refine %+v", tc.name, mode, off, r.Ranks, r.Panels, r.Refine)
@@ -74,9 +82,12 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 					t.Errorf("%s %s offload=%v fp64: X differs from lu.Sequential", tc.name, mode, off)
 				}
 
-				m, err := Solve(context.Background(), Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed, Offload: off}, nil)
+				m, sends, err := solveCountingSends(Grid{N: tc.n, NB: tc.nb, P: tc.p, Q: tc.q, Seed: seed, Lookahead: mode, Precision: lu.PrecisionMixed, Offload: off})
 				if err != nil {
 					t.Fatalf("%s %s offload=%v mixed: %v", tc.name, mode, off, err)
+				}
+				if sends != tc.msgs {
+					t.Errorf("%s %s offload=%v mixed: %d messages, want %d", tc.name, mode, off, sends, tc.msgs)
 				}
 				if m.Refine == nil || m.Refine.FellBack {
 					t.Fatalf("%s %s offload=%v mixed: report %+v", tc.name, mode, off, m.Refine)
@@ -91,4 +102,38 @@ func TestGridShapeSpaceMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGridSendsPerSolve pins the message count of the benchmark's grid
+// solve, 1536/32 on 2×2, under every schedule: per stage one gather and
+// one scatter message per contributing process row, the scatter and the
+// L broadcast carrying the pivots, one swap message per peer process row
+// and one U message per tree edge and column; then the final gather.
+func TestGridSendsPerSolve(t *testing.T) {
+	const want = 1510
+	for _, mode := range allModes {
+		r, sends, err := solveCountingSends(Grid{N: 1536, NB: 32, P: 2, Q: 2, Seed: 1, Lookahead: mode})
+		if err != nil || r.Residual > matrix.ResidualThreshold {
+			t.Fatalf("%s: residual %g, err %v", mode, r.Residual, err)
+		}
+		if sends != want {
+			t.Errorf("%s: %d messages per solve, want %d", mode, sends, want)
+		}
+	}
+}
+
+// solveCountingSends runs Solve and sums World.SendCount over the ranks
+// of every world the solve built.
+func solveCountingSends(g Grid) (DistResult, uint64, error) {
+	var worlds []*cluster.World
+	testHookWorld = func(w *cluster.World) { worlds = append(worlds, w) }
+	defer func() { testHookWorld = nil }()
+	r, err := Solve(context.Background(), g, nil)
+	var sends uint64
+	for _, w := range worlds {
+		for rk := 0; rk < w.Size(); rk++ {
+			sends += w.SendCount(rk)
+		}
+	}
+	return r, sends, err
 }
